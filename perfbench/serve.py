@@ -121,9 +121,14 @@ def read_pool(rng: random.Random, module: str,
     pool["check_bounds"].append(_request("check_bounds", module=module))
     pool["parallel_loops"].append(_request("parallel_loops", module=module))
     function = names[0]
+    # The unknown-value request is a ``query_many``, not a ``query``: the
+    # server coalesces concurrent ``query`` requests on one function into a
+    # single ``query_many``, and one unknown value fails the whole group,
+    # so a valid query that happened to share its round would fail too.
     pool["error"] += [
-        _request("query", module=module, analysis="rbaa", function=function,
-                 a="no_such_value", b="no_such_value_either"),
+        _request("query_many", module=module, analysis="rbaa",
+                 function=function,
+                 pairs=[["no_such_value", "no_such_value_either"]]),
         _request("query_function", module=module, analysis="no_such_analysis"),
         _request("values", module=module, function="no_such_function")]
     return pool
@@ -368,17 +373,29 @@ class Checker:
                 == self.expected["answers"][index]
             if ok and payload["op"] != "edit":
                 self.known_raw[index] = digest
+            if not ok:
+                _report_mismatch(payload, raw)
         self._count(ok)
 
     def check_load(self, position: int, envelope: Dict[str, Any]) -> None:
         name, source = self.script.modules[position]
-        self._count(canonical(_request("load", name=name, source=source),
-                              envelope) == self.expected["load"][position])
+        payload = _request("load", name=name, source=source)
+        ok = canonical(payload, envelope) == self.expected["load"][position]
+        if not ok:
+            _report_mismatch({"op": "load", "name": name},
+                             json.dumps(envelope).encode())
+        self._count(ok)
 
     def _count(self, ok: bool) -> None:
         with self.lock:
             self.attempted += 1
             self.failed += not ok
+
+
+def _report_mismatch(payload: Dict[str, Any], raw: bytes) -> None:
+    """One line on standard error per wrong answer, for the run's log."""
+    print(f"perfbench: wrong answer to {json.dumps(payload)[:300]}: "
+          f"{raw[:500]!r}", file=sys.stderr, flush=True)
 
 
 def _send(connection: Connection, line: bytes, retries: List[int]) -> bytes:

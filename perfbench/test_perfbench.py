@@ -3,6 +3,8 @@
 * Every count-type per-layer metric is identical across two traced runs
   made under different hash seeds (``PYTHONHASHSEED=1`` and ``=2``), so
   counts can be compared exactly between commits.
+* No scripted ``query`` is expected to fail, so the server's coalescing of
+  concurrent queries cannot turn a valid answer into an error.
 * Without the package source the benchmark fails without printing a result.
 """
 
@@ -44,6 +46,27 @@ def test_count_metrics_repeat_exactly_across_hash_seeds(workload):
     assert counts
     assert {name: first[name]["value"] for name in counts} \
         == {name: second[name]["value"] for name in counts}
+
+
+def test_no_scripted_error_request_can_be_coalesced():
+    # The server merges concurrent ``query`` requests on one function into
+    # one ``query_many``; a failing member would fail the valid ones too.
+    sys.path.insert(0, HERE)
+    import common
+    import serve
+
+    common.require_source_tree()
+    from repro.service.protocol import ERROR_CODES
+
+    failing = {serve.canonical({"op": "query"},
+                               {"ok": False, "error_code": code})
+               for code in ERROR_CODES}
+    for workload in ("serve-read", "serve-edit"):
+        script = serve.make_script(workload, 1)
+        expected = serve.reference_entry(workload, 1)["answers"]
+        assert not [payload for payload, answer
+                    in zip(script.requests, expected)
+                    if payload["op"] == "query" and answer in failing]
 
 
 def test_fails_without_the_package_source(tmp_path):
