@@ -12,10 +12,11 @@ versioned protocol defined in :mod:`repro.service.protocol`:
    load a program, ask alias and range queries from warm analysis state,
    apply a single-function edit and watch the incremental path re-seed the
    interprocedural fixed points instead of rebuilding them;
-2. through the stdin/stdout daemon (``python -m repro.service``) via the
-   typed :class:`repro.service.DaemonClient` — every payload is built by
-   the protocol's client helpers (version stamp, request ids, structured
-   ``error_code`` envelopes) exactly like a non-Python client would;
+2. through the stdin/stdout daemon (``python -m repro.service``) via
+   :class:`repro.service.DaemonClient` — ``client.request(op, **fields)``
+   builds every payload with the protocol's client helpers (version stamp,
+   request ids, structured ``error_code`` envelopes) exactly like a
+   non-Python client would;
 3. through the concurrent TCP server (``python -m repro.service.server``)
    via :class:`repro.service.SocketClient` — the sharded, batching front
    end — showing that socket answers are bit-identical to the in-process
@@ -83,17 +84,18 @@ def in_process_walkthrough() -> None:
 def daemon_walkthrough() -> None:
     print("\n=== Line-delimited JSON daemon ===")
     # DaemonClient runs a real `python -m repro.service` subprocess; each
-    # typed method stamps the protocol version and validates the envelope.
+    # request stamps the protocol version and validates the envelope.
     with DaemonClient() as client:
-        print(f"  ping -> {client.ping()}")
-        loaded = client.load("demo", SOURCE)
-        print(f"  load -> functions {loaded.functions}")
-        sweep = client.query_function("demo", "rbaa", function="rotate")
-        print(f"  query_function -> {sweep.no_alias}/{sweep.queries} "
+        print(f"  ping -> {client.request('ping')['pong']}")
+        loaded = client.request("load", name="demo", source=SOURCE)
+        print(f"  load -> functions {loaded['functions']}")
+        sweep = client.request("query_function", module="demo",
+                               analysis="rbaa", function="rotate")
+        print(f"  query_function -> {sweep['no_alias']}/{sweep['queries']} "
               f"no-alias in rotate")
-        edited = client.edit("demo", EDITED)
+        edited = client.request("edit", name="demo", source=EDITED)
         print(f"  edit -> changed {edited['changed']}")
-        stats = client.stats("demo")
+        stats = client.request("stats", module="demo")
         print(f"  stats -> solver_steps {stats['solver_steps']}, "
               f"by analysis {stats['solver_steps_by_analysis']}")
         try:
@@ -106,18 +108,18 @@ def daemon_walkthrough() -> None:
 def socket_walkthrough() -> None:
     print("\n=== Concurrent TCP server ===")
     with SocketClient(workers=2) as client:
-        loaded = client.load("demo", SOURCE)
-        sweep = client.query_function("demo", "rbaa", function="rotate")
-        print(f"  socket: loaded {loaded.functions}, rbaa disambiguates "
-              f"{sweep.no_alias}/{sweep.queries} pairs in rotate")
+        loaded = client.request("load", name="demo", source=SOURCE)
+        sweep = client.request("query_function", module="demo",
+                               analysis="rbaa", function="rotate")
+        print(f"  socket: loaded {loaded['functions']}, rbaa disambiguates "
+              f"{sweep['no_alias']}/{sweep['queries']} pairs in rotate")
 
         # The exact same request against an in-process session: identical.
         session = AnalysisSession()
         session.load_source("demo", SOURCE)
         serial = session.query_function("demo", "rbaa", "rotate")
-        identical = (sweep.no_alias == serial["no_alias"]
-                     and sweep.no_alias_indices == serial["no_alias_indices"]
-                     and sweep.queries == serial["queries"])
+        identical = all(sweep[key] == serial[key] for key in
+                        ("no_alias", "no_alias_indices", "queries"))
         print(f"  socket answer == in-process answer: {identical}")
 
 

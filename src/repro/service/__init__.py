@@ -1,7 +1,9 @@
 """The analysis service: resident modules, incremental edits, query traffic.
 
 * :mod:`repro.service.protocol` — the one versioned wire contract every
-  transport speaks: typed request dataclasses, the dispatch table,
+  transport speaks: the ``OPS`` table declaring each op once (typed
+  fields, routing, ``mutating`` flag, session method, response fields),
+  the one ``Request`` class that parses, encodes and applies every op,
   structured ``error_code`` envelopes with request-``id`` echo, the
   access-size schema, and client helpers.
 * :mod:`repro.service.session` — :class:`AnalysisSession`, the in-process
@@ -11,14 +13,17 @@
 * :mod:`repro.service.store` — :class:`ResultStore`, the persistent
   content-addressed result cache keyed by source digest + generator and
   protocol versions (warm restarts skip compile-and-bootstrap).
-* :mod:`repro.service.client` — :class:`ServiceClient`, the typed client
-  facade with one implementation per transport (in-process, stdio daemon,
-  TCP socket).
+* :mod:`repro.service.client` — :class:`ServiceClient`, the client facade
+  (``client.request(op, **fields)``, checked against the op's declared
+  response fields) with one implementation per transport (in-process,
+  stdio daemon, TCP socket).
 * :mod:`repro.service.daemon` — a stdin/stdout daemon speaking
-  line-delimited JSON through the protocol layer.
+  line-delimited JSON through the protocol layer; its docstring holds the
+  human-readable op table, kept in sync with ``OPS`` by a test.
 * :mod:`repro.service.pool` / :mod:`repro.service.server` — the concurrent
   serving layer: an asyncio TCP front end batching and multiplexing onto a
-  shared-nothing pool of worker processes sharded by module.
+  shared-nothing pool of worker processes sharded by module (the op's
+  routing field picks the shard).
 * :mod:`repro.service.supervisor` — :class:`WorkerSupervisor`, the fault
   tolerance core: watches worker sentinels, fails in-flight jobs of a dead
   worker structurally (``worker_unavailable``), respawns the shard and
@@ -39,10 +44,11 @@ from .client import (
     ServiceClient,
     SocketClient,
 )
-from .daemon import handle_request, serve
+from .daemon import serve
 from .pool import WorkerPool
 from .protocol import (
     ERROR_CODES,
+    OPS,
     PROTOCOL_VERSION,
     RETRYABLE_ERROR_CODES,
     ServiceError,
@@ -71,6 +77,7 @@ def __getattr__(name: str):
 __all__ = [
     "ANALYSIS_KEYS",
     "ERROR_CODES",
+    "OPS",
     "PROTOCOL_VERSION",
     "RETRYABLE_ERROR_CODES",
     "AnalysisSession",
@@ -90,7 +97,6 @@ __all__ = [
     "check_response",
     "generate_plan",
     "handle_payload",
-    "handle_request",
     "make_request",
     "parse_request",
     "serve",

@@ -3,8 +3,8 @@
 For each benchmark program an edit scenario
 (:func:`repro.benchgen.editscript.edit_scenario`) is replayed two ways:
 
-* **warm** — one resident session (optionally a real stdin/stdout daemon
-  subprocess with ``--daemon``) absorbs every edit through the
+* **warm** — one resident session (in process, or behind a real daemon or
+  socket server subprocess with ``--transport``) absorbs every edit through the
   function-granular incremental path and answers the query sweep from warm
   analysis state;
 * **cold** — every step rebuilds the module and all analyses from scratch,
@@ -24,14 +24,15 @@ steps than a cold rebuild on every edit, and — the incremental
 interprocedural gate — every edit step must re-solve strictly fewer
 *callgraph* solver steps than the cold interprocedural fixed points cost.
 
-All transports go through the typed :mod:`repro.service.client` API, so
-the benchmark exercises the same versioned wire contract as every other
-consumer; ``--daemon`` swaps the warm path onto a real stdin/stdout daemon
-subprocess and ``--socket`` onto the concurrent TCP server.
+All transports go through the :mod:`repro.service.client` API, so the
+benchmark exercises the same versioned wire contract as every other
+consumer; ``--transport daemon`` swaps the warm path onto a real
+stdin/stdout daemon subprocess and ``--transport socket`` onto the
+concurrent TCP server (default ``inprocess``).
 
 Command line::
 
-    python -m repro.service.bench --quick --daemon --check \
+    python -m repro.service.bench --quick --transport daemon --check \
         --out BENCH_service.json
 """
 
@@ -78,10 +79,11 @@ def _sweep(client: ServiceClient, module: str,
     no_alias: Dict[str, int] = {}
     outcomes: Dict[str, List[int]] = {}
     for analysis in BENCH_ANALYSES:
-        response = client.query_function(module, analysis, max_pairs=max_pairs)
-        queries = response.queries
-        no_alias[analysis] = response.no_alias
-        outcomes[analysis] = response.no_alias_indices
+        response = client.request("query_function", module=module,
+                                  analysis=analysis, max_pairs=max_pairs)
+        queries = response["queries"]
+        no_alias[analysis] = response["no_alias"]
+        outcomes[analysis] = response["no_alias_indices"]
     return {"queries": queries, "no_alias": no_alias, "outcomes": outcomes}
 
 
@@ -92,23 +94,20 @@ def _callgraph_steps(stats: Dict[str, Any]) -> int:
 
 
 def bench_program(name: str, edits: int, max_pairs: Optional[int],
-                  seed: int = 0, daemon: bool = False,
-                  transport: Optional[str] = None) -> Dict[str, Any]:
+                  seed: int = 0, transport: str = "inprocess") -> Dict[str, Any]:
     """Replay one program's edit scenario warm and cold; return the record.
 
     ``transport`` picks the warm path's client (``inprocess`` / ``daemon``
-    / ``socket``); the legacy ``daemon=True`` flag means ``daemon``.
+    / ``socket``).
     """
     config = next(p for p in SUITE_PROGRAMS if p.name == name).config()
     scenario = edit_scenario(config, edits=edits, seed=seed)
 
-    if transport is None:
-        transport = "daemon" if daemon else "inprocess"
     warm_client = TRANSPORTS[transport]()
     steps: List[Dict[str, Any]] = []
     try:
         started = time.perf_counter()
-        warm_client.load(name, scenario.steps[0].source)
+        warm_client.request("load", name=name, source=scenario.steps[0].source)
         load_seconds = time.perf_counter() - started
         previous_steps = 0
         previous_callgraph = 0
@@ -116,7 +115,8 @@ def bench_program(name: str, edits: int, max_pairs: Optional[int],
             impacts: List[Dict[str, Any]] = []
             warm_started = time.perf_counter()
             if step.index > 0:
-                edited = warm_client.edit(name, step.source)
+                edited = warm_client.request("edit", name=name,
+                                             source=step.source)
                 if edited["reloaded"] or edited["changed"] != [step.function]:
                     raise RuntimeError(
                         f"scenario step {step.index} of {name!r} did not take "
@@ -124,7 +124,7 @@ def bench_program(name: str, edits: int, max_pairs: Optional[int],
                 impacts = edited["impacts"]
             warm_sweep = _sweep(warm_client, name, max_pairs)
             warm_seconds = time.perf_counter() - warm_started
-            warm_stats = warm_client.stats(name)
+            warm_stats = warm_client.request("stats", module=name)
             total = warm_stats["solver_steps"]
             warm_steps = total - previous_steps
             previous_steps = total
@@ -134,9 +134,9 @@ def bench_program(name: str, edits: int, max_pairs: Optional[int],
 
             cold_started = time.perf_counter()
             cold_client = InProcessClient()
-            cold_client.load(name, step.source)
+            cold_client.request("load", name=name, source=step.source)
             cold_sweep = _sweep(cold_client, name, max_pairs)
-            cold_stats = cold_client.stats(name)
+            cold_stats = cold_client.request("stats", module=name)
             cold_seconds = time.perf_counter() - cold_started
 
             steps.append({
@@ -180,9 +180,8 @@ def bench_program(name: str, edits: int, max_pairs: Optional[int],
 
 def run_bench(programs: Sequence[str], edits: int,
               max_pairs: Optional[int], seed: int = 0,
-              daemon: bool = False,
-              transport: Optional[str] = None) -> Dict[str, Any]:
-    records = [bench_program(name, edits, max_pairs, seed=seed, daemon=daemon,
+              transport: str = "inprocess") -> Dict[str, Any]:
+    records = [bench_program(name, edits, max_pairs, seed=seed,
                              transport=transport)
                for name in programs]
     return {
@@ -243,12 +242,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="cap on enumerated pointer pairs per function")
     parser.add_argument("--seed", type=int, default=0,
                         help="edit scenario seed")
-    parser.add_argument("--daemon", action="store_true",
-                        help="drive the warm path through a real daemon "
+    parser.add_argument("--transport", choices=sorted(TRANSPORTS),
+                        default="inprocess",
+                        help="client of the warm path: in process, a real "
+                             "daemon subprocess or the concurrent TCP server "
                              "subprocess (end-to-end)")
-    parser.add_argument("--socket", action="store_true",
-                        help="drive the warm path through the concurrent "
-                             "TCP server subprocess (end-to-end)")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 unless warm ≡ cold everywhere and the "
                              "warm path (overall and callgraph-scoped) wins "
@@ -267,15 +265,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.quick and max_pairs is None:
         max_pairs = QUICK_MAX_PAIRS
 
-    transport = "socket" if args.socket else ("daemon" if args.daemon
-                                              else "inprocess")
     started = time.perf_counter()
     record = run_bench(programs, edits, max_pairs, seed=args.seed,
-                       transport=transport)
+                       transport=args.transport)
     elapsed = time.perf_counter() - started
     record["run"] = {
-        "daemon": bool(args.daemon),
-        "transport": transport,
+        "transport": args.transport,
         "quick": bool(args.quick),
         "python": sys.version.split()[0],
         "total_wall_seconds": elapsed,

@@ -1,4 +1,4 @@
-"""Typed client API over the analysis-service protocol.
+"""Client API over the analysis-service protocol.
 
 One :class:`ServiceClient` facade, one implementation per transport:
 
@@ -11,15 +11,16 @@ One :class:`ServiceClient` facade, one implementation per transport:
 * :class:`SocketClient` — the concurrent TCP server
   (``python -m repro.service.server``) over one connection.
 
-Every typed method builds its payload with
+Every op goes through :meth:`ServiceClient.request`: ``client.request(op,
+**fields)`` builds the payload with
 :func:`repro.service.protocol.make_request` (stamping the mandatory ``"v"``)
 and validates the envelope with
-:func:`repro.service.protocol.check_response`, so client code never touches
-raw request dicts; the query-shaped ops return the protocol's typed response
-dataclasses.  Transports only implement :meth:`ServiceClient.call` — send
-one payload, return one decoded envelope.
+:func:`repro.service.protocol.check_response` against the op's declared
+response fields in :data:`repro.service.protocol.OPS`.  Transports only
+implement :meth:`ServiceClient.call` — send one payload, return one decoded
+envelope.
 
-Typed calls route through :meth:`ServiceClient.send`, which retries
+Requests route through :meth:`ServiceClient.send`, which retries
 *transient* fault envelopes — exactly the codes in
 :data:`repro.service.protocol.RETRYABLE_ERROR_CODES`
 (``worker_unavailable``, ``overloaded``) — with seeded-jittered exponential
@@ -40,23 +41,13 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from ..benchgen import stable_seed
 from .protocol import (
-    DEFAULT_SIZE,
     RETRYABLE_ERROR_CODES,
-    CheckBoundsResponse,
-    LoadResponse,
-    ParallelLoopsResponse,
-    QueryFunctionResponse,
-    QueryManyResponse,
-    QueryResponse,
-    RangeResponse,
     ServiceError,
-    ValuesResponse,
     check_response,
-    encode_size,
     handle_payload,
     make_request,
 )
@@ -117,11 +108,11 @@ def subprocess_env() -> Dict[str, str]:
 
 
 class ServiceClient:
-    """Transport-agnostic typed facade over the versioned wire protocol."""
+    """Transport-agnostic facade over the versioned wire protocol."""
 
     #: Backoff policy for transient faults; created lazily on first use.
     #: Assign a configured :class:`RetryPolicy` (or ``None`` before any
-    #: typed call ever runs, then a default appears) to tune or seed it.
+    #: request ever runs, then a default appears) to tune or seed it.
     retry_policy: Optional[RetryPolicy] = None
 
     # -- transport hook ---------------------------------------------------------
@@ -177,90 +168,13 @@ class ServiceClient:
     def request(self, op: str, *, id: Any = None,
                 **fields: Any) -> Dict[str, Any]:
         """One checked request; returns the successful envelope or raises
-        :class:`~repro.service.protocol.ServiceError` with its stable code."""
-        return check_response(self.send(make_request(op, id=id, **fields)))
+        :class:`~repro.service.protocol.ServiceError` with its stable code.
 
-    # -- typed operations --------------------------------------------------------
-    def ping(self) -> bool:
-        return bool(self.request("ping")["pong"])
-
-    def load(self, name: str, source: str) -> LoadResponse:
-        return LoadResponse.from_envelope(
-            self.send(make_request("load", name=name, source=source)))
-
-    def load_program(self, name: str) -> LoadResponse:
-        return LoadResponse.from_envelope(
-            self.send(make_request("load_program", name=name)))
-
-    def edit(self, name: str, source: str) -> Dict[str, Any]:
-        """Apply an edited source; the envelope carries ``changed`` /
-        ``reloaded`` and the per-function incremental ``impacts``."""
-        return self.request("edit", name=name, source=source)
-
-    def query(self, module: str, analysis: str, function: str, a: str, b: str,
-              size_a: Any = DEFAULT_SIZE,
-              size_b: Any = DEFAULT_SIZE) -> QueryResponse:
-        fields: Dict[str, Any] = {"module": module, "analysis": analysis,
-                                  "function": function, "a": a, "b": b}
-        if size_a is not DEFAULT_SIZE:
-            fields["size_a"] = encode_size(size_a)
-        if size_b is not DEFAULT_SIZE:
-            fields["size_b"] = encode_size(size_b)
-        return QueryResponse.from_envelope(
-            self.send(make_request("query", **fields)))
-
-    def query_many(self, module: str, analysis: str, function: str,
-                   pairs: Sequence[Sequence[Any]]) -> QueryManyResponse:
-        return QueryManyResponse.from_envelope(self.send(make_request(
-            "query_many", module=module, analysis=analysis, function=function,
-            pairs=[list(pair) for pair in pairs])))
-
-    def query_function(self, module: str, analysis: str,
-                       function: Optional[str] = None,
-                       max_pairs: Optional[int] = None) -> QueryFunctionResponse:
-        fields: Dict[str, Any] = {"module": module, "analysis": analysis}
-        if function is not None:
-            fields["function"] = function
-        if max_pairs is not None:
-            fields["max_pairs"] = max_pairs
-        return QueryFunctionResponse.from_envelope(
-            self.send(make_request("query_function", **fields)))
-
-    def check_bounds(self, module: str,
-                     function: Optional[str] = None) -> CheckBoundsResponse:
-        fields: Dict[str, Any] = {"module": module}
-        if function is not None:
-            fields["function"] = function
-        return CheckBoundsResponse.from_envelope(
-            self.send(make_request("check_bounds", **fields)))
-
-    def parallel_loops(self, module: str,
-                       function: Optional[str] = None) -> ParallelLoopsResponse:
-        fields: Dict[str, Any] = {"module": module}
-        if function is not None:
-            fields["function"] = function
-        return ParallelLoopsResponse.from_envelope(
-            self.send(make_request("parallel_loops", **fields)))
-
-    def values(self, module: str, function: str) -> ValuesResponse:
-        return ValuesResponse.from_envelope(self.send(
-            make_request("values", module=module, function=function)))
-
-    def range_of(self, module: str, function: str, value: str) -> RangeResponse:
-        return RangeResponse.from_envelope(self.send(make_request(
-            "range", module=module, function=function, value=value)))
-
-    def stats(self, module: str) -> Dict[str, Any]:
-        return self.request("stats", module=module)
-
-    def modules(self) -> List[Dict[str, Any]]:
-        return self.request("modules")["modules"]
-
-    def unload(self, name: str) -> Dict[str, Any]:
-        return self.request("unload", name=name)
-
-    def shutdown(self) -> Dict[str, Any]:
-        return self.request("shutdown")
+        ``fields`` are the op's wire fields (see ``protocol.OPS``); the
+        envelope must carry every response field the op declares.
+        """
+        return check_response(self.send(make_request(op, id=id, **fields)),
+                              op)
 
 
 class InProcessClient(ServiceClient):
@@ -295,7 +209,7 @@ class DaemonClient(ServiceClient):
 
     def close(self) -> None:
         try:
-            self.shutdown()
+            self.request("shutdown")
         except (ServiceError, RuntimeError, BrokenPipeError, OSError):
             self._process.kill()  # pragma: no cover - shutdown fallback
         self._process.wait(timeout=30)
@@ -333,7 +247,7 @@ class SocketClient(ServiceClient):
 
     def close(self) -> None:
         try:
-            self.shutdown()
+            self.request("shutdown")
         except (ServiceError, RuntimeError, BrokenPipeError, OSError):
             self._process.kill()  # pragma: no cover - shutdown fallback
         finally:

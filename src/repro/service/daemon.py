@@ -7,27 +7,33 @@ schema — is defined once in :mod:`repro.service.protocol`; this module is
 only the stdio transport around :func:`repro.service.protocol.handle_payload`
 (the daemon never dies on a bad request — only on EOF or ``shutdown``).
 
-Operations (``"op"``; request types live in ``protocol.REQUESTS``):
+Operations (``"op"``).  Each row mirrors one entry of ``protocol.OPS``,
+which also declares every op's response fields; ``[...]`` marks optional
+request fields:
 
-=================  ==========================================================
-``ping``           liveness check; echoes ``{"pong": true}``
-``load``           ``{name, source}`` — compile and hold resident
-``load_program``   ``{name}`` — generate + compile a named suite program
-``edit``           ``{name, source}`` — incremental function-granular edit
-``query``          ``{module, analysis, function, a, b[, size_a, size_b]}``
-``query_many``     ``{module, analysis, function, pairs: [[a, b], …]}``
-``query_function`` ``{module, analysis[, function, max_pairs]}``
-``check_bounds``   ``{module[, function]}`` — per-access out-of-bounds
-                   verdicts (``safe`` / ``maybe-oob`` / ``definitely-oob``)
-``parallel_loops`` ``{module[, function]}`` — per-loop parallelizability
-                   with the first blocking reason
-``values``         ``{module, function}`` — queryable SSA value names
-``range``          ``{module, function, value}``
-``stats``          ``{module}`` — solver steps, cache + Figure-14 counters
-``modules``        list resident modules
-``unload``         ``{name}``
-``shutdown``       acknowledge and exit
-=================  ==========================================================
+==================  ===========================================================
+``ping``            liveness check; answers ``{"pong": true}``
+``load``            ``{name, source}`` — compile and hold resident
+``load_program``    ``{name}`` — generate + compile a named suite program
+``edit``            ``{name, source}`` — incremental function-granular edit
+``query``           ``{module, analysis, function, a, b[, size_a, size_b]}``
+                    — one alias verdict between two SSA values
+``query_many``      ``{module, analysis, function, pairs}`` — alias verdicts
+                    for ``[a, b]`` or ``[a, b, size_a, size_b]`` pairs
+``query_function``  ``{module, analysis[, function, max_pairs]}`` — the
+                    harness pair sweep of one function or the whole module
+``check_bounds``    ``{module[, function]}`` — per-access out-of-bounds
+                    verdicts (``safe`` / ``maybe-oob`` / ``definitely-oob``)
+``parallel_loops``  ``{module[, function]}`` — per-loop parallelizability
+                    with the first blocking reason
+``values``          ``{module, function}`` — queryable SSA value names
+``range``           ``{module, function, value}`` — symbolic interval of one
+                    integer SSA value
+``stats``           ``{module}`` — solver steps, cache + Figure-14 counters
+``modules``         list resident modules
+``unload``          ``{name}`` — drop a resident module
+``shutdown``        acknowledge and exit
+==================  ===========================================================
 
 Requests must carry ``"v"`` (protocol version; omissions and mismatches
 are rejected with ``error_code: "protocol_mismatch"``) and may carry
@@ -43,7 +49,9 @@ pre-v1 free-form ``"error"`` string has completed its removal cycle):
 ======================  =====================================================
 ``protocol_mismatch``   ``"v"`` missing or unsupported — fix, don't retry
 ``bad_request``         malformed payload (missing/ill-typed field, bad size
-                        word, bad ``timeout_ms``) — fix, don't retry
+                        word, bad ``timeout_ms``) or a request the service
+                        rejects (bad source, unknown suite program) — fix,
+                        don't retry
 ``unknown_op``          ``op`` not in the table above — fix, don't retry
 ``unknown_module``      module not resident — load it, don't retry
 ``unknown_function``    no such function in the module
@@ -51,7 +59,8 @@ pre-v1 free-form ``"error"`` string has completed its removal cycle):
 ``unknown_analysis``    analysis key not registered
 ``edit_rejected``       edited source failed the frontend; resident module
                         untouched
-``internal_error``      unexpected exception (a bug); payload echoed in
+``internal_error``      unexpected exception while serving a valid request
+                        (a bug, never the client's); type and text in
                         ``message``
 ``worker_unavailable``  pool front end only: the owning worker died with
                         this request in flight.  **Retryable.**  Read-only
@@ -99,24 +108,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, IO, Optional
+from typing import Any, IO, Optional
 
 from .protocol import BAD_REQUEST, error_envelope, handle_payload, request_id_of
 from .session import AnalysisSession
 from .store import ResultStore
 
-__all__ = ["handle_request", "serve", "main"]
-
-
-def handle_request(session: AnalysisSession,
-                   request: Dict[str, Any]) -> Dict[str, Any]:
-    """Dispatch one decoded request; returns the response envelope.
-
-    Thin alias of :func:`repro.service.protocol.handle_payload`, kept as
-    the historical in-process entry point (it never raises — errors come
-    back as structured envelopes).
-    """
-    return handle_payload(session, request)
+__all__ = ["serve", "main"]
 
 
 def serve(stdin: Optional[IO[str]] = None,

@@ -114,10 +114,11 @@ def build_corpus(programs: Sequence[str]) -> List[_Program]:
     corpus: List[_Program] = []
     for name in programs:
         source = build_program(name).source
-        loaded = scout.load(name, source)
+        loaded = scout.request("load", name=name, source=source)
         functions = []
-        for fn_name in loaded.functions:
-            values = scout.values(name, fn_name).values
+        for fn_name in loaded["functions"]:
+            values = scout.request("values", module=name,
+                                   function=fn_name)["values"]
             functions.append(_Function(
                 name=fn_name,
                 pointers=[v["name"] for v in values if v["pointer"]],

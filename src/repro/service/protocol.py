@@ -1,4 +1,4 @@
-"""One service protocol, every transport: typed requests, dispatch, envelopes.
+"""One service protocol, every transport: the op table, dispatch, envelopes.
 
 Every entry point into the analysis service — the in-process
 :class:`~repro.service.session.AnalysisSession`, the stdin/stdout daemon
@@ -39,19 +39,26 @@ place (:func:`coerce_size`) for every transport:
 * ``null`` or the string ``"unknown"`` — unbounded access extent;
 * a non-negative integer — that many bytes.
 
-Requests are dataclasses (one per op, registered in :data:`REQUESTS` — the
-dispatch table that replaced the daemon's if/elif chain); responses for the
-common query ops have typed counterparts (:class:`QueryResponse`, …) used
-by the bundled clients.  :func:`handle_payload` is the single entry point
-transports call: parse, dispatch, envelope — it never raises.
+Ops
+---
+
+Every op is declared once, as one :class:`OpSpec` in :data:`OPS`: its
+typed fields, routing field, ``mutating`` flag, the
+:class:`~repro.service.session.AnalysisSession` method it calls and its
+response fields.  The single :class:`Request` class parses, validates,
+encodes, routes and applies every op from that table, and the client
+checks response envelopes against it.  :func:`handle_payload` is the
+single entry point transports call: parse, dispatch, envelope — it never
+raises.
 """
 
 from __future__ import annotations
 
+import enum
 import json
 import time
-from dataclasses import dataclass, fields as dataclass_fields
-from typing import Any, ClassVar, Dict, List, Optional, Tuple, Type
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -74,8 +81,10 @@ __all__ = [
     "UNKNOWN_SIZE",
     "coerce_size",
     "encode_size",
-    "Request",
+    "OpSpec",
+    "OPS",
     "REQUESTS",
+    "Request",
     "parse_request",
     "handle_payload",
     "success_envelope",
@@ -84,14 +93,6 @@ __all__ = [
     "check_response",
     "encode_line",
     "decode_line",
-    "LoadResponse",
-    "QueryResponse",
-    "QueryManyResponse",
-    "QueryFunctionResponse",
-    "ValuesResponse",
-    "RangeResponse",
-    "CheckBoundsResponse",
-    "ParallelLoopsResponse",
 ]
 
 #: The protocol version every transport speaks.  Bump on wire-incompatible
@@ -164,25 +165,15 @@ class ServiceError(ValueError):
 
 # -- access-size schema --------------------------------------------------------
 
-class _DefaultSize:
-    """Singleton marker: access size defaults to the pointee size."""
+class _DefaultSize(enum.Enum):
+    """Singleton marker: access size defaults to the pointee size (an enum
+    member, so it stays one object across copies and pickling)."""
 
-    _instance: ClassVar[Optional["_DefaultSize"]] = None
-
-    def __new__(cls) -> "_DefaultSize":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "DEFAULT_SIZE"
-
-    def __reduce__(self):
-        return (_DefaultSize, ())
+    DEFAULT_SIZE = "default"
 
 
 #: Schema-level default: the access covers the pointee size.
-DEFAULT_SIZE = _DefaultSize()
+DEFAULT_SIZE = _DefaultSize.DEFAULT_SIZE
 
 #: Wire spelling of an unknown (unbounded) access size.
 UNKNOWN_SIZE = "unknown"
@@ -219,13 +210,9 @@ def encode_size(size: Any) -> Any:
     return size  # None (unknown) or int
 
 
-def _parse_size_field(payload: Dict[str, Any], key: str) -> Any:
-    return coerce_size(payload[key]) if key in payload else DEFAULT_SIZE
+# -- field kinds ---------------------------------------------------------------
 
-
-# -- field helpers -------------------------------------------------------------
-
-def _string(payload: Dict[str, Any], key: str) -> str:
+def _parse_str(payload: Dict[str, Any], key: str) -> str:
     if key not in payload:
         raise ServiceError(f"missing required field {key!r}")
     value = payload[key]
@@ -235,214 +222,27 @@ def _string(payload: Dict[str, Any], key: str) -> str:
     return value
 
 
-def _optional_string(payload: Dict[str, Any], key: str) -> Optional[str]:
-    value = payload.get(key)
-    if value is not None and not isinstance(value, str):
-        raise ServiceError(
-            f"field {key!r} must be a string or null, got {type(value).__name__}")
-    return value
+def _optional(expected: type, noun: str) -> Callable[[Dict[str, Any], str], Any]:
+    """Parser of an optional (absent or null) field of type ``expected``."""
+    def parse(payload: Dict[str, Any], key: str) -> Any:
+        value = payload.get(key)
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, expected)):
+            raise ServiceError(f"field {key!r} must be {noun} or null, "
+                               f"got {type(value).__name__}")
+        return value
+    return parse
 
 
-def _optional_int(payload: Dict[str, Any], key: str) -> Optional[int]:
-    value = payload.get(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ServiceError(
-            f"field {key!r} must be an integer or null, got {type(value).__name__}")
-    return value
+def _parse_size(payload: Dict[str, Any], key: str) -> Any:
+    return coerce_size(payload[key]) if key in payload else DEFAULT_SIZE
 
 
-# -- typed requests ------------------------------------------------------------
-
-#: op name -> request type: the dispatch table (replaces the daemon's
-#: if/elif chain).  Populated by :func:`_register`.
-REQUESTS: Dict[str, Type["Request"]] = {}
-
-
-def _register(cls: Type["Request"]) -> Type["Request"]:
-    REQUESTS[cls.op] = cls
-    return cls
-
-
-def _parse_timeout_ms(payload: Dict[str, Any]) -> Optional[int]:
-    value = payload.get("timeout_ms")
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ServiceError(
-            f"field 'timeout_ms' must be a non-negative integer or null, "
-            f"got {value!r}")
-    return value
-
-
-@dataclass(kw_only=True)
-class Request:
-    """Base of every typed request; ``id`` echoes back on the response."""
-
-    op: ClassVar[str] = ""
-    #: Name of the field that addresses a resident module (``None`` for
-    #: module-less ops) — the socket front end shards on it.
-    route: ClassVar[Optional[str]] = None
-    #: Whether the op changes session state.  Mutating requests are
-    #: journaled by the supervisor (for crash replay) and are *not* retried
-    #: transparently on worker death — the client gets ``worker_unavailable``
-    #: and may safely retry, because an unacknowledged mutation was never
-    #: journaled.  They also skip the cooperative solver budget: aborting an
-    #: in-place incremental refresh would corrupt retained fixed points.
-    mutating: ClassVar[bool] = False
-
-    id: Any = None
-    #: Additive deadline (milliseconds).  ``None`` means no deadline — the
-    #: pre-PR-10 wire shape is untouched, so no protocol version bump.
-    timeout_ms: Optional[int] = None
-
-    def routing_module(self) -> Optional[str]:
-        """The module this request targets (sharding key), if any."""
-        return getattr(self, self.route) if self.route else None
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "Request":
-        return cls(id=payload.get("id"),
-                   timeout_ms=_parse_timeout_ms(payload),
-                   **cls._parse(payload))
-
-    @classmethod
-    def _parse(cls, payload: Dict[str, Any]) -> Dict[str, Any]:
-        return {}
-
-    def to_payload(self) -> Dict[str, Any]:
-        """The canonical wire form (round-trips through :func:`parse_request`)."""
-        payload: Dict[str, Any] = {"op": self.op, "v": PROTOCOL_VERSION}
-        payload.update(self._encode())
-        if self.id is not None:
-            payload["id"] = self.id
-        if self.timeout_ms is not None:
-            payload["timeout_ms"] = self.timeout_ms
-        return payload
-
-    def _encode(self) -> Dict[str, Any]:
-        return {}
-
-    def apply(self, session: Any) -> Dict[str, Any]:
-        raise NotImplementedError
-
-
-@_register
-@dataclass(kw_only=True)
-class PingRequest(Request):
-    op: ClassVar[str] = "ping"
-
-    def apply(self, session: Any) -> Dict[str, Any]:
-        return {"pong": True}
-
-
-@_register
-@dataclass(kw_only=True)
-class LoadRequest(Request):
-    op: ClassVar[str] = "load"
-    route: ClassVar[str] = "name"
-    mutating: ClassVar[bool] = True
-
-    name: str
-    source: str
-
-    @classmethod
-    def _parse(cls, payload):
-        return {"name": _string(payload, "name"),
-                "source": _string(payload, "source")}
-
-    def _encode(self):
-        return {"name": self.name, "source": self.source}
-
-    def apply(self, session):
-        return session.load_source(self.name, self.source)
-
-
-@_register
-@dataclass(kw_only=True)
-class LoadProgramRequest(Request):
-    op: ClassVar[str] = "load_program"
-    route: ClassVar[str] = "name"
-    mutating: ClassVar[bool] = True
-
-    name: str
-
-    @classmethod
-    def _parse(cls, payload):
-        return {"name": _string(payload, "name")}
-
-    def _encode(self):
-        return {"name": self.name}
-
-    def apply(self, session):
-        return session.load_program(self.name)
-
-
-@_register
-@dataclass(kw_only=True)
-class EditRequest(Request):
-    op: ClassVar[str] = "edit"
-    route: ClassVar[str] = "name"
-    mutating: ClassVar[bool] = True
-
-    name: str
-    source: str
-
-    @classmethod
-    def _parse(cls, payload):
-        return {"name": _string(payload, "name"),
-                "source": _string(payload, "source")}
-
-    def _encode(self):
-        return {"name": self.name, "source": self.source}
-
-    def apply(self, session):
-        return session.edit_source(self.name, self.source)
-
-
-@_register
-@dataclass(kw_only=True)
-class QueryRequest(Request):
-    op: ClassVar[str] = "query"
-    route: ClassVar[str] = "module"
-
-    module: str
-    analysis: str
-    function: str
-    a: str
-    b: str
-    size_a: Any = DEFAULT_SIZE
-    size_b: Any = DEFAULT_SIZE
-
-    @classmethod
-    def _parse(cls, payload):
-        return {"module": _string(payload, "module"),
-                "analysis": _string(payload, "analysis"),
-                "function": _string(payload, "function"),
-                "a": _string(payload, "a"),
-                "b": _string(payload, "b"),
-                "size_a": _parse_size_field(payload, "size_a"),
-                "size_b": _parse_size_field(payload, "size_b")}
-
-    def _encode(self):
-        encoded = {"module": self.module, "analysis": self.analysis,
-                   "function": self.function, "a": self.a, "b": self.b}
-        if self.size_a is not DEFAULT_SIZE:
-            encoded["size_a"] = encode_size(self.size_a)
-        if self.size_b is not DEFAULT_SIZE:
-            encoded["size_b"] = encode_size(self.size_b)
-        return encoded
-
-    def apply(self, session):
-        return session.query(self.module, self.analysis, self.function,
-                             self.a, self.b, self.size_a, self.size_b)
-
-
-def _parse_pairs(payload: Dict[str, Any]) -> List[Tuple[str, str, Any, Any]]:
-    raw = payload.get("pairs")
+def _parse_pairs(payload: Dict[str, Any],
+                 key: str) -> List[Tuple[str, str, Any, Any]]:
+    raw = payload.get(key)
     if not isinstance(raw, list):
-        raise ServiceError("field 'pairs' must be a list of [a, b] or "
+        raise ServiceError(f"field {key!r} must be a list of [a, b] or "
                            "[a, b, size_a, size_b] entries")
     pairs: List[Tuple[str, str, Any, Any]] = []
     for entry in raw:
@@ -458,227 +258,203 @@ def _parse_pairs(payload: Dict[str, Any]) -> List[Tuple[str, str, Any, Any]]:
     return pairs
 
 
-def encode_pair(a: str, b: str, size_a: Any, size_b: Any) -> List[Any]:
-    """The canonical wire form of one normalised query pair."""
-    if size_a is DEFAULT_SIZE and size_b is DEFAULT_SIZE:
-        return [a, b]
-    return [a, b, encode_size(size_a), encode_size(size_b)]
+#: Encoder result meaning "leave the field off the wire".
+_OMIT = object()
 
 
-@_register
-@dataclass(kw_only=True)
-class QueryManyRequest(Request):
-    op: ClassVar[str] = "query_many"
-    route: ClassVar[str] = "module"
-
-    module: str
-    analysis: str
-    function: str
-    #: Normalised ``(a, b, size_a, size_b)`` tuples.
-    pairs: List[Tuple[str, str, Any, Any]]
-
-    @classmethod
-    def _parse(cls, payload):
-        return {"module": _string(payload, "module"),
-                "analysis": _string(payload, "analysis"),
-                "function": _string(payload, "function"),
-                "pairs": _parse_pairs(payload)}
-
-    def _encode(self):
-        return {"module": self.module, "analysis": self.analysis,
-                "function": self.function,
-                "pairs": [encode_pair(*pair) for pair in self.pairs]}
-
-    def apply(self, session):
-        return session.query_many(self.module, self.analysis, self.function,
-                                  [list(pair) for pair in self.pairs])
+def _omit_none(value: Any) -> Any:
+    return _OMIT if value is None else value
 
 
-@_register
-@dataclass(kw_only=True)
-class QueryFunctionRequest(Request):
-    op: ClassVar[str] = "query_function"
-    route: ClassVar[str] = "module"
-
-    module: str
-    analysis: str
-    function: Optional[str] = None
-    max_pairs: Optional[int] = None
-
-    @classmethod
-    def _parse(cls, payload):
-        return {"module": _string(payload, "module"),
-                "analysis": _string(payload, "analysis"),
-                "function": _optional_string(payload, "function"),
-                "max_pairs": _optional_int(payload, "max_pairs")}
-
-    def _encode(self):
-        encoded = {"module": self.module, "analysis": self.analysis}
-        if self.function is not None:
-            encoded["function"] = self.function
-        if self.max_pairs is not None:
-            encoded["max_pairs"] = self.max_pairs
-        return encoded
-
-    def apply(self, session):
-        return session.query_function(self.module, self.analysis,
-                                      self.function, self.max_pairs)
+def _encode_size_field(size: Any) -> Any:
+    return _OMIT if size is DEFAULT_SIZE else encode_size(size)
 
 
-@_register
-@dataclass(kw_only=True)
-class ValuesRequest(Request):
-    op: ClassVar[str] = "values"
-    route: ClassVar[str] = "module"
-
-    module: str
-    function: str
-
-    @classmethod
-    def _parse(cls, payload):
-        return {"module": _string(payload, "module"),
-                "function": _string(payload, "function")}
-
-    def _encode(self):
-        return {"module": self.module, "function": self.function}
-
-    def apply(self, session):
-        return session.values(self.module, self.function)
+def _encode_pairs(pairs: List[Tuple[str, str, Any, Any]]) -> List[List[Any]]:
+    return [[a, b] if size_a is DEFAULT_SIZE and size_b is DEFAULT_SIZE
+            else [a, b, encode_size(size_a), encode_size(size_b)]
+            for a, b, size_a, size_b in pairs]
 
 
-@_register
-@dataclass(kw_only=True)
-class RangeRequest(Request):
-    op: ClassVar[str] = "range"
-    route: ClassVar[str] = "module"
-
-    module: str
-    function: str
-    value: str
-
-    @classmethod
-    def _parse(cls, payload):
-        return {"module": _string(payload, "module"),
-                "function": _string(payload, "function"),
-                "value": _string(payload, "value")}
-
-    def _encode(self):
-        return {"module": self.module, "function": self.function,
-                "value": self.value}
-
-    def apply(self, session):
-        return session.range_of(self.module, self.function, self.value)
+#: Field kind -> (parser, encoder).  A parser validates one field of a raw
+#: payload and returns its normalised value; an encoder maps that value back
+#: to its canonical wire spelling (``None`` = as is, :data:`_OMIT` = left
+#: off).  This is the only place request fields are checked.
+FIELD_KINDS: Dict[str, Tuple[Callable[[Dict[str, Any], str], Any],
+                             Optional[Callable[[Any], Any]]]] = {
+    "str": (_parse_str, None),
+    "opt_str": (_optional(str, "a string"), _omit_none),
+    "opt_int": (_optional(int, "an integer"), _omit_none),
+    "size": (_parse_size, _encode_size_field),
+    "pairs": (_parse_pairs, _encode_pairs),
+}
 
 
-@_register
-@dataclass(kw_only=True)
-class CheckBoundsRequest(Request):
-    op: ClassVar[str] = "check_bounds"
-    route: ClassVar[str] = "module"
+# -- the op table --------------------------------------------------------------
 
-    module: str
-    function: Optional[str] = None
+@dataclass(frozen=True)
+class OpSpec:
+    """The one declaration of a service op.
 
-    @classmethod
-    def _parse(cls, payload):
-        return {"module": _string(payload, "module"),
-                "function": _optional_string(payload, "function")}
-
-    def _encode(self):
-        encoded = {"module": self.module}
-        if self.function is not None:
-            encoded["function"] = self.function
-        return encoded
-
-    def apply(self, session):
-        return session.check_bounds(self.module, self.function)
-
-
-@_register
-@dataclass(kw_only=True)
-class ParallelLoopsRequest(Request):
-    op: ClassVar[str] = "parallel_loops"
-    route: ClassVar[str] = "module"
-
-    module: str
-    function: Optional[str] = None
-
-    @classmethod
-    def _parse(cls, payload):
-        return {"module": _string(payload, "module"),
-                "function": _optional_string(payload, "function")}
-
-    def _encode(self):
-        encoded = {"module": self.module}
-        if self.function is not None:
-            encoded["function"] = self.function
-        return encoded
-
-    def apply(self, session):
-        return session.parallel_loops(self.module, self.function)
-
-
-@_register
-@dataclass(kw_only=True)
-class StatsRequest(Request):
-    op: ClassVar[str] = "stats"
-    route: ClassVar[str] = "module"
-
-    module: str
-
-    @classmethod
-    def _parse(cls, payload):
-        return {"module": _string(payload, "module")}
-
-    def _encode(self):
-        return {"module": self.module}
-
-    def apply(self, session):
-        return session.stats(self.module)
-
-
-@_register
-@dataclass(kw_only=True)
-class ModulesRequest(Request):
-    op: ClassVar[str] = "modules"
-
-    def apply(self, session):
-        return {"modules": session.modules()}
-
-
-@_register
-@dataclass(kw_only=True)
-class UnloadRequest(Request):
-    op: ClassVar[str] = "unload"
-    route: ClassVar[str] = "name"
-    mutating: ClassVar[bool] = True
+    ``method`` names the :class:`~repro.service.session.AnalysisSession`
+    method the op calls with its fields as keyword arguments; a method
+    answering a bare value (not a dict) fills the op's single response
+    field.  Ops without a method touch no session and acknowledge by
+    setting each response field to ``true``.
+    """
 
     name: str
+    #: ``(field name, kind)`` pairs; kinds are keys of :data:`FIELD_KINDS`.
+    fields: Tuple[Tuple[str, str], ...]
+    method: Optional[str]
+    response: Tuple[str, ...]
+    doc: str
+    #: The field that addresses a resident module (``None`` for module-less
+    #: ops) — the socket front end shards on it.
+    route: Optional[str] = None
+    #: Whether the op changes session state.  Mutating requests are
+    #: journaled by the supervisor (for crash replay) and are *not* retried
+    #: transparently on worker death — the client gets ``worker_unavailable``
+    #: and may safely retry, because an unacknowledged mutation was never
+    #: journaled.  They also skip the cooperative solver budget: aborting an
+    #: in-place incremental refresh would corrupt retained fixed points.
+    mutating: bool = False
 
-    @classmethod
-    def _parse(cls, payload):
-        return {"name": _string(payload, "name")}
 
-    def _encode(self):
-        return {"name": self.name}
+def _op(name: str, fields: str, method: Optional[str], response: str,
+        doc: str, route: Optional[str] = None,
+        mutating: bool = False) -> OpSpec:
+    """One table entry; ``fields`` is ``"name[:kind] ..."`` (kind ``str``
+    when omitted), ``response`` a space-separated field list."""
+    declared = []
+    for entry in fields.split():
+        field_name, _, kind = entry.partition(":")
+        kind = kind or "str"
+        if kind not in FIELD_KINDS:
+            raise ValueError(f"op {name!r}: unknown field kind {kind!r}")
+        declared.append((field_name, kind))
+    return OpSpec(name=name, fields=tuple(declared), method=method,
+                  response=tuple(response.split()), doc=doc, route=route,
+                  mutating=mutating)
 
-    def apply(self, session):
-        return session.unload(self.name)
+
+_LOADED = "module functions instructions"
+_REPORT = "module function functions summary"
+
+#: op name -> spec: every op the service speaks, declared exactly once as
+#: ``_op(name, fields, session method, response fields, doc, route, mutating)``.
+OPS: Dict[str, OpSpec] = {spec.name: spec for spec in (
+    _op("ping", "", None, "pong",
+        'liveness check; answers ``{"pong": true}``'),
+    _op("load", "name source", "load_source", _LOADED,
+        "compile and hold resident", route="name", mutating=True),
+    _op("load_program", "name", "load_program", _LOADED,
+        "generate + compile a named suite program", route="name",
+        mutating=True),
+    _op("edit", "name source", "edit_source",
+        "module changed reloaded impacts",
+        "incremental function-granular edit", route="name", mutating=True),
+    _op("query", "module analysis function a b size_a:size size_b:size",
+        "query", "module analysis function a b result",
+        "one alias verdict between two SSA values", route="module"),
+    _op("query_many", "module analysis function pairs:pairs", "query_many",
+        "module analysis function results",
+        "alias verdicts for ``[a, b]`` or ``[a, b, size_a, size_b]`` pairs",
+        route="module"),
+    _op("query_function",
+        "module analysis function:opt_str max_pairs:opt_int",
+        "query_function",
+        "module analysis function queries no_alias no_alias_indices",
+        "the harness pair sweep of one function or the whole module",
+        route="module"),
+    _op("check_bounds", "module function:opt_str", "check_bounds", _REPORT,
+        "per-access out-of-bounds verdicts (``safe`` / ``maybe-oob`` / "
+        "``definitely-oob``)", route="module"),
+    _op("parallel_loops", "module function:opt_str", "parallel_loops",
+        _REPORT, "per-loop parallelizability with the first blocking reason",
+        route="module"),
+    _op("values", "module function", "values", "module function values",
+        "queryable SSA value names", route="module"),
+    _op("range", "module function value", "range_of",
+        "module function value range",
+        "symbolic interval of one integer SSA value", route="module"),
+    _op("stats", "module", "stats",
+        "module edits materialized solver_steps solver_steps_by_analysis "
+        "incremental engine memos symbolic_caches",
+        "solver steps, cache + Figure-14 counters", route="module"),
+    _op("modules", "", "modules", "modules", "list resident modules"),
+    _op("unload", "name", "unload", "module unloaded",
+        "drop a resident module", route="name", mutating=True),
+    _op("shutdown", "", None, "shutdown", "acknowledge and exit"),
+)}
+
+#: The dispatch table under its historical name (op name -> spec).
+REQUESTS = OPS
 
 
-@_register
-@dataclass(kw_only=True)
-class ShutdownRequest(Request):
-    op: ClassVar[str] = "shutdown"
+# -- requests ------------------------------------------------------------------
 
-    def apply(self, session):
-        return {"shutdown": True}
+def _parse_timeout_ms(payload: Dict[str, Any]) -> Optional[int]:
+    value = payload.get("timeout_ms")
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ServiceError(
+            f"field 'timeout_ms' must be a non-negative integer or null, "
+            f"got {value!r}")
+    return value
+
+
+@dataclass
+class Request:
+    """One parsed request: its op's spec and normalised field values.
+
+    ``id`` echoes back on the response.  ``timeout_ms`` is an additive
+    deadline in milliseconds; ``None`` means no deadline.
+    """
+
+    spec: OpSpec
+    args: Dict[str, Any] = field(default_factory=dict)
+    id: Any = None
+    timeout_ms: Optional[int] = None
+
+    @property
+    def op(self) -> str:
+        return self.spec.name
+
+    def routing_module(self) -> Optional[str]:
+        """The module this request targets (sharding key), if any."""
+        route = self.spec.route
+        return self.args[route] if route else None
+
+    def to_payload(self) -> Dict[str, Any]:
+        """The canonical wire form (round-trips through :func:`parse_request`)."""
+        payload: Dict[str, Any] = {"op": self.spec.name, "v": PROTOCOL_VERSION}
+        for name, kind in self.spec.fields:
+            value = self.args[name]
+            encode = FIELD_KINDS[kind][1]
+            if encode is not None:
+                value = encode(value)
+            if value is not _OMIT:
+                payload[name] = value
+        if self.id is not None:
+            payload["id"] = self.id
+        if self.timeout_ms is not None:
+            payload["timeout_ms"] = self.timeout_ms
+        return payload
+
+    def apply(self, session: Any) -> Dict[str, Any]:
+        spec = self.spec
+        if spec.method is None:
+            return {name: True for name in spec.response}
+        result = getattr(session, spec.method)(**self.args)
+        return result if isinstance(result, dict) else {spec.response[0]: result}
 
 
 # -- parsing and dispatch ------------------------------------------------------
 
 def parse_request(payload: Any) -> Request:
-    """Decode one request payload into its typed dataclass.
+    """Decode one request payload against its op's spec.
 
     Raises :class:`ServiceError` with ``bad_request`` (not an object /
     malformed fields), ``protocol_mismatch`` (missing or wrong ``v``) or
@@ -698,12 +474,15 @@ def parse_request(payload: Any) -> Request:
     op = payload.get("op")
     if not isinstance(op, str):
         raise ServiceError("request needs a string 'op' field")
-    request_type = REQUESTS.get(op)
-    if request_type is None:
+    spec = OPS.get(op)
+    if spec is None:
         raise ServiceError(
-            f"unknown op {op!r} (known: {', '.join(sorted(REQUESTS))})",
+            f"unknown op {op!r} (known: {', '.join(sorted(OPS))})",
             UNKNOWN_OP)
-    return request_type.from_payload(payload)
+    timeout_ms = _parse_timeout_ms(payload)
+    args = {name: FIELD_KINDS[kind][0](payload, name)
+            for name, kind in spec.fields}
+    return Request(spec, args, id=payload.get("id"), timeout_ms=timeout_ms)
 
 
 def request_id_of(payload: Any) -> Any:
@@ -747,7 +526,7 @@ def _apply_with_deadline(request: Request, session: Any) -> Dict[str, Any]:
     retained fixed points, so their only guard is the front end's
     wall-clock backstop.
     """
-    if request.timeout_ms is None or request.mutating:
+    if request.timeout_ms is None or request.spec.mutating:
         return success_envelope(request.id, request.apply(session))
     from ..engine.solver import SolverInterrupted, solver_budget
 
@@ -770,7 +549,9 @@ def handle_payload(session: Any, payload: Any) -> Dict[str, Any]:
 
     This is the single entry point all three transports route through;
     a malformed request yields the same ``error_code`` envelope (with the
-    request id echoed) no matter which transport carried it.
+    request id echoed) no matter which transport carried it.  Parse and
+    validation failures and explicit :class:`ServiceError` exceptions keep
+    their codes; any other exception is a bug and answers ``internal_error``.
     """
     request_id = request_id_of(payload)
     try:
@@ -778,9 +559,6 @@ def handle_payload(session: Any, payload: Any) -> Dict[str, Any]:
         return _apply_with_deadline(request, session)
     except ServiceError as error:
         return error_envelope(error.code, str(error), request_id)
-    except (KeyError, TypeError, ValueError) as error:
-        return error_envelope(BAD_REQUEST, f"{type(error).__name__}: {error}",
-                              request_id)
     except Exception as error:  # a request bug must not kill the transport
         return error_envelope(INTERNAL_ERROR,
                               f"{type(error).__name__}: {error}", request_id)
@@ -797,14 +575,24 @@ def make_request(op: str, *, id: Any = None, **fields: Any) -> Dict[str, Any]:
     return payload
 
 
-def check_response(envelope: Any) -> Dict[str, Any]:
-    """Return a successful envelope; raise :class:`ServiceError` otherwise."""
+def check_response(envelope: Any, op: Optional[str] = None) -> Dict[str, Any]:
+    """Return a successful envelope; raise :class:`ServiceError` otherwise.
+
+    Given the request's ``op``, a success must also carry every response
+    field :data:`OPS` declares for it.
+    """
     if not isinstance(envelope, dict):
         raise ServiceError("response must be a JSON object")
-    if envelope.get("ok"):
-        return envelope
-    raise ServiceError(str(envelope.get("message") or "request failed"),
-                       envelope.get("error_code") or BAD_REQUEST)
+    if not envelope.get("ok"):
+        raise ServiceError(str(envelope.get("message") or "request failed"),
+                           envelope.get("error_code") or BAD_REQUEST)
+    spec = OPS.get(op)
+    if spec is not None:
+        missing = [name for name in spec.response if name not in envelope]
+        if missing:
+            raise ServiceError(f"{op} response is missing field(s) "
+                               f"{', '.join(missing)}", INTERNAL_ERROR)
+    return envelope
 
 
 def encode_line(payload: Dict[str, Any]) -> str:
@@ -814,83 +602,3 @@ def encode_line(payload: Dict[str, Any]) -> str:
 
 def decode_line(line: str) -> Any:
     return json.loads(line)
-
-
-class _Response:
-    """Mixin: build a typed response from a (successful) envelope."""
-
-    @classmethod
-    def from_envelope(cls, envelope: Dict[str, Any]):
-        check_response(envelope)
-        try:
-            return cls(**{spec.name: envelope[spec.name]
-                          for spec in dataclass_fields(cls)})
-        except KeyError as missing:
-            raise ServiceError(
-                f"response is missing field {missing} for {cls.__name__}")
-
-
-@dataclass(frozen=True)
-class LoadResponse(_Response):
-    module: str
-    functions: List[str]
-    instructions: int
-
-
-@dataclass(frozen=True)
-class QueryResponse(_Response):
-    module: str
-    analysis: str
-    function: str
-    a: str
-    b: str
-    result: str
-
-
-@dataclass(frozen=True)
-class QueryManyResponse(_Response):
-    module: str
-    analysis: str
-    function: str
-    results: List[str]
-
-
-@dataclass(frozen=True)
-class QueryFunctionResponse(_Response):
-    module: str
-    analysis: str
-    function: Optional[str]
-    queries: int
-    no_alias: int
-    no_alias_indices: List[int]
-
-
-@dataclass(frozen=True)
-class ValuesResponse(_Response):
-    module: str
-    function: str
-    values: List[Dict[str, Any]]
-
-
-@dataclass(frozen=True)
-class RangeResponse(_Response):
-    module: str
-    function: str
-    value: str
-    range: str
-
-
-@dataclass(frozen=True)
-class CheckBoundsResponse(_Response):
-    module: str
-    function: Optional[str]
-    functions: List[Dict[str, Any]]
-    summary: Dict[str, int]
-
-
-@dataclass(frozen=True)
-class ParallelLoopsResponse(_Response):
-    module: str
-    function: Optional[str]
-    functions: List[Dict[str, Any]]
-    summary: Dict[str, int]

@@ -37,8 +37,11 @@ what gives concurrent clients a window to pile up coalescable queries.
 Batched answers are split back into per-request envelopes (id echoed), and
 because the persistent result store keys alias answers *per pair*, the
 coalescing a particular traffic interleaving happens to produce never
-changes what a warm store can answer later.  Requests carrying
-``timeout_ms`` are never coalesced — their deadline is their own.
+changes what a warm store can answer later.  When a coalesced batch fails
+(one member naming an unknown value fails the whole ``query_many``), each
+member is resubmitted as its own ``query``, so a bad query never poisons
+the valid ones that shared its round.  Requests carrying ``timeout_ms``
+are never coalesced — their deadline is their own.
 
 The front end answers ``ping`` itself, fans ``modules`` out to every shard
 and merges the listings, and treats ``shutdown`` (or SIGTERM) as an
@@ -64,14 +67,10 @@ from .pool import WorkerPool
 from .protocol import (
     BAD_REQUEST,
     DEADLINE_EXCEEDED,
+    OPS,
     OVERLOADED,
-    ModulesRequest,
-    PingRequest,
-    QueryManyRequest,
-    QueryRequest,
     Request,
     ServiceError,
-    ShutdownRequest,
     error_envelope,
     parse_request,
     request_id_of,
@@ -178,33 +177,31 @@ class ServiceServer:
                 batch.append(queue.get_nowait())
             round_jobs = []
             groups: Dict[Tuple[str, str, str],
-                         List[Tuple[QueryRequest, asyncio.Future]]] = {}
+                         List[Tuple[Request, asyncio.Future]]] = {}
             for request, payload, reply in batch:
-                if isinstance(request, QueryRequest) \
-                        and request.timeout_ms is None:
-                    key = (request.module, request.analysis, request.function)
+                if request.op == "query" and request.timeout_ms is None:
+                    args = request.args
+                    key = (args["module"], args["analysis"], args["function"])
                     groups.setdefault(key, []).append((request, reply))
                 else:
                     job = await supervisor.submit(
-                        shard, payload, mutating=request.mutating,
+                        shard, payload, mutating=request.spec.mutating,
                         request_id=request.id)
                     round_jobs.append(self._deliver(job, reply))
             for key, members in groups.items():
                 if len(members) == 1:
-                    request, reply = members[0]
-                    job = await supervisor.submit(
-                        shard, request.to_payload(), request_id=request.id)
-                    round_jobs.append(self._deliver(job, reply))
+                    round_jobs.append(self._deliver_alone(shard, *members[0]))
                     continue
                 module, analysis, function = key
-                combined = QueryManyRequest(
-                    module=module, analysis=analysis, function=function,
-                    pairs=[(r.a, r.b, r.size_a, r.size_b)
-                           for r, _ in members])
+                combined = Request(OPS["query_many"], {
+                    "module": module, "analysis": analysis,
+                    "function": function,
+                    "pairs": [(r.args["a"], r.args["b"], r.args["size_a"],
+                               r.args["size_b"]) for r, _ in members]})
                 self.batches += 1
                 self.batched_queries += len(members)
                 job = await supervisor.submit(shard, combined.to_payload())
-                round_jobs.append(self._deliver_split(job, members))
+                round_jobs.append(self._deliver_split(shard, job, members))
             await asyncio.gather(*round_jobs)
 
     @staticmethod
@@ -219,35 +216,36 @@ class ServiceServer:
         if not reply.done():
             reply.set_result(envelope)
 
-    @staticmethod
-    async def _deliver_split(job: asyncio.Future,
-                             members: List[Tuple[QueryRequest,
+    async def _deliver_alone(self, shard: int, request: Request,
+                             reply: asyncio.Future) -> None:
+        """Answer one ``query`` with its own worker job."""
+        job = await self.supervisor.submit(shard, request.to_payload(),
+                                           request_id=request.id)
+        await self._deliver(job, reply)
+
+    async def _deliver_split(self, shard: int, job: asyncio.Future,
+                             members: List[Tuple[Request,
                                                  asyncio.Future]]) -> None:
         """Split one coalesced ``query_many`` answer into per-query envelopes.
 
         The reconstructed envelopes are field-for-field what the worker
-        would have produced for the individual ``query`` — including, on
-        failure, the error message (module- and analysis-level errors are
-        uniform across a coalesced group, which is the only way a group
-        can fail: membership requires identical module/analysis/function).
+        would have produced for the individual ``query``.  A failed batch
+        says nothing about any one member — a single unknown value name
+        fails the whole ``query_many`` — so each member is then resubmitted
+        as its own ``query`` and gets its own answer.
         """
         envelope = await job
-        if envelope.get("ok"):
-            results = envelope.get("results", [])
-            for (request, reply), result in zip(members, results):
-                if not reply.done():
-                    reply.set_result(success_envelope(request.id, {
-                        "module": request.module,
-                        "analysis": request.analysis,
-                        "function": request.function,
-                        "a": request.a, "b": request.b,
-                        "result": result}))
+        if not envelope.get("ok"):
+            await asyncio.gather(*(self._deliver_alone(shard, request, reply)
+                                   for request, reply in members))
             return
-        for request, reply in members:
+        for (request, reply), result in zip(members, envelope["results"]):
             if not reply.done():
-                reply.set_result(error_envelope(
-                    envelope.get("error_code", BAD_REQUEST),
-                    envelope.get("message", "request failed"), request.id))
+                args = request.args
+                reply.set_result(success_envelope(request.id, {
+                    "module": args["module"], "analysis": args["analysis"],
+                    "function": args["function"],
+                    "a": args["a"], "b": args["b"], "result": result}))
 
     # -- client handling -------------------------------------------------------
     async def _serve_client(self, reader: asyncio.StreamReader,
@@ -286,15 +284,9 @@ class ServiceServer:
         except ServiceError as error:
             return error_envelope(error.code, str(error),
                                   request_id_of(payload))
-        except (KeyError, TypeError, ValueError) as error:
-            return error_envelope(BAD_REQUEST,
-                                  f"{type(error).__name__}: {error}",
-                                  request_id_of(payload))
-        if isinstance(request, PingRequest):
-            return success_envelope(request.id, {"pong": True})
-        if isinstance(request, ShutdownRequest):
-            return success_envelope(request.id, {"shutdown": True})
-        if isinstance(request, ModulesRequest):
+        if request.op in ("ping", "shutdown"):  # no session state involved
+            return success_envelope(request.id, request.apply(None))
+        if request.op == "modules":
             return await self._merged_modules(request)
         shard = self.pool.shard_of(request.routing_module())
         if self.max_inflight is not None \
@@ -331,7 +323,7 @@ class ServiceServer:
             request.timeout_ms / 1000.0 + self.deadline_grace, backstop)
         reply.add_done_callback(lambda _: handle.cancel())
 
-    async def _merged_modules(self, request: ModulesRequest) -> Dict[str, Any]:
+    async def _merged_modules(self, request: Request) -> Dict[str, Any]:
         """Fan ``modules`` out to every shard; merge listings in name order."""
         jobs = [await self.supervisor.submit(shard, {"op": "modules", "v": 1})
                 for shard in range(len(self._queues))]

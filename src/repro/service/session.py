@@ -46,7 +46,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..aliases.base import AliasAnalysis
 from ..aliases.results import AliasResult, MemoryAccess
-from ..benchgen import build_program, source_digest
+from ..benchgen import SUITE_PROGRAMS, build_program, source_digest
 from ..core.queries import QueryPairMemo
 from ..engine import keys
 from ..engine.manager import AnalysisKey, AnalysisManager, ManagerStatistics
@@ -71,7 +71,6 @@ from .protocol import (
     UNKNOWN_SIZE,
     UNKNOWN_VALUE,
     ServiceError,
-    coerce_size,
     encode_size,
 )
 from .store import ResultStore
@@ -275,8 +274,11 @@ class AnalysisSession:
 
     def load_program(self, name: str) -> Dict[str, Any]:
         """Generate, compile and make resident one named suite program."""
-        program = build_program(name)
-        return self.load_source(name, program.source)
+        known = sorted(program.name for program in SUITE_PROGRAMS)
+        if name not in known:
+            raise ServiceError(f"unknown suite program {name!r} "
+                               f"(expected one of {known})")
+        return self.load_source(name, build_program(name).source)
 
     def unload(self, name: str) -> Dict[str, Any]:
         self._resident(name)
@@ -466,32 +468,23 @@ class AnalysisSession:
               size_b: Any = DEFAULT_SIZE) -> Dict[str, Any]:
         """One alias query between two named SSA values of one function.
 
-        Sizes accept the protocol schema's three spellings (default /
-        unknown / byte count) — see :func:`repro.service.protocol.coerce_size`.
+        Sizes are normalised (``DEFAULT_SIZE``, ``None`` for unknown, or a
+        byte count) — see :func:`repro.service.protocol.coerce_size`.
         """
         resident = self._resident(module)
         self._require_analysis(analysis)
-        pair = (a, b, coerce_size(size_a), coerce_size(size_b))
-        result = self._pair_results(resident, analysis, function, [pair])[0]
+        result = self._pair_results(resident, analysis, function,
+                                    [(a, b, size_a, size_b)])[0]
         return {"module": module, "analysis": analysis, "function": function,
                 "a": a, "b": b, "result": result}
 
     def query_many(self, module: str, analysis: str, function: str,
-                   pairs: Sequence[Sequence[Any]]) -> Dict[str, Any]:
-        """A batch of queries; each pair is ``[a, b]`` or ``[a, b, sa, sb]``."""
+                   pairs: Sequence[Tuple[str, str, Any, Any]]) -> Dict[str, Any]:
+        """A batch of queries over normalised ``(a, b, size_a, size_b)``
+        pairs (the protocol's ``pairs`` field kind produces them)."""
         resident = self._resident(module)
         self._require_analysis(analysis)
-        normalised: List[Tuple[str, str, Any, Any]] = []
-        for pair in pairs:
-            if len(pair) == 2:
-                a, b = pair
-                size_a = size_b = DEFAULT_SIZE
-            elif len(pair) == 4:
-                a, b, size_a, size_b = pair
-            else:
-                raise ServiceError("each pair must be [a, b] or [a, b, sa, sb]")
-            normalised.append((a, b, coerce_size(size_a), coerce_size(size_b)))
-        results = self._pair_results(resident, analysis, function, normalised)
+        results = self._pair_results(resident, analysis, function, pairs)
         return {"module": module, "analysis": analysis, "function": function,
                 "results": results}
 
@@ -531,37 +524,32 @@ class AnalysisSession:
                      function: Optional[str] = None) -> Dict[str, Any]:
         """The out-of-bounds client's verdict report (whole module or one
         function): per-access ``safe`` / ``maybe-oob`` / ``definitely-oob``
-        classifications, addressed in the result store like every other
-        deterministic response (key: ``check_bounds`` + function part)."""
-        resident = self._resident(module)
-
-        def compute() -> Dict[str, Any]:
-            self._materialize(resident)
-            if function is not None:
-                resident.function(function)
-            detector = resident.manager.get(keys.BOUNDS)
-            return detector.module_report(function)
-
-        core = self._stored(resident, "check_bounds", [function],
-                            compute, dict)
-        return {"module": module, "function": function, **core}
+        classifications."""
+        return self._client_report(module, function, "check_bounds",
+                                   keys.BOUNDS)
 
     def parallel_loops(self, module: str,
                        function: Optional[str] = None) -> Dict[str, Any]:
         """The loop-parallelization client's report (whole module or one
         function): per-loop parallelizability with the first blocking
-        reason (store key: ``parallel_loops`` + function part)."""
+        reason."""
+        return self._client_report(module, function, "parallel_loops",
+                                   keys.PARALLEL)
+
+    def _client_report(self, module: str, function: Optional[str],
+                       kind: str, key: AnalysisKey) -> Dict[str, Any]:
+        """One client analysis's ``module_report``, addressed in the result
+        store like every other deterministic response (key: ``kind`` +
+        function part)."""
         resident = self._resident(module)
 
         def compute() -> Dict[str, Any]:
             self._materialize(resident)
             if function is not None:
                 resident.function(function)
-            checker = resident.manager.get(keys.PARALLEL)
-            return checker.module_report(function)
+            return resident.manager.get(key).module_report(function)
 
-        core = self._stored(resident, "parallel_loops", [function],
-                            compute, dict)
+        core = self._stored(resident, kind, [function], compute, dict)
         return {"module": module, "function": function, **core}
 
     def values(self, module: str, function: str) -> Dict[str, Any]:

@@ -25,13 +25,11 @@ __all__ = ["PipelineOptions", "PipelineResult", "prepare_module"]
 
 @dataclass
 class PipelineOptions:
-    """Switches for the preparation pipeline (used by the ablation benchmarks)."""
+    """Switches for the optional preparation stages (used by the ablation
+    benchmarks).  mem2reg, simplify and the final verify always run."""
 
-    promote_allocas: bool = True
-    simplify: bool = True
     build_essa: bool = True
     rename_region_pointers: bool = False
-    verify: bool = True
 
 
 @dataclass
@@ -49,19 +47,16 @@ def prepare_module(module: Module, options: PipelineOptions = None) -> PipelineR
     """Run the standard preparation pipeline on ``module`` in place."""
     options = options or PipelineOptions()
     result = PipelineResult()
-    if options.promote_allocas:
-        result.promoted_allocas = promote_allocas(module)
-        result.stages_run.append("mem2reg")
-    if options.simplify:
-        result.simplified = simplify_module(module)
-        result.stages_run.append("simplify")
+    result.promoted_allocas = promote_allocas(module)
+    result.stages_run.append("mem2reg")
+    result.simplified = simplify_module(module)
+    result.stages_run.append("simplify")
     if options.build_essa:
         result.sigmas_created = build_essa(module)
         result.stages_run.append("essa")
     if options.rename_region_pointers:
         result.canonical_bases = rename_region_pointers(module)
         result.stages_run.append("region-rename")
-    if options.verify:
-        verify_module(module)
-        result.stages_run.append("verify")
+    verify_module(module)
+    result.stages_run.append("verify")
     return result

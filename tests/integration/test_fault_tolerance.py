@@ -292,6 +292,46 @@ class TestClientMisbehaviour:
                 await server.stop()
         _run(scenario())
 
+    def test_bad_query_does_not_poison_its_coalesced_round(self):
+        async def scenario():
+            chaos = {0: {"latency_by_id": {"hold": 0.5}}}
+            pool, server = await _start(workers=1, chaos=chaos)
+            connections = [await _connect(server) for _ in range(3)]
+            try:
+                (hold_r, hold_w), (good_r, good_w), (bad_r, bad_w) = \
+                    connections
+                await _send(hold_r, hold_w, make_request(
+                    "load", id="l", name="m", source=SRC))
+                values = (await _send(hold_r, hold_w, make_request(
+                    "values", id="v", module="m", function="main")))["values"]
+                base = next(v["name"] for v in values if v["op"] == "malloc")
+                offset = [v["name"] for v in values
+                          if v["op"] == "ptradd"][-1]
+                # The held request keeps the shard's round busy, so both
+                # queries queue behind it and coalesce into one batch.
+                held = asyncio.ensure_future(_send(hold_r, hold_w,
+                                                   make_request(
+                    "stats", id="hold", module="m")))
+                await asyncio.sleep(0.1)
+                query = dict(module="m", analysis="rbaa", function="main",
+                             a=base)
+                good, bad = await asyncio.gather(
+                    _send(good_r, good_w, make_request(
+                        "query", id="good", b=offset, **query)),
+                    _send(bad_r, bad_w, make_request(
+                        "query", id="bad", b="nothing", **query)))
+                await held
+                assert server.batches == 1
+                assert good["ok"] is True, good
+                assert good["id"] == "good" and good["result"] == "no-alias"
+                assert bad["error_code"] == "unknown_value"
+                assert bad["id"] == "bad"
+            finally:
+                for _, writer in connections:
+                    writer.close()
+                await server.stop()
+        _run(scenario())
+
 
 class TestSignals:
     def test_sigterm_runs_the_orderly_stop_path(self, tmp_path):

@@ -105,5 +105,6 @@ def test_daemon_replay_matches_in_process_record():
     in_process = strip_volatile(bench_program(PROGRAM, edits=1,
                                               max_pairs=MAX_PAIRS))
     daemon = strip_volatile(bench_program(PROGRAM, edits=1,
-                                          max_pairs=MAX_PAIRS, daemon=True))
+                                          max_pairs=MAX_PAIRS,
+                                          transport="daemon"))
     assert in_process == daemon

@@ -12,7 +12,7 @@ from repro.clients import (
 from repro.engine import keys
 from repro.engine.manager import AnalysisManager
 from repro.frontend import compile_source
-from repro.service import AnalysisSession, ResultStore, handle_request
+from repro.service import AnalysisSession, ResultStore, handle_payload
 
 CONST_EXTENTS = """
 int main(int argc, char** argv) {
@@ -260,20 +260,20 @@ class TestServiceOps:
         session = AnalysisSession()
         session.load_source("m", CONST_EXTENTS)
         for op in ("check_bounds", "parallel_loops"):
-            envelope = handle_request(session, {
+            envelope = handle_payload(session, {
                 "op": op, "v": 1, "module": "m", "function": "nope"})
             assert envelope["ok"] is False
             assert envelope["error_code"] == "unknown_function"
 
     def test_handle_request_round_trip(self):
         session = AnalysisSession()
-        handle_request(session, {"op": "load", "v": 1, "name": "m",
+        handle_payload(session, {"op": "load", "v": 1, "name": "m",
                                  "source": SHIFT})
-        bounds = handle_request(session, {"op": "check_bounds", "v": 1,
+        bounds = handle_payload(session, {"op": "check_bounds", "v": 1,
                                           "module": "m"})
         assert bounds["ok"] is True
         assert bounds["summary"]["accesses"] > 0
-        loops = handle_request(session, {"op": "parallel_loops", "v": 1,
+        loops = handle_payload(session, {"op": "parallel_loops", "v": 1,
                                          "module": "m", "function": "main"})
         assert loops["ok"] is True
         assert loops["summary"]["loops"] == 2

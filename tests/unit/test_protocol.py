@@ -2,17 +2,18 @@
 
 import io
 import json
+import re
 
 import pytest
 
-from repro.service import serve
+from repro.service import daemon, serve
 from repro.service.protocol import (
     DEFAULT_SIZE,
     ERROR_CODES,
+    OPS,
     PROTOCOL_VERSION,
     REQUESTS,
     RETRYABLE_ERROR_CODES,
-    QueryResponse,
     ServiceError,
     check_response,
     coerce_size,
@@ -162,6 +163,33 @@ class TestErrorCodes:
             assert "error" not in envelope, payload
             assert isinstance(envelope["message"], str) and envelope["message"]
             assert envelope["v"] == PROTOCOL_VERSION
+
+    def test_exceptions_inside_apply_are_internal_errors(self, monkeypatch):
+        # A bug in the session is never reported as the client's fault.
+        session = AnalysisSession()
+        session.load_source("m", SRC)
+
+        def broken(module, function):
+            return {}["boom"]
+
+        monkeypatch.setattr(session, "values", broken)
+        envelope = handle_payload(session, make_request(
+            "values", id="bug", module="m", function="main"))
+        assert envelope["ok"] is False
+        assert envelope["error_code"] == "internal_error"
+        assert envelope["id"] == "bug"
+        assert "KeyError" in envelope["message"]
+
+    def test_unknown_suite_program_is_an_explicit_bad_request(self):
+        session = AnalysisSession()
+        with pytest.raises(ServiceError) as caught:
+            session.load_program("no-such-program")
+        assert caught.value.code == "bad_request"
+        envelope = handle_payload(session, make_request(
+            "load_program", name="no-such-program"))
+        assert envelope["error_code"] == "bad_request"
+        assert envelope["message"].startswith(
+            "unknown suite program 'no-such-program'")
 
     def test_envelope_helpers(self):
         ok = success_envelope("id-1", {"pong": True})
@@ -352,8 +380,78 @@ class TestTypedResponses:
         envelope = handle_payload(session, make_request(
             "query", id=1, module="m", analysis="rbaa", function="main",
             a=base, b=offset))
-        typed = QueryResponse.from_envelope(envelope)
-        assert typed.result == "no-alias"
-        assert typed.module == "m"
+        checked = check_response(envelope, "query")
+        assert checked["result"] == "no-alias"
+        assert checked["module"] == "m"
         with pytest.raises(ServiceError):
-            QueryResponse.from_envelope(error_envelope("unknown_op", "x", 1))
+            check_response(error_envelope("unknown_op", "x", 1), "query")
+        # A success missing a declared response field is a server bug.
+        del envelope["result"]
+        with pytest.raises(ServiceError) as caught:
+            check_response(envelope, "query")
+        assert caught.value.code == "internal_error"
+
+    def test_every_op_answers_its_declared_response_fields(self):
+        session = AnalysisSession()
+        session.load_source("m", SRC)
+        base, offset = _pointers(session)
+        fields = {
+            "ping": {}, "load": {"name": "m", "source": SRC},
+            "load_program": {"name": "allroots"},
+            "edit": {"name": "m", "source": SRC.replace("8", "16")},
+            "query": {"module": "m", "analysis": "rbaa", "function": "main",
+                      "a": base, "b": offset},
+            "query_many": {"module": "m", "analysis": "rbaa",
+                           "function": "main", "pairs": [[base, offset]]},
+            "query_function": {"module": "m", "analysis": "rbaa"},
+            "values": {"module": "m", "function": "main"},
+            "check_bounds": {"module": "m"},
+            "parallel_loops": {"module": "m"},
+            "range": {"module": "m", "function": "main", "value": "argc"},
+            "stats": {"module": "m"}, "modules": {},
+            "unload": {"name": "allroots"}, "shutdown": {},
+        }
+        assert set(fields) == set(OPS)
+        for op, op_fields in fields.items():
+            envelope = handle_payload(session, make_request(op, **op_fields))
+            check_response(envelope, op)
+
+
+class TestDocumentedOpTable:
+    """The daemon docstring's op table lists exactly the ``OPS`` table."""
+
+    @staticmethod
+    def _rows():
+        lines = daemon.__doc__.split("Operations (")[1].splitlines()
+        borders = [i for i, line in enumerate(lines) if line.startswith("===")]
+        rows = {}
+        for line in lines[borders[0] + 1:borders[1]]:
+            if line.startswith("``"):
+                op, _, text = line.partition(" ")
+                current = rows.setdefault(op.strip("`"), [])
+                current.append(text.strip())
+            else:
+                current.append(line.strip())
+        return {op: " ".join(parts) for op, parts in rows.items()}
+
+    def test_table_lists_exactly_the_ops_with_their_fields_and_docs(self):
+        rows = self._rows()
+        assert list(rows) == list(OPS)
+        for op, text in rows.items():
+            spec = OPS[op]
+            match = re.fullmatch(r"``\{([^}]*)\}`` — (.*)", text)
+            if spec.fields:
+                assert match, text
+                required, _, optional = match.group(1).partition("[")
+                names = [n.strip() for n in required.split(",") if n.strip()]
+                extras = [n.strip() for n in optional.rstrip("]").split(",")
+                          if n.strip()]
+                assert names == [name for name, kind in spec.fields
+                                 if kind in ("str", "pairs")], op
+                assert extras == [name for name, kind in spec.fields
+                                  if kind not in ("str", "pairs")], op
+                doc = match.group(2)
+            else:
+                assert match is None, text
+                doc = text
+            assert doc == spec.doc, op

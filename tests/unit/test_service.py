@@ -11,7 +11,8 @@ import repro
 from repro.benchgen import edit_scenario, generate_source
 from repro.benchgen.suites import SUITE_PROGRAMS
 from repro.frontend import compile_source
-from repro.service import AnalysisSession, ServiceError, handle_request
+from repro.service import AnalysisSession, ServiceError, handle_payload
+from repro.service.protocol import DEFAULT_SIZE
 
 SRC = """
 void fill(char* buf, int n) {
@@ -65,8 +66,8 @@ class TestAnalysisSession:
         session.load_source("m", SRC)
         base, offset = _main_pointers(session)
         batch = session.query_many("m", "rbaa", "main",
-                                   [[base, offset],
-                                    [base, offset, None, None]])
+                                   [(base, offset, DEFAULT_SIZE, DEFAULT_SIZE),
+                                    (base, offset, None, None)])
         assert batch["results"] == ["no-alias", "may-alias"]
         sweep = session.query_function("m", "rbaa", "fill")
         assert sweep["queries"] > 0
@@ -170,30 +171,30 @@ class TestAnalysisSession:
 class TestDaemonProtocol:
     def test_handle_request_round_trip(self):
         session = AnalysisSession()
-        assert handle_request(session, {"op": "ping", "v": 1})["pong"] is True
-        loaded = handle_request(session, {"op": "load", "v": 1, "name": "m",
+        assert handle_payload(session, {"op": "ping", "v": 1})["pong"] is True
+        loaded = handle_payload(session, {"op": "load", "v": 1, "name": "m",
                                           "source": SRC})
         assert loaded["ok"] is True
-        listed = handle_request(session, {"op": "values", "v": 1,
+        listed = handle_payload(session, {"op": "values", "v": 1,
                                           "module": "m", "function": "main"})
         base = next(v["name"] for v in listed["values"] if v["op"] == "malloc")
         offset = [v["name"] for v in listed["values"]
                   if v["op"] == "ptradd"][-1]
-        answer = handle_request(session, {
+        answer = handle_payload(session, {
             "op": "query", "v": 1, "module": "m", "analysis": "rbaa",
             "function": "main", "a": base, "b": offset})
         assert answer["result"] == "no-alias"
-        unknown = handle_request(session, {
+        unknown = handle_payload(session, {
             "op": "query", "v": 1, "module": "m", "analysis": "rbaa",
             "function": "main", "a": base, "b": offset,
             "size_a": "unknown", "size_b": "unknown"})
         assert unknown["result"] == "may-alias"
-        stats = handle_request(session, {"op": "stats", "v": 1,
+        stats = handle_payload(session, {"op": "stats", "v": 1,
                                          "module": "m"})
         assert stats["solver_steps"] > 0
         # Dispatch never raises: unknown ops come back as structured
         # error envelopes (the pre-v1 "error" string is gone for good).
-        unknown_op = handle_request(session, {"op": "warp", "v": 1, "id": 41})
+        unknown_op = handle_payload(session, {"op": "warp", "v": 1, "id": 41})
         assert unknown_op["ok"] is False
         assert unknown_op["error_code"] == "unknown_op"
         assert unknown_op["id"] == 41

@@ -5,6 +5,7 @@ import os
 
 from repro.benchgen import manifest, source_digest
 from repro.service import AnalysisSession, ResultStore
+from repro.service.protocol import DEFAULT_SIZE
 from repro.service.store import RESULT_SCHEMA_VERSION
 
 SRC = """
@@ -143,8 +144,7 @@ class TestStoreBackedSession:
         warm = AnalysisSession(store=ResultStore(root))
         warm.load_source("m", SRC)
         batch = warm.query_many("m", "rbaa", "main",
-                                [[base, offset],
-                                 [base, offset, "default", "default"]])
+                                [(base, offset, DEFAULT_SIZE, DEFAULT_SIZE)] * 2)
         assert batch["results"] == [one["result"], one["result"]]
         assert warm.stats("m")["materialized"] is False
         assert warm.store.misses == 0

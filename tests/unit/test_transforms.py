@@ -176,13 +176,13 @@ class TestESSA:
         result = prepare_module(module)
         assert result.promoted_allocas >= 1
         assert result.sigmas_created >= 2
-        assert "verify" in result.stages_run
+        assert result.stages_run == ["mem2reg", "simplify", "essa", "verify"]
 
     def test_pipeline_options_disable_stages(self):
         module = compile_raw("int f(int a, int b) { if (a < b) { return a; } return b; }")
         result = prepare_module(module, PipelineOptions(build_essa=False))
         assert result.sigmas_created == 0
-        assert "essa" not in result.stages_run
+        assert result.stages_run == ["mem2reg", "simplify", "verify"]
 
 
 class TestRegionRename:
