@@ -97,9 +97,9 @@ def select_programs(names: Optional[Sequence[str]] = None,
                     max_programs: Optional[int] = None) -> List[SuiteProgram]:
     """The suite slice in canonical corpus order.
 
-    Both the serial experiments and the sharded parallel runner select
-    through this helper, so their program order — and therefore their merged
-    result order — is identical by construction.
+    Every experiment and the corpus manifest select through this helper,
+    so their program order — and therefore their merged result order — is
+    identical by construction.
     """
     selected = [program for program in SUITE_PROGRAMS
                 if names is None or program.name in names]

@@ -1,4 +1,8 @@
-"""Evaluation harness: the experiments behind every table and figure."""
+"""Evaluation harness: the experiments behind every table and figure.
+
+Run them with ``python -m repro.evaluation <experiment>`` (see
+:mod:`repro.evaluation.__main__`).
+"""
 
 from .ablation import ABLATION_VARIANTS, AblationVariant, format_ablation, run_ablation
 from .census import CensusResult, census_for_module, format_census, run_census, total_census
@@ -18,9 +22,7 @@ from .parallel import (
     map_shards,
     merge_indexed,
     partition,
-    resolve_jobs,
-    run_parallel_precision,
-    run_parallel_scalability,
+    run_sharded,
     strip_volatile,
 )
 from .reporting import format_table, table_to_csv, to_canonical_json
@@ -63,9 +65,7 @@ __all__ = [
     "map_shards",
     "merge_indexed",
     "partition",
-    "resolve_jobs",
-    "run_parallel_precision",
-    "run_parallel_scalability",
+    "run_sharded",
     "strip_volatile",
     "ScalabilityPoint",
     "ScalabilityReport",

@@ -13,47 +13,49 @@ isolation; this experiment quantifies each one on the synthetic suite:
   (Section 3.8's sparsity argument; without σ nodes the ranges of loop
   pointers never tighten).
 
-Run directly with ``python -m repro.evaluation.ablation``.
+Run with ``python -m repro.evaluation ablation``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..benchgen import build_program, build_suite, select_programs
+from ..benchgen import build_program, select_programs
 from ..core import GlobalAnalysisOptions, RBAAAliasAnalysis, RBAAOptions
 from ..engine.manager import AnalysisManager
 from ..frontend import compile_source
 from ..ir.module import Module
 from ..transforms import PipelineOptions
 from .harness import run_queries
+from .parallel import run_sharded
 from .reporting import format_table
 
 __all__ = ["AblationVariant", "ABLATION_VARIANTS", "run_ablation", "format_ablation"]
 
 
-def _default_rbaa(module: Module, manager=None) -> RBAAAliasAnalysis:
+def _default_rbaa(module: Module, manager: AnalysisManager) -> RBAAAliasAnalysis:
     return RBAAAliasAnalysis(module, manager=manager)
 
 
-def _global_only(module: Module, manager=None) -> RBAAAliasAnalysis:
+def _global_only(module: Module, manager: AnalysisManager) -> RBAAAliasAnalysis:
     return RBAAAliasAnalysis(module, RBAAOptions(enable_local_test=False),
                              manager=manager)
 
 
-def _local_only(module: Module, manager=None) -> RBAAAliasAnalysis:
+def _local_only(module: Module, manager: AnalysisManager) -> RBAAAliasAnalysis:
     return RBAAAliasAnalysis(module, RBAAOptions(enable_global_test=False),
                              manager=manager)
 
 
-def _no_descending(module: Module, manager=None) -> RBAAAliasAnalysis:
+def _no_descending(module: Module, manager: AnalysisManager) -> RBAAAliasAnalysis:
     return RBAAAliasAnalysis(
         module, RBAAOptions(global_options=GlobalAnalysisOptions(descending_passes=0)),
         manager=manager)
 
 
-def _intraprocedural(module: Module, manager=None) -> RBAAAliasAnalysis:
+def _intraprocedural(module: Module, manager: AnalysisManager) -> RBAAAliasAnalysis:
     return RBAAAliasAnalysis(
         module, RBAAOptions(global_options=GlobalAnalysisOptions(interprocedural=False)),
         manager=manager)
@@ -65,7 +67,7 @@ class AblationVariant:
 
     name: str
     description: str
-    factory: Callable[[Module], RBAAAliasAnalysis]
+    factory: Callable[[Module, AnalysisManager], RBAAAliasAnalysis]
     #: When set, the suite programs are recompiled with these pipeline
     #: options before the analysis runs (used for the "no e-SSA" variant).
     pipeline: Optional[PipelineOptions] = None
@@ -82,15 +84,14 @@ ABLATION_VARIANTS: List[AblationVariant] = [
 ]
 
 
-def _ablation_program_worker(payload: Tuple[str, Optional[int]]
-                             ) -> Dict[str, Tuple[int, int]]:
-    """All ablation variants over one suite program (one parallel work unit).
+def _ablation_program(name: str, max_pairs_per_function: Optional[int]
+                      ) -> Dict[str, Tuple[int, int]]:
+    """All ablation variants over one suite program (one work unit).
 
-    Keeping the variants of a program together in one worker preserves the
-    serial path's optimisation: every non-recompiling variant shares one
-    :class:`AnalysisManager` (one range bootstrap) for the module.
+    Every non-recompiling variant shares one :class:`AnalysisManager` (one
+    range bootstrap and location table) for the module: the variants differ
+    only in test selection and GR options.
     """
-    name, max_pairs_per_function = payload
     program = build_program(name)
     shared_manager = AnalysisManager(program.module)
     per_variant: Dict[str, Tuple[int, int]] = {}
@@ -113,44 +114,17 @@ def run_ablation(program_names: Optional[Sequence[str]] = None,
                  jobs: int = 1) -> Dict[str, Tuple[int, int]]:
     """Run every variant over (a slice of) the suite.
 
-    Returns ``{variant name: (queries, no-alias answers)}``.  ``jobs > 1``
-    shards the programs over worker processes; the per-variant totals are
-    identical to the serial run's because every (variant, program) cell is
-    computed independently and summed in a fixed order.
+    Returns ``{variant name: (queries, no-alias answers)}``.  The programs
+    are sharded over ``jobs`` worker processes; the totals do not depend on
+    ``jobs`` because every (variant, program) cell is computed independently
+    and summed in corpus order.
     """
-    if jobs > 1:
-        from .parallel import map_shards
-        names = [program.name for program in select_programs(program_names, max_programs)]
-        per_program = map_shards(_ablation_program_worker,
-                                 [(name, max_pairs_per_function) for name in names],
-                                 jobs)
-        totals: Dict[str, Tuple[int, int]] = {}
-        for variant in ABLATION_VARIANTS:
-            queries = sum(cells[variant.name][0] for cells in per_program)
-            no_alias = sum(cells[variant.name][1] for cells in per_program)
-            totals[variant.name] = (queries, no_alias)
-        return totals
-    suite = build_suite(program_names, max_programs)
-    totals: Dict[str, Tuple[int, int]] = {}
-    # One manager per module: the range bootstrap and location table are
-    # shared across every ablation variant analysing the same module (the
-    # variants differ only in test selection and GR options).
-    managers: Dict[int, AnalysisManager] = {}
-    for variant in ABLATION_VARIANTS:
-        queries = 0
-        no_alias = 0
-        for name, program in suite.items():
-            module = program.module
-            if variant.pipeline is not None:
-                module = compile_source(program.source, name,
-                                        pipeline_options=variant.pipeline)
-            manager = managers.setdefault(id(module), AnalysisManager(module))
-            result = run_queries(name, module, [("rbaa", variant.factory)],
-                                 max_pairs_per_function, manager=manager)
-            queries += result.queries
-            no_alias += result.no_alias.get("rbaa", 0)
-        totals[variant.name] = (queries, no_alias)
-    return totals
+    names = [program.name for program in select_programs(program_names, max_programs)]
+    worker = partial(_ablation_program, max_pairs_per_function=max_pairs_per_function)
+    per_program = run_sharded(worker, names, jobs)
+    return {variant.name: (sum(cells[variant.name][0] for cells in per_program),
+                           sum(cells[variant.name][1] for cells in per_program))
+            for variant in ABLATION_VARIANTS}
 
 
 def format_ablation(totals: Dict[str, Tuple[int, int]]) -> str:
@@ -164,11 +138,3 @@ def format_ablation(totals: Dict[str, Tuple[int, int]]) -> str:
                      f"{percentage:.2f}"])
     return format_table(["Variant", "Description", "#Queries", "noalias", "%"],
                         rows, title="Ablation — contribution of each design choice")
-
-
-def main() -> None:  # pragma: no cover - manual entry point
-    print(format_ablation(run_ablation()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

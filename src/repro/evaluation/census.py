@@ -10,7 +10,7 @@ classifies every pointer whose abstract state is non-trivial as *numeric*
 (all interval bounds are integer constants) or *symbolic* (at least one
 bound mentions a kernel symbol).
 
-Run directly with ``python -m repro.evaluation.census``.
+Run with ``python -m repro.evaluation census``.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..benchgen import build_suite
+from ..benchgen import build_program, select_programs
 from ..core import GlobalRangeAnalysis
 from ..ir.module import Module
+from .parallel import run_sharded
 from .reporting import format_table
 
 __all__ = ["CensusResult", "census_for_module", "run_census", "format_census"]
@@ -68,11 +69,16 @@ def census_for_module(program: str, module: Module,
     return result
 
 
+def _census_program(name: str) -> CensusResult:
+    return census_for_module(name, build_program(name).module)
+
+
 def run_census(program_names: Optional[Sequence[str]] = None,
-               max_programs: Optional[int] = None) -> List[CensusResult]:
-    """Run the census over the synthetic evaluation suite."""
-    suite = build_suite(program_names, max_programs)
-    return [census_for_module(name, program.module) for name, program in suite.items()]
+               max_programs: Optional[int] = None,
+               jobs: int = 1) -> List[CensusResult]:
+    """Run the census over the synthetic evaluation suite, sharded over ``jobs``."""
+    names = [program.name for program in select_programs(program_names, max_programs)]
+    return run_sharded(_census_program, names, jobs)
 
 
 def total_census(results: Sequence[CensusResult]) -> CensusResult:
@@ -92,11 +98,3 @@ def format_census(results: Sequence[CensusResult]) -> str:
         ["Program", "#Pointers", "numeric", "symbolic", "untracked", "%symbolic"],
         rows, title="Symbolic-range census (paper: 20.47% exclusively symbolic)")
     return table
-
-
-def main() -> None:  # pragma: no cover - manual entry point
-    print(format_census(run_census()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

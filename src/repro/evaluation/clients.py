@@ -13,26 +13,20 @@ accesses against the verdicts through :mod:`repro.clients.validate`:
   inside a loop reported parallelizable is a violation.
 
 Every violation carries a replayable ``(program, seed, access)`` triple.
-The runner shards over worker processes exactly like the soundness
-oracle (workers regenerate their programs; IR never crosses process
-boundaries), and the emitted ``BENCH_clients.json`` is canonical JSON —
-byte-identical across ``--jobs`` counts and ``PYTHONHASHSEED`` values
-once the volatile wall-time fields are stripped.
+The runner shards over worker processes like every experiment (workers
+regenerate their programs; IR never crosses process boundaries), and the
+emitted ``BENCH_clients.json`` is canonical JSON — byte-identical across
+``--jobs`` counts and ``PYTHONHASHSEED`` values once the volatile
+wall-time fields are stripped.
 
-Command line::
-
-    python -m repro.evaluation.clients --quick --jobs 2 \
-        --out BENCH_clients.json --min-programs 50
-    python -m repro.evaluation.clients --compare A.json B.json
+Run with ``python -m repro.evaluation clients --quick --jobs 2 --check
+--min-programs 50``.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..benchgen import (
     GENERATOR_VERSION,
@@ -46,9 +40,7 @@ from ..clients.validate import ClientViolation, validate_bounds, validate_loops
 from ..engine import keys
 from ..engine.manager import AnalysisManager
 from ..interp import Interpreter, InterpreterLimits
-from .parallel import compare_bench_files, map_shards, merge_indexed, \
-    partition, resolve_jobs
-from .reporting import to_canonical_json
+from .parallel import run_sharded
 
 __all__ = [
     "ClientCheck",
@@ -57,7 +49,6 @@ __all__ = [
     "clients_corpus",
     "check_clients_program",
     "run_clients",
-    "main",
 ]
 
 #: Extra generated programs in the quick corpus (on top of the 22 suite
@@ -243,120 +234,13 @@ def check_clients_program(program, *, detector_factory=None,
 # -- sharded corpus driver -----------------------------------------------------
 
 
-def _clients_shard_worker(
-        shard: Sequence[Tuple[int, GeneratorConfig, int]]
-) -> List[Tuple[int, ClientCheck]]:
-    """Check one shard of corpus programs (runs inside a worker process)."""
-    results: List[Tuple[int, ClientCheck]] = []
-    for corpus_index, config, max_steps in shard:
-        program = generate_module(config)
-        limits = InterpreterLimits(max_steps=max_steps)
-        results.append((corpus_index,
-                        check_clients_program(program, limits=limits)))
-    return results
+def _check_config(config: GeneratorConfig) -> ClientCheck:
+    """Check one corpus program (one work unit)."""
+    return check_clients_program(generate_module(config))
 
 
 def run_clients(configs: Optional[Sequence[GeneratorConfig]] = None,
-                jobs: Optional[int] = None,
-                max_steps: int = InterpreterLimits.max_steps) -> ClientsReport:
+                jobs: int = 1) -> ClientsReport:
     """Run the differential check over a corpus, sharded like the oracle."""
     configs = list(configs if configs is not None else clients_corpus())
-    jobs = resolve_jobs(jobs)
-    items = [(index, config, max_steps)
-             for index, config in enumerate(configs)]
-    shards = partition(items, jobs)
-    checks = merge_indexed(map_shards(_clients_shard_worker, shards, jobs))
-    return ClientsReport(checks=checks)
-
-
-# -- command line --------------------------------------------------------------
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.evaluation.clients",
-        description="Differential evaluation of the bounds and "
-                    "loop-parallelization clients versus concrete executions.")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: $REPRO_EVAL_JOBS or 1)")
-    parser.add_argument("--quick", action="store_true",
-                        help=f"CI smoke corpus: 22 suite programs + "
-                             f"{QUICK_EXTRA_PROGRAMS} fuzz programs")
-    parser.add_argument("--extra", type=int, default=None,
-                        help="number of generated fuzz programs beyond the suite")
-    parser.add_argument("--seed", type=int, default=17,
-                        help="base seed of the fuzz slice of the corpus")
-    parser.add_argument("--max-steps", type=int,
-                        default=InterpreterLimits.max_steps,
-                        help="interpreter step budget per program")
-    parser.add_argument("--min-programs", type=int, default=0,
-                        help="fail unless at least this many programs executed")
-    parser.add_argument("--check", action="store_true",
-                        help="gate mode: additionally require every corpus "
-                             "program to have executed to completion")
-    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), default=None,
-                        help="compare two bench records (volatile fields "
-                             "stripped) instead of running")
-    parser.add_argument("--out", default="BENCH_clients.json",
-                        help="report output path")
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.compare is not None:
-        diffs = compare_bench_files(args.compare[0], args.compare[1])
-        for diff in diffs:
-            print(diff)
-        print(f"{len(diffs)} difference(s)")
-        return 1 if diffs else 0
-
-    extra = args.extra
-    if extra is None:
-        extra = QUICK_EXTRA_PROGRAMS if args.quick \
-            else 3 * QUICK_EXTRA_PROGRAMS
-    configs = clients_corpus(extra=extra, seed=args.seed)
-    jobs = resolve_jobs(args.jobs)
-
-    started = time.perf_counter()
-    report = run_clients(configs, jobs=jobs, max_steps=args.max_steps)
-    elapsed = time.perf_counter() - started
-
-    record = report.as_record(run_info={
-        "jobs": jobs,
-        "quick": bool(args.quick),
-        "python": sys.version.split()[0],
-        "total_wall_seconds": elapsed,
-    })
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(to_canonical_json(record))
-
-    executed = report.programs_executed()
-    violations = report.violations()
-    totals = record["totals"]
-    print(f"wrote {args.out}: {executed}/{len(report.checks)} programs "
-          f"executed, {totals['accesses_classified']} accesses classified "
-          f"({totals['safe']} safe / {totals['maybe_oob']} maybe / "
-          f"{totals['definitely_oob']} definite), "
-          f"{totals['parallel_loops']}/{totals['loops']} loops parallel, "
-          f"{totals['bounds_events_checked']} events and "
-          f"{totals['loop_frames_checked']} loop frames checked, "
-          f"{len(violations)} violation(s) ({elapsed:.2f}s wall, jobs={jobs})")
-    for violation in violations[:20]:
-        print(f"  [{violation.kind}] {violation.program}/{violation.function} "
-              f"{violation.query} — {violation.detail}")
-    if violations:
-        return 1
-    if executed < args.min_programs:
-        print(f"only {executed} programs executed "
-              f"(< --min-programs {args.min_programs})")
-        return 2
-    if args.check and executed < len(report.checks):
-        print(f"--check: {len(report.checks) - executed} corpus program(s) "
-              f"did not execute to completion")
-        return 2
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    return ClientsReport(checks=run_sharded(_check_config, configs, jobs))

@@ -10,8 +10,6 @@ layer consumes.
 
 from __future__ import annotations
 
-import functools
-import inspect
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -25,36 +23,14 @@ from ..ir.function import Function
 from ..ir.module import Module
 
 __all__ = ["QueryPair", "ProgramResult", "enumerate_query_pairs", "run_queries",
-           "AnalysisFactory", "build_analysis", "solver_breakdown",
+           "AnalysisFactory", "solver_breakdown",
            "frontend_fingerprint"]
 
-#: A callable building an analysis for a module (e.g. ``BasicAliasAnalysis``).
-#: Factories may additionally accept a keyword-only ``manager`` argument to
-#: share cached sub-analyses with the other factories of the same run.
-AnalysisFactory = Callable[[Module], AliasAnalysis]
-
-
-@functools.lru_cache(maxsize=None)
-def _accepts_manager(factory: AnalysisFactory) -> bool:
-    """Whether ``factory`` takes a ``manager`` kwarg (resolved once per factory)."""
-    try:
-        parameters = inspect.signature(factory).parameters
-    except (TypeError, ValueError):  # builtins / odd callables
-        return False
-    return "manager" in parameters
-
-
-def build_analysis(factory: AnalysisFactory, module: Module,
-                   manager: Optional[AnalysisManager] = None) -> AliasAnalysis:
-    """Build one analysis, passing the shared manager when the factory takes it."""
-    if manager is not None:
-        try:
-            accepts = _accepts_manager(factory)
-        except TypeError:  # unhashable callable: fall back to a one-off probe
-            accepts = _accepts_manager.__wrapped__(factory)
-        if accepts:
-            return factory(module, manager=manager)
-    return factory(module)
+#: A callable building an analysis for a module from the run's shared
+#: :class:`AnalysisManager` — ``factory(module, manager)``.  Factories that
+#: build on cached sub-analyses (RBAA) take them from the manager; the others
+#: ignore it.
+AnalysisFactory = Callable[[Module, AnalysisManager], AliasAnalysis]
 
 
 @dataclass(frozen=True)
@@ -159,7 +135,7 @@ def run_queries(program_name: str, module: Module,
     analyses: List[Tuple[str, AliasAnalysis]] = []
     for name, factory in factories:
         start = time.perf_counter()
-        analysis = build_analysis(factory, module, manager)
+        analysis = factory(module, manager)
         result.build_seconds[name] = time.perf_counter() - start
         result.no_alias[name] = 0
         result.query_seconds[name] = 0.0

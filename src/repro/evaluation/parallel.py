@@ -1,98 +1,53 @@
-"""Sharded parallel evaluation runner.
+"""Sharded evaluation and the records it produces.
 
 The paper's evaluation is embarrassingly parallel: every benchmark program
 is generated, compiled and analysed independently, and only the final
-tables aggregate across programs.  This module partitions the corpus into
-deterministic shards, fans each shard out to a ``multiprocessing`` worker —
-each worker regenerates its programs and constructs its own
-:class:`~repro.engine.manager.AnalysisManager` per module, since IR object
-graphs never cross process boundaries — and merges the per-shard results
-back into the exact corpus order the serial path produces.
+tables aggregate across programs.  Every experiment therefore has one code
+path — a per-program worker mapped through :func:`run_sharded`, which
+partitions the corpus into deterministic round-robin shards, fans each
+shard out to a ``multiprocessing`` worker (workers regenerate their
+programs and build their own :class:`~repro.engine.manager.AnalysisManager`
+per module, since IR object graphs never cross process boundaries) and
+merges the results back into corpus order.  With ``jobs=1`` the same path
+runs in process, without a pool.
 
-Determinism contract:
-
-* ``jobs=1`` (the default, also via ``REPRO_EVAL_JOBS``) takes the serial
-  code path unchanged — bit-identical to calling the experiments directly.
-* ``jobs>1`` produces the same reports modulo wall-time fields: query
-  counts, no-alias counts, solver-step totals and engine cache counters are
-  computed per program and merged in corpus order, so they cannot depend on
-  scheduling.  :func:`strip_volatile` removes exactly the wall-time-derived
-  fields; the CI determinism gate diffs what remains byte for byte.
-
-Command line::
-
-    python -m repro.evaluation.parallel --quick --jobs 4 \
-        --out BENCH_eval.json --manifest CORPUS_MANIFEST.json
-    python -m repro.evaluation.parallel --compare A.json B.json
+Determinism contract: any ``jobs`` produces the same results modulo
+wall-time fields.  Query counts, no-alias counts, solver-step totals and
+engine cache counters are computed per program and merged in corpus order,
+so they cannot depend on scheduling.  :func:`strip_volatile` removes
+exactly the wall-time-derived fields; ``python -m repro.evaluation compare``
+diffs what remains.
 """
 
 from __future__ import annotations
 
-import argparse
+import functools
 import json
 import multiprocessing
-import os
-import sys
-import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from ..benchgen import build_program, corpus_manifest, select_programs, suite_configs
-from ..engine.manager import AnalysisManager, ManagerStatistics
-from .harness import ProgramResult, frontend_fingerprint, run_queries
-from .precision import (
-    PrecisionReport,
-    run_precision_experiment,
-    standard_factories,
-)
+from ..engine.manager import ManagerStatistics
 from .reporting import to_canonical_json
-from .scalability import (
-    ScalabilityPoint,
-    ScalabilityReport,
-    measure_point,
-    run_scalability_experiment,
-    scalability_configs,
-)
+
+if TYPE_CHECKING:  # record builders only read the reports
+    from .harness import ProgramResult
+    from .precision import PrecisionReport
+    from .scalability import ScalabilityReport
 
 __all__ = [
-    "JOBS_ENV",
-    "resolve_jobs",
     "partition",
     "merge_indexed",
     "map_shards",
-    "run_parallel_precision",
-    "run_parallel_scalability",
+    "run_sharded",
     "bench_record",
     "strip_volatile",
     "diff_records",
     "compare_bench_files",
     "write_json",
-    "main",
 ]
-
-#: Environment knob read when no explicit ``jobs`` argument is given.
-JOBS_ENV = "REPRO_EVAL_JOBS"
-
-#: Quick-mode corpus for the CI smoke + determinism-gate jobs: small suite
-#: programs plus a 12-point sweep — big enough that sharding pays off, small
-#: enough to finish in seconds.
-QUICK_PRECISION_PROGRAMS = ("allroots", "fixoutput", "anagram", "ft",
-                            "compiler", "ks", "gnugo", "loader")
-QUICK_MAX_PAIRS = 500
-QUICK_SCALABILITY_POINTS = 12
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """The worker count: explicit argument, else ``REPRO_EVAL_JOBS``, else 1."""
-    if jobs is None:
-        raw = os.environ.get(JOBS_ENV, "").strip()
-        try:
-            jobs = int(raw) if raw else 1
-        except ValueError:
-            jobs = 1
-    return max(1, int(jobs))
 
 
 def partition(items: Sequence[T], shards: int) -> List[List[T]]:
@@ -116,13 +71,12 @@ def merge_indexed(shard_results: Sequence[Sequence[Tuple[int, R]]]) -> List[R]:
 
 
 def map_shards(worker: Callable[[T], R], payloads: Sequence[T],
-               jobs: Optional[int] = None) -> List[R]:
+               jobs: int = 1) -> List[R]:
     """``[worker(p) for p in payloads]``, fanned out over ``jobs`` processes.
 
     Results come back in payload order (``Pool.map`` preserves it); with
     ``jobs=1`` or a single payload no pool is created at all.
     """
-    jobs = resolve_jobs(jobs)
     payloads = list(payloads)
     if jobs <= 1 or len(payloads) <= 1:
         return [worker(payload) for payload in payloads]
@@ -130,65 +84,22 @@ def map_shards(worker: Callable[[T], R], payloads: Sequence[T],
         return pool.map(worker, payloads)
 
 
-# -- precision ----------------------------------------------------------------
-
-def _precision_shard_worker(
-        shard: Sequence[Tuple[int, str, Optional[int]]]
-) -> List[Tuple[int, ProgramResult]]:
-    """Evaluate one shard of suite programs (runs inside a worker process)."""
-    factories = standard_factories()
-    results: List[Tuple[int, ProgramResult]] = []
-    for corpus_index, name, max_pairs_per_function in shard:
-        program = build_program(name)
-        manager = AnalysisManager(program.module)
-        result = run_queries(name, program.module, factories,
-                             max_pairs_per_function, manager=manager)
-        result.frontend = frontend_fingerprint(program.source, program.module)
-        results.append((corpus_index, result))
-    return results
+def _run_shard(worker: Callable[[T], R],
+               shard: Sequence[Tuple[int, T]]) -> List[Tuple[int, R]]:
+    return [(index, worker(item)) for index, item in shard]
 
 
-def run_parallel_precision(program_names: Optional[Sequence[str]] = None,
-                           max_programs: Optional[int] = None,
-                           max_pairs_per_function: Optional[int] = None,
-                           jobs: Optional[int] = None) -> PrecisionReport:
-    """The Figure 13/14 experiment, sharded over ``jobs`` worker processes."""
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1:
-        return run_precision_experiment(program_names, max_programs,
-                                        max_pairs_per_function)
-    names = [program.name for program in select_programs(program_names, max_programs)]
-    items = [(index, name, max_pairs_per_function)
-             for index, name in enumerate(names)]
-    shards = partition(items, jobs)
-    return PrecisionReport(results=merge_indexed(
-        map_shards(_precision_shard_worker, shards, jobs)))
+def run_sharded(worker: Callable[[T], R], items: Sequence[T],
+                jobs: int = 1) -> List[R]:
+    """``[worker(item) for item in items]`` over ``jobs`` round-robin shards.
 
-
-# -- scalability --------------------------------------------------------------
-
-def _scalability_shard_worker(shard) -> List[Tuple[int, ScalabilityPoint]]:
-    """Measure one shard of Figure-15 points (runs inside a worker process)."""
-    return [(corpus_index, measure_point(config)) for corpus_index, config in shard]
-
-
-def run_parallel_scalability(program_count: int = 50,
-                             smallest: int = 2,
-                             largest: int = 60,
-                             seed: int = 7,
-                             jobs: Optional[int] = None) -> ScalabilityReport:
-    """The Figure-15 sweep, sharded over ``jobs`` worker processes.
-
-    Solver-step counts ride along with each merged point, so the report's
-    hardware-independent cost totals are identical to the serial sweep's.
+    ``worker`` must be picklable (a module-level function, or a
+    :func:`functools.partial` of one) when ``jobs > 1``.  Results come back
+    in item order whatever the shard layout.
     """
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1:
-        return run_scalability_experiment(program_count, smallest, largest, seed)
-    items = list(enumerate(scalability_configs(program_count, smallest, largest, seed)))
-    shards = partition(items, jobs)
-    return ScalabilityReport(points=merge_indexed(
-        map_shards(_scalability_shard_worker, shards, jobs)))
+    shards = partition(list(enumerate(items)), max(1, jobs))
+    return merge_indexed(map_shards(functools.partial(_run_shard, worker),
+                                    shards, jobs))
 
 
 # -- benchmark records --------------------------------------------------------
@@ -323,90 +234,3 @@ def write_json(path: str, payload: Any) -> None:
     """Write ``payload`` as canonical JSON (byte-stable across runs)."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(to_canonical_json(payload))
-
-
-# -- command line -------------------------------------------------------------
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.evaluation.parallel",
-        description="Sharded parallel evaluation runner (precision + scalability).")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help=f"worker processes (default: ${JOBS_ENV} or 1)")
-    parser.add_argument("--quick", action="store_true",
-                        help=f"CI smoke corpus: {len(QUICK_PRECISION_PROGRAMS)} "
-                             f"small precision programs, "
-                             f"{QUICK_SCALABILITY_POINTS} scalability points")
-    parser.add_argument("--programs", nargs="*", default=None, metavar="NAME",
-                        help="restrict the precision suite to these programs")
-    parser.add_argument("--max-programs", type=int, default=None)
-    parser.add_argument("--max-pairs", type=int, default=None,
-                        help="cap on enumerated pointer pairs per function")
-    parser.add_argument("--points", type=int, default=None,
-                        help="number of Figure-15 scalability points (default 50)")
-    parser.add_argument("--seed", type=int, default=7,
-                        help="base seed of the scalability sweep")
-    parser.add_argument("--skip-precision", action="store_true")
-    parser.add_argument("--skip-scalability", action="store_true")
-    parser.add_argument("--out", default="BENCH_eval.json",
-                        help="bench record output path")
-    parser.add_argument("--manifest", default=None, metavar="PATH",
-                        help="also emit the corpus manifest to PATH")
-    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), default=None,
-                        help="diff two bench records ignoring wall-time fields; "
-                             "exit 1 on any difference")
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-
-    if args.compare is not None:
-        diffs = compare_bench_files(*args.compare)
-        if diffs:
-            print(f"{len(diffs)} non-wall-time difference(s):")
-            for line in diffs:
-                print(f"  {line}")
-            return 1
-        print("identical modulo wall-time fields")
-        return 0
-
-    jobs = resolve_jobs(args.jobs)
-    programs = args.programs
-    max_pairs = args.max_pairs
-    points = args.points if args.points is not None else 50
-    if args.quick:
-        programs = list(QUICK_PRECISION_PROGRAMS) if programs is None else programs
-        max_pairs = QUICK_MAX_PAIRS if max_pairs is None else max_pairs
-        points = args.points if args.points is not None else QUICK_SCALABILITY_POINTS
-
-    started = time.perf_counter()
-    precision = None if args.skip_precision else run_parallel_precision(
-        programs, args.max_programs, max_pairs, jobs=jobs)
-    scalability = None if args.skip_scalability else run_parallel_scalability(
-        program_count=points, seed=args.seed, jobs=jobs)
-    elapsed = time.perf_counter() - started
-
-    record = bench_record(precision, scalability, run_info={
-        "jobs": jobs,
-        "quick": bool(args.quick),
-        "python": sys.version.split()[0],
-        "total_wall_seconds": elapsed,
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    })
-    write_json(args.out, record)
-    print(f"wrote {args.out} (jobs={jobs}, {elapsed:.2f}s wall)")
-
-    if args.manifest:
-        # The manifest documents exactly what this run evaluated — skipped
-        # experiments contribute no entries.
-        configs = [] if args.skip_precision else suite_configs(programs, args.max_programs)
-        if not args.skip_scalability:
-            configs += scalability_configs(program_count=points, seed=args.seed)
-        write_json(args.manifest, corpus_manifest(configs))
-        print(f"wrote {args.manifest} ({len(configs)} programs)")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

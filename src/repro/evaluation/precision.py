@@ -8,19 +8,22 @@ pairs, and reports:
 * Figure 13: the percentage of queries each analysis answers "no alias";
 * Figure 14: how many of rbaa's no-alias answers came from the global test.
 
-Run directly with ``python -m repro.evaluation.precision``.
+Run with ``python -m repro.evaluation bench`` (which also runs Figure 15).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 from ..aliases import BasicAliasAnalysis, CombinedAliasAnalysis, SCEVAliasAnalysis
-from ..benchgen import build_suite
+from ..benchgen import build_program, select_programs
 from ..core import RBAAAliasAnalysis
+from ..engine.manager import AnalysisManager
 from ..ir.module import Module
 from .harness import AnalysisFactory, ProgramResult, frontend_fingerprint, run_queries
+from .parallel import run_sharded
 from .reporting import format_table
 
 __all__ = ["PrecisionReport", "standard_factories", "run_precision_experiment",
@@ -30,28 +33,32 @@ __all__ = ["PrecisionReport", "standard_factories", "run_precision_experiment",
 ANALYSIS_COLUMNS = ("scev", "basic", "rbaa", "r+b")
 
 
-def _combined_factory(module: Module, manager=None):
-    # Module-level (not a per-call closure) so build_analysis' per-factory
-    # signature cache actually hits across experiment invocations.
+def _scev(module: Module, manager: AnalysisManager) -> SCEVAliasAnalysis:
+    return SCEVAliasAnalysis(module)
+
+
+def _basic(module: Module, manager: AnalysisManager) -> BasicAliasAnalysis:
+    return BasicAliasAnalysis(module)
+
+
+def _rbaa(module: Module, manager: AnalysisManager) -> RBAAAliasAnalysis:
+    return RBAAAliasAnalysis(module, manager=manager)
+
+
+def _combined(module: Module, manager: AnalysisManager) -> CombinedAliasAnalysis:
     return CombinedAliasAnalysis(
-        module,
-        [RBAAAliasAnalysis(module, manager=manager), BasicAliasAnalysis(module)],
-        name="r+b")
+        module, [_rbaa(module, manager), BasicAliasAnalysis(module)], name="r+b")
 
 
 def standard_factories() -> List[Tuple[str, AnalysisFactory]]:
     """The four analysis configurations of Figure 13.
 
-    The factories accept the harness' shared :class:`AnalysisManager`, so the
-    standalone ``rbaa`` and the ``rbaa`` inside the chained combination share
-    one range bootstrap and one GR/LR fixed point per module.
+    The standalone ``rbaa`` and the ``rbaa`` inside the chained combination
+    take their sub-analyses from the harness' shared
+    :class:`AnalysisManager`, so they share one range bootstrap and one GR/LR
+    fixed point per module.
     """
-    return [
-        ("scev", SCEVAliasAnalysis),
-        ("basic", BasicAliasAnalysis),
-        ("rbaa", RBAAAliasAnalysis),
-        ("r+b", _combined_factory),
-    ]
+    return [("scev", _scev), ("basic", _basic), ("rbaa", _rbaa), ("r+b", _combined)]
 
 
 @dataclass
@@ -87,31 +94,27 @@ class PrecisionReport:
         return global_hits / rbaa_no_alias if rbaa_no_alias else 0.0
 
 
+def _precision_program(name: str, max_pairs_per_function: Optional[int]) -> ProgramResult:
+    """The Figure 13/14 queries over one suite program (one work unit)."""
+    program = build_program(name)
+    result = run_queries(name, program.module, standard_factories(), max_pairs_per_function)
+    result.frontend = frontend_fingerprint(program.source, program.module)
+    return result
+
+
 def run_precision_experiment(program_names: Optional[Sequence[str]] = None,
                              max_programs: Optional[int] = None,
                              max_pairs_per_function: Optional[int] = None,
                              jobs: int = 1) -> PrecisionReport:
     """Build the synthetic suite and run the Figure 13/14 experiment.
 
-    ``jobs > 1`` shards the suite over worker processes via
-    :func:`repro.evaluation.parallel.run_parallel_precision`; the merged
-    report lists the same programs in the same corpus order with identical
-    query and no-alias counts (only wall times differ).
+    The programs are sharded over ``jobs`` worker processes; the report
+    lists them in corpus order with the same counts for any ``jobs`` (only
+    wall times differ).
     """
-    if jobs > 1:
-        from .parallel import run_parallel_precision
-        return run_parallel_precision(program_names=program_names,
-                                      max_programs=max_programs,
-                                      max_pairs_per_function=max_pairs_per_function,
-                                      jobs=jobs)
-    suite = build_suite(program_names, max_programs)
-    factories = standard_factories()
-    report = PrecisionReport()
-    for name, program in suite.items():
-        result = run_queries(name, program.module, factories, max_pairs_per_function)
-        result.frontend = frontend_fingerprint(program.source, program.module)
-        report.results.append(result)
-    return report
+    names = [program.name for program in select_programs(program_names, max_programs)]
+    worker = partial(_precision_program, max_pairs_per_function=max_pairs_per_function)
+    return PrecisionReport(results=run_sharded(worker, names, jobs))
 
 
 def figure13_rows(report: PrecisionReport) -> List[List[object]]:
@@ -156,19 +159,3 @@ def format_figure14(report: PrecisionReport) -> str:
         figure14_rows(report),
         title="Figure 14 — queries solved by the global test",
     )
-
-
-def main() -> None:  # pragma: no cover - manual entry point
-    report = run_precision_experiment()
-    print(format_figure13(report))
-    print()
-    print(format_figure14(report))
-    print()
-    print(f"rbaa / basic improvement: {report.improvement_over_basic():.2f}x "
-          f"(paper: 1.35x)")
-    print(f"global-test fraction of rbaa answers: "
-          f"{100 * report.global_test_fraction():.2f}% (paper: 18.52%)")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -13,7 +13,7 @@ and reports the same correlation coefficients.  Alongside wall time the
 experiment reports the sparse solver's fixpoint step counts (transfer
 applications), a hardware-independent cost measure.
 
-Run directly with ``python -m repro.evaluation.scalability``.
+Run with ``python -m repro.evaluation bench`` (which also runs Figures 13/14).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import List, Sequence
 
 from ..benchgen import GeneratorConfig, generate_module
 from ..engine import AnalysisManager, keys
+from .parallel import run_sharded
 from .reporting import format_table
 
 __all__ = ["ScalabilityPoint", "ScalabilityReport", "scalability_configs",
@@ -112,9 +113,8 @@ def scalability_configs(program_count: int = 50,
                         seed: int = 7) -> List[GeneratorConfig]:
     """Generator configs of the Figure-15 sweep, in corpus (size) order.
 
-    Both the serial loop below and the sharded parallel runner
-    (:mod:`repro.evaluation.parallel`) enumerate points through this helper,
-    so a merged parallel sweep is point-for-point the same corpus.
+    The sweep and the corpus manifest both enumerate points through this
+    helper, so the manifest documents point-for-point what was measured.
     """
     configs: List[GeneratorConfig] = []
     for index in range(program_count):
@@ -165,20 +165,12 @@ def run_scalability_experiment(program_count: int = 50,
                                jobs: int = 1) -> ScalabilityReport:
     """Generate ``program_count`` programs of increasing size and time the analysis.
 
-    ``jobs > 1`` fans the points out over worker processes via
-    :func:`repro.evaluation.parallel.run_parallel_scalability`; the merged
-    report carries the same points in the same order, with identical
-    instruction/pointer/solver-step counts (only wall times differ).
+    The points are sharded over ``jobs`` worker processes; the report
+    carries them in size order with the same instruction/pointer/solver-step
+    counts for any ``jobs`` (only wall times differ).
     """
-    if jobs > 1:
-        from .parallel import run_parallel_scalability
-        return run_parallel_scalability(program_count=program_count,
-                                        smallest=smallest, largest=largest,
-                                        seed=seed, jobs=jobs)
-    report = ScalabilityReport()
-    for config in scalability_configs(program_count, smallest, largest, seed):
-        report.points.append(measure_point(config))
-    return report
+    configs = scalability_configs(program_count, smallest, largest, seed)
+    return ScalabilityReport(points=run_sharded(measure_point, configs, jobs))
 
 
 def format_figure15(report: ScalabilityReport) -> str:
@@ -202,11 +194,3 @@ def format_figure15(report: ScalabilityReport) -> str:
         f"{report.steps_per_instruction():.2f} fixpoint steps/instruction"
     )
     return table + summary
-
-
-def main() -> None:  # pragma: no cover - manual entry point
-    print(format_figure15(run_scalability_experiment()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

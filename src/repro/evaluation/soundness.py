@@ -17,22 +17,17 @@ interpreter (:mod:`repro.interp`):
   mention to their concretely observed values.
 
 Violations are reported with a replayable ``(program, seed, query)``
-triple.  The oracle shards over worker processes exactly like the
-benchmark runner (workers regenerate their programs; IR never crosses
-process boundaries).
+triple.  The oracle shards over worker processes like every experiment
+(workers regenerate their programs; IR never crosses process boundaries).
 
-Command line::
-
-    python -m repro.evaluation.soundness --quick --jobs 2 \
-        --out SOUNDNESS_REPORT.json --min-programs 50
+Run with ``python -m repro.evaluation soundness --quick --jobs 2
+--min-programs 50``.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..aliases import (
@@ -49,15 +44,16 @@ from ..benchgen import (
     suite_configs,
 )
 from ..core import RBAAAliasAnalysis
+from ..engine import keys
 from ..engine.manager import AnalysisManager
 from ..interp import ExecutionTrace, Interpreter, InterpreterLimits, Pointer
 from ..interp.trace import FrameTrace
 from ..ir.function import Function
 from ..ir.values import Value
 from ..symbolic import evaluate
-from .harness import QueryPair, build_analysis, enumerate_query_pairs
-from .parallel import map_shards, merge_indexed, partition, resolve_jobs
-from .reporting import to_canonical_json
+from ..ir.module import Module
+from .harness import AnalysisFactory, QueryPair, enumerate_query_pairs
+from .parallel import run_sharded
 
 __all__ = [
     "Violation",
@@ -68,7 +64,6 @@ __all__ = [
     "unknown_size_pairs",
     "check_program",
     "run_soundness",
-    "main",
 ]
 
 #: Default cap on enumerated pointer pairs per function (oracle workload).
@@ -88,14 +83,26 @@ _MAX_WINDOW_PRODUCT = 250_000
 UNKNOWN_SIZE_PAIRS_PER_FUNCTION = 8
 
 
-def soundness_factories() -> List[Tuple[str, Any]]:
+def _rbaa(module: Module, manager: AnalysisManager) -> RBAAAliasAnalysis:
+    return RBAAAliasAnalysis(module, manager=manager)
+
+
+def _basic(module: Module, manager: AnalysisManager) -> BasicAliasAnalysis:
+    return BasicAliasAnalysis(module)
+
+
+def _andersen(module: Module, manager: AnalysisManager) -> AndersenAliasAnalysis:
+    return AndersenAliasAnalysis(module)
+
+
+def _steensgaard(module: Module, manager: AnalysisManager) -> SteensgaardAliasAnalysis:
+    return SteensgaardAliasAnalysis(module)
+
+
+def soundness_factories() -> List[Tuple[str, AnalysisFactory]]:
     """The four analyses whose no-alias verdicts the oracle validates."""
-    return [
-        ("rbaa", RBAAAliasAnalysis),
-        ("basic", BasicAliasAnalysis),
-        ("andersen", AndersenAliasAnalysis),
-        ("steensgaard", SteensgaardAliasAnalysis),
-    ]
+    return [("rbaa", _rbaa), ("basic", _basic), ("andersen", _andersen),
+            ("steensgaard", _steensgaard)]
 
 
 def soundness_corpus(extra: int = QUICK_EXTRA_PROGRAMS,
@@ -432,15 +439,16 @@ def unknown_size_pairs(pairs: Sequence[QueryPair],
 # -- per-program driver --------------------------------------------------------
 
 
-def check_program(program, *, factories: Optional[Sequence[Tuple[str, Any]]] = None,
+def check_program(program, *,
+                  factories: Optional[Sequence[Tuple[str, AnalysisFactory]]] = None,
                   range_oracle=None,
                   max_pairs_per_function: Optional[int] = DEFAULT_MAX_PAIRS,
                   limits: Optional[InterpreterLimits] = None) -> ProgramCheck:
     """Run the full differential check for one generated program.
 
-    ``factories`` and ``range_oracle`` are injectable so the test-suite can
-    feed deliberately broken analyses through the oracle and assert they
-    are caught.
+    ``factories`` (``factory(module, manager)``) and ``range_oracle`` are
+    injectable so the test-suite can feed deliberately broken analyses
+    through the oracle and assert they are caught.
     """
     config = program.config
     module = program.module
@@ -456,7 +464,7 @@ def check_program(program, *, factories: Optional[Sequence[Tuple[str, Any]]] = N
     }
 
     manager = AnalysisManager(module)
-    analyses = [(name, build_analysis(factory, module, manager))
+    analyses = [(name, factory(module, manager))
                 for name, factory in (factories or soundness_factories())]
     if range_oracle is None:
         for name, analysis in analyses:
@@ -464,7 +472,6 @@ def check_program(program, *, factories: Optional[Sequence[Tuple[str, Any]]] = N
                 range_oracle = analysis.ranges
                 break
         else:
-            from ..engine import keys
             range_oracle = manager.get(keys.RANGES)
 
     pairs = list(enumerate_query_pairs(module, max_pairs_per_function))
@@ -520,103 +527,18 @@ def check_program(program, *, factories: Optional[Sequence[Tuple[str, Any]]] = N
 # -- sharded corpus driver -----------------------------------------------------
 
 
-def _soundness_shard_worker(
-        shard: Sequence[Tuple[int, GeneratorConfig, Optional[int], int]]
-) -> List[Tuple[int, ProgramCheck]]:
-    """Check one shard of corpus programs (runs inside a worker process)."""
-    results: List[Tuple[int, ProgramCheck]] = []
-    for corpus_index, config, max_pairs, max_steps in shard:
-        program = generate_module(config)
-        limits = InterpreterLimits(max_steps=max_steps)
-        results.append((corpus_index, check_program(
-            program, max_pairs_per_function=max_pairs, limits=limits)))
-    return results
+def _check_config(config: GeneratorConfig,
+                  max_pairs_per_function: Optional[int]) -> ProgramCheck:
+    """Check one corpus program (one work unit)."""
+    return check_program(generate_module(config),
+                         max_pairs_per_function=max_pairs_per_function)
 
 
 def run_soundness(configs: Optional[Sequence[GeneratorConfig]] = None,
-                  jobs: Optional[int] = None,
-                  max_pairs_per_function: Optional[int] = DEFAULT_MAX_PAIRS,
-                  max_steps: int = InterpreterLimits.max_steps) -> SoundnessReport:
-    """Run the oracle over a corpus, sharded like the benchmark runner."""
+                  jobs: int = 1,
+                  max_pairs_per_function: Optional[int] = DEFAULT_MAX_PAIRS
+                  ) -> SoundnessReport:
+    """Run the oracle over a corpus, sharded over ``jobs`` worker processes."""
     configs = list(configs if configs is not None else soundness_corpus())
-    jobs = resolve_jobs(jobs)
-    items = [(index, config, max_pairs_per_function, max_steps)
-             for index, config in enumerate(configs)]
-    shards = partition(items, jobs)
-    checks = merge_indexed(map_shards(_soundness_shard_worker, shards, jobs))
-    return SoundnessReport(checks=checks)
-
-
-# -- command line --------------------------------------------------------------
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.evaluation.soundness",
-        description="Differential soundness oracle: alias verdicts and "
-                    "symbolic ranges versus concrete executions.")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: $REPRO_EVAL_JOBS or 1)")
-    parser.add_argument("--quick", action="store_true",
-                        help=f"CI smoke corpus: 22 suite programs + "
-                             f"{QUICK_EXTRA_PROGRAMS} fuzz programs")
-    parser.add_argument("--extra", type=int, default=None,
-                        help="number of generated fuzz programs beyond the suite")
-    parser.add_argument("--seed", type=int, default=11,
-                        help="base seed of the fuzz slice of the corpus")
-    parser.add_argument("--max-pairs", type=int, default=DEFAULT_MAX_PAIRS,
-                        help="cap on enumerated pointer pairs per function")
-    parser.add_argument("--max-steps", type=int, default=InterpreterLimits.max_steps,
-                        help="interpreter step budget per program")
-    parser.add_argument("--min-programs", type=int, default=0,
-                        help="fail unless at least this many programs executed")
-    parser.add_argument("--out", default="SOUNDNESS_REPORT.json",
-                        help="report output path")
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    extra = args.extra
-    if extra is None:
-        # Quick mode is the CI smoke corpus (56 programs); the full run
-        # sweeps a larger fuzz slice.
-        extra = QUICK_EXTRA_PROGRAMS if args.quick else 3 * QUICK_EXTRA_PROGRAMS
-    configs = soundness_corpus(extra=extra, seed=args.seed)
-    jobs = resolve_jobs(args.jobs)
-
-    started = time.perf_counter()
-    report = run_soundness(configs, jobs=jobs,
-                           max_pairs_per_function=args.max_pairs,
-                           max_steps=args.max_steps)
-    elapsed = time.perf_counter() - started
-
-    record = report.as_record(run_info={
-        "jobs": jobs,
-        "quick": bool(args.quick),
-        "python": sys.version.split()[0],
-        "total_wall_seconds": elapsed,
-    })
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(to_canonical_json(record))
-
-    executed = report.programs_executed()
-    violations = report.violations()
-    print(f"wrote {args.out}: {executed}/{len(report.checks)} programs executed, "
-          f"{record['totals']['claims_checked']} claims and "
-          f"{record['totals']['range_values_checked']} ranges checked, "
-          f"{len(violations)} violation(s) ({elapsed:.2f}s wall, jobs={jobs})")
-    for violation in violations[:20]:
-        print(f"  [{violation.kind}] {violation.program}/{violation.function} "
-              f"{violation.analysis}: {violation.query} — {violation.detail}")
-    if violations:
-        return 1
-    if executed < args.min_programs:
-        print(f"only {executed} programs executed "
-              f"(< --min-programs {args.min_programs})")
-        return 2
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    worker = partial(_check_config, max_pairs_per_function=max_pairs_per_function)
+    return SoundnessReport(checks=run_sharded(worker, configs, jobs))

@@ -10,12 +10,7 @@ from .driver import compile_source
 from .lexer import LexerError, Token, TokenKind, tokenize
 from .lowering import LoweringError, lower_translation_unit
 from .sema import SemanticError, SemanticInfo, analyze
-from .stages import (
-    PhaseTimings,
-    collect_phases,
-    module_digest,
-    token_stream_digest,
-)
+from .stages import module_digest, token_stream_digest
 
 __all__ = [
     "ParseError",
@@ -31,8 +26,6 @@ __all__ = [
     "SemanticError",
     "SemanticInfo",
     "analyze",
-    "PhaseTimings",
-    "collect_phases",
     "module_digest",
     "token_stream_digest",
 ]

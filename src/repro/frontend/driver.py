@@ -2,15 +2,10 @@
 
 The driver chains the explicit frontend stages (see
 :mod:`repro.frontend.stages`): scan → parse → analyze → lower → prepare.
-When a phase collector is active (:func:`repro.frontend.stages.collect_phases`)
-each stage's wall time plus token/instruction counts and determinism digests
-are recorded; otherwise the stages run without any timing overhead.
 """
 
 from __future__ import annotations
 
-from hashlib import sha256
-from time import perf_counter
 from typing import Optional
 
 from ..ir.module import Module
@@ -19,7 +14,6 @@ from .cparser import Parser
 from .lexer import tokenize
 from .lowering import lower_translation_unit
 from .sema import analyze
-from .stages import active_collector, module_digest, token_stream_digest
 
 __all__ = ["compile_source"]
 
@@ -37,43 +31,9 @@ def compile_source(source: str, name: str = "module", *,
             pointer analyses; when false, return the raw ``-O0``-style IR.
         pipeline_options: overrides for the preparation pipeline.
     """
-    collector = active_collector()
-    if collector is None:
-        unit = Parser(tokenize(source)).parse_translation_unit()
-        info = analyze(unit)
-        module = lower_translation_unit(unit, name, info)
-        if prepare:
-            prepare_module(module, pipeline_options)
-        return module
-
-    start = perf_counter()
-    tokens = tokenize(source)
-    t_lex = perf_counter()
-    unit = Parser(tokens).parse_translation_unit()
-    t_parse = perf_counter()
+    unit = Parser(tokenize(source)).parse_translation_unit()
     info = analyze(unit)
-    t_sema = perf_counter()
     module = lower_translation_unit(unit, name, info)
-    t_lower = perf_counter()
     if prepare:
         prepare_module(module, pipeline_options)
-    t_prepare = perf_counter()
-
-    collector.lex_seconds += t_lex - start
-    collector.parse_seconds += t_parse - t_lex
-    collector.sema_seconds += t_sema - t_parse
-    collector.lower_seconds += t_lower - t_sema
-    collector.prepare_seconds += t_prepare - t_lower
-    collector.tokens += len(tokens)
-    collector.instructions += module.instruction_count()
-    # Digests chain across compiles so a collector spanning several modules
-    # still yields one order-sensitive deterministic fingerprint.
-    collector.token_digest = _chain(collector.token_digest, token_stream_digest(tokens))
-    collector.ir_digest = _chain(collector.ir_digest, module_digest(module))
     return module
-
-
-def _chain(previous: str, digest: str) -> str:
-    if not previous:
-        return digest
-    return sha256(f"{previous}\x1e{digest}".encode()).hexdigest()

@@ -404,6 +404,9 @@ class _FunctionLowerer:
             base_address, struct_type = self._lower_lvalue(expr.base)
             if not isinstance(struct_type, StructType):
                 raise LoweringError("member access on a non-struct value")
+        if expr.field_name not in struct_type.field_names():
+            raise LoweringError(f"struct {struct_type.name} has no field "
+                                f"{expr.field_name!r} (at line {expr.line})")
         offset = struct_type.field_offset(expr.field_name)
         field_type = struct_type.field_type(expr.field_name)
         address = self.builder.ptradd(base_address, offset=offset,

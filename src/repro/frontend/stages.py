@@ -22,90 +22,25 @@ exceptions a well-behaved stage may raise on bad input; the serving layer
 maps them to ``bad_request`` envelopes (anything else is a frontend bug and
 surfaces as ``internal_error``).
 
-This module adds the two cross-cutting facilities the stages themselves
-stay free of:
-
-* **Phase telemetry** — :func:`collect_phases` installs a
-  :class:`PhaseTimings` collector; while one is active,
-  :func:`repro.frontend.driver.compile_source` records per-stage wall time
-  and token/instruction counts into it.  The profiler uses this for the
-  compile-phase breakdown in ``BENCH_profile.json``.
-* **Determinism digests** — :func:`token_stream_digest` and
-  :func:`module_digest` hash a token stream / printed module to a stable
-  hex digest.  The evaluation records embed them, which lets the perf-smoke
-  CI gate assert the frontend is byte-identical across runs and hash seeds.
+This module adds the one cross-cutting facility the stages themselves stay
+free of: **determinism digests**.  :func:`token_stream_digest` and
+:func:`module_digest` hash a token stream / printed module to a stable hex
+digest.  Evaluation records embed them per program, so the determinism
+gate's compare proves the frontend byte-identical across runs and hash
+seeds; per-stage timings come from the repository benchmark
+(``perfbench --trace 1``), which times each stage's public entry point.
 """
 
 from __future__ import annotations
 
 from hashlib import sha256
-from typing import Iterator, List, Optional, Sequence
-from contextlib import contextmanager
+from typing import Sequence
 
 from ..ir.module import Module
 from ..ir.printer import print_module
 from .lexer import Token
 
-__all__ = [
-    "PhaseTimings",
-    "collect_phases",
-    "active_collector",
-    "token_stream_digest",
-    "module_digest",
-]
-
-
-class PhaseTimings:
-    """Per-module compile-phase telemetry filled in by the driver.
-
-    Wall-clock fields end in ``_seconds`` on purpose: the evaluation's
-    ``strip_volatile`` drops that suffix, so timings are reported but never
-    gated, while the counts and digests recorded next to them are.
-    """
-
-    __slots__ = ("lex_seconds", "parse_seconds", "sema_seconds",
-                 "lower_seconds", "prepare_seconds",
-                 "tokens", "instructions", "token_digest", "ir_digest")
-
-    def __init__(self) -> None:
-        self.lex_seconds = 0.0
-        self.parse_seconds = 0.0
-        self.sema_seconds = 0.0
-        self.lower_seconds = 0.0
-        self.prepare_seconds = 0.0
-        self.tokens = 0
-        self.instructions = 0
-        self.token_digest = ""
-        self.ir_digest = ""
-
-    def as_dict(self) -> dict:
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-
-# Collector stack, innermost active (plain module state: the frontend is
-# single-threaded per process, and shard workers each get their own copy).
-_collectors: List[PhaseTimings] = []
-
-
-def active_collector() -> Optional[PhaseTimings]:
-    """The innermost phase collector, or ``None`` when not profiling."""
-    return _collectors[-1] if _collectors else None
-
-
-@contextmanager
-def collect_phases() -> Iterator[PhaseTimings]:
-    """Collect per-stage timings/digests for compiles inside the scope.
-
-    >>> with collect_phases() as phases:
-    ...     compile_source(source, "demo")
-    >>> phases.lex_seconds  # doctest: +SKIP
-    """
-    collector = PhaseTimings()
-    _collectors.append(collector)
-    try:
-        yield collector
-    finally:
-        _collectors.pop()
+__all__ = ["token_stream_digest", "module_digest"]
 
 
 def token_stream_digest(tokens: Sequence[Token]) -> str:

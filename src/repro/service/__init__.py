@@ -30,10 +30,10 @@
   replays its journal of acknowledged mutating requests.
 * :mod:`repro.service.chaos` — the deterministic fault injector behind
   ``loadtest --chaos``: seeded kill/latency/corruption/truncation plans.
-* :mod:`repro.service.bench` — the cold-build vs warm-incremental
-  benchmark driven by seeded benchgen edit scenarios.
 * :mod:`repro.service.loadtest` — the closed-loop multi-client loadtest
-  (``BENCH_service.json``) gated on answer identity vs a serial session.
+  (``BENCH_service.json``) gated on answer identity vs a serial session,
+  plus a replay of seeded edit scenarios gated on warm ≡ cold answers and
+  on incremental solver-step wins.
 """
 
 from .chaos import ChaosController, FaultPlan, generate_plan

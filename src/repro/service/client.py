@@ -220,10 +220,11 @@ class SocketClient(ServiceClient):
 
     The server subprocess announces its ephemeral port on stdout; the
     client then speaks the identical line protocol over one connection.
+    :meth:`connect` instead attaches to a server that is already running.
     """
 
     def __init__(self, workers: int = 1) -> None:
-        self._process = subprocess.Popen(
+        self._process: Optional[subprocess.Popen] = subprocess.Popen(
             [sys.executable, "-m", "repro.service.server",
              "--port", "0", "--workers", str(workers)],
             stdout=subprocess.PIPE, text=True, env=subprocess_env())
@@ -233,8 +234,18 @@ class SocketClient(ServiceClient):
         if not match:
             self._process.kill()
             raise RuntimeError(f"no port in server banner: {banner!r}")
-        self._socket = socket.create_connection(
-            ("127.0.0.1", int(match.group(1))), timeout=60)
+        self._open("127.0.0.1", int(match.group(1)))
+
+    @classmethod
+    def connect(cls, host: str, port: int) -> "SocketClient":
+        """A client of a running server; closing it leaves the server up."""
+        client = cls.__new__(cls)
+        client._process = None
+        client._open(host, port)
+        return client
+
+    def _open(self, host: str, port: int) -> None:
+        self._socket = socket.create_connection((host, port), timeout=60)
         self._file = self._socket.makefile("rw", encoding="utf-8", newline="\n")
 
     def call(self, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -246,6 +257,9 @@ class SocketClient(ServiceClient):
         return json.loads(line)
 
     def close(self) -> None:
+        if self._process is None:
+            self._socket.close()
+            return
         try:
             self.request("shutdown")
         except (ServiceError, RuntimeError, BrokenPipeError, OSError):

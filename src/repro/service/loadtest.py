@@ -19,6 +19,17 @@ is correctness:
   session's.  Engine get-level hit counters are excluded — they depend on
   how traffic happened to batch — as are the process-global symbolic
   caches and the store's operational counters.
+* **Edit replay** (on the storeless run's server, after its stats are
+  taken) — each corpus program's seeded edit scenario
+  (:func:`repro.benchgen.editscript.edit_scenario`, three single-function
+  edits) goes through the socket with a ``query_function`` sweep of every
+  alias analysis after each step.  Every sweep must equal a cold
+  :class:`~repro.service.session.AnalysisSession` built from that step's
+  source (``edit_warm_equals_cold``), and every edit must re-run strictly
+  fewer solver steps than the cold rebuild — overall
+  (``edit_fewer_solver_steps``) and within the callgraph-scoped fixed
+  points GR / Andersen / Steensgaard (``edit_fewer_callgraph_steps``).
+  :func:`replay_edits` takes any :class:`~repro.service.client.ServiceClient`.
 * **Warm store** — the run is repeated against one persistent
   content-addressed store (:mod:`repro.service.store`) twice, with a full
   server restart in between.  On the second (warm) run every store view
@@ -49,9 +60,10 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..benchgen import build_program, digest_index, stable_seed
+from ..benchgen import build_program, digest_index, edit_scenario, stable_seed, suite_configs
 from ..benchgen.manifest import GENERATOR_VERSION
 from ..evaluation.reporting import to_canonical_json
 from .chaos import (
@@ -60,7 +72,7 @@ from .chaos import (
     corrupt_store_entries,
     generate_plan,
 )
-from .client import InProcessClient, RetryPolicy
+from .client import InProcessClient, RetryPolicy, ServiceClient, SocketClient
 from .pool import WorkerPool
 from .protocol import (
     DEADLINE_EXCEEDED,
@@ -73,9 +85,10 @@ from .server import ServiceServer
 from .session import AnalysisSession
 from .store import RESULT_SCHEMA_VERSION
 
-__all__ = ["DEFAULT_PROGRAMS", "run_loadtest", "run_chaos_loadtest", "main"]
+__all__ = ["DEFAULT_PROGRAMS", "replay_edits", "edit_gates", "run_loadtest",
+           "run_chaos_loadtest", "main"]
 
-#: The quick-corpus programs (the service bench uses the same four).
+#: The quick-corpus programs.
 DEFAULT_PROGRAMS = ("allroots", "fixoutput", "anagram", "ft")
 
 #: Analyses the scripted queries exercise.
@@ -285,6 +298,103 @@ def stats_gate_view(record: Dict[str, Any]) -> Dict[str, Any]:
     return view
 
 
+# -- edit replay ---------------------------------------------------------------
+
+#: Single-function edits per program scenario, and the alias analyses
+#: swept (``query_function``, at most ``EDIT_MAX_PAIRS`` pairs per function)
+#: after every step.
+EDITS = 3
+EDIT_ANALYSES = ("rbaa", "basic", "andersen", "steensgaard")
+EDIT_MAX_PAIRS = 120
+
+#: The callgraph-scoped (interprocedural) fixed points, by engine-key name.
+CALLGRAPH_ANALYSES = ("global-ranges", "andersen", "steensgaard")
+
+_SWEEP_FIELDS = ("queries", "no_alias", "no_alias_indices")
+
+
+def _callgraph_steps(stats: Dict[str, Any]) -> int:
+    by_analysis = stats["solver_steps_by_analysis"]
+    return sum(by_analysis.get(name, 0) for name in CALLGRAPH_ANALYSES)
+
+
+def _sweep(query_function: Any, module: str) -> Dict[str, Any]:
+    """Every analysis over every enumerated pair of ``module``."""
+    sweep = {}
+    for analysis in EDIT_ANALYSES:
+        response = query_function(module=module, analysis=analysis,
+                                  max_pairs=EDIT_MAX_PAIRS)
+        sweep[analysis] = {key: response[key] for key in _SWEEP_FIELDS}
+    return sweep
+
+
+def replay_edits(client: ServiceClient, programs: Sequence[str]) -> Dict[str, Any]:
+    """Replay each program's edit scenario through ``client``, warm.
+
+    After every step the warm sweep is compared with a cold
+    :class:`AnalysisSession` loaded from that step's source, and the solver
+    steps the warm service spent on the step (from ``stats``) are recorded
+    next to the cold session's total.
+    """
+    steps: List[Dict[str, Any]] = []
+    for name in programs:
+        scenario = edit_scenario(suite_configs([name])[0], edits=EDITS)
+        client.request("load", name=name, source=scenario.steps[0].source)
+        before = client.request("stats", module=name)
+        for step in scenario.steps:
+            impacts: List[Dict[str, Any]] = []
+            if step.index > 0:
+                edited = client.request("edit", name=name, source=step.source)
+                if edited["reloaded"] or edited["changed"] != [step.function]:
+                    raise RuntimeError(
+                        f"scenario step {step.index} of {name!r} did not take "
+                        f"the incremental path: {edited}")
+                impacts = edited["impacts"]
+            warm = _sweep(partial(client.request, "query_function"), name)
+            after = client.request("stats", module=name)
+            cold_session = AnalysisSession()
+            cold_session.load_source(name, step.source)
+            cold = _sweep(cold_session.query_function, name)
+            cold_stats = cold_session.stats(name)
+            steps.append({
+                "program": name,
+                "index": step.index,
+                "function": step.function,
+                "no_alias": {analysis: sweep["no_alias"] for analysis, sweep in warm.items()},
+                "identical": warm == cold,
+                "warm_solver_steps": after["solver_steps"] - before["solver_steps"],
+                "cold_solver_steps": cold_stats["solver_steps"],
+                "warm_callgraph_steps": _callgraph_steps(after) - _callgraph_steps(before),
+                "cold_callgraph_steps": _callgraph_steps(cold_stats),
+                "impacts": impacts,
+            })
+            before = after
+    return {"programs": list(programs), "edits": EDITS, "steps": steps}
+
+
+def edit_gates(replay: Dict[str, Any]) -> Dict[str, bool]:
+    """The replay's gates: warm ≡ cold at every step, and every edit
+    re-solves strictly fewer steps than a cold rebuild — overall and on the
+    callgraph-scoped fixed points."""
+    steps = replay["steps"]
+    edits = [step for step in steps if step["index"] > 0]
+    return {
+        "edit_warm_equals_cold": bool(steps) and all(step["identical"] for step in steps),
+        "edit_fewer_solver_steps": bool(edits) and all(
+            step["warm_solver_steps"] < step["cold_solver_steps"] for step in edits),
+        "edit_fewer_callgraph_steps": bool(edits) and all(
+            step["warm_callgraph_steps"] < step["cold_callgraph_steps"] for step in edits),
+    }
+
+
+def _replay_on_server(host: str, port: int, programs: Sequence[str]) -> Dict[str, Any]:
+    client = SocketClient.connect(host, port)
+    try:
+        return replay_edits(client, programs)
+    finally:
+        client.close()
+
+
 # -- one socket run ------------------------------------------------------------
 
 @dataclass
@@ -295,6 +405,8 @@ class RunResult:
     wall: float = 0.0
     batches: int = 0
     batched_queries: int = 0
+    #: The edit replay's record (``run_once(..., edits=True)`` only).
+    edits: Dict[str, Any] = field(default_factory=dict)
 
 
 async def _send(reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
@@ -324,7 +436,8 @@ async def _run_client(host: str, port: int, script: Sequence[Dict[str, Any]],
 async def _run_server_once(corpus: Sequence[_Program],
                            scripts: Sequence[Sequence[Dict[str, Any]]],
                            workers: int,
-                           store_root: Optional[str]) -> RunResult:
+                           store_root: Optional[str],
+                           edits: bool) -> RunResult:
     pool = WorkerPool(workers=workers, store_root=store_root)
     pool.assign([program.name for program in corpus])
     server = ServiceServer(pool)
@@ -343,6 +456,11 @@ async def _run_server_once(corpus: Sequence[_Program],
         for payload in _stats_payloads(corpus):
             result.stats[payload["module"]] = \
                 await _send(reader, writer, payload)
+        if edits:
+            # A blocking client in a helper thread; the loop keeps serving.
+            result.edits = await asyncio.get_running_loop().run_in_executor(
+                None, _replay_on_server, server.host, server.port,
+                [program.name for program in corpus])
         writer.close()
         try:
             await writer.wait_closed()
@@ -357,8 +475,10 @@ async def _run_server_once(corpus: Sequence[_Program],
 
 def run_once(corpus: Sequence[_Program],
              scripts: Sequence[Sequence[Dict[str, Any]]],
-             workers: int, store_root: Optional[str]) -> RunResult:
-    return asyncio.run(_run_server_once(corpus, scripts, workers, store_root))
+             workers: int, store_root: Optional[str],
+             edits: bool = False) -> RunResult:
+    """One server run of ``scripts``; ``edits`` appends the edit replay."""
+    return asyncio.run(_run_server_once(corpus, scripts, workers, store_root, edits))
 
 
 # -- gating + reporting --------------------------------------------------------
@@ -446,7 +566,7 @@ def run_loadtest(programs: Sequence[str], workers: int, clients: int,
     if store_root is None:
         store_root = tempfile.mkdtemp(prefix="repro-service-store-")
     try:
-        direct = run_once(corpus, scripts, workers, None)
+        direct = run_once(corpus, scripts, workers, None, edits=True)
         cold = run_once(corpus, scripts, workers, store_root)
         # A brand-new server (fresh pool, fresh sessions) on the same
         # store: the restart the warm gates are about.
@@ -480,6 +600,7 @@ def run_loadtest(programs: Sequence[str], workers: int, clients: int,
             envelope.get("solver_steps") == 0
             and not envelope.get("materialized")
             for envelope in warm.stats.values()),
+        **edit_gates(direct.edits),
     }
 
     record: Dict[str, Any] = {
@@ -503,6 +624,7 @@ def run_loadtest(programs: Sequence[str], workers: int, clients: int,
         "stats_gate": {"modules": sorted(serial_stats),
                        "mismatches": stats_mismatches[:3],
                        "mismatch_count": len(stats_mismatches)},
+        "edits": direct.edits,
         "gates": gates,
         # Everything under "run" is volatile; strip_volatile drops the key.
         "run": {"started_unix": time.time()},
@@ -950,7 +1072,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"(p50 {direct['latency_p50_seconds'] * 1e3:.1f} ms, "
           f"p99 {direct['latency_p99_seconds'] * 1e3:.1f} ms), "
           f"{warm['throughput_per_second']:.1f} req/s warm-store; "
-          f"warm solver steps {warm['solver_steps_total']}")
+          f"warm solver steps {warm['solver_steps_total']}; edit replay: "
+          f"{len(record['edits']['steps'])} steps over "
+          f"{len(record['edits']['programs'])} programs")
     for name, passed in sorted(record["gates"].items()):
         print(f"loadtest: gate {name}: {'ok' if passed else 'FAILED'}")
     if options.check and not all(record["gates"].values()):

@@ -160,7 +160,7 @@ class ResidentModule:
     def solver_steps_by_analysis(self) -> Dict[str, int]:
         """Per-analysis solver-step totals (retired + live), name-sorted.
 
-        The service bench sums the callgraph-scoped names out of this to
+        The loadtest edit replay sums the callgraph-scoped names out of this to
         gate the incremental-interprocedural path: after an edit, the GR /
         Andersen / Steensgaard re-seeds must have cost strictly fewer steps
         than the cold fixed points they replaced."""

@@ -19,7 +19,7 @@ from typing import Dict, List, Set
 from ..analysis.dominance import DominatorTree, dominance_frontiers
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
-from ..ir.instructions import AllocaInst, LoadInst, PhiInst, StoreInst
+from ..ir.instructions import AllocaInst, Instruction, LoadInst, PhiInst, StoreInst
 from ..ir.module import Module
 from ..ir.values import ConstantInt, UndefValue, Value
 
@@ -132,12 +132,32 @@ def promote_allocas_in_function(function: Function) -> int:
         # All loads/stores are gone; the slot itself can be dropped.
         if not alloca.uses:
             alloca.erase_from_parent()
-    _prune_dead_phis(function)
+    _prune_dead_phis(function, dom_tree)
     return len(allocas)
 
 
-def _prune_dead_phis(function: Function) -> None:
-    """Remove φs that are unused or trivially redundant (single distinct input)."""
+def _available_at(value: Value, phi: PhiInst, dom_tree: DominatorTree) -> bool:
+    """Whether ``value`` may replace ``phi`` without breaking SSA dominance.
+
+    Non-instructions are available everywhere; an instruction must be a φ
+    of the same block or live in a block that strictly dominates ``phi``'s.
+    """
+    if not isinstance(value, Instruction):
+        return True
+    if value.parent is phi.parent:
+        return isinstance(value, PhiInst)
+    return dom_tree.dominates(value.parent, phi.parent)
+
+
+def _prune_dead_phis(function: Function, dom_tree: DominatorTree) -> None:
+    """Remove φs that are unused or trivially redundant (single distinct input).
+
+    Undef inputs do not count as distinct, so φ(undef, x) folds to ``x`` —
+    but only where ``x`` is available at the φ: an uninitialised variable
+    updated in a loop body reaches the header as φ(undef, x) with ``x``
+    defined below it, and folding that φ would use ``x`` before its
+    definition.
+    """
     changed = True
     while changed:
         changed = False
@@ -149,8 +169,11 @@ def _prune_dead_phis(function: Function) -> None:
                     continue
                 distinct = {value for value in phi.operands
                             if value is not phi and not isinstance(value, UndefValue)}
-                if len(distinct) == 1:
-                    phi.replace_all_uses_with(next(iter(distinct)))
+                if len(distinct) != 1:
+                    continue
+                value = next(iter(distinct))
+                if _available_at(value, phi, dom_tree):
+                    phi.replace_all_uses_with(value)
                     phi.erase_from_parent()
                     changed = True
 

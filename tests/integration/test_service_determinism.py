@@ -17,14 +17,12 @@ import sys
 import repro
 from repro.benchgen import edit_scenario
 from repro.benchgen.suites import SUITE_PROGRAMS
-from repro.evaluation.parallel import strip_volatile
-from repro.service import AnalysisSession
-from repro.service.bench import bench_program, check_record
+from repro.service import AnalysisSession, DaemonClient, InProcessClient
+from repro.service.loadtest import edit_gates, replay_edits
 
 PROGRAM = "fixoutput"
 EDITS = 2
 MAX_PAIRS = 100
-ANALYSES = ("rbaa", "basic", "andersen", "steensgaard")
 
 
 def _config(name):
@@ -35,10 +33,11 @@ def test_warm_incremental_beats_cold_rebuild_with_identical_answers():
     """The acceptance gate: after each single-function edit the warm path
     re-runs strictly fewer solver steps than a cold rebuild while the query
     outcomes stay byte-identical."""
-    record = bench_program(PROGRAM, edits=EDITS, max_pairs=MAX_PAIRS)
-    assert record["totals"]["identical"] is True
-    assert check_record({"programs": [record]}) == []
+    record = replay_edits(InProcessClient(), [PROGRAM])
+    assert all(edit_gates(record).values()), edit_gates(record)
+    assert [step["index"] for step in record["steps"]] == [0, 1, 2, 3]
     for step in record["steps"]:
+        assert step["identical"] is True
         if step["index"] > 0:
             assert step["warm_solver_steps"] < step["cold_solver_steps"]
 
@@ -67,18 +66,17 @@ def test_figure14_counters_match_cold_rebuild_sums():
 
 
 def test_record_is_hash_seed_independent():
-    """The full bench record (modulo wall-time fields) is byte-identical
-    under different ``PYTHONHASHSEED`` values — resident state and the edit
-    scripts introduce no hash-order dependence."""
+    """The full edit-replay record is byte-identical under different
+    ``PYTHONHASHSEED`` values — resident state and the edit scripts
+    introduce no hash-order dependence."""
     package_root = os.path.dirname(os.path.dirname(
         os.path.abspath(repro.__file__)))
     script = (
         "import json\n"
-        "from repro.service.bench import bench_program\n"
-        "from repro.evaluation.parallel import strip_volatile\n"
-        f"record = bench_program({PROGRAM!r}, edits={EDITS}, "
-        f"max_pairs={MAX_PAIRS})\n"
-        "print(json.dumps(strip_volatile(record), sort_keys=True))\n"
+        "from repro.service import InProcessClient\n"
+        "from repro.service.loadtest import replay_edits\n"
+        f"record = replay_edits(InProcessClient(), [{PROGRAM!r}])\n"
+        "print(json.dumps(record, sort_keys=True))\n"
     )
     outputs = []
     for seed in ("1", "2"):
@@ -93,18 +91,33 @@ def test_record_is_hash_seed_independent():
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
     record = json.loads(outputs[0])
-    assert record["totals"]["identical"] is True
-    # strip_volatile removed every wall-time key from the nested record.
-    flat = json.dumps(record)
-    assert "_seconds" not in flat
+    assert all(step["identical"] for step in record["steps"])
+    # The record carries counts only: nothing wall-time derived to strip.
+    assert "_seconds" not in outputs[0]
 
 
 def test_daemon_replay_matches_in_process_record():
     """The stdin/stdout daemon and the in-process session are the same
     service: identical deterministic records for the same edit script."""
-    in_process = strip_volatile(bench_program(PROGRAM, edits=1,
-                                              max_pairs=MAX_PAIRS))
-    daemon = strip_volatile(bench_program(PROGRAM, edits=1,
-                                          max_pairs=MAX_PAIRS,
-                                          transport="daemon"))
-    assert in_process == daemon
+    in_process = replay_edits(InProcessClient(), [PROGRAM])
+    with DaemonClient() as daemon:
+        assert replay_edits(daemon, [PROGRAM]) == in_process
+
+
+class _SkewedClient(InProcessClient):
+    """Drops the first no-alias answer of every warm sweep."""
+
+    def call(self, payload):
+        envelope = super().call(payload)
+        if payload["op"] == "query_function" and envelope.get("ok"):
+            envelope["no_alias_indices"] = envelope["no_alias_indices"][1:]
+        return envelope
+
+
+def test_forced_warm_cold_mismatch_fails_the_edit_gate():
+    """``edit_warm_equals_cold`` bites: a warm service whose sweeps differ
+    from the cold session's fails it (the step-count gates are unaffected)."""
+    gates = edit_gates(replay_edits(_SkewedClient(), [PROGRAM]))
+    assert gates == {"edit_warm_equals_cold": False,
+                     "edit_fewer_solver_steps": True,
+                     "edit_fewer_callgraph_steps": True}

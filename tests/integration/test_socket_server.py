@@ -11,10 +11,13 @@ import pytest
 import repro
 from repro.benchgen import build_program, edit_scenario, stable_seed
 from repro.benchgen.suites import SUITE_PROGRAMS
+from repro.service.client import InProcessClient
 from repro.service.loadtest import (
     build_corpus,
     check_identity,
     client_script,
+    edit_gates,
+    replay_edits,
     run_once,
     serial_expectations,
     stats_gate_view,
@@ -70,6 +73,13 @@ class TestConcurrentIdentity:
         script = client_script(0, corpus, REQUESTS)
         result = run_once(corpus, [script], 1, None)
         assert check_identity(result, expected)["mismatches"] == 0
+
+    def test_edit_replay_over_the_socket_matches_in_process(self, corpus):
+        """The loadtest's edit replay through the sharded server records
+        exactly what it records in process, and passes its gates."""
+        result = run_once(corpus, [], WORKERS, None, edits=True)
+        assert result.edits == replay_edits(InProcessClient(), PROGRAMS)
+        assert all(edit_gates(result.edits).values())
 
 
 class TestWarmRestart:

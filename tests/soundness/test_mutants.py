@@ -19,6 +19,15 @@ from repro.frontend import compile_source
 from repro.symbolic import SymbolicInterval
 
 
+def _unmanaged(cls):
+    """An oracle factory ``(module, manager)`` for an analysis class."""
+    return lambda module, manager: cls(module)
+
+
+def _managed(cls):
+    return lambda module, manager: cls(module, manager=manager)
+
+
 def crafted(name, source):
     config = GeneratorConfig(name=name, instances=1, seed=0)
     return GeneratedProgram(config=config, source=source,
@@ -90,7 +99,7 @@ class UnknownSizeAsByteRBAA(RBAAAliasAnalysis):
 
 def test_always_no_alias_mutant_is_caught_on_corpus_program():
     check = check_program(build_program("allroots"),
-                          factories=[("always-no-alias", AlwaysNoAliasAnalysis)])
+                          factories=[("always-no-alias", _unmanaged(AlwaysNoAliasAnalysis))])
     violations = [v for v in check.violations if v.kind == "no-alias"]
     assert violations, "oracle failed to falsify an always-no-alias analysis"
     assert all(v.analysis == "always-no-alias" for v in violations)
@@ -113,10 +122,10 @@ def test_off_by_size_constant_offset_rule_is_caught():
     }
     """
     program = crafted("offsets", source)
-    healthy = check_program(program, factories=[("basic", BasicAliasAnalysis)])
+    healthy = check_program(program, factories=[("basic", _unmanaged(BasicAliasAnalysis))])
     assert healthy.violations == []
     broken = check_program(program,
-                           factories=[("basic-off-by-size", OffBySizeBasicAnalysis)])
+                           factories=[("basic-off-by-size", _unmanaged(OffBySizeBasicAnalysis))])
     violations = [v for v in broken.violations if v.kind == "no-alias"]
     assert violations, "off-by-size constant-offset rule escaped the oracle"
     assert any("same base instance" in v.detail for v in violations)
@@ -142,10 +151,10 @@ def test_unknown_size_as_one_byte_mutant_is_caught():
     }
     """
     program = crafted("unknown_size", source)
-    healthy = check_program(program, factories=[("rbaa", RBAAAliasAnalysis)])
+    healthy = check_program(program, factories=[("rbaa", _managed(RBAAAliasAnalysis))])
     assert healthy.violations == []
     broken = check_program(
-        program, factories=[("rbaa-unknown-as-byte", UnknownSizeAsByteRBAA)])
+        program, factories=[("rbaa-unknown-as-byte", _managed(UnknownSizeAsByteRBAA))])
     violations = [v for v in broken.violations if v.kind == "no-alias"]
     assert violations, "unknown-size-as-1-byte escaped the oracle"
     assert all(v.analysis == "rbaa-unknown-as-byte" for v in violations)

@@ -11,11 +11,11 @@ import os
 
 import pytest
 
+import repro.evaluation.__main__ as driver
 from repro.benchgen import build_program, generate_module, suite_configs
 from repro.evaluation.soundness import (
     DEFAULT_MAX_PAIRS,
     check_program,
-    main,
     run_soundness,
     soundness_corpus,
 )
@@ -73,11 +73,13 @@ def test_report_record_shape():
         assert {"program", "seed", "executed", "claims_checked"} <= set(entry)
 
 
-def test_cli_writes_report_and_enforces_min_programs(tmp_path):
+def test_cli_writes_report_and_enforces_min_programs(tmp_path, monkeypatch):
+    monkeypatch.setattr(driver, "soundness_corpus",
+                        lambda extra: soundness_corpus(extra=1))
     out = tmp_path / "SOUNDNESS_REPORT.json"
     expected = SUITE_COUNT + 1
-    status = main(["--extra", "1", "--max-pairs", "40", "--out", str(out),
-                   "--min-programs", str(expected)])
+    status = driver.main(["soundness", "--quick", "--out", str(out),
+                          "--min-programs", str(expected)])
     assert status == 0
     record = json.loads(out.read_text())
     assert record["totals"]["programs"] == expected
@@ -85,8 +87,8 @@ def test_cli_writes_report_and_enforces_min_programs(tmp_path):
     assert record["totals"]["violations"] == 0
 
     # An unreachable bar makes the CLI fail with the dedicated status.
-    status = main(["--extra", "0", "--max-pairs", "40", "--out", str(out),
-                   "--min-programs", "1000"])
+    status = driver.main(["soundness", "--quick", "--out", str(out),
+                          "--min-programs", "1000"])
     assert status == 2
 
 
@@ -123,7 +125,7 @@ def test_warm_edited_module_replays_clean_through_the_oracle(name):
                  resident.manager.get(ANALYSIS_KEYS[analysis_name]))
                 for analysis_name in ("rbaa", "basic", "andersen",
                                       "steensgaard")]
-        factories = [(analysis_name, (lambda module, _warm=analysis: _warm))
+        factories = [(analysis_name, (lambda module, manager, _warm=analysis: _warm))
                      for analysis_name, analysis in warm]
         check = check_program(
             SimpleNamespace(config=config, module=resident.module),

@@ -134,7 +134,8 @@ class TestEvaluationHarness:
     def test_run_queries_produces_counts_and_timings(self):
         module = self._small_module()
         result = run_queries("tiny", module,
-                             [("rbaa", RBAAAliasAnalysis), ("basic", BasicAliasAnalysis)])
+                             [("rbaa", lambda m, manager: RBAAAliasAnalysis(m, manager=manager)),
+                              ("basic", lambda m, manager: BasicAliasAnalysis(m))])
         assert result.queries > 0
         assert set(result.no_alias) == {"rbaa", "basic"}
         assert result.no_alias["rbaa"] >= result.no_alias["basic"] > 0

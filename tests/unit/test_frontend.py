@@ -308,6 +308,14 @@ class TestLowering:
         with pytest.raises(LoweringError):
             compile_source("void f() { break; }")
 
+    def test_unknown_struct_field_is_a_positioned_lowering_error(self):
+        source = ("struct P { int x; int y; };\n"
+                  "int f(struct P* p) {\n"
+                  "  return p->z;\n"
+                  "}\n")
+        with pytest.raises(LoweringError, match=r"no field 'z' \(at line 3\)"):
+            compile_source(source)
+
     def test_every_compiled_module_verifies(self):
         module = compile_source("""
         struct node { int v; struct node* next; };

@@ -176,6 +176,17 @@ class TestServiceErrorContract:
         assert envelope["ok"] is False
         assert envelope["error_code"] == "bad_request"
 
+    def test_load_with_unknown_struct_field_is_bad_request(self):
+        session = AnalysisSession()
+        envelope = handle_payload(session, make_request(
+            "load", id=4, name="bad",
+            source="struct P { int x; int y; };\n"
+                   "int f(struct P* p) { return p->z; }"))
+        assert envelope["ok"] is False
+        assert envelope["error_code"] == "bad_request"
+        assert "LoweringError" in envelope["message"]
+        assert "line 2" in envelope["message"]
+
     def test_well_formed_load_still_succeeds(self):
         session = AnalysisSession()
         envelope = handle_payload(

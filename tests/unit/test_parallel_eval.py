@@ -1,25 +1,31 @@
-"""Unit tests for the sharded parallel evaluation runner."""
+"""Unit tests for sharded evaluation: every experiment's one code path."""
 
 import multiprocessing
 import time
 
 import pytest
 
+from repro.benchgen import build_suite
 from repro.evaluation import (
+    PrecisionReport,
+    ScalabilityReport,
     bench_record,
     compare_bench_files,
     map_shards,
+    measure_point,
     merge_indexed,
     partition,
-    resolve_jobs,
-    run_parallel_precision,
-    run_parallel_scalability,
     run_precision_experiment,
+    run_queries,
     run_scalability_experiment,
+    run_sharded,
+    scalability_configs,
+    standard_factories,
     strip_volatile,
 )
 from repro.evaluation.ablation import run_ablation
-from repro.evaluation.parallel import JOBS_ENV, diff_records, write_json
+from repro.evaluation.harness import frontend_fingerprint
+from repro.evaluation.parallel import diff_records, write_json
 
 PROGRAMS = ["allroots", "anagram"]
 MAX_PAIRS = 100
@@ -47,21 +53,14 @@ class TestPartition:
         assert merge_indexed(reversed(shards)) == [f"value{i}" for i in range(7)]
 
 
-class TestResolveJobs:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "7")
-        assert resolve_jobs(2) == 2
+class TestRunSharded:
+    def test_results_come_back_in_item_order(self):
+        items = list(range(7))
+        for jobs in (1, 3):
+            assert run_sharded(abs, [-i for i in items], jobs) == items
 
-    def test_env_knob(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "3")
-        assert resolve_jobs() == 3
-
-    def test_defaults_and_garbage(self, monkeypatch):
-        monkeypatch.delenv(JOBS_ENV, raising=False)
-        assert resolve_jobs() == 1
-        monkeypatch.setenv(JOBS_ENV, "not-a-number")
-        assert resolve_jobs() == 1
-        assert resolve_jobs(0) == 1  # clamped
+    def test_jobs_below_one_run_in_process(self):
+        assert run_sharded(lambda x: x + 1, [1, 2, 3], 0) == [2, 3, 4]
 
 
 def _sleep_worker(seconds: float) -> float:
@@ -87,24 +86,31 @@ class TestMapShards:
 
 @pytest.fixture(scope="module")
 def serial_precision():
-    return run_precision_experiment(PROGRAMS, max_pairs_per_function=MAX_PAIRS)
+    """The reference: a plain loop over the harness, no sharding at all."""
+    results = []
+    for name, program in build_suite(PROGRAMS).items():
+        result = run_queries(name, program.module, standard_factories(), MAX_PAIRS)
+        result.frontend = frontend_fingerprint(program.source, program.module)
+        results.append(result)
+    return PrecisionReport(results=results)
 
 
 @pytest.fixture(scope="module")
 def serial_scalability():
-    return run_scalability_experiment(program_count=3)
+    return ScalabilityReport(points=[measure_point(config)
+                                     for config in scalability_configs(3)])
 
 
 class TestParallelPrecision:
     def test_jobs1_is_the_serial_path(self, serial_precision):
-        report = run_parallel_precision(PROGRAMS, max_pairs_per_function=MAX_PAIRS,
-                                        jobs=1)
+        report = run_precision_experiment(PROGRAMS, max_pairs_per_function=MAX_PAIRS,
+                                          jobs=1)
         assert strip_volatile(bench_record(report)) == \
             strip_volatile(bench_record(serial_precision))
 
     def test_jobs2_matches_serial_modulo_wall_time(self, serial_precision):
-        report = run_parallel_precision(PROGRAMS, max_pairs_per_function=MAX_PAIRS,
-                                        jobs=2)
+        report = run_precision_experiment(PROGRAMS, max_pairs_per_function=MAX_PAIRS,
+                                          jobs=2)
         assert [result.program for result in report.results] == \
             [result.program for result in serial_precision.results]
         assert strip_volatile(bench_record(report)) == \
@@ -113,12 +119,12 @@ class TestParallelPrecision:
 
 class TestParallelScalability:
     def test_jobs2_merges_in_corpus_order(self, serial_scalability):
-        report = run_parallel_scalability(program_count=3, jobs=2)
+        report = run_scalability_experiment(program_count=3, jobs=2)
         assert [point.name for point in report.points] == \
             [point.name for point in serial_scalability.points]
 
     def test_solver_steps_survive_the_merge(self, serial_scalability):
-        report = run_parallel_scalability(program_count=3, jobs=2)
+        report = run_scalability_experiment(program_count=3, jobs=2)
         for merged, serial in zip(report.points, serial_scalability.points):
             assert merged.instructions == serial.instructions
             assert merged.pointers == serial.pointers
@@ -169,8 +175,8 @@ class TestBenchRecords:
         record = bench_record(scalability=serial_scalability,
                               run_info={"created_at": "now"})
         # A different wall-time profile of the same results must compare clean.
-        other = bench_record(scalability=run_parallel_scalability(program_count=3,
-                                                                  jobs=2),
+        other = bench_record(scalability=run_scalability_experiment(program_count=3,
+                                                                    jobs=2),
                              run_info={"created_at": "later"})
         path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
         write_json(str(path_a), record)

@@ -104,6 +104,43 @@ class TestMem2Reg:
         phis = [inst for inst in fn.instructions() if isinstance(inst, PhiInst)]
         assert len(phis) >= 2  # i and total
 
+    def test_uninitialised_loop_pointer_keeps_its_phi(self):
+        """φ(undef, cursor + 2) at the loop header must not fold to the
+        increment, which the body defines below the header."""
+        module = compile_source("""
+        int f(char* end) {
+          char* cursor; int n = 0;
+          while (cursor < end) { n = n + 1; cursor += 2; }
+          return n;
+        }
+        """)
+        verify_module(module)
+        header = next(inst.parent for inst in module.get_function("f").instructions()
+                      if isinstance(inst, PhiInst) and inst.type.is_pointer())
+        assert header.name.startswith("while")
+
+    def test_uninitialised_loop_pointer_with_branchy_body_terminates(self):
+        """With an ``if`` before the increment the broken fold used to pass
+        the verifier and send LR into an endless fixed point; a step budget
+        turns such a regression into a failure instead of a hang."""
+        from repro import AnalysisManager, keys
+        from repro.engine.solver import SolverInterrupted, solver_budget
+
+        module = compile_source("""
+        int f(char* end, int k) {
+          char* cursor; int n = 0;
+          while (cursor < end) { if (k > n) { n = n + 1; } cursor += 2; }
+          return n;
+        }
+        """)
+        steps = iter(range(100_000))
+        manager = AnalysisManager(module)
+        try:
+            with solver_budget(lambda: next(steps, None) is not None):
+                manager.get(keys.LOCAL_RANGES)
+        except SolverInterrupted:
+            raise AssertionError("LR did not reach a fixed point") from None
+
 
 class TestESSA:
     def test_sigma_inserted_on_both_edges(self):
