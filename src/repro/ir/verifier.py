@@ -5,9 +5,10 @@ The verifier enforces the invariants the analyses rely on:
 * every reachable block ends in exactly one terminator;
 * φ-functions appear only at the top of blocks and have one incoming value
   per predecessor;
-* every SSA value is defined before use (dominance is checked separately by
-  the tests via :mod:`repro.analysis.dominance`; here we check block-local
-  ordering and that operands belong to the same function);
+* every SSA value is defined before use: operands belong to the same
+  function, and each definition dominates its uses (same-block order, or a
+  dominating block via :mod:`repro.analysis.dominance`; a φ's incoming
+  value must dominate its incoming predecessor);
 * names of values are unique within a function;
 * operand types are consistent: loads and stores dereference pointer-typed
   operands, conditional branches test an ``i1``, and φ/σ results carry the
@@ -22,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from .basicblock import BasicBlock
+from ..analysis.cfg import predecessor_map
+from ..analysis.dominance import DominatorTree
 from .function import Function
 from .instructions import (
     BinaryInst,
@@ -35,7 +37,7 @@ from .instructions import (
 )
 from .module import Module
 from .types import BOOL
-from .values import Argument, Constant, GlobalVariable, UndefValue
+from .values import Argument, UndefValue
 
 __all__ = ["VerificationError", "IRVerificationFailure", "verify_function", "verify_module"]
 
@@ -80,9 +82,10 @@ def _check_terminators(function: Function, errors: List[VerificationError]) -> N
 
 
 def _check_phis(function: Function, errors: List[VerificationError]) -> None:
+    predecessors_of = predecessor_map(function)
     for block in function.blocks:
         seen_non_phi = False
-        predecessors = block.predecessors()
+        predecessors = predecessors_of[block]
         for inst in block.instructions:
             if isinstance(inst, PhiInst):
                 if seen_non_phi:
@@ -114,40 +117,46 @@ def _check_names(function: Function, errors: List[VerificationError]) -> None:
         seen[value.name] = value
 
 
-def _definition_index(function: Function) -> dict:
-    order = {}
-    position = 0
-    for block in function.blocks:
-        for inst in block.instructions:
-            order[inst] = position
-            position += 1
-    return order
+def _user(inst: Instruction) -> str:
+    return inst.short_name() or inst.opcode
 
 
 def _check_operands(function: Function, errors: List[VerificationError]) -> None:
-    local_values = set(function.args)
-    for inst in function.instructions():
-        local_values.add(inst)
+    """Operands are local to the function and every definition dominates
+    its uses: a non-φ use needs its definition earlier in the same block or
+    in a dominating block; a φ's incoming value must dominate the incoming
+    predecessor.  Uses in unreachable blocks are exempt."""
+    position = {argument: -1 for argument in function.args}
+    for block in function.blocks:
+        for index, inst in enumerate(block.instructions):
+            position[inst] = index
+    tree = DominatorTree.compute(function)
     for block in function.blocks:
         for inst in block.instructions:
-            for operand in inst.operands:
-                if isinstance(operand, (Constant, GlobalVariable, Function, BasicBlock)):
+            phi = isinstance(inst, PhiInst)
+            uses = inst.incoming() if phi else [(operand, block) for operand in inst.operands]
+            for operand, at in uses:
+                if not isinstance(operand, (Argument, Instruction)):
                     continue
-                if isinstance(operand, (Argument, Instruction)) and operand not in local_values:
+                if operand not in position:
                     errors.append(VerificationError(
                         function.name,
-                        f"instruction {inst.short_name() or inst.opcode} uses a value "
+                        f"instruction {_user(inst)} uses a value "
                         f"defined in another function: {operand.short_name()}"))
-            if isinstance(inst, PhiInst):
-                continue
-            # Same-block straight-line order: a use must not precede its def.
-            for operand in inst.operands:
-                if isinstance(operand, Instruction) and operand.parent is block:
-                    if block.instructions.index(operand) > block.instructions.index(inst):
+                elif isinstance(operand, Argument) or tree.depth(at) < 0:
+                    continue
+                elif operand.parent is at and not phi:
+                    if position[operand] >= position[inst]:
                         errors.append(VerificationError(
                             function.name,
-                            f"{inst.short_name() or inst.opcode} uses "
-                            f"{operand.short_name()} before its definition in {block.name}"))
+                            f"{_user(inst)} uses {operand.short_name()} before its "
+                            f"definition in {block.name}"))
+                elif not tree.dominates(operand.parent, at):
+                    errors.append(VerificationError(
+                        function.name,
+                        f"{_user(inst)} in {block.name} uses {operand.short_name()}, "
+                        f"whose definition in {operand.parent.name} does not "
+                        f"dominate {at.name}"))
 
 
 def _check_types(function: Function, errors: List[VerificationError]) -> None:

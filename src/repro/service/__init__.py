@@ -23,11 +23,12 @@
 * :mod:`repro.service.pool` / :mod:`repro.service.server` — the concurrent
   serving layer: an asyncio TCP front end batching and multiplexing onto a
   shared-nothing pool of worker processes sharded by module (the op's
-  routing field picks the shard).
+  routing field picks the shard), one socket pair per worker.
 * :mod:`repro.service.supervisor` — :class:`WorkerSupervisor`, the fault
-  tolerance core: watches worker sentinels, fails in-flight jobs of a dead
-  worker structurally (``worker_unavailable``), respawns the shard and
-  replays its journal of acknowledged mutating requests.
+  tolerance core: reads every worker socket on the event loop and treats
+  EOF as the worker's death, fails in-flight jobs of a dead worker
+  structurally (``worker_unavailable``), respawns the shard and replays
+  its journal of acknowledged mutating requests.
 * :mod:`repro.service.chaos` — the deterministic fault injector behind
   ``loadtest --chaos``: seeded kill/latency/corruption/truncation plans.
 * :mod:`repro.service.loadtest` — the closed-loop multi-client loadtest

@@ -55,7 +55,6 @@ import asyncio
 import json
 import math
 import random
-import shutil
 import sys
 import tempfile
 import time
@@ -405,71 +404,174 @@ class RunResult:
     wall: float = 0.0
     batches: int = 0
     batched_queries: int = 0
+    fault_stats: Dict[str, Any] = field(default_factory=dict)
     #: The edit replay's record (``run_once(..., edits=True)`` only).
     edits: Dict[str, Any] = field(default_factory=dict)
+    # What only a chaos run (``plan`` given) fills in:
+    hangs: List[str] = field(default_factory=list)
+    truncated_resends: int = 0
+    victim_response: Optional[Dict[str, Any]] = None
+    probe_responses: List[Dict[str, Any]] = field(default_factory=list)
+    burst_final_ok: int = 0
+    controller_responses: Dict[int, int] = field(default_factory=dict)
+    kills_fired: Dict[int, int] = field(default_factory=dict)
 
 
-async def _send(reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
-                payload: Dict[str, Any]) -> Any:
+async def _exchange(reader: asyncio.StreamReader,
+                    writer: asyncio.StreamWriter,
+                    payload: Dict[str, Any]) -> Any:
     writer.write((json.dumps(payload, sort_keys=True) + "\n").encode())
     await writer.drain()
     return json.loads(await reader.readline())
 
 
+async def _send(reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
+                payload: Dict[str, Any], result: RunResult,
+                policy: Optional[RetryPolicy] = None) -> Optional[Any]:
+    """One request/response exchange on one connection.
+
+    A chaos run passes its client retry ``policy``: exactly
+    ``RETRYABLE_ERROR_CODES`` are then retried with the policy's seeded
+    backoff, and a 30 s silence is recorded as a hang and answered
+    ``None`` (the terminal-answer gate then fails — the chaos contract is
+    that this never happens).
+    """
+    if policy is None:
+        return await _exchange(reader, writer, payload)
+    attempt = 0
+    while True:
+        try:
+            response = await asyncio.wait_for(
+                _exchange(reader, writer, payload), timeout=30.0)
+        except (asyncio.TimeoutError, ConnectionError, OSError):
+            result.hangs.append(payload.get("id"))
+            return None
+        code = response.get("error_code") \
+            if isinstance(response, dict) else None
+        if code not in RETRYABLE_ERROR_CODES:
+            return response
+        if attempt >= policy.attempts:
+            policy.exhausted += 1
+            return response
+        policy.note(code)
+        await asyncio.sleep(policy.delay_seconds(attempt))
+        attempt += 1
+
+
+async def _send_each(reader: asyncio.StreamReader,
+                     writer: asyncio.StreamWriter,
+                     payloads: Sequence[Dict[str, Any]], result: RunResult,
+                     policy: Optional[RetryPolicy]) -> List[Any]:
+    """Send ``payloads`` in order; every answer also enters the transcript."""
+    answers = []
+    for payload in payloads:
+        response = await _send(reader, writer, payload, result, policy)
+        if response is not None:
+            result.transcript.append((payload["id"], response))
+            answers.append(response)
+    return answers
+
+
+async def _close(writer: asyncio.StreamWriter) -> None:
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
+        pass
+
+
 async def _run_client(host: str, port: int, script: Sequence[Dict[str, Any]],
-                      result: RunResult) -> None:
+                      result: RunResult, policy: Optional[RetryPolicy] = None,
+                      truncate_at: Optional[int] = None) -> None:
+    """One closed-loop client; a chaos client may be scripted to truncate.
+
+    At ordinal ``truncate_at`` the client writes *half* a request with no
+    newline, drops the connection ungracefully, reconnects, and resends
+    the full request — the server must treat the torn half-line as that
+    connection's problem alone.
+    """
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        for payload in script:
+        for ordinal, payload in enumerate(script):
+            if ordinal == truncate_at:
+                line = json.dumps(payload, sort_keys=True)
+                writer.write(line[:max(1, len(line) // 2)].encode())
+                await writer.drain()
+                writer.close()
+                reader, writer = await asyncio.open_connection(host, port)
+                result.truncated_resends += 1
             started = time.perf_counter()
-            response = await _send(reader, writer, payload)
+            response = await _send(reader, writer, payload, result, policy)
+            if response is None:
+                writer.close()
+                reader, writer = await asyncio.open_connection(host, port)
+                continue
             result.latencies.append(time.perf_counter() - started)
             result.transcript.append((payload["id"], response))
     finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
+        await _close(writer)
 
 
-async def _run_server_once(corpus: Sequence[_Program],
-                           scripts: Sequence[Sequence[Dict[str, Any]]],
-                           workers: int,
-                           store_root: Optional[str],
-                           edits: bool) -> RunResult:
-    pool = WorkerPool(workers=workers, store_root=store_root)
+async def _run_server(corpus: Sequence[_Program],
+                      scripts: Sequence[Sequence[Dict[str, Any]]],
+                      workers: int, store_root: Optional[str],
+                      edits: bool = False, plan: Any = None,
+                      probes: Optional[Dict[str, List[Dict[str, Any]]]] = None,
+                      ) -> RunResult:
+    """One server: loads, the concurrent client scripts, then per-module
+    stats.  A chaos ``plan`` arms the server's faults and adds the probe
+    steps (:func:`_chaos_steps`) after the scripts; ``edits`` appends the
+    edit replay."""
+    pool = WorkerPool(workers=workers, store_root=store_root,
+                      chaos=dict(plan.latency) if plan else None)
     pool.assign([program.name for program in corpus])
-    server = ServiceServer(pool)
+    policy = controller = None
+    options: Dict[str, Any] = {}
+    if plan is not None:
+        controller = ChaosController(pool, plan)
+        policy = RetryPolicy(attempts=8, base_ms=50.0,
+                             seed=f"service/chaos/retry/{plan.seed}")
+        options = dict(max_inflight=CHAOS_MAX_INFLIGHT,
+                       deadline_grace=CHAOS_DEADLINE_GRACE,
+                       on_response=controller.on_response)
+    server = ServiceServer(pool, **options)
     await server.start()
     result = RunResult()
     try:
+        # Loads on a primer connection (journaled once acked).
         reader, writer = await asyncio.open_connection(server.host, server.port)
-        for payload in _load_payloads(corpus):
-            result.transcript.append(
-                (payload["id"], await _send(reader, writer, payload)))
+        await _send_each(reader, writer, _load_payloads(corpus), result, policy)
+        # Concurrent scripted clients; a chaos plan's kill fires mid-traffic
+        # (its threshold sits past the shard's load acks).
         started = time.perf_counter()
         await asyncio.gather(*[
-            _run_client(server.host, server.port, script, result)
-            for script in scripts])
+            _run_client(server.host, server.port, script, result, policy,
+                        plan.truncate_clients.get(index) if plan else None)
+            for index, script in enumerate(scripts)])
         result.wall = time.perf_counter() - started
+        if plan is not None:
+            await _chaos_steps(server.host, server.port, reader, writer,
+                               probes, policy, result)
+        # Per-module stats (stats, warm-store, zero-bootstrap gates).
         for payload in _stats_payloads(corpus):
-            result.stats[payload["module"]] = \
-                await _send(reader, writer, payload)
+            response = await _send(reader, writer, payload, result, policy)
+            if response is not None:
+                result.stats[payload["module"]] = response
         if edits:
             # A blocking client in a helper thread; the loop keeps serving.
             result.edits = await asyncio.get_running_loop().run_in_executor(
                 None, _replay_on_server, server.host, server.port,
                 [program.name for program in corpus])
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
+        await _close(writer)
     finally:
         await server.stop()
     result.batches = server.batches
     result.batched_queries = server.batched_queries
+    result.fault_stats = server.fault_stats()
+    if plan is not None:
+        result.fault_stats["client_retries"] = policy.stats()
+        result.controller_responses = dict(controller.responses)
+        result.kills_fired = dict(controller.kills_fired)
     return result
 
 
@@ -478,7 +580,7 @@ def run_once(corpus: Sequence[_Program],
              workers: int, store_root: Optional[str],
              edits: bool = False) -> RunResult:
     """One server run of ``scripts``; ``edits`` appends the edit replay."""
-    return asyncio.run(_run_server_once(corpus, scripts, workers, store_root, edits))
+    return asyncio.run(_run_server(corpus, scripts, workers, store_root, edits))
 
 
 # -- gating + reporting --------------------------------------------------------
@@ -552,28 +654,46 @@ def _run_report(result: RunResult, identity: Dict[str, Any],
     return report
 
 
-def run_loadtest(programs: Sequence[str], workers: int, clients: int,
-                 requests: int, store_root: Optional[str]) -> Dict[str, Any]:
-    """The full three-run loadtest; returns the ``BENCH_service`` record."""
+def _corpus_and_scripts(programs: Sequence[str], clients: int,
+                        requests: int) -> Tuple[List[_Program],
+                                                List[List[Dict[str, Any]]]]:
     corpus = build_corpus(programs)
     if not corpus:
         raise SystemExit("loadtest: empty corpus")
-    scripts = [client_script(index, corpus, requests)
-               for index in range(clients)]
+    return corpus, [client_script(index, corpus, requests)
+                     for index in range(clients)]
+
+
+def _record(corpus: Sequence[_Program], workers: int, clients: int,
+            requests: int, **config: Any) -> Dict[str, Any]:
+    """The record fields both modes share; ``config`` adds mode settings."""
+    names = [program.name for program in corpus]
+    return {
+        "schema": 1,
+        "protocol_version": PROTOCOL_VERSION,
+        "result_schema_version": RESULT_SCHEMA_VERSION,
+        "generator_version": GENERATOR_VERSION,
+        "config": {"programs": names, "workers": workers, "clients": clients,
+                   "requests_per_client": requests, **config},
+        "corpus": dict(sorted(digest_index(names).items())),
+        # Everything under "run" is volatile; strip_volatile drops the key.
+        "run": {"started_unix": time.time()},
+    }
+
+
+def run_loadtest(programs: Sequence[str], workers: int, clients: int,
+                 requests: int, store_root: Optional[str]) -> Dict[str, Any]:
+    """The full three-run loadtest; returns the ``BENCH_service`` record."""
+    corpus, scripts = _corpus_and_scripts(programs, clients, requests)
     expected, serial_stats = serial_expectations(corpus, scripts)
 
-    cleanup_store = store_root is None
-    if store_root is None:
-        store_root = tempfile.mkdtemp(prefix="repro-service-store-")
-    try:
+    with tempfile.TemporaryDirectory(prefix="repro-service-store-") as scratch:
+        store_root = store_root or scratch
         direct = run_once(corpus, scripts, workers, None, edits=True)
         cold = run_once(corpus, scripts, workers, store_root)
         # A brand-new server (fresh pool, fresh sessions) on the same
         # store: the restart the warm gates are about.
         warm = run_once(corpus, scripts, workers, store_root)
-    finally:
-        if cleanup_store:
-            shutil.rmtree(store_root, ignore_errors=True)
 
     identities = {name: check_identity(result, expected)
                   for name, result in
@@ -603,19 +723,7 @@ def run_loadtest(programs: Sequence[str], workers: int, clients: int,
         **edit_gates(direct.edits),
     }
 
-    record: Dict[str, Any] = {
-        "schema": 1,
-        "protocol_version": PROTOCOL_VERSION,
-        "result_schema_version": RESULT_SCHEMA_VERSION,
-        "generator_version": GENERATOR_VERSION,
-        "config": {
-            "programs": [program.name for program in corpus],
-            "workers": workers,
-            "clients": clients,
-            "requests_per_client": requests,
-        },
-        "corpus": {name: digest for name, digest in
-                   sorted(digest_index([p.name for p in corpus]).items())},
+    return dict(_record(corpus, workers, clients, requests), **{
         "runs": {
             "direct": _run_report(direct, identities["direct"], False),
             "cold": _run_report(cold, identities["cold"], True),
@@ -626,10 +734,7 @@ def run_loadtest(programs: Sequence[str], workers: int, clients: int,
                        "mismatch_count": len(stats_mismatches)},
         "edits": direct.edits,
         "gates": gates,
-        # Everything under "run" is volatile; strip_volatile drops the key.
-        "run": {"started_unix": time.time()},
-    }
-    return record
+    })
 
 
 # -- chaos mode ----------------------------------------------------------------
@@ -659,22 +764,6 @@ CHAOS_BURST = 24
 
 #: ``timeout_ms`` of the latency victim — far below the injected sleep.
 CHAOS_VICTIM_TIMEOUT_MS = 150
-
-
-@dataclass
-class ChaosRunResult:
-    transcript: List[Tuple[str, Any]] = field(default_factory=list)
-    stats: Dict[str, Any] = field(default_factory=dict)
-    latencies: List[float] = field(default_factory=list)
-    wall: float = 0.0
-    hangs: List[str] = field(default_factory=list)
-    truncated_resends: int = 0
-    victim_response: Optional[Dict[str, Any]] = None
-    probe_responses: List[Dict[str, Any]] = field(default_factory=list)
-    burst_final_ok: int = 0
-    fault_stats: Dict[str, Any] = field(default_factory=dict)
-    controller_responses: Dict[int, int] = field(default_factory=dict)
-    kills_fired: Dict[int, int] = field(default_factory=dict)
 
 
 def _first_query_fields(program: _Program) -> Dict[str, Any]:
@@ -716,174 +805,44 @@ def _chaos_probe_payloads(corpus: Sequence[_Program], plan: Any,
     return payloads
 
 
-async def _chaos_send(reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter,
-                      payload: Dict[str, Any], policy: RetryPolicy,
-                      result: ChaosRunResult) -> Optional[Dict[str, Any]]:
-    """``_send`` plus transient-fault retries and a hang watchdog.
-
-    Retries exactly ``RETRYABLE_ERROR_CODES`` with the policy's seeded
-    backoff; a 30 s silence is recorded as a hang (the terminal-answer
-    gate then fails — the chaos contract is that this never happens).
-    """
-    attempt = 0
-    while True:
-        try:
-            response = await asyncio.wait_for(
-                _send(reader, writer, payload), timeout=30.0)
-        except (asyncio.TimeoutError, ConnectionError, OSError):
-            result.hangs.append(payload.get("id"))
-            return None
-        code = response.get("error_code") \
-            if isinstance(response, dict) else None
-        if code not in RETRYABLE_ERROR_CODES:
-            return response
-        if attempt >= policy.attempts:
-            policy.exhausted += 1
-            return response
-        policy.note(code)
-        await asyncio.sleep(policy.delay_seconds(attempt))
-        attempt += 1
-
-
-async def _run_chaos_client(host: str, port: int, index: int,
-                            script: Sequence[Dict[str, Any]], plan: Any,
-                            policy: RetryPolicy,
-                            result: ChaosRunResult) -> None:
-    """One closed-loop chaos client; may be scripted to truncate a line.
-
-    At its plan ordinal the client writes *half* a request with no
-    newline, drops the connection ungracefully, reconnects, and resends
-    the full request — the server must treat the torn half-line as that
-    connection's problem alone.
-    """
-    reader, writer = await asyncio.open_connection(host, port)
-    truncate_at = plan.truncate_clients.get(index)
-    try:
-        for ordinal, payload in enumerate(script):
-            if ordinal == truncate_at:
-                line = json.dumps(payload, sort_keys=True)
-                writer.write(line[:max(1, len(line) // 2)].encode())
-                await writer.drain()
-                writer.close()
-                reader, writer = await asyncio.open_connection(host, port)
-                result.truncated_resends += 1
-            started = time.perf_counter()
-            response = await _chaos_send(reader, writer, payload, policy,
-                                         result)
-            if response is None:
-                reader, writer = await asyncio.open_connection(host, port)
-                continue
-            result.latencies.append(time.perf_counter() - started)
-            result.transcript.append((payload["id"], response))
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-
-
 async def _burst_one(host: str, port: int, payload: Dict[str, Any],
-                     policy: RetryPolicy, result: ChaosRunResult) -> None:
+                     policy: RetryPolicy, result: RunResult) -> None:
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        response = await _chaos_send(reader, writer, payload, policy, result)
-        if response is not None:
-            result.transcript.append((payload["id"], response))
-            if response.get("ok"):
-                result.burst_final_ok += 1
+        for response in await _send_each(reader, writer, [payload], result,
+                                         policy):
+            result.burst_final_ok += bool(response.get("ok"))
     finally:
         writer.close()
 
 
-async def _run_chaos_server(corpus: Sequence[_Program],
-                            scripts: Sequence[Sequence[Dict[str, Any]]],
-                            workers: int, store_root: str, plan: Any,
-                            probes: Dict[str, List[Dict[str, Any]]],
-                            ) -> ChaosRunResult:
-    pool = WorkerPool(workers=workers, store_root=store_root,
-                      chaos=dict(plan.latency))
-    pool.assign([program.name for program in corpus])
-    controller = ChaosController(pool, plan)
-    server = ServiceServer(pool, max_inflight=CHAOS_MAX_INFLIGHT,
-                           deadline_grace=CHAOS_DEADLINE_GRACE,
-                           on_response=controller.on_response)
-    await server.start()
-    result = ChaosRunResult()
-    policy = RetryPolicy(attempts=8, base_ms=50.0,
-                         seed=f"service/chaos/retry/{plan.seed}")
-    try:
-        # Phase 1: loads on a primer connection (journaled once acked).
-        reader, writer = await asyncio.open_connection(server.host,
-                                                       server.port)
-        for payload in _load_payloads(corpus):
-            response = await _chaos_send(reader, writer, payload, policy,
-                                         result)
-            if response is not None:
-                result.transcript.append((payload["id"], response))
-        # Phase 2: concurrent scripted clients; the plan's kill fires
-        # mid-traffic (its threshold sits past the shard's load acks).
-        started = time.perf_counter()
-        await asyncio.gather(*[
-            _run_chaos_client(server.host, server.port, index, script,
-                              plan, policy, result)
-            for index, script in enumerate(scripts)])
-        result.wall = time.perf_counter() - started
-        # Phase 3a: wedge the victim shard; the front-end backstop must
-        # answer the victim long before the injected sleep releases.
-        victim_reader, victim_writer = await asyncio.open_connection(
-            server.host, server.port)
-        victim_task = asyncio.create_task(asyncio.wait_for(
-            _send(victim_reader, victim_writer, probes["victim"][0]),
-            timeout=30.0))
-        await asyncio.sleep(0.3)  # let the victim reach the worker
-        # Phase 3b: overload burst against the wedged shard — admissions
-        # beyond max_inflight are shed with ``overloaded``; the burst
-        # clients then retry with backoff until the wedge clears.
-        await asyncio.gather(*[
-            _burst_one(server.host, server.port, payload, policy, result)
-            for payload in probes["burst"]])
-        try:
-            result.victim_response = await victim_task
-        except asyncio.TimeoutError:  # pragma: no cover - gate will fail
-            result.hangs.append(VICTIM_REQUEST_ID)
-        victim_writer.close()
-        # Phase 3c: cooperative deadlines on a healthy connection (the
-        # wedge has drained by now — the burst completed through it).
-        for payload in probes["deadline"]:
-            response = await _chaos_send(reader, writer, payload, policy,
-                                         result)
-            if response is not None:
-                result.probe_responses.append(response)
-                result.transcript.append((payload["id"], response))
-        # Phase 3d: post-failover answers from the respawned shard.
-        for payload in probes["postkill"]:
-            response = await _chaos_send(reader, writer, payload, policy,
-                                         result)
-            if response is not None:
-                result.transcript.append((payload["id"], response))
-        # Phase 4: per-module stats (zero-bootstrap + corruption gates).
-        for payload in _stats_payloads(corpus):
-            response = await _chaos_send(reader, writer, payload, policy,
-                                         result)
-            if response is not None:
-                result.stats[payload["module"]] = response
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-    finally:
-        await server.stop()
-    result.fault_stats = server.fault_stats()
-    result.fault_stats["client_retries"] = policy.stats()
-    result.controller_responses = dict(controller.responses)
-    result.kills_fired = dict(controller.kills_fired)
-    return result
+async def _chaos_steps(host: str, port: int, reader: asyncio.StreamReader,
+                       writer: asyncio.StreamWriter,
+                       probes: Dict[str, List[Dict[str, Any]]],
+                       policy: RetryPolicy, result: RunResult) -> None:
+    """The probe steps a chaos run adds after its scripted clients."""
+    # Wedge the victim shard; the front-end backstop must answer the
+    # victim long before the injected sleep releases.
+    victim_reader, victim_writer = await asyncio.open_connection(host, port)
+    victim = asyncio.create_task(_send(victim_reader, victim_writer,
+                                       probes["victim"][0], result, policy))
+    await asyncio.sleep(0.3)  # let the victim reach the worker
+    # Overload burst against the wedged shard — admissions beyond
+    # max_inflight are shed with ``overloaded``; the burst clients then
+    # retry with backoff until the wedge clears.
+    await asyncio.gather(*[_burst_one(host, port, payload, policy, result)
+                           for payload in probes["burst"]])
+    result.victim_response = await victim
+    victim_writer.close()
+    # Cooperative deadlines on a healthy connection (the wedge has drained
+    # by now — the burst completed through it).
+    result.probe_responses = await _send_each(
+        reader, writer, probes["deadline"], result, policy)
+    # Post-failover answers from the respawned shard.
+    await _send_each(reader, writer, probes["postkill"], result, policy)
 
 
-def _chaos_gates(plan: Any, result: ChaosRunResult,
+def _chaos_gates(plan: Any, result: RunResult,
                  identity: Dict[str, Any],
                  corrupted: List[str]) -> Dict[str, bool]:
     killed_stats = [result.stats.get(module, {})
@@ -925,11 +884,7 @@ def run_chaos_loadtest(programs: Sequence[str], workers: int, clients: int,
                        requests: int, store_root: Optional[str],
                        seed: int) -> Dict[str, Any]:
     """The seeded fault drill; returns the ``BENCH_chaos`` record."""
-    corpus = build_corpus(programs)
-    if not corpus:
-        raise SystemExit("loadtest: empty corpus")
-    scripts = [client_script(index, corpus, requests)
-               for index in range(clients)]
+    corpus, scripts = _corpus_and_scripts(programs, clients, requests)
     placement = WorkerPool(workers=workers).assign(
         [program.name for program in corpus])
     plan = generate_plan(seed, placement, clients)
@@ -943,10 +898,8 @@ def run_chaos_loadtest(programs: Sequence[str], workers: int, clients: int,
         probes["postkill"]]
     expected, _ = serial_expectations(corpus, oracle_scripts)
 
-    cleanup_store = store_root is None
-    if store_root is None:
-        store_root = tempfile.mkdtemp(prefix="repro-chaos-store-")
-    try:
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-store-") as scratch:
+        store_root = store_root or scratch
         # Prime run: a fault-free pass that warms the store with every
         # payload (scripts + probe shapes) the chaos run will send.
         prime = run_once(corpus, list(scripts) + [probes["prime"]],
@@ -955,32 +908,17 @@ def run_chaos_loadtest(programs: Sequence[str], workers: int, clients: int,
         corrupted = corrupt_store_entries(
             store_root, digest_index([p.name for p in corpus]),
             plan.corrupt_modules)
-        chaos = asyncio.run(_run_chaos_server(
-            corpus, scripts, workers, store_root, plan, probes))
-    finally:
-        if cleanup_store:
-            shutil.rmtree(store_root, ignore_errors=True)
+        chaos = asyncio.run(_run_server(corpus, scripts, workers, store_root,
+                                        plan=plan, probes=probes))
 
     chaos_identity = check_identity(chaos, expected)
     gates = _chaos_gates(plan, chaos, chaos_identity, corrupted)
     gates["prime_identity"] = prime_identity["mismatches"] == 0
 
-    record: Dict[str, Any] = {
-        "schema": 1,
-        "protocol_version": PROTOCOL_VERSION,
-        "result_schema_version": RESULT_SCHEMA_VERSION,
-        "generator_version": GENERATOR_VERSION,
-        "config": {
-            "programs": [program.name for program in corpus],
-            "workers": workers,
-            "clients": clients,
-            "requests_per_client": requests,
-            "chaos_seed": seed,
-            "max_inflight": CHAOS_MAX_INFLIGHT,
-            "deadline_grace_seconds": CHAOS_DEADLINE_GRACE,
-        },
-        "corpus": {name: digest for name, digest in
-                   sorted(digest_index([p.name for p in corpus]).items())},
+    record = _record(corpus, workers, clients, requests, chaos_seed=seed,
+                     max_inflight=CHAOS_MAX_INFLIGHT,
+                     deadline_grace_seconds=CHAOS_DEADLINE_GRACE)
+    return dict(record, **{
         "plan": plan.as_dict(),
         "corrupted_entries": len(corrupted),
         "runs": {
@@ -1000,10 +938,7 @@ def run_chaos_loadtest(programs: Sequence[str], workers: int, clients: int,
                             in sorted(chaos.kills_fired.items())},
         },
         "gates": gates,
-        # Everything under "run" is volatile; strip_volatile drops the key.
-        "run": {"started_unix": time.time()},
-    }
-    return record
+    })
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -1037,44 +972,34 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     requests = min(options.requests, 12) if options.quick else options.requests
 
     programs = tuple(name for name in options.programs.split(",") if name)
+    sizes = (max(1, options.workers), max(1, options.clients),
+             max(1, requests), options.store)
     if options.chaos:
-        record = run_chaos_loadtest(programs, max(1, options.workers),
-                                    max(1, options.clients),
-                                    max(1, requests), options.store,
-                                    options.chaos_seed)
-        out = options.out or "BENCH_chaos.json"
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(to_canonical_json(record))
+        record = run_chaos_loadtest(programs, *sizes, options.chaos_seed)
         chaos = record["runs"]["chaos"]
         faults = record["fault_stats"]
-        print(f"loadtest --chaos (seed {record['config']['chaos_seed']}): "
-              f"{chaos['requests']} answered, {len(chaos['hangs'])} hangs, "
-              f"{faults['respawns']} respawns, {faults['shed']} shed, "
-              f"{faults['backstops']} backstops, "
-              f"{faults['client_retries']['retries']} client retries")
-        for name, passed in sorted(record["gates"].items()):
-            print(f"loadtest: gate {name}: {'ok' if passed else 'FAILED'}")
-        if options.check and not all(record["gates"].values()):
-            return 2
-        return 0
-
-    record = run_loadtest(programs, max(1, options.workers),
-                          max(1, options.clients), max(1, requests),
-                          options.store)
-    with open(options.out or "BENCH_service.json", "w",
-              encoding="utf-8") as handle:
+        summary = (f"loadtest --chaos (seed {record['config']['chaos_seed']}): "
+                   f"{chaos['requests']} answered, {len(chaos['hangs'])} hangs, "
+                   f"{faults['respawns']} respawns, {faults['shed']} shed, "
+                   f"{faults['backstops']} backstops, "
+                   f"{faults['client_retries']['retries']} client retries")
+    else:
+        record = run_loadtest(programs, *sizes)
+        direct = record["runs"]["direct"]
+        warm = record["runs"]["warm"]
+        summary = (f"loadtest: {direct['requests']} requests/run, "
+                   f"{direct['throughput_per_second']:.1f} req/s direct "
+                   f"(p50 {direct['latency_p50_seconds'] * 1e3:.1f} ms, "
+                   f"p99 {direct['latency_p99_seconds'] * 1e3:.1f} ms), "
+                   f"{warm['throughput_per_second']:.1f} req/s warm-store; "
+                   f"warm solver steps {warm['solver_steps_total']}; edit "
+                   f"replay: {len(record['edits']['steps'])} steps over "
+                   f"{len(record['edits']['programs'])} programs")
+    out = options.out or ("BENCH_chaos.json" if options.chaos
+                          else "BENCH_service.json")
+    with open(out, "w", encoding="utf-8") as handle:
         handle.write(to_canonical_json(record))
-
-    direct = record["runs"]["direct"]
-    warm = record["runs"]["warm"]
-    print(f"loadtest: {direct['requests']} requests/run, "
-          f"{direct['throughput_per_second']:.1f} req/s direct "
-          f"(p50 {direct['latency_p50_seconds'] * 1e3:.1f} ms, "
-          f"p99 {direct['latency_p99_seconds'] * 1e3:.1f} ms), "
-          f"{warm['throughput_per_second']:.1f} req/s warm-store; "
-          f"warm solver steps {warm['solver_steps_total']}; edit replay: "
-          f"{len(record['edits']['steps'])} steps over "
-          f"{len(record['edits']['programs'])} programs")
+    print(summary)
     for name, passed in sorted(record["gates"].items()):
         print(f"loadtest: gate {name}: {'ok' if passed else 'FAILED'}")
     if options.check and not all(record["gates"].values()):

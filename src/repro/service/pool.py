@@ -11,20 +11,23 @@ name-hash (:func:`repro.benchgen.stable_seed`) for modules that show up
 unannounced — both are deterministic, so a request for module *m* reaches
 the same shard on every run.
 
-Workers speak the service protocol verbatim: a job is ``(job_id, payload)``
-on the request queue, the answer is ``(job_id, envelope)`` on the response
-queue, produced by :func:`repro.service.protocol.handle_payload` (which
-never raises, so a malformed request cannot kill a worker).  The asyncio
-front end (:mod:`repro.service.server`) multiplexes many clients onto these
-queues and correlates by job id.
+Workers speak the service protocol verbatim over one ``socket.socketpair``
+per worker: a job is a ``(job_id, payload)`` frame, the answer a
+``(job_id, envelope)`` frame, produced by
+:func:`repro.service.protocol.handle_payload` (which never raises, so a
+malformed request cannot kill a worker).  A frame is a length header plus
+a pickle (:func:`pack_frame`; read by :func:`read_frame` on the front end
+and by the worker loop).  The asyncio front end (:mod:`repro.service.server`)
+multiplexes many clients onto these sockets and correlates by job id.
 
-Workers are *replaceable*: :meth:`WorkerPool.respawn` builds a fresh
-process (with fresh queues — a dead worker's queues may hold torn state)
-for a shard whose process died.  The supervisor
-(:mod:`repro.service.supervisor`) watches each process sentinel, fails or
-retries the dead worker's in-flight jobs, and replays the shard's journal
-into the replacement, so worker state stays a pure function of the
-acknowledged request stream.
+The socket is also the worker's lifeline.  A worker exits 0 when it sees
+EOF — the front end closed its end — and a worker that dies shows up on
+the front end as EOF (or a torn frame) on its stream; there is no sentinel
+in either direction.  :meth:`WorkerPool.respawn` reaps a dead shard's
+process and builds a fresh one with a fresh socket; the supervisor
+(:mod:`repro.service.supervisor`) fails or retries the dead worker's
+in-flight jobs and replays the shard's journal into the replacement, so
+worker state stays a pure function of the acknowledged request stream.
 
 Workers may share one persistent content-addressed result store
 (:mod:`repro.service.store`): entries are written atomically, and keys are
@@ -40,24 +43,59 @@ request stream, which the loadtest's answer-identity gate relies on.
 from __future__ import annotations
 
 import multiprocessing
+import pickle
+import socket
+import struct
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, BinaryIO, Dict, List, Optional, Sequence
 
 from ..benchgen import stable_seed
 from ..evaluation.parallel import partition
 
-__all__ = ["WorkerPool"]
+if TYPE_CHECKING:  # workers never import asyncio: it costs every one ~3 MB
+    import asyncio
+
+__all__ = ["WorkerPool", "pack_frame", "read_frame"]
+
+#: Every frame on a worker socket: the pickle's byte length, then the pickle.
+_HEADER = struct.Struct("!I")
 
 
-def _worker_main(index: int, requests: Any, responses: Any,
+def pack_frame(message: Any) -> bytes:
+    """One ``(job_id, payload)`` or ``(job_id, envelope)`` frame."""
+    body = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    return _HEADER.pack(len(body)) + body
+
+
+async def read_frame(reader: asyncio.StreamReader) -> Any:
+    """The front end's read of one frame; raises
+    :class:`asyncio.IncompleteReadError` at EOF or on a torn frame."""
+    (size,) = _HEADER.unpack(await reader.readexactly(_HEADER.size))
+    return pickle.loads(await reader.readexactly(size))
+
+
+def _read_frame_blocking(stream: BinaryIO) -> Any:
+    """The worker's read of one frame; ``None`` once the front end closed
+    its end (a frame torn by a dying front end counts as closed too)."""
+    header = stream.read(_HEADER.size)
+    if len(header) < _HEADER.size:
+        return None
+    (size,) = _HEADER.unpack(header)
+    body = stream.read(size)
+    return pickle.loads(body) if len(body) == size else None
+
+
+def _worker_main(index: int, channel: socket.socket,
                  store_root: Optional[str],
                  chaos: Optional[Dict[str, Any]] = None) -> None:
-    """One worker: a resident session draining its request queue.
+    """One worker: a resident session answering frames on its socket.
 
     Imports happen here (not at module import) only in the sense that the
     spawned interpreter re-imports this module; the loop itself is dumb on
-    purpose — all protocol semantics live in ``handle_payload``.
+    purpose — all protocol semantics live in ``handle_payload``.  EOF on
+    the socket is the orderly stop; a front end that vanishes mid-answer
+    ends the worker too.
 
     ``chaos`` is the deterministic fault spec of the chaos harness
     (:mod:`repro.service.chaos`): ``latency_by_id`` maps request ids to a
@@ -73,28 +111,32 @@ def _worker_main(index: int, requests: Any, responses: Any,
     latency_by_ordinal = (chaos or {}).get("latency_by_ordinal", {})
     store = ResultStore(store_root) if store_root else None
     session = AnalysisSession(store=store)
+    stream = channel.makefile("rb")
     ordinal = 0
-    while True:
-        job = requests.get()
-        if job is None:
-            responses.put(None)  # lets the front end's pump thread exit
-            return
-        job_id, payload = job
-        delay = latency_by_ordinal.get(str(ordinal))
-        if delay is None and isinstance(payload, dict):
-            delay = latency_by_id.get(str(payload.get("id")))
-        if delay:
-            time.sleep(float(delay))
-        ordinal += 1
-        responses.put((job_id, handle_payload(session, payload)))
+    try:
+        while True:
+            job = _read_frame_blocking(stream)
+            if job is None:
+                return
+            job_id, payload = job
+            delay = latency_by_ordinal.get(str(ordinal))
+            if delay is None and isinstance(payload, dict):
+                delay = latency_by_id.get(str(payload.get("id")))
+            if delay:
+                time.sleep(float(delay))
+            ordinal += 1
+            channel.sendall(pack_frame((job_id,
+                                        handle_payload(session, payload))))
+    except ConnectionError:
+        return
 
 
 @dataclass
 class _Worker:
     index: int
     process: multiprocessing.process.BaseProcess
-    requests: Any
-    responses: Any
+    #: The front end's end of the worker's socket pair.
+    channel: socket.socket
     #: Bumped on every respawn — lets the supervisor ignore stale death
     #: notifications for a shard that was already replaced.
     generation: int = 0
@@ -145,15 +187,17 @@ class WorkerPool:
     # -- lifecycle -------------------------------------------------------------
     def _spawn(self, index: int, generation: int) -> _Worker:
         context = multiprocessing.get_context("spawn")
-        requests = context.Queue()
-        responses = context.Queue()
+        ours, theirs = socket.socketpair()
         chaos = (self.chaos or {}).get(index)
         process = context.Process(
             target=_worker_main,
-            args=(index, requests, responses, self.store_root, chaos),
+            args=(index, theirs, self.store_root, chaos),
             name=f"repro-service-worker-{index}.g{generation}", daemon=True)
-        process.start()
-        return _Worker(index, process, requests, responses, generation)
+        try:
+            process.start()
+        finally:
+            theirs.close()  # the child's copy alone: its death must be EOF
+        return _Worker(index, process, ours, generation)
 
     def start(self) -> None:
         if self._workers:
@@ -165,57 +209,31 @@ class WorkerPool:
         return self._workers[shard]
 
     def respawn(self, shard: int) -> _Worker:
-        """Replace a dead shard process with a fresh one (fresh queues too).
+        """Reap a dead shard process and start a fresh one on a fresh socket.
 
-        The old queues are abandoned rather than reused: a process killed
-        mid-``put`` can leave a queue's pipe torn, and the supervisor has
-        already drained whatever made it through.  The replacement session
-        is empty — the caller (supervisor) replays the shard journal.
+        The caller has seen EOF on the old socket, so the old process is
+        exiting; one that lingers is killed.  The replacement session is
+        empty — the caller (supervisor) replays the shard journal.
         """
         old = self._workers[shard]
-        if old.process.is_alive():  # defensive: only dead workers come here
-            old.process.terminate()
-        old.process.join(5.0)
-        for queue in (old.requests, old.responses):
-            # A worker killed mid-put dies holding the queue's shared write
-            # lock; a feeder blocked on that lock would wedge interpreter
-            # exit when multiprocessing joins it.  Cancel the join and drop
-            # our ends — the daemon pump/feeder threads are left behind.
-            queue.cancel_join_thread()
-            queue.close()
+        old.channel.close()  # already released by the caller's transport
+        old.process.join(1.0)
+        if old.process.is_alive():
+            old.process.kill()
+            old.process.join()
         worker = self._spawn(shard, generation=old.generation + 1)
         self._workers[shard] = worker
         self.respawns += 1
         return worker
 
-    def submit(self, shard: int, job_id: int, payload: Dict[str, Any]) -> None:
-        """Enqueue one protocol payload on a shard's resident worker."""
-        self._workers[shard].requests.put((job_id, payload))
-
     def close(self, timeout: float = 30.0) -> None:
-        """Stop every worker (each acknowledges with a ``None`` response).
-
-        A worker that exited *without* posting its sentinel — it crashed,
-        or it wedged and had to be terminated here — would leave its pump
-        thread blocked on ``responses.get()`` forever, so the closer posts
-        the sentinel on the response queue itself in that case (a duplicate
-        sentinel is harmless: the pump exits on the first one it sees).
-        """
+        """Close every front-end end — each worker sees EOF and exits 0 —
+        then join the workers (terminating any that outlive ``timeout``)."""
         for worker in self._workers:
-            if worker.process.is_alive():
-                worker.requests.put(None)
+            worker.channel.close()
         for worker in self._workers:
             worker.process.join(timeout)
             if worker.process.is_alive():  # pragma: no cover - hang backstop
                 worker.process.terminate()
                 worker.process.join(timeout)
-            if worker.process.exitcode != 0:
-                worker.responses.put(None)  # unwedge the pump ourselves
         self._workers = []
-
-    def __enter__(self) -> "WorkerPool":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()

@@ -10,11 +10,12 @@ and answered out of that worker's resident session.  Responses are
 correlated by the protocol's request ``id``, so any one connection may
 pipeline freely.
 
-Worker plumbing lives in :class:`~repro.service.supervisor.WorkerSupervisor`
-(PR 10): it pumps response queues back onto the event loop, watches every
-worker's process sentinel, and on a crash fails or transparently retries
-the dead shard's in-flight jobs, respawns it, and replays its journal —
-so no request ever hangs on a dead worker.
+Worker plumbing lives in :class:`~repro.service.supervisor.WorkerSupervisor`:
+every worker is one socket pair whose front-end end is an asyncio stream on
+this same event loop — no helper threads.  End-of-stream is a worker's
+death; the supervisor then fails or transparently retries the dead shard's
+in-flight jobs, respawns it, and replays its journal — so no request ever
+hangs on a dead worker.
 
 Fault envelopes the front end itself can produce:
 
@@ -140,8 +141,8 @@ class ServiceServer:
         self._shutdown.set()
 
     async def stop(self) -> None:
-        """Orderly stop: close the listener, then let the supervisor drain
-        workers, join pumps, and settle any still-in-flight job."""
+        """Orderly stop: close the listener, then let the supervisor close
+        the worker sockets, join the workers, and settle any in-flight job."""
         if self._stopped:
             return
         self._stopped = True

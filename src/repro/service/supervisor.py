@@ -1,24 +1,27 @@
 """Worker supervision: crash detection, failover, and state replay.
 
-The front end (:mod:`repro.service.server`) used to talk to the pool
-directly, which meant a worker that died outside ``handle_payload`` (OOM
-kill, stray signal, interpreter bug) left its pump thread blocked on
-``responses.get()`` forever and every in-flight future unresolved.  The
-:class:`WorkerSupervisor` owns all of that plumbing now and makes worker
-death a *handled* event:
+The :class:`WorkerSupervisor` owns the front end's side of every worker
+socket (:mod:`repro.service.pool`) and makes worker death a *handled*
+event, all on the event loop:
 
-* **Detection** — one watcher thread per worker process blocks on
-  ``process.join()`` (the process sentinel) and trampolines a death event
-  onto the event loop; a generation counter on each worker filters stale
-  notifications once a shard has been replaced.
-* **Failover** — on death the supervisor unwedges and joins the dead
-  shard's pump, settles any responses that did arrive, then triages the
-  shard's in-flight jobs: *mutating* requests fail fast with a structured
-  ``worker_unavailable`` envelope (their effect is unknown — the client
-  owns the retry decision), *read-only* requests are deterministic and are
-  resubmitted transparently (bounded retries), and replay jobs are simply
-  dropped (the journal still holds them).  The shard is then respawned and
-  its journal replayed before any retry or new traffic reaches it.
+* **Streams** — each worker generation's socket end is an asyncio stream.
+  Submissions are written through its ``StreamWriter`` (buffered, never
+  blocking); one reader task per generation decodes answer frames and
+  resolves their jobs.  Answers are drained only by that always-running
+  task, never by a submitter, so neither socket buffer can fill up while
+  both sides wait on each other.
+* **Detection** — a worker's death is EOF (or a torn frame) on its stream:
+  the reader task, having resolved every answer that did arrive, starts
+  the failover itself unless the supervisor is closing.  A generation
+  check filters a reader whose shard was already replaced.
+* **Failover** — the dead process is reaped and respawned, then the
+  shard's in-flight jobs are triaged: *mutating* requests fail fast with a
+  structured ``worker_unavailable`` envelope (their effect is unknown —
+  the client owns the retry decision), *read-only* requests are
+  deterministic and are resubmitted transparently (bounded retries), and
+  replay jobs are simply dropped (the journal still holds them).  The
+  shard's journal is replayed before any retry or new traffic reaches the
+  replacement.
 * **Replay** — sessions are pure functions of their acknowledged request
   stream, so the supervisor journals every *successful* mutating payload
   (``load``/``load_program``/``edit``/``unload``) per shard, exactly once:
@@ -30,8 +33,10 @@ death a *handled* event:
   lazy and the respawned shard keeps answering with zero solver steps.
 
 Admission is gated per shard on an :class:`asyncio.Event` that failover
-clears, so nothing new is enqueued onto a dead worker's (abandoned)
-queues; journal replays and transparent retries use a private side door.
+clears while the replacement's stream opens, so nothing new is written to
+a dead worker's socket; journal replays and transparent retries use a
+private side door.  An orderly stop closes our end of every socket: each
+worker sees EOF, exits 0, and is joined.
 
 The chaos harness (:mod:`repro.service.chaos`) observes the supervisor
 through the ``on_response`` hook — every worker envelope passes through it
@@ -43,11 +48,10 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from .pool import WorkerPool
+from .pool import WorkerPool, pack_frame, read_frame
 from .protocol import WORKER_UNAVAILABLE, error_envelope
 
 __all__ = ["WorkerSupervisor"]
@@ -95,7 +99,7 @@ class SupervisorStats:
 
 
 class WorkerSupervisor:
-    """Owns worker plumbing: pumps, watchers, in-flight jobs, failover."""
+    """Owns worker plumbing: streams, in-flight jobs, failover."""
 
     #: Transparent resubmissions of one deterministic read-only job before
     #: the supervisor gives up and surfaces ``worker_unavailable`` (a shard
@@ -112,9 +116,9 @@ class WorkerSupervisor:
         self._jobs: Dict[int, _Job] = {}
         self._job_ids = itertools.count(1)
         self._journal: Dict[int, List[Dict[str, Any]]] = {}
-        self._pumps: Dict[int, threading.Thread] = {}
+        self._writers: Dict[int, asyncio.StreamWriter] = {}
+        self._readers: Dict[int, asyncio.Task] = {}
         self._available: Dict[int, asyncio.Event] = {}
-        self._failovers: set = set()
         self._closing = False
 
     # -- lifecycle -------------------------------------------------------------
@@ -125,42 +129,32 @@ class WorkerSupervisor:
             self._journal[shard] = []
             self._available[shard] = asyncio.Event()
             self._available[shard].set()
-            self._attach(shard)
+            await self._attach(shard)
 
-    def _attach(self, shard: int) -> None:
-        """Start the pump and watcher threads for a shard's *current*
+    async def _attach(self, shard: int) -> None:
+        """Open the stream and start the reader task for a shard's *current*
         process generation (called at start and after every respawn)."""
         worker = self.pool.worker(shard)
-        pump = threading.Thread(
-            target=self._pump, args=(worker,),
-            name=f"repro-service-pump-{shard}.g{worker.generation}",
-            daemon=True)
-        pump.start()
-        self._pumps[shard] = pump
-        watcher = threading.Thread(
-            target=self._watch, args=(worker,),
-            name=f"repro-service-watch-{shard}.g{worker.generation}",
-            daemon=True)
-        watcher.start()
+        reader, self._writers[shard] = await asyncio.open_connection(
+            sock=worker.channel)
+        self._readers[shard] = self._loop.create_task(
+            self._read(worker, reader))
 
     async def stop(self, timeout: float = 30.0) -> None:
-        """Orderly close: drain workers, join pumps, settle leftovers.
+        """Orderly close: close our socket ends, join workers, settle leftovers.
 
         In-flight jobs are failed with envelopes — never exceptions — so a
-        late ``await`` on one of them still sees a structured answer.  The
-        jobs map is *snapshotted* first: pump callbacks scheduled before
-        the pumps exited may still ``pop`` entries concurrently.
+        late ``await`` on one of them still sees a structured answer.
         """
         if self._closing:
             return
         self._closing = True
-        for task in list(self._failovers):
+        for task in self._readers.values():
             task.cancel()
-        self.pool.close(timeout)  # posts pump sentinels, even for crashers
-        for pump in self._pumps.values():
-            if pump.is_alive():
-                await asyncio.to_thread(pump.join, timeout)
-        for job in list(self._jobs.values()):
+        for writer in self._writers.values():
+            writer.transport.abort()
+        self.pool.close(timeout)
+        for job in self._jobs.values():
             if not job.future.done():
                 job.future.set_result(error_envelope(
                     WORKER_UNAVAILABLE, "server stopped", job.request_id))
@@ -169,45 +163,41 @@ class WorkerSupervisor:
             event.set()  # unblock submitters so they observe the failures
 
     # -- submission ------------------------------------------------------------
-    def ready(self, shard: int) -> "asyncio.Event":
-        """The admission gate failover clears while a shard is down."""
-        return self._available[shard]
-
     async def submit(self, shard: int, payload: Dict[str, Any], *,
                      mutating: bool = False,
                      request_id: Any = None) -> asyncio.Future:
-        """Enqueue one payload; returns the future its envelope resolves.
+        """Send one payload; returns the future its envelope resolves.
 
         Waits out any in-progress failover first so the job lands on the
-        live replacement process, never on an abandoned queue.
+        live replacement process, never on a dead worker's socket.
         """
         await self._available[shard].wait()
         job = _Job(shard=shard, payload=payload, mutating=mutating,
                    request_id=request_id, future=self._loop.create_future())
-        self._post(job)
+        if self._closing:
+            job.future.set_result(error_envelope(
+                WORKER_UNAVAILABLE, "server stopped", request_id))
+        else:
+            self._post(job)
         return job.future
 
     def _post(self, job: _Job) -> None:
         job_id = next(self._job_ids)
         self._jobs[job_id] = job
-        self.pool.submit(job.shard, job_id, job.payload)
+        self._writers[job.shard].write(pack_frame((job_id, job.payload)))
 
     # -- response path ---------------------------------------------------------
-    def _pump(self, worker: Any) -> None:
-        """Blocking drain of one worker generation's response queue."""
-        while True:
-            try:
-                item = worker.responses.get()
-            except (EOFError, OSError):  # pragma: no cover - torn queue
-                return
-            if item is None:
-                return
-            job_id, envelope = item
-            try:
-                self._loop.call_soon_threadsafe(self._resolve, job_id,
-                                                envelope, worker.index)
-            except RuntimeError:  # pragma: no cover - loop already closed
-                return
+    async def _read(self, worker: Any, reader: asyncio.StreamReader) -> None:
+        """Resolve one worker generation's answers until its stream ends;
+        the end of the stream is the worker's death."""
+        try:
+            while True:
+                job_id, envelope = await read_frame(reader)
+                self._resolve(job_id, envelope, worker.index)
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass
+        if not self._closing and self.pool.worker(worker.index) is worker:
+            await self._failover(worker)
 
     def _resolve(self, job_id: int, envelope: Dict[str, Any],
                  shard: int) -> None:
@@ -230,40 +220,14 @@ class WorkerSupervisor:
             job.future.set_result(envelope)
 
     # -- death handling --------------------------------------------------------
-    def _watch(self, worker: Any) -> None:
-        """Block on one process generation's sentinel; report its death."""
-        worker.process.join()
-        if self._closing:
-            return
-        try:
-            self._loop.call_soon_threadsafe(self._death_event, worker)
-        except RuntimeError:  # pragma: no cover - loop already closed
-            return
-
-    def _death_event(self, worker: Any) -> None:
-        if self._closing:
-            return
-        if self.pool.worker(worker.index) is not worker:
-            return  # stale notification: the shard was already replaced
-        if worker.process.exitcode == 0:
-            return  # clean exit (orderly close races the watcher)
-        task = self._loop.create_task(self._failover(worker))
-        self._failovers.add(task)
-        task.add_done_callback(self._failovers.discard)
-
     async def _failover(self, worker: Any) -> None:
         """Replace a dead shard process; no in-flight job is left hanging."""
         shard = worker.index
         self._available[shard].clear()
         self.stats.worker_deaths += 1
-        # Unwedge the pump (a dead worker never posts its sentinel) and let
-        # every response that *did* arrive settle before triage.  The join
-        # is bounded: a SIGKILL mid-write can tear the queue's byte stream,
-        # in which case the pump is abandoned (its late resolutions hit
-        # job ids that no longer exist — harmless no-ops).
-        worker.responses.put(None)
-        await asyncio.to_thread(self._pumps[shard].join, 5.0)
-        await asyncio.sleep(0)
+        self._writers[shard].transport.abort()
+        self.pool.respawn(shard)  # reaps the dead process first
+        self.stats.respawns += 1
         retryable: List[_Job] = []
         for job_id in [jid for jid, job in self._jobs.items()
                        if job.shard == shard]:
@@ -280,11 +244,9 @@ class WorkerSupervisor:
                     f"worker for shard {shard} died "
                     f"(exitcode {worker.process.exitcode}) with this "
                     f"request in flight", job.request_id))
-        replacement = await asyncio.to_thread(self.pool.respawn, shard)
-        self.stats.respawns += 1
-        self._attach(shard)
-        # FIFO replay ahead of everything else: the worker queue preserves
-        # order, so journal state is rebuilt before any retry executes.
+        await self._attach(shard)
+        # FIFO replay ahead of everything else: the socket preserves order,
+        # so journal state is rebuilt before any retry executes.
         for payload in list(self._journal[shard]):
             self.stats.replayed_payloads += 1
             self._post(_Job(shard=shard, payload=payload, mutating=True,
@@ -294,5 +256,4 @@ class WorkerSupervisor:
             job.retries += 1
             self.stats.retried_jobs += 1
             self._post(job)
-        assert self.pool.worker(shard) is replacement
         self._available[shard].set()

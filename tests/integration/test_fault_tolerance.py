@@ -10,6 +10,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import repro
@@ -67,7 +68,8 @@ class TestCrashFailover:
                 edited = await _send(reader, writer, make_request(
                     "edit", id="e", name="m", source=SRC_EDITED))
                 assert edited["ok"] is True
-                pool.worker(0).process.kill()
+                dead = pool.worker(0).process
+                dead.kill()
                 # The very next request must neither hang nor observe
                 # pre-edit state: the respawned worker replays the journal
                 # (load, then edit) before serving anything.
@@ -84,6 +86,9 @@ class TestCrashFailover:
                 assert faults["respawns"] == 1
                 assert faults["worker_deaths"] == 1
                 assert faults["replayed_payloads"] == 2  # load + edit
+                # Failover reaped the killed process before replacing it.
+                assert pool.worker(0).process is not dead
+                assert dead.exitcode is not None
                 writer.close()
             finally:
                 await server.stop()
@@ -167,6 +172,35 @@ class TestCrashFailover:
 
         query = _run(warm_the_store())
         _run(crash_and_requery(query))
+
+
+class TestPlumbing:
+    def test_serving_starts_no_threads(self):
+        """Worker sockets are read by the event loop itself: answering
+        queries on two shards leaves no helper thread behind."""
+        async def scenario():
+            before = set(threading.enumerate())
+            pool, server = await _start(workers=2)
+            try:
+                reader, writer = await _connect(server)
+                for index, name in enumerate(("m", "n")):
+                    loaded = await _send(reader, writer, make_request(
+                        "load", id=f"l{index}", name=name, source=SRC))
+                    assert loaded["ok"] is True
+                    values = await _send(reader, writer, make_request(
+                        "values", id=f"v{index}", module=name,
+                        function="main"))
+                    assert values["ok"] is True
+                modules = await _send(reader, writer, make_request(
+                    "modules", id="ms"))
+                assert [m["module"] for m in modules["modules"]] == ["m", "n"]
+                started = [thread.name for thread in threading.enumerate()
+                           if thread not in before]
+                assert started == []
+                writer.close()
+            finally:
+                await server.stop()
+        _run(scenario())
 
 
 class TestDeadlines:

@@ -143,6 +143,50 @@ class TestUseBeforeDef:
         errors = verify_function(consumer, raise_on_error=False)
         assert errors and "another function" in messages(errors)
 
+    def _diamond(self):
+        """entry branches to ``left`` / ``right``, both jump to ``join``."""
+        _, function = fresh_function(params=(BOOL,))
+        entry = function.append_block("entry")
+        left = function.append_block("left")
+        right = function.append_block("right")
+        join = function.append_block("join")
+        entry.append(BranchInst(condition=function.args[0],
+                                true_target=left, false_target=right))
+        defined = BinaryInst("add", ConstantInt(1), ConstantInt(2), name="x")
+        left.append(defined)
+        left.append(BranchInst(join))
+        return function, defined, right, join
+
+    def test_use_in_a_sibling_branch_is_rejected(self):
+        function, defined, right, join = self._diamond()
+        # ``right`` uses %x, which only ``left`` (its sibling) defines.
+        right.append(BinaryInst("add", defined, ConstantInt(1), name="y"))
+        right.append(BranchInst(join))
+        join.append(ReturnInst())
+        errors = errors_of(function)
+        assert errors and "does not dominate right" in messages(errors)
+
+    def test_phi_incoming_from_the_sibling_branch_is_rejected(self):
+        function, defined, right, join = self._diamond()
+        right.append(BranchInst(join))
+        phi = PhiInst(INT32, name="p")
+        phi.add_incoming(defined, function.blocks[1])  # left: dominated, fine
+        phi.add_incoming(defined, right)  # right: %x does not dominate it
+        join.insert_phi(phi)
+        join.append(ReturnInst())
+        errors = errors_of(function)
+        assert len(errors) == 1
+        assert "does not dominate right" in messages(errors)
+
+    def test_use_in_an_unreachable_block_is_exempt(self):
+        function, defined, right, join = self._diamond()
+        right.append(BranchInst(join))
+        join.append(ReturnInst())
+        dead = function.append_block("dead")
+        dead.append(BinaryInst("add", defined, ConstantInt(1), name="y"))
+        dead.append(ReturnInst())
+        assert errors_of(function) == []
+
     def test_duplicate_value_names_are_rejected(self):
         _, function = fresh_function()
         block = function.append_block("entry")
