@@ -1,14 +1,13 @@
 """Microbenchmark of the batched alias-query path over warm analyses.
 
 ``query_many`` is the serving layer's hot loop: the analyses are already
-built, so what this measures is pair-key construction, memo probes and the
-global/local disambiguation tests themselves.
+built, so what this measures is pair-key construction, probes of the
+analysis's pair memo and the global/local disambiguation tests themselves.
 """
 
 import pytest
 
 from repro.benchgen import build_program
-from repro.core.queries import QueryPairMemo
 from repro.engine import keys
 from repro.engine.manager import AnalysisManager
 from repro.evaluation.harness import enumerate_query_pairs
@@ -38,13 +37,14 @@ def test_query_many_batch(benchmark, warm_rbaa):
 
 
 def test_query_many_with_persistent_memo(benchmark, warm_rbaa):
-    """The daemon path: a cross-request memo turns repeats into dict probes."""
+    """The daemon path: the analysis's own pair memo turns repeats into
+    dict probes."""
     analysis, pairs = warm_rbaa
-    memo = QueryPairMemo()
-    analysis.query_many(pairs, memo=memo)  # warm the memo once
+    analysis.query_many(pairs)  # warm the memo once
+    memo = analysis.pair_memo
 
     def run():
-        return analysis.query_many(pairs, memo=memo)
+        return analysis.query_many(pairs)
 
     results = benchmark.pedantic(run, iterations=2, rounds=5)
     assert len(results) == len(pairs)

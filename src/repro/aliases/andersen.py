@@ -361,6 +361,7 @@ class AndersenAliasAnalysis(AliasAnalysis):
         seeds = problem.delta_nodes(edit)
         solver = SparseSolver(problem)
         self.solver_statistics.accumulate(solver.resolve_from(problem, seeds))
+        self.pair_memo.clear()
         return {"reseeded": len(set(seeds)), "retained": retained}
 
     def _dirty_closure(self, old_values, old_base, old_sources,
@@ -434,6 +435,9 @@ class AndersenAliasAnalysis(AliasAnalysis):
     def alias(self, a: MemoryAccess, b: MemoryAccess) -> AliasResult:
         if a.pointer is b.pointer:
             return AliasResult.MUST_ALIAS
+        return self.remembered(a, b, self._alias_uncached)
+
+    def _alias_uncached(self, a: MemoryAccess, b: MemoryAccess) -> AliasResult:
         set_a = self.points_to_set(a.pointer)
         set_b = self.points_to_set(b.pointer)
         if not set_a or not set_b:

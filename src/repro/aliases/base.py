@@ -4,18 +4,49 @@ Both the baselines (``basic``, ``scev``, Andersen, Steensgaard) and the
 paper's range-based analysis expose the same two entry points so the
 evaluation harness can swap and chain them freely, mirroring how LLVM
 stacks alias-analysis passes.
+
+Each analysis owns exactly one per-pair memo, :attr:`AliasAnalysis.pair_memo`.
+Alias queries are symmetric and an analysis is immutable between edits, so
+one ``(pointer, size)`` pair never needs its tests run twice; every query,
+batched or not, goes through :meth:`AliasAnalysis.remembered`.  The memo is
+a bounded LRU (:data:`PAIR_MEMO_PAYLOADS`), so a long-lived service worker
+cannot grow it without bound, and each analysis's ``refresh_function``
+clears it on an edit because its keys are pointer identities.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..ir.module import Module
 from ..ir.values import Value
+from ..symbolic.cache import BoundedMemo
 from .results import AliasResult, MemoryAccess, NoAliasClaim
 
-__all__ = ["AliasAnalysis"]
+__all__ = ["AliasAnalysis", "PAIR_MEMO_PAYLOADS", "pair_key"]
+
+#: Bound on the payloads each analysis's pair memo keeps.  Eviction only
+#: forces a recompute — answers are pure functions of the analysis — so the
+#: bound is invisible to results; the service's ``stats`` op reports it.
+PAIR_MEMO_PAYLOADS = 100_000
+
+#: Distinguishes "nothing remembered" from a remembered ``None`` payload.
+_MISS = object()
+
+
+def pair_key(a: MemoryAccess, b: MemoryAccess) -> Hashable:
+    """Canonical unordered key of one query pair.
+
+    Alias queries are symmetric, so ``(a, b)`` and ``(b, a)`` share a key.
+    Pointers are keyed by identity: SSA values are unique objects kept alive
+    by the module they belong to.  An unknown access size (``None``) maps to
+    ``-1``, a value no real access can have, so mixed known/unknown pairs
+    stay orderable.
+    """
+    first = (id(a.pointer), -1 if a.size is None else a.size)
+    second = (id(b.pointer), -1 if b.size is None else b.size)
+    return (first, second) if first <= second else (second, first)
 
 
 class AliasAnalysis(ABC):
@@ -26,55 +57,35 @@ class AliasAnalysis(ABC):
 
     def __init__(self, module: Module):
         self.module = module
-        #: The memo of the most recent :meth:`query_many` batch (stats hook).
-        self.last_query_memo = None
+        #: The per-pair memo behind :meth:`remembered`.
+        self.pair_memo = BoundedMemo(maxsize=PAIR_MEMO_PAYLOADS)
 
     # -- main entry points ----------------------------------------------------
     @abstractmethod
     def alias(self, a: MemoryAccess, b: MemoryAccess) -> AliasResult:
         """Answer one alias query between two memory accesses."""
 
-    def query_many(self, pairs: Iterable[Tuple[MemoryAccess, MemoryAccess]],
-                   memo=None) -> List[AliasResult]:
-        """Answer a batch of queries with per-pair memoization.
+    def remembered(self, a: MemoryAccess, b: MemoryAccess,
+                   decide: Callable[[MemoryAccess, MemoryAccess], Any]) -> Any:
+        """The memoized payload of ``(a, b)``, computed by ``decide`` on a miss.
 
-        Alias queries are symmetric and analyses immutable once built, so a
-        repeated ``(pointer, size)`` pair replays the memoized answer instead
-        of re-running the tests.  Subclasses that keep per-query statistics
-        must override :meth:`on_memoized_query` so their counters see the
-        replayed queries too (the harness counts every query, cached or not).
-
-        ``memo`` lets a long-lived caller (the analysis service's resident
-        sessions) thread one :class:`~repro.core.queries.QueryPairMemo`
-        through many batches so memoized outcomes survive across requests;
-        the caller then owns the payload lifetime (``release()`` is *not*
-        called).  Without it the memo is batch-scoped as before.
+        The payload is whatever the analysis needs to answer the pair again:
+        RBAA stores the :class:`~repro.core.queries.QueryOutcome` (so its
+        Figure-14 counters see every ask), ``basic`` its ``(result, claim)``
+        classification, the points-to analyses the plain result.
         """
-        from ..core.queries import QueryPairMemo, pair_key
+        key = pair_key(a, b)
+        memo = self.pair_memo
+        payload = memo.get(key, _MISS)
+        if payload is _MISS:
+            payload = decide(a, b)
+            memo.put(key, payload)
+        return payload
 
-        persistent = memo is not None
-        if memo is None:
-            memo = QueryPairMemo()
-        results: List[AliasResult] = []
-        for a, b in pairs:
-            key = pair_key(a, b)
-            cached = memo.lookup(key)
-            if cached is not None:
-                self.on_memoized_query(a, b, cached)
-                results.append(cached)
-                continue
-            result = self.alias(a, b)
-            memo.remember(key, result)
-            results.append(result)
-        if not persistent:
-            # Keep the hit/miss counters, drop the O(pairs) payloads.
-            memo.release()
-        self.last_query_memo = memo
-        return results
-
-    def on_memoized_query(self, a: MemoryAccess, b: MemoryAccess,
-                          result: AliasResult) -> None:
-        """Hook called instead of :meth:`alias` for a memoized pair."""
+    def query_many(self, pairs: Iterable[Tuple[MemoryAccess, MemoryAccess]]
+                   ) -> List[AliasResult]:
+        """Answer a batch of queries, one :meth:`alias` call per ask."""
+        return [self.alias(a, b) for a, b in pairs]
 
     def alias_pointers(self, a: Value, b: Value,
                        size_a: Optional[int] = None,

@@ -81,7 +81,6 @@ class BasicAliasAnalysis(AliasAnalysis):
     def __init__(self, module: Module):
         super().__init__(module)
         self._escape_cache: dict = {}
-        self._claim_cache: dict = {}
         #: pointer value -> memoized decomposition results.  Both walks are
         #: pure functions of the (immutable-between-edits) IR, and the
         #: quadratic pair enumeration revisits every pointer O(pointers)
@@ -93,13 +92,13 @@ class BasicAliasAnalysis(AliasAnalysis):
         """Function-granular incremental refresh (manager edit hook).
 
         The analysis is stateless apart from its caches: escape verdicts for
-        the retired body's allocas are dropped, and the claim/decomposition
-        caches — keyed by pointer identities whose ids may be recycled — are
-        cleared."""
+        the retired body's allocas are dropped, and the pair memo and the
+        decomposition caches — keyed by pointer identities whose ids may be
+        recycled — are cleared."""
         stale = set(old_function.instructions())
         for value in [value for value in self._escape_cache if value in stale]:
             del self._escape_cache[value]
-        self._claim_cache.clear()
+        self.pair_memo.clear()
         self._object_cache.clear()
         self._decompose_cache.clear()
 
@@ -296,17 +295,9 @@ class BasicAliasAnalysis(AliasAnalysis):
         return AliasResult.MAY_ALIAS, invocation
 
     def alias(self, a: MemoryAccess, b: MemoryAccess) -> AliasResult:
-        return self.classify(a, b)[0]
+        return self.remembered(a, b, self.classify)[0]
 
     def no_alias_context(self, a: MemoryAccess, b: MemoryAccess) -> NoAliasClaim:
-        # The oracle asks for the context of every no-alias pair right
-        # after query_many computed the verdicts; memoize the (stateless)
-        # classification so the decomposition walk is not repeated.
-        from ..core.queries import pair_key
-
-        key = pair_key(a, b)
-        claim = self._claim_cache.get(key)
-        if claim is None:
-            claim = self.classify(a, b)[1]
-            self._claim_cache[key] = claim
-        return claim
+        # The oracle asks for the context of every no-alias pair right after
+        # the verdicts were computed: the memoized classification answers.
+        return self.remembered(a, b, self.classify)[1]

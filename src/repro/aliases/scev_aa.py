@@ -43,10 +43,11 @@ class SCEVAliasAnalysis(AliasAnalysis):
     def refresh_function(self, old_function, new_function) -> None:
         """Function-granular incremental refresh (manager edit hook):
         scalar-evolution engines are built lazily per function, so the edit
-        only needs to retire the old body's engine (and the per-pointer
-        memo, whose keys are the retired body's identities)."""
+        only needs to retire the old body's engine (and the per-pointer and
+        pair memos, whose keys are pointer identities)."""
         self._engines.pop(old_function, None)
         self._evolutions.clear()
+        self.pair_memo.clear()
 
     def _engine_for(self, value: Value) -> Optional[ScalarEvolution]:
         function: Optional[Function] = None
@@ -75,6 +76,9 @@ class SCEVAliasAnalysis(AliasAnalysis):
     def alias(self, a: MemoryAccess, b: MemoryAccess) -> AliasResult:
         if a.pointer is b.pointer:
             return AliasResult.MUST_ALIAS
+        return self.remembered(a, b, self._alias_uncached)
+
+    def _alias_uncached(self, a: MemoryAccess, b: MemoryAccess) -> AliasResult:
         recurrence_a = self.evolution_of(a.pointer)
         recurrence_b = self.evolution_of(b.pointer)
         if recurrence_a is None or recurrence_b is None:

@@ -229,6 +229,7 @@ class SteensgaardAliasAnalysis(AliasAnalysis):
         seeds = problem.delta_nodes(edit)
         solver = SparseSolver(problem)
         self.solver_statistics.accumulate(solver.resolve_from(problem, seeds))
+        self.pair_memo.clear()
         return {"reseeded": len(seeds), "retained": 0}
 
     def _apply(self, constraint: Tuple[str, object]) -> None:
@@ -300,6 +301,9 @@ class SteensgaardAliasAnalysis(AliasAnalysis):
     def alias(self, a: MemoryAccess, b: MemoryAccess) -> AliasResult:
         if a.pointer is b.pointer:
             return AliasResult.MUST_ALIAS
+        return self.remembered(a, b, self._alias_uncached)
+
+    def _alias_uncached(self, a: MemoryAccess, b: MemoryAccess) -> AliasResult:
         if isinstance(a.pointer, NullPointer) or isinstance(b.pointer, NullPointer):
             return AliasResult.NO_ALIAS
         class_a = self._class_of(a.pointer)

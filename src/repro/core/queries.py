@@ -13,28 +13,23 @@ Two complementary disambiguation criteria:
 Both tests account for the byte size of the accesses being compared: an
 access of ``s`` bytes starting at offset ``o`` touches ``[o, o + s - 1]``.
 
-The module also provides the per-pair memoization used by the batched
-:meth:`~repro.aliases.base.AliasAnalysis.query_many` API: alias queries are
-symmetric and analyses are immutable once built, so one ``(pointer, size)``
-pair never needs to run the tests twice.
+The tests are pure; RBAA memoizes their :class:`QueryOutcome` per pair in
+its :attr:`~repro.aliases.base.AliasAnalysis.pair_memo`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Hashable, Optional
+from typing import Optional
 
-from ..aliases.results import MemoryAccess
 from ..symbolic import POS_INF, SymbolicInterval
-from ..symbolic.cache import BoundedMemo
 from .domain import PointerAbstractValue
 from .local_analysis import LocalAbstractValue
 from .locations import MemoryLocation
 
 __all__ = ["QueryOutcome", "DisambiguationReason", "global_test", "local_test",
-           "extend_for_access", "pair_key", "QueryPairMemo",
-           "DEFAULT_MEMO_PAYLOADS"]
+           "extend_for_access"]
 
 
 class DisambiguationReason(enum.Enum):
@@ -135,89 +130,3 @@ def local_test(lr_a: Optional[LocalAbstractValue], lr_b: Optional[LocalAbstractV
     if extended_a.definitely_disjoint(extended_b):
         return QueryOutcome(True, DisambiguationReason.LOCAL_DISJOINT_RANGES)
     return QueryOutcome.may_alias()
-
-
-# -- per-pair memoization -------------------------------------------------------
-
-
-def pair_key(a: MemoryAccess, b: MemoryAccess) -> Hashable:
-    """Canonical unordered key of one query pair.
-
-    Alias queries are symmetric, so ``(a, b)`` and ``(b, a)`` share a key.
-    Pointers are keyed by identity: SSA values are unique objects kept alive
-    by the module they belong to.  An unknown access size (``None``) maps to
-    ``-1``, a value no real access can have, so mixed known/unknown pairs
-    stay orderable.
-    """
-    first = (id(a.pointer), -1 if a.size is None else a.size)
-    second = (id(b.pointer), -1 if b.size is None else b.size)
-    return (first, second) if first <= second else (second, first)
-
-
-#: Distinguishes "nothing remembered" from a remembered ``None`` payload.
-_MISS = object()
-
-#: Default bound on remembered payloads per memo — the size knob.  Large
-#: enough that a batch over the biggest corpus program never evicts, small
-#: enough that a long-lived daemon's per-analysis memos stay bounded.
-DEFAULT_MEMO_PAYLOADS = 1 << 20
-
-
-class QueryPairMemo:
-    """Memoizes per-pair query payloads for one (immutable) analysis.
-
-    The payload is whatever the analysis wants to replay on a repeat query —
-    RBAA stores the full :class:`QueryOutcome` so its Figure-14 counters can
-    be updated even when the tests themselves are skipped.
-
-    The payload table is a :class:`~repro.symbolic.cache.BoundedMemo` LRU
-    bounded by ``max_payloads`` (evictions are counted and surfaced through
-    the service's ``stats`` op), so a memo held by a long-lived
-    :class:`~repro.service.session.AnalysisSession` cannot grow without
-    bound.  Eviction only ever forces a recompute — query answers are pure
-    functions of the analysis — so the bound is invisible to results (RBAA's
-    statistics replay re-runs the tests on an evicted pair rather than
-    skipping the accounting).
-    """
-
-    __slots__ = ("_memo",)
-
-    def __init__(self, max_payloads: int = DEFAULT_MEMO_PAYLOADS):
-        self._memo = BoundedMemo(maxsize=max(1, int(max_payloads)))
-
-    @property
-    def max_payloads(self) -> int:
-        return self._memo.maxsize
-
-    @property
-    def hits(self) -> int:
-        return self._memo.hits
-
-    @property
-    def misses(self) -> int:
-        return self._memo.misses
-
-    @property
-    def evictions(self) -> int:
-        return self._memo.evictions
-
-    def lookup(self, key: Hashable) -> Optional[Any]:
-        payload = self._memo.get(key, _MISS)
-        return None if payload is _MISS else payload
-
-    def remember(self, key: Hashable, payload: Any) -> None:
-        self._memo.put(key, payload)
-
-    def resize(self, max_payloads: int) -> None:
-        """Change the bound, evicting least-recent payloads that overflow."""
-        self._memo.resize(max(1, int(max_payloads)))
-
-    def release(self) -> None:
-        """Drop the payloads, keeping the hit/miss/eviction counters.
-
-        Batch-scoped memos call this once the batch is answered so an
-        uncapped quadratic pair sweep does not stay pinned in memory."""
-        self._memo.clear()
-
-    def __len__(self) -> int:
-        return len(self._memo)

@@ -9,8 +9,9 @@ analyses.  The pieces are requested from an
 manager (say, ``rbaa`` and the chained ``rbaa + basic``) share one range
 bootstrap and one GR/LR fixed point.  Every query runs the global test first
 and falls back to the local test, and the analysis keeps counters of which
-criterion answered each query (the data behind Figure 14); queries are
-memoized per pair, and a memoized replay still updates the counters.
+criterion answered each query (the data behind Figure 14); outcomes are
+memoized in the analysis's pair memo, and every ask — memoized or not —
+updates the counters.
 """
 
 from __future__ import annotations
@@ -27,15 +28,7 @@ from ..rangeanalysis.symbolic_ra import RangeAnalysisOptions
 from .domain import PointerAbstractValue
 from .global_analysis import GlobalAnalysisOptions
 from .local_analysis import LocalAbstractValue
-from .queries import (
-    DEFAULT_MEMO_PAYLOADS,
-    DisambiguationReason,
-    QueryOutcome,
-    QueryPairMemo,
-    global_test,
-    local_test,
-    pair_key,
-)
+from .queries import DisambiguationReason, QueryOutcome, global_test, local_test
 
 __all__ = ["RBAAOptions", "RBAAStatistics", "RBAAAliasAnalysis"]
 
@@ -50,9 +43,6 @@ class RBAAOptions:
     enable_global_test: bool = True
     #: Run the local test (Section 3.6/3.7).
     enable_local_test: bool = True
-    #: LRU bound (size knob) of the per-pair outcome memo; evictions only
-    #: force recomputes, never different answers.
-    outcome_memo_payloads: int = DEFAULT_MEMO_PAYLOADS
 
 
 @dataclass
@@ -105,8 +95,6 @@ class RBAAAliasAnalysis(AliasAnalysis):
         self.local_analysis = self.manager.get(
             keys.LOCAL_RANGES, range_options=self.options.range_options)
         self.statistics = RBAAStatistics()
-        self._outcomes = QueryPairMemo(
-            max_payloads=self.options.outcome_memo_payloads)
 
     def refresh_function(self, old_function, new_function) -> None:
         """Function-granular incremental refresh (manager edit hook).
@@ -116,12 +104,11 @@ class RBAAAliasAnalysis(AliasAnalysis):
         manager before this hook runs (dependencies-first), so every
         re-request below is a cache hit on the same objects — GR re-seeded
         its own fixed point from the edit cone rather than rebuilding from
-        scratch.  The per-pair
-        outcome memo is released: its keys are pointer identities, and the
-        retired body's ids may be recycled, while surviving pairs may sit in
-        the edit's interprocedural cone — but the cumulative Figure-14
-        counters survive, so a memoized-then-recomputed query is still
-        counted exactly once per ask.
+        scratch.  The pair memo is cleared: its keys are pointer identities,
+        and the retired body's ids may be recycled, while surviving pairs
+        may sit in the edit's interprocedural cone — but the cumulative
+        Figure-14 counters survive, so a memoized-then-recomputed query is
+        still counted exactly once per ask.
         """
         self.ranges = self.manager.get(keys.RANGES,
                                        options=self.options.range_options)
@@ -132,7 +119,7 @@ class RBAAAliasAnalysis(AliasAnalysis):
             range_options=self.options.range_options)
         self.local_analysis = self.manager.get(
             keys.LOCAL_RANGES, range_options=self.options.range_options)
-        self._outcomes.release()
+        self.pair_memo.clear()
 
     # -- introspection helpers ----------------------------------------------------
     def global_state(self, pointer) -> PointerAbstractValue:
@@ -148,15 +135,11 @@ class RBAAAliasAnalysis(AliasAnalysis):
         """Run the global then the local test; record which one answered.
 
         Outcomes are memoized per ``(pointer, size)`` pair.  A memoized
-        replay still goes through :meth:`RBAAStatistics.record`: the
+        answer still goes through :meth:`RBAAStatistics.record`: the
         Figure-14 counters tally *queries answered*, so skipping the tests
         must not skip the accounting.
         """
-        key = pair_key(a, b)
-        outcome = self._outcomes.lookup(key)
-        if outcome is None:
-            outcome = self._run_tests(a, b)
-            self._outcomes.remember(key, outcome)
+        outcome = self.remembered(a, b, self._run_tests)
         self.statistics.record(outcome)
         return outcome
 
@@ -189,11 +172,7 @@ class RBAAAliasAnalysis(AliasAnalysis):
         defining site.  Both contexts are reported so the oracle compares
         the verdict against exactly the executions it speaks about.
         """
-        key = pair_key(a, b)
-        outcome = self._outcomes.lookup(key)
-        if outcome is None:
-            outcome = self._run_tests(a, b)
-            self._outcomes.remember(key, outcome)
+        outcome = self.remembered(a, b, self._run_tests)
         if not outcome.no_alias:
             return NoAliasClaim()
         if outcome.reason is DisambiguationReason.GLOBAL_DISJOINT_RANGES:
@@ -231,23 +210,3 @@ class RBAAAliasAnalysis(AliasAnalysis):
                                 symbols=frozenset(symbols))
         # Distinct-objects reasoning: a plain invocation-set claim.
         return NoAliasClaim()
-
-    def on_memoized_query(self, a: MemoryAccess, b: MemoryAccess,
-                          result: AliasResult) -> None:
-        """Batched-path statistics fix: replay the memoized outcome.
-
-        ``query_many`` answers repeat pairs from its own memo without calling
-        :meth:`alias`; without this hook those queries would vanish from the
-        Figure-14 counters.  The outcome memo is a bounded LRU, so a pair
-        the outer memo still remembers may have been evicted here — in that
-        case the tests are re-run (deterministically) rather than skipping
-        the accounting, keeping warm counters equal to summed cold ones
-        whatever the eviction history."""
-        if a.pointer is b.pointer:
-            return
-        key = pair_key(a, b)
-        outcome = self._outcomes.lookup(key)
-        if outcome is None:
-            outcome = self._run_tests(a, b)
-            self._outcomes.remember(key, outcome)
-        self.statistics.record(outcome)

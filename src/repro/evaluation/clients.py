@@ -25,13 +25,12 @@ Run with ``python -m repro.evaluation clients --quick --jobs 2 --check
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..benchgen import (
     GENERATOR_VERSION,
     GeneratorConfig,
-    execution_inputs,
     generate_module,
     stable_seed,
     suite_configs,
@@ -39,7 +38,8 @@ from ..benchgen import (
 from ..clients.validate import ClientViolation, validate_bounds, validate_loops
 from ..engine import keys
 from ..engine.manager import AnalysisManager
-from ..interp import Interpreter, InterpreterLimits
+from ..interp import InterpreterLimits
+from .differential import DifferentialReport, ExecutedCheck, execute
 from .parallel import run_sharded
 
 __all__ = [
@@ -97,14 +97,9 @@ def clients_corpus(extra: int = QUICK_EXTRA_PROGRAMS,
 
 
 @dataclass
-class ClientCheck:
+class ClientCheck(ExecutedCheck):
     """Differential outcome for one corpus program (pure data, picklable)."""
 
-    program: str
-    seed: int
-    executed: bool = False
-    stop_reason: Optional[str] = None
-    steps: int = 0
     #: The bounds report's verdict counts (safe / maybe_oob /
     #: definitely_oob / accesses).
     bounds_summary: Dict[str, int] = field(default_factory=dict)
@@ -118,57 +113,28 @@ class ClientCheck:
     #: report vs. module) — counted per claim, not per frame.
     loop_claims_stale: int = 0
     violations: List[ClientViolation] = field(default_factory=list)
-    truncated: bool = False
 
 
 @dataclass
-class ClientsReport:
+class ClientsReport(DifferentialReport):
     """Aggregated differential results over a corpus."""
 
-    checks: List[ClientCheck] = field(default_factory=list)
+    SUMMED = ("bounds_events_checked", "oob_events_observed", "loops",
+              "parallel_loops", "loop_frames_checked", "loop_frames_skipped",
+              "loop_claims_stale")
 
-    def programs_executed(self) -> int:
-        return sum(1 for check in self.checks if check.executed)
-
-    def violations(self) -> List[ClientViolation]:
-        return [violation for check in self.checks
-                for violation in check.violations]
+    def totals(self) -> Dict[str, int]:
+        summary = {name: sum(c.bounds_summary.get(key, 0) for c in self.checks)
+                   for name, key in (("accesses_classified", "accesses"),
+                                     ("safe", "safe"),
+                                     ("maybe_oob", "maybe_oob"),
+                                     ("definitely_oob", "definitely_oob"))}
+        return {**summary, **super().totals()}
 
     def as_record(self, run_info: Optional[Dict[str, Any]] = None
                   ) -> Dict[str, Any]:
-        record: Dict[str, Any] = {
-            "schema": 1,
-            "generator_version": GENERATOR_VERSION,
-            "programs": [asdict(check) for check in self.checks],
-            "totals": {
-                "programs": len(self.checks),
-                "programs_executed": self.programs_executed(),
-                "accesses_classified": sum(
-                    c.bounds_summary.get("accesses", 0) for c in self.checks),
-                "safe": sum(c.bounds_summary.get("safe", 0)
-                            for c in self.checks),
-                "maybe_oob": sum(c.bounds_summary.get("maybe_oob", 0)
-                                 for c in self.checks),
-                "definitely_oob": sum(c.bounds_summary.get("definitely_oob", 0)
-                                      for c in self.checks),
-                "bounds_events_checked": sum(c.bounds_events_checked
-                                             for c in self.checks),
-                "oob_events_observed": sum(c.oob_events_observed
-                                           for c in self.checks),
-                "loops": sum(c.loops for c in self.checks),
-                "parallel_loops": sum(c.parallel_loops for c in self.checks),
-                "loop_frames_checked": sum(c.loop_frames_checked
-                                           for c in self.checks),
-                "loop_frames_skipped": sum(c.loop_frames_skipped
-                                           for c in self.checks),
-                "loop_claims_stale": sum(c.loop_claims_stale
-                                         for c in self.checks),
-                "violations": len(self.violations()),
-            },
-        }
-        if run_info is not None:
-            record["run"] = dict(run_info)
-        return record
+        return {**super().as_record(run_info),
+                "generator_version": GENERATOR_VERSION}
 
 
 # -- per-program driver --------------------------------------------------------
@@ -187,16 +153,6 @@ def check_clients_program(program, *, detector_factory=None,
     config = program.config
     module = program.module
     check = ClientCheck(program=config.name, seed=config.seed)
-    inputs = execution_inputs(config)
-    replay = {
-        "program": config.name,
-        "seed": config.seed,
-        "instances": config.instances,
-        "rng_key": config.rng_key,
-        "mix": dict(sorted(config.mix.items())) if config.mix else None,
-        "argv": inputs.argv(),
-    }
-
     manager = AnalysisManager(module)
     detector = detector_factory(module, manager) if detector_factory \
         else manager.get(keys.BOUNDS)
@@ -208,12 +164,7 @@ def check_clients_program(program, *, detector_factory=None,
     check.loops = loops_report["summary"]["loops"]
     check.parallel_loops = loops_report["summary"]["parallel"]
 
-    interpreter = Interpreter(module, limits=limits)
-    trace = interpreter.run_main(inputs.argv())
-    check.executed = trace.completed
-    check.stop_reason = trace.stop_reason
-    check.steps = trace.steps
-    check.truncated = any(frame.truncated for frame in trace.frames)
+    trace, replay = execute(check, config, module, limits)
     check.oob_events_observed = sum(
         1 for event in trace.accesses if not event.in_extent)
 

@@ -26,7 +26,7 @@ Run with ``python -m repro.evaluation soundness --quick --jobs 2
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -36,22 +36,17 @@ from ..aliases import (
     SteensgaardAliasAnalysis,
 )
 from ..aliases.results import MemoryAccess, NoAliasClaim
-from ..benchgen import (
-    GeneratorConfig,
-    execution_inputs,
-    generate_module,
-    stable_seed,
-    suite_configs,
-)
+from ..benchgen import GeneratorConfig, generate_module, stable_seed, suite_configs
 from ..core import RBAAAliasAnalysis
 from ..engine import keys
 from ..engine.manager import AnalysisManager
-from ..interp import ExecutionTrace, Interpreter, InterpreterLimits, Pointer
+from ..interp import ExecutionTrace, InterpreterLimits, Pointer
 from ..interp.trace import FrameTrace
 from ..ir.function import Function
 from ..ir.values import Value
 from ..symbolic import evaluate
 from ..ir.module import Module
+from .differential import DifferentialReport, ExecutedCheck, execute
 from .harness import AnalysisFactory, QueryPair, enumerate_query_pairs
 from .parallel import run_sharded
 
@@ -143,14 +138,9 @@ class Violation:
 
 
 @dataclass
-class ProgramCheck:
+class ProgramCheck(ExecutedCheck):
     """Oracle outcome for one corpus program (pure data, picklable)."""
 
-    program: str
-    seed: int
-    executed: bool = False
-    stop_reason: Optional[str] = None
-    steps: int = 0
     queries: int = 0
     #: analysis name -> number of no-alias verdicts it produced.
     no_alias_claims: Dict[str, int] = field(default_factory=dict)
@@ -159,38 +149,14 @@ class ProgramCheck:
     range_values_checked: int = 0
     range_values_skipped: int = 0
     violations: List[Violation] = field(default_factory=list)
-    truncated: bool = False
 
 
 @dataclass
-class SoundnessReport:
+class SoundnessReport(DifferentialReport):
     """Aggregated oracle results over a corpus."""
 
-    checks: List[ProgramCheck] = field(default_factory=list)
-
-    def programs_executed(self) -> int:
-        return sum(1 for check in self.checks if check.executed)
-
-    def violations(self) -> List[Violation]:
-        return [violation for check in self.checks for violation in check.violations]
-
-    def as_record(self, run_info: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        record: Dict[str, Any] = {
-            "schema": 1,
-            "programs": [asdict(check) for check in self.checks],
-            "totals": {
-                "programs": len(self.checks),
-                "programs_executed": self.programs_executed(),
-                "claims_checked": sum(c.claims_checked for c in self.checks),
-                "claims_skipped": sum(c.claims_skipped for c in self.checks),
-                "range_values_checked": sum(c.range_values_checked for c in self.checks),
-                "range_values_skipped": sum(c.range_values_skipped for c in self.checks),
-                "violations": len(self.violations()),
-            },
-        }
-        if run_info is not None:
-            record["run"] = dict(run_info)
-        return record
+    SUMMED = ("claims_checked", "claims_skipped", "range_values_checked",
+              "range_values_skipped")
 
 
 # -- ground-truth helpers ------------------------------------------------------
@@ -453,16 +419,6 @@ def check_program(program, *,
     config = program.config
     module = program.module
     check = ProgramCheck(program=config.name, seed=config.seed)
-    inputs = execution_inputs(config)
-    replay = {
-        "program": config.name,
-        "seed": config.seed,
-        "instances": config.instances,
-        "rng_key": config.rng_key,
-        "mix": dict(sorted(config.mix.items())) if config.mix else None,
-        "argv": inputs.argv(),
-    }
-
     manager = AnalysisManager(module)
     analyses = [(name, factory(module, manager))
                 for name, factory in (factories or soundness_factories())]
@@ -486,13 +442,7 @@ def check_program(program, *,
             pair = pairs[index]
             claims.append((name, pair, analysis.no_alias_context(pair.a, pair.b)))
 
-    interpreter = Interpreter(module, limits=limits)
-    trace = interpreter.run_main(inputs.argv())
-    check.executed = trace.completed
-    check.stop_reason = trace.stop_reason
-    check.steps = trace.steps
-    check.truncated = any(frame.truncated for frame in trace.frames)
-
+    trace, replay = execute(check, config, module, limits)
     symbols = _SymbolTable(range_oracle.kernel_bindings(), trace)
 
     for name, pair, claim in claims:

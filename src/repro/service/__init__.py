@@ -7,8 +7,8 @@
   structured ``error_code`` envelopes with request-``id`` echo, the
   access-size schema, and client helpers.
 * :mod:`repro.service.session` — :class:`AnalysisSession`, the in-process
-  API: modules stay resident with warm analysis state and cross-request
-  query memos; single-function edits re-run only the invalidated cone;
+  API: modules stay resident with warm analysis state (each alias
+  analysis keeps its own bounded pair memo); single-function edits re-run only the invalidated cone;
   optionally backed by the persistent result store.
 * :mod:`repro.service.store` — :class:`ResultStore`, the persistent
   content-addressed result cache keyed by source digest + generator and

@@ -14,7 +14,7 @@ is correctness:
   produces for the same payload, at any worker/client count and under the
   front end's query coalescing.
 * **Stats identity** (storeless run) — the deterministic subset of each
-  module's ``stats`` record (solver steps, Figure-14 counters, query-memo
+  module's ``stats`` record (solver steps, Figure-14 counters, pair-memo
   counters, engine build/invalidation counts) must equal the serial
   session's.  Engine get-level hit counters are excluded — they depend on
   how traffic happened to batch — as are the process-global symbolic
@@ -291,9 +291,8 @@ def stats_gate_view(record: Dict[str, Any]) -> Dict[str, Any]:
         "engine_refreshes": engine.get("refreshes"),
         "memos": record.get("memos"),
     }
-    for key in ("figure14", "rbaa_outcome_memo"):
-        if key in record:
-            view[key] = record[key]
+    if "figure14" in record:
+        view["figure14"] = record["figure14"]
     return view
 
 

@@ -1,15 +1,15 @@
 """The in-process analysis session: resident modules + incremental edits.
 
 This is the serving layer's core.  A session keeps compiled modules
-*resident* — each with its own :class:`~repro.engine.manager.AnalysisManager`
-and long-lived per-analysis query memos — so a stream of alias/range
-queries pays the expensive analysis builds once, and a *function edit*
-(:meth:`AnalysisSession.edit_source`) re-runs only the analyses whose
-dependency cone the edit touches:
+*resident* — each with its own :class:`~repro.engine.manager.AnalysisManager`,
+whose cached alias analyses keep their own bounded pair memos — so a stream
+of alias/range queries pays the expensive analysis builds once, and a
+*function edit* (:meth:`AnalysisSession.edit_source`) re-runs only the
+analyses whose dependency cone the edit touches:
 
 * the function-scoped analyses (symbolic ranges, LR, locations, basicaa
-  caches, SCEV engines, RBAA's memo) are refreshed in place, re-solving
-  only the edited function's nodes;
+  caches, SCEV engines, RBAA) are refreshed in place, re-solving only the
+  edited function's nodes, and every alias analysis clears its pair memo;
 * the interprocedural fixed points (GR, Andersen, Steensgaard) are
   *re-seeded* in place through :meth:`SparseSolver.resolve_from`: the
   retained fixed point survives and only the edit's dependent cone is
@@ -47,7 +47,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..aliases.base import AliasAnalysis
 from ..aliases.results import AliasResult, MemoryAccess
 from ..benchgen import SUITE_PROGRAMS, build_program, source_digest
-from ..core.queries import QueryPairMemo
 from ..engine import keys
 from ..engine.manager import AnalysisKey, AnalysisManager, ManagerStatistics
 from ..frontend import compile_source
@@ -116,8 +115,6 @@ class ResidentModule:
     #: Load metadata (function names, instruction count), cached so lazy
     #: residents can answer ``load``/``modules`` without compiling.
     meta: Optional[Dict[str, Any]] = None
-    #: analysis name -> long-lived cross-request query memo.
-    memos: Dict[str, QueryPairMemo] = field(default_factory=dict)
     #: Solver steps of analyses that were evicted (harvested before drop).
     retired_steps: int = 0
     #: Same, attributed per analysis-key name (feeds the per-analysis
@@ -204,15 +201,6 @@ class ResidentModule:
 
 class AnalysisSession:
     """Holds modules resident and answers queries with warm analysis state."""
-
-    #: Upper bound on remembered payloads per (module, analysis) memo — the
-    #: LRU size knob of :class:`~repro.core.queries.QueryPairMemo`.  The
-    #: memos are what make repeat queries free across requests, but a
-    #: long-lived daemon must not grow without bound under adversarial or
-    #: merely varied traffic (keys include the client-supplied access size),
-    #: so the least-recent payloads are evicted past the cap — counters
-    #: survive (``stats`` reports evictions), repeats after that recompute.
-    memo_payload_cap = 100_000
 
     def __init__(self, store: Optional[ResultStore] = None) -> None:
         self._modules: Dict[str, ResidentModule] = {}
@@ -334,11 +322,6 @@ class AnalysisSession:
             impacts.append(impact.as_dict())
             resident.impacts.append(impact.as_dict())
             resident.drop_value_index(function_name)
-        # Cross-request memo payloads key on pointer identities; the edited
-        # bodies' ids may be recycled and cone functions' outcomes may have
-        # changed, so the payloads are dropped (counters survive).
-        for memo in resident.memos.values():
-            memo.release()
         resident.source = source
         resident.digest = source_digest(source)
         resident.meta = self._meta_of(resident.module)
@@ -389,15 +372,6 @@ class AnalysisSession:
 
     def _analysis(self, resident: ResidentModule, name: str) -> AliasAnalysis:
         return resident.manager.get(self._require_analysis(name))
-
-    def _memo(self, resident: ResidentModule, analysis_name: str) -> QueryPairMemo:
-        memo = resident.memos.get(analysis_name)
-        if memo is None:
-            memo = QueryPairMemo(max_payloads=self.memo_payload_cap)
-            resident.memos[analysis_name] = memo
-        elif memo.max_payloads != max(1, self.memo_payload_cap):
-            memo.resize(self.memo_payload_cap)
-        return memo
 
     @staticmethod
     def _access(resident: ResidentModule, function_name: str,
@@ -455,8 +429,7 @@ class AnalysisSession:
                 a, b, size_a, size_b = pairs[index]
                 accesses.append((self._access(resident, function, a, size_a),
                                  self._access(resident, function, b, size_b)))
-            memo = self._memo(resident, analysis)
-            answers = engine.query_many(accesses, memo=memo)
+            answers = engine.query_many(accesses)
             for index, answer in zip(missing, answers):
                 results[index] = str(answer)
                 if self.store is not None:
@@ -507,9 +480,7 @@ class AnalysisSession:
                 else [resident.function(function)]
             pairs = list(enumerate_query_pairs(resident.module, max_pairs,
                                                functions=targets))
-            memo = self._memo(resident, analysis)
-            results = engine.query_many([(pair.a, pair.b) for pair in pairs],
-                                        memo=memo)
+            results = engine.query_many([(pair.a, pair.b) for pair in pairs])
             no_alias = [index for index, result in enumerate(results)
                         if result is AliasResult.NO_ALIAS]
             return {"queries": len(pairs), "no_alias": len(no_alias),
@@ -617,11 +588,7 @@ class AnalysisSession:
             # records are deterministic and survive strip_volatile.
             "incremental": {"impacts": list(resident.impacts)},
             "engine": engine_stats,
-            "memos": {name: {"hits": memo.hits, "misses": memo.misses,
-                             "evictions": memo.evictions,
-                             "size": len(memo),
-                             "max_payloads": memo.max_payloads}
-                      for name, memo in sorted(resident.memos.items())},
+            "memos": self._pair_memo_stats(manager),
             # The symbolic order-layer memo caches are process-global (they
             # key on interned expression identities); surfaced here so a
             # daemon operator can watch their hit rates and evictions.
@@ -632,12 +599,6 @@ class AnalysisSession:
             record["store"] = self.store.stats()
         rbaa = manager.cached(keys.RBAA) if manager is not None else None
         if rbaa is not None:
-            outcomes = rbaa._outcomes
-            record["rbaa_outcome_memo"] = {
-                "hits": outcomes.hits, "misses": outcomes.misses,
-                "evictions": outcomes.evictions, "size": len(outcomes),
-                "max_payloads": outcomes.max_payloads,
-            }
             statistics = rbaa.statistics
             record["figure14"] = {
                 "queries": statistics.queries,
@@ -648,6 +609,20 @@ class AnalysisSession:
                     statistics.answered_by_distinct_objects,
             }
         return record
+
+    @staticmethod
+    def _pair_memo_stats(manager: Optional[AnalysisManager]
+                         ) -> Dict[str, Dict[str, int]]:
+        """Each cached alias analysis's pair-memo counters, by name."""
+        memos: Dict[str, Dict[str, int]] = {}
+        for name, key in sorted(ANALYSIS_KEYS.items()):
+            analysis = manager.cached(key) if manager is not None else None
+            if analysis is not None:
+                memo = analysis.pair_memo
+                memos[name] = {"hits": memo.hits, "misses": memo.misses,
+                               "evictions": memo.evictions, "size": len(memo),
+                               "max_payloads": memo.maxsize}
+        return memos
 
     def solver_steps(self, module: str) -> int:
         return self._resident(module).solver_steps()

@@ -1,6 +1,8 @@
 """Unit tests for the shared analysis engine: solver, manager, batched queries."""
 
 
+from repro.aliases.combined import CombinedAliasAnalysis
+from repro.benchgen import build_program
 from repro.core import RBAAAliasAnalysis
 from repro.engine import (
     AnalysisKey,
@@ -263,15 +265,40 @@ class TestBatchedQueries:
                                   + stats.answered_by_distinct_objects)
         # Counters doubled along with the queries: batching preserved ratios.
         assert stats.no_alias % 2 == 0
-        assert rbaa.last_query_memo.hits == len(pairs)
+        assert rbaa.pair_memo.hits == len(pairs)
 
     def test_query_memoization_skips_recomputation(self):
         module = compile_source(self.SOURCE)
         rbaa = RBAAAliasAnalysis(module)
         pairs = self._pairs(module)
         rbaa.query_many(pairs + pairs)
-        # The analysis-level outcome memo computed each distinct pair once.
-        assert len(rbaa._outcomes) == len(pairs)
+        # The analysis's pair memo computed each distinct pair once.
+        assert len(rbaa.pair_memo) == len(pairs)
+        assert rbaa.pair_memo.misses == len(pairs)
+
+    def test_combined_credit_counts_every_ask_on_any_call_path(self):
+        """A chain's credit is per ask: a batch with every pair twice
+        credits the same as an ``alias`` loop over the same asks."""
+        program = build_program("anagram")
+        pairs = [(pair.a, pair.b)
+                 for pair in enumerate_query_pairs(program.module)]
+        asks = pairs + pairs
+
+        def chain():
+            manager = AnalysisManager(program.module)
+            return CombinedAliasAnalysis(
+                program.module, [manager.get(keys.RBAA), manager.get(keys.BASIC)])
+
+        batched = chain()
+        batched_answers = batched.query_many(asks)
+        looped = chain()
+        looped_answers = [looped.alias(a, b) for a, b in asks]
+        assert batched_answers == looped_answers
+        assert batched.credit["rbaa"] > 0
+        assert batched.credit == looped.credit
+        rbaa_batched, rbaa_looped = batched.analyses[0], looped.analyses[0]
+        assert rbaa_batched.statistics == rbaa_looped.statistics
+        assert rbaa_batched.statistics.queries == len(asks)
 
     def test_run_queries_uses_shared_manager(self):
         module = compile_source(self.SOURCE)

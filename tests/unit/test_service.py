@@ -8,11 +8,15 @@ import sys
 import pytest
 
 import repro
+from repro.aliases import base as alias_base
+from repro.aliases.base import PAIR_MEMO_PAYLOADS
 from repro.benchgen import edit_scenario, generate_source
+from repro.engine import keys
 from repro.benchgen.suites import SUITE_PROGRAMS
 from repro.frontend import compile_source
 from repro.service import AnalysisSession, ServiceError, handle_payload
 from repro.service.protocol import DEFAULT_SIZE
+from repro.service.session import ANALYSIS_KEYS
 
 SRC = """
 void fill(char* buf, int n) {
@@ -83,17 +87,20 @@ class TestAnalysisSession:
         after = session.stats("m")["memos"]["rbaa"]["hits"]
         assert after == before + 1
 
-    def test_memo_payload_cap_bounds_resident_memory(self):
+    def test_memo_payload_cap_bounds_resident_memory(self, monkeypatch):
+        monkeypatch.setattr(alias_base, "PAIR_MEMO_PAYLOADS", 1)
         session = AnalysisSession()
-        session.memo_payload_cap = 0  # release before every batch
         session.load_source("m", SRC)
         base, offset = _main_pointers(session)
         first = session.query("m", "rbaa", "main", base, offset)
+        session.query("m", "rbaa", "main", base, offset, 4, 4)  # another key
         second = session.query("m", "rbaa", "main", base, offset)
         assert first["result"] == second["result"] == "no-alias"
-        # Payloads are dropped at the cap; only the current batch's entry
-        # may linger, so a long-lived daemon cannot grow without bound.
-        assert len(session._modules["m"].memos["rbaa"]) <= 1
+        # Payloads past the bound are evicted, so a long-lived daemon
+        # cannot grow without bound.
+        memo = session.stats("m")["memos"]["rbaa"]
+        assert memo["size"] == memo["max_payloads"] == 1
+        assert memo["evictions"] >= 2
 
     def test_range_queries(self):
         session = AnalysisSession()
@@ -141,6 +148,27 @@ class TestAnalysisSession:
         cold = AnalysisSession()
         cold.load_source("m", SRC_EDITED)
         for analysis in ("rbaa", "basic", "andersen", "steensgaard"):
+            assert warm.query_function("m", analysis) == \
+                cold.query_function("m", analysis)
+
+    def test_edit_clears_every_pair_memo(self):
+        analyses = ("rbaa", "basic", "andersen", "steensgaard")
+        warm = AnalysisSession()
+        warm.load_source("m", SRC)
+        for analysis in analyses:
+            warm.query_function("m", analysis)
+        manager = warm._modules["m"].manager
+        assert all(len(manager.cached(ANALYSIS_KEYS[analysis]).pair_memo)
+                   for analysis in analyses)
+        edited = warm.edit_source("m", SRC_EDITED)
+        assert edited["reloaded"] is False
+        for analysis in analyses:
+            cached = manager.cached(ANALYSIS_KEYS[analysis])
+            assert cached is not None, analysis
+            assert len(cached.pair_memo) == 0, analysis
+        cold = AnalysisSession()
+        cold.load_source("m", SRC_EDITED)
+        for analysis in analyses:
             assert warm.query_function("m", analysis) == \
                 cold.query_function("m", analysis)
 
@@ -286,10 +314,10 @@ class TestStatsCacheTelemetry:
         memo = record["memos"]["rbaa"]
         assert {"hits", "misses", "evictions", "size",
                 "max_payloads"} <= set(memo)
-        assert memo["max_payloads"] == session.memo_payload_cap
-        outcome_memo = record["rbaa_outcome_memo"]
-        assert outcome_memo["misses"] >= 1
-        assert outcome_memo["evictions"] == 0
+        assert memo["max_payloads"] == PAIR_MEMO_PAYLOADS
+        assert memo["misses"] >= 1
+        assert memo["evictions"] == 0
+        assert "rbaa_outcome_memo" not in record
         caches = record["symbolic_caches"]
         assert set(caches) == {"compare", "difference"}
         for counters in caches.values():
@@ -301,6 +329,7 @@ class TestStatsCacheTelemetry:
         session.load_source("m", SRC)
         base, offset = _main_pointers(session)
         session.query("m", "rbaa", "main", base, offset)
-        session.memo_payload_cap = 1
+        rbaa = session._modules["m"].manager.cached(keys.RBAA)
+        rbaa.pair_memo.resize(1)
         session.query("m", "rbaa", "main", base, offset)
-        assert len(session._modules["m"].memos["rbaa"]) <= 1
+        assert session.stats("m")["memos"]["rbaa"]["size"] <= 1

@@ -252,6 +252,12 @@ class TestBoundedMemo:
         assert memo.get("a") == 1 and memo.get("c") == 3
         assert memo.evictions == 1
         assert len(memo) == 2
+        # A stored ``None`` is a hit, told apart from a miss by the default.
+        missing = object()
+        memo.put("n", None)
+        assert memo.get("n", missing) is None
+        assert memo.get("b", missing) is missing
+        assert (memo.hits, memo.misses) == (4, 2)
 
     def test_resize_trims_least_recent(self):
         memo = BoundedMemo(maxsize=4)
@@ -262,6 +268,9 @@ class TestBoundedMemo:
         assert 0 in memo and 3 in memo
         assert 1 not in memo and 2 not in memo
         assert memo.evictions == 2
+        memo.clear()                       # drops payloads, keeps counters
+        assert len(memo) == 0
+        assert (memo.hits, memo.misses, memo.evictions) == (1, 0, 2)
 
     def test_stats_shape(self):
         memo = BoundedMemo(maxsize=8)

@@ -6,19 +6,16 @@ queried at unknown (unbounded) size, across every size-sensitive analysis
 and at every layer (interval extension, the GR/LR tests, the memo keys).
 """
 
+import pytest
+
+from repro.aliases.base import PAIR_MEMO_PAYLOADS, AliasAnalysis, pair_key
 from repro.aliases.basic import BasicAliasAnalysis
 from repro.aliases.results import AliasResult, MemoryAccess
 from repro.aliases.scev_aa import SCEVAliasAnalysis
 from repro.core import RBAAAliasAnalysis
 from repro.core.domain import PointerAbstractValue
 from repro.core.locations import LocationKind, MemoryLocation
-from repro.core.queries import (
-    QueryPairMemo,
-    extend_for_access,
-    global_test,
-    local_test,
-    pair_key,
-)
+from repro.core.queries import extend_for_access, global_test, local_test
 from repro.frontend import compile_source
 from repro.symbolic import POS_INF, SymbolicInterval
 
@@ -147,96 +144,123 @@ class TestAnalysesAtUnknownSize:
         assert key_sized != key_unknown
 
 
+class _Scripted(AliasAnalysis):
+    """A stub analysis answering each named ask with a scripted payload
+    through its pair memo, logging every ask the memo could not answer."""
+
+    name = "scripted"
+
+    def __init__(self, payloads):
+        super().__init__(compile_source(ONE_BYTE_DISJOINT, "memo"))
+        self.pointer = self.module.get_function("f").pointer_values()[0]
+        self.payloads = payloads
+        self.names = list(payloads)
+        self.decided = []
+
+    def ask(self, name):
+        # One pointer, one access size per name: a distinct pair key each.
+        access = MemoryAccess.of(self.pointer, self.names.index(name) + 1)
+        return self.remembered(access, access, self._decide)
+
+    def _decide(self, a, b):
+        name = self.names[a.size - 1]
+        self.decided.append(name)
+        return self.payloads[name]
+
+    def alias(self, a, b):  # pragma: no cover - not exercised
+        return AliasResult.MAY_ALIAS
+
+
 class TestQueryPairMemoCounters:
+    """The counters of an analysis's pair memo, driven via ``remembered``."""
+
     def test_remembered_none_counts_as_hit_not_miss(self):
-        memo = QueryPairMemo()
-        memo.remember("pair", None)
-        assert memo.lookup("pair") is None
-        assert (memo.hits, memo.misses) == (1, 0)
-        # Repeated lookups keep hitting — the old behaviour double-counted
-        # every lookup of a stored ``None`` as a miss.
-        assert memo.lookup("pair") is None
-        assert (memo.hits, memo.misses) == (2, 0)
+        analysis = _Scripted({"pair": None})
+        assert analysis.ask("pair") is None
+        assert analysis.ask("pair") is None
+        assert analysis.ask("pair") is None
+        memo = analysis.pair_memo
+        assert (memo.hits, memo.misses) == (2, 1)
+        assert analysis.decided == ["pair"]
 
     def test_post_release_lookups_count_misses(self):
-        memo = QueryPairMemo()
-        memo.remember("pair", None)
-        memo.lookup("pair")
-        memo.release()
-        assert memo.lookup("pair") is None
-        assert (memo.hits, memo.misses) == (1, 1)
-        assert len(memo) == 0
+        analysis = _Scripted({"pair": None})
+        analysis.ask("pair")
+        analysis.ask("pair")
+        analysis.pair_memo.clear()
+        assert len(analysis.pair_memo) == 0
+        assert analysis.ask("pair") is None
+        assert (analysis.pair_memo.hits, analysis.pair_memo.misses) == (1, 2)
 
     def test_real_payloads_still_round_trip(self):
-        memo = QueryPairMemo()
-        assert memo.lookup("pair") is None
-        memo.remember("pair", "payload")
-        assert memo.lookup("pair") == "payload"
-        assert (memo.hits, memo.misses) == (1, 1)
+        analysis = _Scripted({"pair": "payload"})
+        assert analysis.ask("pair") == "payload"
+        assert analysis.ask("pair") == "payload"
+        assert (analysis.pair_memo.hits, analysis.pair_memo.misses) == (1, 1)
 
 
 class TestQueryPairMemoBound:
-    """The memo is an LRU bounded by ``max_payloads`` (daemon-safety knob)."""
+    """The pair memo is an LRU bounded by ``PAIR_MEMO_PAYLOADS``."""
 
     def test_eviction_is_lru_and_counted(self):
-        memo = QueryPairMemo(max_payloads=2)
-        memo.remember("a", 1)
-        memo.remember("b", 2)
-        assert memo.lookup("a") == 1       # refresh: "b" is now least recent
-        memo.remember("c", 3)              # evicts "b"
-        assert memo.lookup("b") is None
-        assert memo.lookup("a") == 1
-        assert memo.lookup("c") == 3
-        assert memo.evictions == 1
-        assert len(memo) == 2
+        analysis = _Scripted({"a": 1, "b": 2, "c": 3})
+        analysis.pair_memo.resize(2)
+        analysis.ask("a")
+        analysis.ask("b")
+        analysis.ask("a")                  # refresh: "b" is now least recent
+        analysis.ask("c")                  # evicts "b"
+        assert analysis.pair_memo.evictions == 1
+        assert analysis.ask("a") == 1 and analysis.ask("c") == 3
+        assert analysis.decided == ["a", "b", "c"]
+        assert analysis.ask("b") == 2      # recomputed
+        assert analysis.decided == ["a", "b", "c", "b"]
 
     def test_eviction_only_forces_recompute(self):
-        memo = QueryPairMemo(max_payloads=1)
-        memo.remember("a", "payload-a")
-        memo.remember("b", "payload-b")    # evicts "a"
-        assert memo.lookup("a") is None    # recompute path
-        memo.remember("a", "payload-a")    # same deterministic payload again
-        assert memo.lookup("a") == "payload-a"
+        analysis = _Scripted({"a": "payload-a", "b": "payload-b"})
+        analysis.pair_memo.resize(1)
+        assert analysis.ask("a") == "payload-a"
+        assert analysis.ask("b") == "payload-b"   # evicts "a"
+        assert analysis.ask("a") == "payload-a"   # same deterministic payload
+        assert analysis.decided == ["a", "b", "a"]
 
     def test_resize_trims_and_counts(self):
-        memo = QueryPairMemo(max_payloads=4)
-        for index in range(4):
-            memo.remember(index, index)
-        memo.resize(2)
-        assert memo.evictions == 2
-        assert len(memo) == 2
-        assert memo.lookup(3) == 3         # most recent survived
+        analysis = _Scripted({index: index for index in "wxyz"})
+        for name in "wxyz":
+            analysis.ask(name)
+        analysis.pair_memo.resize(2)
+        assert analysis.pair_memo.evictions == 2
+        assert len(analysis.pair_memo) == 2
+        assert analysis.ask("z") == "z"           # most recent survived
+        assert analysis.decided == list("wxyz")
 
     def test_bound_never_below_one(self):
-        memo = QueryPairMemo(max_payloads=0)
-        memo.remember("a", 1)
-        assert memo.lookup("a") == 1
-        assert len(memo) == 1
+        analysis = _Scripted({"a": 1})
+        assert analysis.pair_memo.maxsize == PAIR_MEMO_PAYLOADS >= 1
+        with pytest.raises(ValueError):
+            analysis.pair_memo.resize(0)
+        assert analysis.ask("a") == 1
+        assert len(analysis.pair_memo) == 1
 
 
 class TestBoundedOutcomeMemoStatistics:
-    """Eviction from RBAA's outcome memo must never drop Figure-14 counts."""
+    """Eviction from RBAA's pair memo must never drop Figure-14 counts."""
 
     def test_memoized_replay_survives_eviction(self):
-        from repro.core.rbaa import RBAAOptions
         from repro.evaluation.harness import enumerate_query_pairs
 
         module = compile_source(ONE_BYTE_DISJOINT, "m")
         pairs = [(pair.a, pair.b) for pair in enumerate_query_pairs(module)]
         assert len(pairs) >= 2
 
-        reference = RBAAAliasAnalysis(compile_source(ONE_BYTE_DISJOINT, "m"))
-        memo_ref = QueryPairMemo()
-        reference.query_many(pairs, memo=memo_ref)
-        reference.query_many(pairs, memo=memo_ref)  # replayed batch
+        reference = RBAAAliasAnalysis(module)
+        reference.query_many(pairs)
+        reference.query_many(pairs)  # replayed batch
 
-        tiny = RBAAAliasAnalysis(
-            compile_source(ONE_BYTE_DISJOINT, "m"),
-            RBAAOptions(outcome_memo_payloads=1))
-        memo_tiny = QueryPairMemo()
-        tiny.query_many(pairs, memo=memo_tiny)
-        tiny.query_many(pairs, memo=memo_tiny)
-        assert tiny._outcomes.evictions > 0  # the bound actually bit
+        tiny = RBAAAliasAnalysis(module)
+        tiny.pair_memo.resize(1)
+        tiny.query_many(pairs)
+        tiny.query_many(pairs)
+        assert tiny.pair_memo.evictions > 0  # the bound actually bit
 
         for field in ("queries", "no_alias", "answered_by_global",
                       "answered_by_local", "answered_by_distinct_objects"):
