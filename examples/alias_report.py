@@ -50,11 +50,9 @@ def main(argv=None) -> int:
     rows = []
     for name in ("scev", "basic", "rbaa", "r+b"):
         rows.append([name, result.no_alias.get(name, 0),
-                     f"{result.percentage(name):.2f}",
-                     f"{result.build_seconds.get(name, 0.0) * 1000:.1f}",
-                     f"{result.query_seconds.get(name, 0.0) * 1000:.1f}"])
+                     f"{result.percentage(name):.2f}"])
     print(format_table(
-        ["Analysis", "no-alias", "% of queries", "build (ms)", "queries (ms)"],
+        ["Analysis", "no-alias", "% of queries"],
         rows, title=f"{result.queries} pointer-pair queries"))
 
     rbaa_extra = result.extra.get("rbaa", {})

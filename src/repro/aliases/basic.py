@@ -88,7 +88,7 @@ class BasicAliasAnalysis(AliasAnalysis):
         self._object_cache: dict = {}
         self._decompose_cache: dict = {}
 
-    def refresh_function(self, old_function, new_function) -> None:
+    def refresh_function(self, old_function, new_function, edit) -> None:
         """Function-granular incremental refresh (manager edit hook).
 
         The analysis is stateless apart from its caches: escape verdicts for

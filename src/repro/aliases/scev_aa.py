@@ -40,7 +40,7 @@ class SCEVAliasAnalysis(AliasAnalysis):
         #: asks about every pointer O(pointers) times.
         self._evolutions: Dict[Value, Optional[AddRecurrence]] = {}
 
-    def refresh_function(self, old_function, new_function) -> None:
+    def refresh_function(self, old_function, new_function, edit) -> None:
         """Function-granular incremental refresh (manager edit hook):
         scalar-evolution engines are built lazily per function, so the edit
         only needs to retire the old body's engine (and the per-pointer and

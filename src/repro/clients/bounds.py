@@ -65,7 +65,7 @@ class BoundsCheckAnalysis:
 
     # -- incremental invalidation (manager edit hook) -----------------------
     def refresh_function(self, old_function: Function,
-                         new_function: Function) -> None:
+                         new_function: Function, edit) -> None:
         """Drop the edited function's report; inputs were refreshed first
         (dependencies-first ordering), so re-requesting them is a hit."""
         self._reports.pop(old_function, None)

@@ -96,7 +96,7 @@ class LoopParallelismAnalysis:
 
     # -- incremental invalidation (manager edit hook) -----------------------
     def refresh_function(self, old_function: Function,
-                         new_function: Function) -> None:
+                         new_function: Function, edit) -> None:
         self._reports.pop(old_function, None)
         self._loop_info.pop(old_function, None)
         if self.manager is not None:

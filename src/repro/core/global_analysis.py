@@ -19,7 +19,6 @@ conservatively.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -50,6 +49,10 @@ from .locations import LocationTable
 
 __all__ = ["GlobalAnalysisOptions", "GlobalRangeAnalysis"]
 
+#: Re-evaluations of one value before the ascending phase forces
+#: convergence (widening makes few necessary).
+MAX_ASCENDING_PASSES = 6
+
 #: External routines whose pointer result is their first argument.
 _RETURNS_FIRST_ARGUMENT = frozenset({
     "strcpy", "strncpy", "strcat", "strncat", "memcpy", "memmove", "memset",
@@ -63,34 +66,10 @@ class GlobalAnalysisOptions:
     #: Bind pointer formal parameters to the actual arguments of internal
     #: call sites (the paper's interprocedural, context-insensitive mode).
     interprocedural: bool = True
-    #: Give pointer parameters of internally-called functions *only* the
-    #: join of their actuals.  When False, every pointer parameter also keeps
-    #: its own pseudo-location (maximally conservative).
-    closed_world: bool = True
-    #: Maximum number of ascending passes (widening makes few necessary).
-    max_ascending_passes: int = 6
     #: Length of the descending (narrowing) sequence.
     descending_passes: int = 2
     #: Record per-phase snapshots of the abstract state (Figure 12 traces).
     track_trace: bool = False
-
-
-@dataclass
-class AnalysisStatistics:
-    """Bookkeeping reported by the evaluation harness.
-
-    ``ascending_passes`` preserves the historical meaning under the sparse
-    solver: the maximum number of times any single value was re-evaluated
-    during the ascending phase (a dense pass re-evaluated every value once).
-    ``fixpoint_steps`` is the solver's total transfer-function count — the
-    hardware-independent cost the scalability benchmark reports.
-    """
-
-    functions: int = 0
-    pointer_values: int = 0
-    ascending_passes: int = 0
-    elapsed_seconds: float = 0.0
-    fixpoint_steps: int = 0
 
 
 class _GlobalRangeProblem(SparseProblem):
@@ -221,7 +200,6 @@ class GlobalRangeAnalysis:
         self.ranges = ranges if ranges is not None else SymbolicRangeAnalysis(module)
         self.locations = locations if locations is not None else LocationTable(module)
         self.callgraph = CallGraph.compute(module)
-        self.statistics = AnalysisStatistics()
         self.solver_statistics = None
         self._gr: Dict[Value, PointerAbstractValue] = {}
         #: function -> external-visibility verdict; the check walks callgraph
@@ -284,11 +262,10 @@ class GlobalRangeAnalysis:
         return cached
 
     def _argument_state(self, function: Function, argument: Argument) -> PointerAbstractValue:
+        # A pointer parameter of an internally-called function gets only the
+        # join of its actuals; the others also keep their own pseudo-location.
         state = BOTTOM
-        needs_pseudo = (not self.options.interprocedural
-                        or not self.options.closed_world
-                        or self._is_externally_visible(function))
-        if needs_pseudo:
+        if not self.options.interprocedural or self._is_externally_visible(function):
             location = self.locations.ensure_parameter_location(argument)
             state = state.join(PointerAbstractValue.at_location(location))
         if self.options.interprocedural:
@@ -333,18 +310,12 @@ class GlobalRangeAnalysis:
         return nodes
 
     def _run(self) -> None:
-        start = time.perf_counter()
-        self.statistics.functions = len(self.module.defined_functions())
         solver = SparseSolver(
             _GlobalRangeProblem(self, self._pointer_nodes()),
-            max_node_evaluations=self.options.max_ascending_passes,
+            max_node_evaluations=MAX_ASCENDING_PASSES,
             descending_passes=self.options.descending_passes,
         )
         self.solver_statistics = solver.solve()
-        self.statistics.ascending_passes = self.solver_statistics.max_node_evaluations
-        self.statistics.fixpoint_steps = self.solver_statistics.steps
-        self.statistics.pointer_values = len(self._gr)
-        self.statistics.elapsed_seconds = time.perf_counter() - start
 
     def refresh_function(self, old_function: Function, new_function: Function,
                          edit) -> Dict[str, int]:
@@ -359,7 +330,6 @@ class GlobalRangeAnalysis:
         travel along the dependence edges the closure follows, so retained
         entries — and therefore post-edit answers — match a cold rebuild.
         """
-        start = time.perf_counter()
         for value in list(old_function.args) + list(old_function.instructions()):
             self._gr.pop(value, None)
         # The new body may add or remove call sites: visibility verdicts and
@@ -373,15 +343,10 @@ class GlobalRangeAnalysis:
         retained = len(self._gr)
         solver = SparseSolver(
             problem,
-            max_node_evaluations=self.options.max_ascending_passes,
+            max_node_evaluations=MAX_ASCENDING_PASSES,
             descending_passes=self.options.descending_passes,
         )
         self.solver_statistics.accumulate(solver.resolve_from(problem, seeds))
-        self.statistics.functions = len(self.module.defined_functions())
-        self.statistics.ascending_passes = self.solver_statistics.max_node_evaluations
-        self.statistics.fixpoint_steps = self.solver_statistics.steps
-        self.statistics.pointer_values = len(self._gr)
-        self.statistics.elapsed_seconds += time.perf_counter() - start
         return {"reseeded": len(seeds), "retained": retained}
 
     def _snapshot(self, label: str) -> None:

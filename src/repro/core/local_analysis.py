@@ -175,7 +175,7 @@ class LocalRangeAnalysis:
         self._location_anchor_cache = frozen
         return frozen
 
-    def refresh_function(self, old_function, new_function) -> None:
+    def refresh_function(self, old_function, new_function, edit) -> None:
         """Function-granular incremental re-run (manager edit hook).
 
         LR is strictly per-function (bases never cross function boundaries),

@@ -100,7 +100,7 @@ class LocationTable:
                     self._new_location(LocationKind.STACK,
                                        f"{function.name}.{inst.name or 'alloca'}", inst)
 
-    def refresh_function(self, old_function, new_function) -> None:
+    def refresh_function(self, old_function, new_function, edit) -> None:
         """Function-granular incremental update (manager edit hook).
 
         The table is append-only, so locations of the retired body's sites

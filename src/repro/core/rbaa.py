@@ -96,11 +96,11 @@ class RBAAAliasAnalysis(AliasAnalysis):
             keys.LOCAL_RANGES, range_options=self.options.range_options)
         self.statistics = RBAAStatistics()
 
-    def refresh_function(self, old_function, new_function) -> None:
+    def refresh_function(self, old_function, new_function, edit) -> None:
         """Function-granular incremental refresh (manager edit hook).
 
-        The function-scoped inputs (ranges, locations, LR) and the
-        callgraph-scoped GR fixed point were all refreshed in place by the
+        The function-local inputs (ranges, locations, LR) and the
+        interprocedural GR fixed point were all refreshed in place by the
         manager before this hook runs (dependencies-first), so every
         re-request below is a cache hit on the same objects — GR re-seeded
         its own fixed point from the edit cone rather than rebuilding from

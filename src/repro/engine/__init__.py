@@ -10,9 +10,6 @@
 
 from . import keys
 from .manager import (
-    SCOPE_CALLGRAPH,
-    SCOPE_FUNCTION,
-    SCOPE_MODULE,
     AnalysisKey,
     AnalysisManager,
     EditImpact,
@@ -26,9 +23,6 @@ __all__ = [
     "AnalysisManager",
     "EditImpact",
     "ManagerStatistics",
-    "SCOPE_MODULE",
-    "SCOPE_FUNCTION",
-    "SCOPE_CALLGRAPH",
     "SolverStatistics",
     "SparseProblem",
     "SparseSolver",

@@ -12,7 +12,7 @@ location table and one GR/LR fixed point.
 
 from __future__ import annotations
 
-from .manager import SCOPE_CALLGRAPH, SCOPE_FUNCTION, AnalysisKey
+from .manager import AnalysisKey
 
 __all__ = ["RANGES", "LOCATIONS", "CALLGRAPH", "GLOBAL_RANGES", "LOCAL_RANGES",
            "ANDERSEN", "STEENSGAARD", "BASIC", "SCEV", "RBAA",
@@ -91,33 +91,30 @@ def _build_parallel(module, manager):
 #: The symbolic integer range bootstrap (Blume–Eigenmann style).  The
 #: analysis is function-local (interprocedural flows become kernel symbols),
 #: so a function edit re-runs only the edited function's nodes.
-RANGES = AnalysisKey("symbolic-ranges", _build_ranges, scope=SCOPE_FUNCTION)
+RANGES = AnalysisKey("symbolic-ranges", _build_ranges)
 #: The module's abstract memory locations (``Loc``); allocation sites of an
 #: edited function are re-registered in place.
-LOCATIONS = AnalysisKey("locations", _build_locations, scope=SCOPE_FUNCTION)
+LOCATIONS = AnalysisKey("locations", _build_locations)
 #: The direct-call graph with SCC condensation.
 CALLGRAPH = AnalysisKey("callgraph", _build_callgraph)
 #: The global symbolic pointer range analysis (GR, Figure 9): an
 #: interprocedural fixed point re-run when an edit lands in its cone.
-GLOBAL_RANGES = AnalysisKey("global-ranges", _build_global_ranges,
-                            scope=SCOPE_CALLGRAPH)
+GLOBAL_RANGES = AnalysisKey("global-ranges", _build_global_ranges)
 #: The local symbolic pointer range analysis (LR, Figure 11): one-sweep and
 #: per-function, so edits refresh it in place.
-LOCAL_RANGES = AnalysisKey("local-ranges", _build_local_ranges,
-                           scope=SCOPE_FUNCTION)
+LOCAL_RANGES = AnalysisKey("local-ranges", _build_local_ranges)
 #: Inclusion-based points-to baseline (whole-module constraint graph).
-ANDERSEN = AnalysisKey("andersen", _build_andersen, scope=SCOPE_CALLGRAPH)
+ANDERSEN = AnalysisKey("andersen", _build_andersen)
 #: Unification-based points-to baseline (whole-module constraint drain).
-STEENSGAARD = AnalysisKey("steensgaard", _build_steensgaard,
-                          scope=SCOPE_CALLGRAPH)
+STEENSGAARD = AnalysisKey("steensgaard", _build_steensgaard)
 #: The basicaa-style heuristic baseline (stateless; per-function caches).
-BASIC = AnalysisKey("basic", _build_basic, scope=SCOPE_FUNCTION)
+BASIC = AnalysisKey("basic", _build_basic)
 #: The scalar-evolution baseline (lazy per-function engines).
-SCEV = AnalysisKey("scev", _build_scev, scope=SCOPE_FUNCTION)
+SCEV = AnalysisKey("scev", _build_scev)
 #: The paper's complete range-based alias analysis.
-RBAA = AnalysisKey("rbaa", _build_rbaa, scope=SCOPE_FUNCTION)
+RBAA = AnalysisKey("rbaa", _build_rbaa)
 #: Out-of-bounds client: per-access safe/maybe-oob/definitely-oob verdicts
 #: (per-function report cache, refreshed in place on edits).
-BOUNDS = AnalysisKey("check-bounds", _build_bounds, scope=SCOPE_FUNCTION)
+BOUNDS = AnalysisKey("check-bounds", _build_bounds)
 #: Loop-parallelization client: cross-iteration disjointness per natural loop.
-PARALLEL = AnalysisKey("parallel-loops", _build_parallel, scope=SCOPE_FUNCTION)
+PARALLEL = AnalysisKey("parallel-loops", _build_parallel)

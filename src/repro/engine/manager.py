@@ -21,23 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
 
-__all__ = ["AnalysisKey", "AnalysisManager", "ManagerStatistics", "EditImpact",
-           "SCOPE_MODULE", "SCOPE_FUNCTION", "SCOPE_CALLGRAPH"]
-
-#: The analysis depends on the whole module opaquely: any function edit
-#: evicts it (the conservative default).
-SCOPE_MODULE = "module"
-#: The analysis keeps per-function state and implements
-#: ``refresh_function(old, new)``: a function edit refreshes it in place,
-#: re-running only the edited function's nodes.
-SCOPE_FUNCTION = "function"
-#: The analysis is an interprocedural whole-module fixed point.  A function
-#: edit *re-seeds* it in place through ``refresh_function(old, new, edit)``:
-#: the analysis maps the edit to its seed nodes (``SparseProblem
-#: .delta_nodes``) and restarts change-driven propagation against the
-#: retained fixed point (``SparseSolver.resolve_from``).  Entries without
-#: the hook fall back to eviction.
-SCOPE_CALLGRAPH = "callgraph"
+__all__ = ["AnalysisKey", "AnalysisManager", "ManagerStatistics", "EditImpact"]
 
 
 @dataclass(frozen=True)
@@ -48,17 +32,10 @@ class AnalysisKey:
     must be keyword arguments whose ``repr`` is deterministic — they become
     part of the cache key, so two requests with equal parameters share one
     instance.
-
-    ``scope`` declares how the analysis reacts to a single-function edit
-    (see :meth:`AnalysisManager.apply_function_edit`): module-scoped entries
-    are evicted, function-scoped entries are refreshed in place through
-    their ``refresh_function(old, new)`` hook, and callgraph-scoped entries
-    are re-seeded in place through ``refresh_function(old, new, edit)``.
     """
 
     name: str
     factory: Callable[..., Any]
-    scope: str = SCOPE_MODULE
 
     def __repr__(self) -> str:
         return f"AnalysisKey({self.name!r})"
@@ -109,7 +86,7 @@ class EditImpact:
     ``cone`` is the callgraph closure of the edited function (itself plus
     transitive callers and callees) — the set of functions whose
     interprocedural analysis results the edit can influence, and therefore
-    the outer bound on any callgraph-scoped re-seed.
+    the outer bound on any interprocedural re-seed.
 
     ``reseeded`` and ``retained`` record, per refreshed analysis, how many
     nodes the edit re-seeded and how much prior state survived it — the
@@ -293,22 +270,17 @@ class AnalysisManager:
     def apply_function_edit(self, old_function, new_function) -> EditImpact:
         """React to one function edit (``Module.replace_function``).
 
-        Entries are handled per their key's declared scope:
-
-        * :data:`SCOPE_FUNCTION` entries whose cached value implements
-          ``refresh_function(old, new)`` are *refreshed in place*: the hook
-          purges the per-value state of the old function and re-runs only the
-          new function's nodes, accumulating solver statistics.
-        * :data:`SCOPE_CALLGRAPH` entries whose cached value implements
-          ``refresh_function(old, new, edit)`` are *re-seeded in place*: the
-          hook maps the edit to the nodes it can influence
-          (``SparseProblem.delta_nodes``) and restarts change-driven
-          propagation against the retained fixed point
-          (``SparseSolver.resolve_from``), so the edit pays for its cone
-          rather than the module.  A hook may return a telemetry dict
-          (``reseeded``/``retained`` counts), recorded on the impact.
-        * :data:`SCOPE_MODULE` entries — and any entry without the hook its
-          scope requires — are evicted and rebuilt lazily.
+        Every cached value that implements ``refresh_function(old, new,
+        edit)`` is *refreshed in place*; every other entry is evicted and
+        rebuilt lazily.  ``edit`` is this :class:`EditImpact`.  A
+        function-local analysis ignores it: its hook purges the old
+        function's state and re-runs only the new function's nodes.  An
+        interprocedural fixed point maps the edit to the nodes it can
+        influence (``SparseProblem.delta_nodes``) and restarts change-driven
+        propagation against the retained fixed point
+        (``SparseSolver.resolve_from``), so the edit pays for its cone rather
+        than the module.  A hook may return a telemetry dict
+        (``reseeded``/``retained`` counts), recorded on the impact.
 
         Refreshes run dependencies-first (the recorded edge order), with the
         refreshing entry pushed on the build stack so any nested
@@ -319,9 +291,7 @@ class AnalysisManager:
         refresh: List[_CacheKey] = []
         doomed: Set[_CacheKey] = set()
         for cache_key, value in self._cache.items():
-            key = cache_key[0]
-            if (key.scope in (SCOPE_FUNCTION, SCOPE_CALLGRAPH)
-                    and hasattr(value, "refresh_function")):
+            if hasattr(value, "refresh_function"):
                 refresh.append(cache_key)
             else:
                 doomed.add(cache_key)
@@ -336,12 +306,8 @@ class AnalysisManager:
             value = self._cache[cache_key]
             self._build_stack.append(cache_key)
             try:
-                if cache_key[0].scope == SCOPE_CALLGRAPH:
-                    telemetry = value.refresh_function(old_function,
-                                                       new_function, impact)
-                else:
-                    telemetry = value.refresh_function(old_function,
-                                                       new_function)
+                telemetry = value.refresh_function(old_function, new_function,
+                                                   impact)
             finally:
                 self._build_stack.pop()
             self.statistics.refreshes += 1

@@ -21,13 +21,13 @@ loops with one algorithm:
 Problems describe themselves through :class:`SparseProblem`; the solver owns
 scheduling only, never abstract values, so every analysis keeps its existing
 state tables and transfer functions.  :class:`SolverStatistics` counts
-transfer-function applications ("steps"), which the scalability benchmark
-reports alongside wall time.
+transfer-function applications ("steps"), the deterministic cost measure
+every gate reads; wall time is measured only outside the engine (the
+repository benchmark and Figure 15's timer).
 """
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -83,12 +83,6 @@ class SolverStatistics:
     engine's hardware-independent cost measure.  ``max_node_evaluations``
     plays the role the old per-analysis "pass" counters played: it bounds how
     often any single node was re-evaluated during the ascending phase.
-
-    ``transfer_ns`` is the monotonic-clock wall time spent *inside* transfer
-    functions, in nanoseconds — the per-analysis attribution the profiling
-    harness reports next to ``steps``.  Like every other wall-time-derived
-    field it is excluded by ``strip_volatile`` (the ``_ns`` suffix) before
-    determinism diffs.
     """
 
     problem: str = ""
@@ -102,7 +96,6 @@ class SolverStatistics:
     descending_steps: int = 0
     widenings: int = 0
     max_node_evaluations: int = 0
-    transfer_ns: int = 0
 
     def accumulate(self, other: "SolverStatistics") -> None:
         """Fold a later solve's counters into this one.
@@ -123,7 +116,6 @@ class SolverStatistics:
         self.widenings += other.widenings
         self.max_node_evaluations = max(self.max_node_evaluations,
                                         other.max_node_evaluations)
-        self.transfer_ns += other.transfer_ns
 
 
 class SparseProblem:
@@ -307,9 +299,7 @@ class SparseSolver:
         problem = self.problem
         stats = self.statistics
         old = problem.read(node)
-        started = time.perf_counter_ns()
         new = problem.transfer(node)
-        stats.transfer_ns += time.perf_counter_ns() - started
         stats.steps += 1
         seen = self._evaluations.get(node, 0)
         self._evaluations[node] = seen + 1

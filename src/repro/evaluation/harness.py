@@ -5,13 +5,13 @@ fraction of pointer-pair queries each analysis answers "no alias"
 (Figure 13), and how many of the range-based analysis' answers came from the
 global test (Figure 14).  This module provides the shared machinery: pair
 enumeration, per-analysis counting and the result records the reporting
-layer consumes.
+layer consumes.  The records hold counts only: wall time is measured by the
+repository benchmark (``perfbench``) and by Figure 15's own timer.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -50,19 +50,13 @@ class ProgramResult:
     queries: int = 0
     #: analysis name -> number of queries answered "no alias".
     no_alias: Dict[str, int] = field(default_factory=dict)
-    #: analysis name -> wall-clock seconds spent answering queries.
-    query_seconds: Dict[str, float] = field(default_factory=dict)
-    #: analysis name -> wall-clock seconds spent building the analysis.
-    build_seconds: Dict[str, float] = field(default_factory=dict)
     #: extra per-analysis counters (e.g. rbaa's global-test hits).
     extra: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: engine cache counters of the run's AnalysisManager (hits/misses/
     #: builds/invalidations) — deterministic, hardware-independent.
     engine: Dict[str, int] = field(default_factory=dict)
-    #: solver problem name -> {"steps", "transfer_ns"}: per-analysis cost
-    #: attribution collected from every cached analysis that ran the sparse
-    #: solver.  ``steps`` is deterministic; ``transfer_ns`` is wall-time
-    #: derived and stripped by the determinism diff (``_ns`` suffix).
+    #: solver problem name -> {"steps"}: per-analysis cost attribution
+    #: collected from every cached analysis that ran the sparse solver.
     solver: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: frontend determinism fingerprint (token count, token-stream digest,
     #: printed-IR digest) — see :func:`frontend_fingerprint`.  Deterministic
@@ -134,21 +128,14 @@ def run_queries(program_name: str, module: Module,
         manager = AnalysisManager(module)
     analyses: List[Tuple[str, AliasAnalysis]] = []
     for name, factory in factories:
-        start = time.perf_counter()
-        analysis = factory(module, manager)
-        result.build_seconds[name] = time.perf_counter() - start
-        result.no_alias[name] = 0
-        result.query_seconds[name] = 0.0
-        analyses.append((name, analysis))
+        analyses.append((name, factory(module, manager)))
 
     pairs = list(enumerate_query_pairs(module, max_pairs_per_function))
     result.queries = len(pairs)
     for name, analysis in analyses:
-        start = time.perf_counter()
         answers = analysis.query_many([(pair.a, pair.b) for pair in pairs])
-        count = sum(1 for answer in answers if answer is AliasResult.NO_ALIAS)
-        result.no_alias[name] = count
-        result.query_seconds[name] = time.perf_counter() - start
+        result.no_alias[name] = sum(1 for answer in answers
+                                    if answer is AliasResult.NO_ALIAS)
         extra: Dict[str, int] = {}
         statistics = getattr(analysis, "statistics", None)
         if statistics is not None and hasattr(statistics, "answered_by_global"):
@@ -168,18 +155,13 @@ def solver_breakdown(manager: AnalysisManager) -> Dict[str, Dict[str, int]]:
     """Per-problem solver cost of every analysis cached by ``manager``.
 
     Keys are the sparse problems' names (``symbolic-ranges``,
-    ``global-ranges``, …); ``steps`` counts transfer applications
-    (deterministic) and ``transfer_ns`` attributes monotonic wall time to
-    the analysis that spent it (volatile, stripped before determinism
-    diffs).
+    ``global-ranges``, …); ``steps`` counts transfer applications.
     """
     breakdown: Dict[str, Dict[str, int]] = {}
     for analysis in manager.cached_values():
         statistics = getattr(analysis, "solver_statistics", None)
         if statistics is None or not getattr(statistics, "problem", ""):
             continue
-        entry = breakdown.setdefault(statistics.problem,
-                                     {"steps": 0, "transfer_ns": 0})
+        entry = breakdown.setdefault(statistics.problem, {"steps": 0})
         entry["steps"] += statistics.steps
-        entry["transfer_ns"] += statistics.transfer_ns
     return breakdown

@@ -105,7 +105,7 @@ def run_sharded(worker: Callable[[T], R], items: Sequence[T],
 # -- benchmark records --------------------------------------------------------
 
 #: Keys whose values derive from wall time (stripped before determinism diffs).
-_VOLATILE_KEY_SUFFIXES = ("_seconds", "_per_second", "_ns")
+_VOLATILE_KEY_SUFFIXES = ("_seconds", "_per_second")
 _VOLATILE_KEYS = frozenset({"run", "correlations"})
 
 
@@ -114,8 +114,6 @@ def _program_result_record(result: ProgramResult) -> Dict[str, Any]:
         "program": result.program,
         "queries": result.queries,
         "no_alias": dict(result.no_alias),
-        "query_seconds": dict(result.query_seconds),
-        "build_seconds": dict(result.build_seconds),
         "extra": {name: dict(extra) for name, extra in result.extra.items()},
         "engine": dict(result.engine),
         "solver": {name: dict(entry) for name, entry in result.solver.items()},
@@ -144,10 +142,8 @@ def bench_record(precision: Optional[PrecisionReport] = None,
             if result.engine:
                 engine_totals.merge(ManagerStatistics(**result.engine))
             for problem, entry in result.solver.items():
-                bucket = solver_totals.setdefault(problem,
-                                                  {"steps": 0, "transfer_ns": 0})
+                bucket = solver_totals.setdefault(problem, {"steps": 0})
                 bucket["steps"] += entry.get("steps", 0)
-                bucket["transfer_ns"] += entry.get("transfer_ns", 0)
         record["precision"] = {
             "programs": [_program_result_record(result) for result in precision.results],
             "totals": {

@@ -49,6 +49,12 @@ from ..symbolic import (
 
 __all__ = ["RangeAnalysisOptions", "SymbolicRangeAnalysis"]
 
+#: Re-evaluations of one instruction before the ascending phase forces
+#: convergence.
+MAX_ASCENDING_PASSES = 8
+#: Length of the descending (narrowing) sequence.
+DESCENDING_PASSES = 2
+
 
 @dataclass
 class RangeAnalysisOptions:
@@ -57,12 +63,6 @@ class RangeAnalysisOptions:
     #: Treat integer loads as fresh kernel symbols (paper-style, à la Nazaré
     #: et al.) instead of the fully conservative [-inf, +inf].
     loads_as_symbols: bool = True
-    #: Treat results of calls to external functions as kernel symbols.
-    external_calls_as_symbols: bool = True
-    #: Maximum number of ascending passes before forcing convergence.
-    max_ascending_passes: int = 8
-    #: Length of the descending (narrowing) sequence.
-    descending_passes: int = 2
 
 
 class _IntegerRangeProblem(SparseProblem):
@@ -196,13 +196,13 @@ class SymbolicRangeAnalysis:
             nodes.extend(self._integer_instructions(function))
         solver = SparseSolver(
             _IntegerRangeProblem(self, nodes),
-            max_node_evaluations=self.options.max_ascending_passes,
-            descending_passes=self.options.descending_passes,
+            max_node_evaluations=MAX_ASCENDING_PASSES,
+            descending_passes=DESCENDING_PASSES,
         )
         self.solver_statistics = solver.solve()
 
     def refresh_function(self, old_function: Function,
-                         new_function: Function) -> None:
+                         new_function: Function, edit) -> None:
         """Function-granular incremental re-run (manager edit hook).
 
         The analysis is function-local — interprocedural flows enter the
@@ -219,8 +219,8 @@ class SymbolicRangeAnalysis:
         self._seed_arguments(new_function)
         solver = SparseSolver(
             _IntegerRangeProblem(self, self._integer_instructions(new_function)),
-            max_node_evaluations=self.options.max_ascending_passes,
-            descending_passes=self.options.descending_passes,
+            max_node_evaluations=MAX_ASCENDING_PASSES,
+            descending_passes=DESCENDING_PASSES,
         )
         self.solver_statistics.accumulate(solver.solve())
 
@@ -279,7 +279,7 @@ class SymbolicRangeAnalysis:
                 return self._symbol_interval(inst, hint)
             return TOP_INTERVAL
         if isinstance(inst, CallInst):
-            if inst.is_external() and self.options.external_calls_as_symbols:
+            if inst.is_external():
                 hint = f"{inst.function.name}.{inst.callee_name()}.{inst.name or id(inst)}"
                 return self._symbol_interval(inst, hint)
             return TOP_INTERVAL

@@ -2,11 +2,12 @@
 
 ``python -m repro.service.loadtest`` drives the asyncio TCP front end
 (:mod:`repro.service.server`) with N concurrent closed-loop clients over a
-deterministic, seeded request script, and writes ``BENCH_service.json``
-with throughput and p50/p95/p99 latency.  Wall-time numbers are reported,
-never gated (their keys carry the ``_seconds``/``_per_second`` suffixes
-:func:`repro.evaluation.parallel.strip_volatile` removes); what *is* gated
-is correctness:
+deterministic, seeded request script, and writes ``BENCH_service.json``:
+per-run request counts, coalescing counters, solver steps and the gates
+below.  It measures no wall time; the repository benchmark
+(``perfbench``'s ``serve-read`` and ``serve-edit`` workloads) measures this
+traffic's throughput and latency end to end.  What is gated is
+correctness:
 
 * **Answer identity** — every response (loads, queries, ranges, value
   listings, sweeps, and the scripted error requests) must be bit-identical
@@ -27,7 +28,7 @@ is correctness:
   :class:`~repro.service.session.AnalysisSession` built from that step's
   source (``edit_warm_equals_cold``), and every edit must re-run strictly
   fewer solver steps than the cold rebuild — overall
-  (``edit_fewer_solver_steps``) and within the callgraph-scoped fixed
+  (``edit_fewer_solver_steps``) and within the interprocedural fixed
   points GR / Andersen / Steensgaard (``edit_fewer_callgraph_steps``).
   :func:`replay_edits` takes any :class:`~repro.service.client.ServiceClient`.
 * **Warm store** — the run is repeated against one persistent
@@ -53,7 +54,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import math
 import random
 import sys
 import tempfile
@@ -305,7 +305,7 @@ EDITS = 3
 EDIT_ANALYSES = ("rbaa", "basic", "andersen", "steensgaard")
 EDIT_MAX_PAIRS = 120
 
-#: The callgraph-scoped (interprocedural) fixed points, by engine-key name.
+#: The interprocedural fixed points, by engine-key name.
 CALLGRAPH_ANALYSES = ("global-ranges", "andersen", "steensgaard")
 
 _SWEEP_FIELDS = ("queries", "no_alias", "no_alias_indices")
@@ -373,7 +373,7 @@ def replay_edits(client: ServiceClient, programs: Sequence[str]) -> Dict[str, An
 def edit_gates(replay: Dict[str, Any]) -> Dict[str, bool]:
     """The replay's gates: warm ≡ cold at every step, and every edit
     re-solves strictly fewer steps than a cold rebuild — overall and on the
-    callgraph-scoped fixed points."""
+    interprocedural fixed points."""
     steps = replay["steps"]
     edits = [step for step in steps if step["index"] > 0]
     return {
@@ -399,8 +399,8 @@ def _replay_on_server(host: str, port: int, programs: Sequence[str]) -> Dict[str
 class RunResult:
     transcript: List[Tuple[str, Any]] = field(default_factory=list)
     stats: Dict[str, Any] = field(default_factory=dict)
-    latencies: List[float] = field(default_factory=list)
-    wall: float = 0.0
+    #: Client script requests answered (a chaos hang answers none).
+    requests: int = 0
     batches: int = 0
     batched_queries: int = 0
     fault_stats: Dict[str, Any] = field(default_factory=dict)
@@ -499,13 +499,12 @@ async def _run_client(host: str, port: int, script: Sequence[Dict[str, Any]],
                 writer.close()
                 reader, writer = await asyncio.open_connection(host, port)
                 result.truncated_resends += 1
-            started = time.perf_counter()
             response = await _send(reader, writer, payload, result, policy)
             if response is None:
                 writer.close()
                 reader, writer = await asyncio.open_connection(host, port)
                 continue
-            result.latencies.append(time.perf_counter() - started)
+            result.requests += 1
             result.transcript.append((payload["id"], response))
     finally:
         await _close(writer)
@@ -542,12 +541,10 @@ async def _run_server(corpus: Sequence[_Program],
         await _send_each(reader, writer, _load_payloads(corpus), result, policy)
         # Concurrent scripted clients; a chaos plan's kill fires mid-traffic
         # (its threshold sits past the shard's load acks).
-        started = time.perf_counter()
         await asyncio.gather(*[
             _run_client(server.host, server.port, script, result, policy,
                         plan.truncate_clients.get(index) if plan else None)
             for index, script in enumerate(scripts)])
-        result.wall = time.perf_counter() - started
         if plan is not None:
             await _chaos_steps(server.host, server.port, reader, writer,
                                probes, policy, result)
@@ -597,29 +594,6 @@ def check_identity(result: RunResult,
             "first_mismatches": mismatches[:3]}
 
 
-def _percentile(ordered: Sequence[float], fraction: float) -> float:
-    if not ordered:
-        return 0.0
-    index = max(0, min(len(ordered) - 1,
-                       math.ceil(fraction * len(ordered)) - 1))
-    return ordered[index]
-
-
-def _latency_report(result: RunResult) -> Dict[str, Any]:
-    ordered = sorted(result.latencies)
-    count = len(ordered)
-    return {
-        "requests": count,
-        "wall_seconds": result.wall,
-        "throughput_per_second": (count / result.wall) if result.wall else 0.0,
-        "latency_p50_seconds": _percentile(ordered, 0.50),
-        "latency_p95_seconds": _percentile(ordered, 0.95),
-        "latency_p99_seconds": _percentile(ordered, 0.99),
-        "latency_mean_seconds": (sum(ordered) / count) if count else 0.0,
-        "latency_max_seconds": ordered[-1] if ordered else 0.0,
-    }
-
-
 def _store_views(result: RunResult) -> Dict[str, Dict[str, int]]:
     """Per-module snapshots of the (per-worker) store counters.
 
@@ -639,8 +613,8 @@ def _store_views(result: RunResult) -> Dict[str, Dict[str, int]]:
 
 def _run_report(result: RunResult, identity: Dict[str, Any],
                 store_runs: bool) -> Dict[str, Any]:
-    report = _latency_report(result)
-    report["identity"] = identity
+    report: Dict[str, Any] = {"requests": result.requests,
+                              "identity": identity}
     report["coalesced_batches"] = result.batches
     report["coalesced_queries"] = result.batched_queries
     report["solver_steps_total"] = sum(
@@ -922,12 +896,12 @@ def run_chaos_loadtest(programs: Sequence[str], workers: int, clients: int,
         "corrupted_entries": len(corrupted),
         "runs": {
             "prime": _run_report(prime, prime_identity, True),
-            "chaos": dict(_latency_report(chaos),
-                          identity=chaos_identity,
-                          hangs=list(chaos.hangs),
-                          truncated_resends=chaos.truncated_resends,
-                          burst_final_ok=chaos.burst_final_ok,
-                          store_by_module=_store_views(chaos)),
+            "chaos": {"requests": chaos.requests,
+                      "identity": chaos_identity,
+                      "hangs": list(chaos.hangs),
+                      "truncated_resends": chaos.truncated_resends,
+                      "burst_final_ok": chaos.burst_final_ok,
+                      "store_by_module": _store_views(chaos)},
         },
         "fault_stats": chaos.fault_stats,
         "controller": {
@@ -986,11 +960,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         record = run_loadtest(programs, *sizes)
         direct = record["runs"]["direct"]
         warm = record["runs"]["warm"]
-        summary = (f"loadtest: {direct['requests']} requests/run, "
-                   f"{direct['throughput_per_second']:.1f} req/s direct "
-                   f"(p50 {direct['latency_p50_seconds'] * 1e3:.1f} ms, "
-                   f"p99 {direct['latency_p99_seconds'] * 1e3:.1f} ms), "
-                   f"{warm['throughput_per_second']:.1f} req/s warm-store; "
+        summary = (f"loadtest: {direct['requests']} requests/run; "
                    f"warm solver steps {warm['solver_steps_total']}; edit "
                    f"replay: {len(record['edits']['steps'])} steps over "
                    f"{len(record['edits']['programs'])} programs")

@@ -83,7 +83,6 @@ __all__ = [
     "encode_size",
     "OpSpec",
     "OPS",
-    "REQUESTS",
     "Request",
     "parse_request",
     "handle_payload",
@@ -387,9 +386,6 @@ OPS: Dict[str, OpSpec] = {spec.name: spec for spec in (
         "drop a resident module", route="name", mutating=True),
     _op("shutdown", "", None, "shutdown", "acknowledge and exit"),
 )}
-
-#: The dispatch table under its historical name (op name -> spec).
-REQUESTS = OPS
 
 
 # -- requests ------------------------------------------------------------------

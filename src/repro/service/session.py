@@ -7,7 +7,7 @@ of alias/range queries pays the expensive analysis builds once, and a
 *function edit* (:meth:`AnalysisSession.edit_source`) re-runs only the
 analyses whose dependency cone the edit touches:
 
-* the function-scoped analyses (symbolic ranges, LR, locations, basicaa
+* the function-local analyses (symbolic ranges, LR, locations, basicaa
   caches, SCEV engines, RBAA) are refreshed in place, re-solving only the
   edited function's nodes, and every alias analysis clears its pair memo;
 * the interprocedural fixed points (GR, Andersen, Steensgaard) are
@@ -157,7 +157,7 @@ class ResidentModule:
     def solver_steps_by_analysis(self) -> Dict[str, int]:
         """Per-analysis solver-step totals (retired + live), name-sorted.
 
-        The loadtest edit replay sums the callgraph-scoped names out of this to
+        The loadtest edit replay sums the interprocedural names out of this to
         gate the incremental-interprocedural path: after an edit, the GR /
         Andersen / Steensgaard re-seeds must have cost strictly fewer steps
         than the cold fixed points they replaced."""

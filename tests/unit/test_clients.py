@@ -318,5 +318,12 @@ class TestRefreshHooks:
         assert detector.function_report(function) is first
 
     def test_bounds_and_parallel_keys_are_function_scoped(self):
-        assert keys.BOUNDS.scope == keys.SCOPE_FUNCTION
-        assert keys.PARALLEL.scope == keys.SCOPE_FUNCTION
+        module = compile_source(SRC_TWO_FUNCTIONS, "m")
+        manager = AnalysisManager(module)
+        manager.get(keys.BOUNDS)
+        manager.get(keys.PARALLEL)
+        donor = compile_source(SRC_TWO_FUNCTIONS_EDITED, "m")
+        old = module.replace_function(donor.get_function("fill"))
+        impact = manager.apply_function_edit(old, module.get_function("fill"))
+        assert {"check-bounds", "parallel-loops"} <= set(impact.refreshed)
+        assert not {"check-bounds", "parallel-loops"} & set(impact.evicted)

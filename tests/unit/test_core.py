@@ -278,7 +278,7 @@ class TestGlobalRangeAnalysis:
         }
         """)
         analysis = GlobalRangeAnalysis(module)
-        assert analysis.statistics.ascending_passes <= 6
+        assert analysis.solver_statistics.max_node_evaluations <= 6
 
     def test_trace_is_recorded_when_requested(self):
         module = compile_source("void f(int n) { char* p = (char*)malloc(n); *p = 0; }")

@@ -1,5 +1,6 @@
 """Unit tests for the shared analysis engine: solver, manager, batched queries."""
 
+import pytest
 
 from repro.aliases.combined import CombinedAliasAnalysis
 from repro.benchgen import build_program
@@ -12,6 +13,7 @@ from repro.engine import (
     condense_sccs,
     keys,
 )
+from repro.evaluation import standard_factories
 from repro.evaluation.harness import enumerate_query_pairs, run_queries
 from repro.frontend import compile_source
 
@@ -215,6 +217,16 @@ class TestAnalysisManager:
         manager.invalidate()
         assert len(manager) == 0
 
+    @pytest.mark.parametrize("key", [keys.RANGES, keys.GLOBAL_RANGES,
+                                     keys.LOCAL_RANGES, keys.ANDERSEN,
+                                     keys.STEENSGAARD], ids=lambda key: key.name)
+    def test_cold_builds_give_equal_solver_statistics(self, key):
+        module = build_program("anagram").module
+        first = AnalysisManager(module).get(key).solver_statistics
+        second = AnalysisManager(module).get(key).solver_statistics
+        assert first.steps > 0
+        assert first == second
+
     def test_rbaa_instances_share_analyses_through_manager(self):
         module = compile_source("""
         void f(int n) { char* p = (char*)malloc(n); *p = 0; }
@@ -314,3 +326,10 @@ class TestBatchedQueries:
         assert result.no_alias["rbaa"] == result.no_alias["rbaa2"]
         # The second factory found every sub-analysis in the cache.
         assert manager.statistics.hits > 0
+
+    def test_run_queries_twice_gives_equal_results(self):
+        module = build_program("anagram").module
+        first = run_queries("anagram", module, standard_factories())
+        second = run_queries("anagram", module, standard_factories())
+        assert first.queries > 0
+        assert first == second

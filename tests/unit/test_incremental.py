@@ -2,19 +2,15 @@
 
 Covers the two layers under the analysis service: ``Module
 .replace_function`` (the IR-level graft primitive) and ``AnalysisManager
-.apply_function_edit`` (scope-directed refresh/evict), including the
-refresh hooks of the function-scoped analyses.
+.apply_function_edit`` (refresh what has a hook, evict the rest),
+including the refresh hooks of the function-local analyses.
 """
 
 import pytest
 
 from repro.aliases.results import MemoryAccess
 from repro.engine import keys
-from repro.engine.manager import (
-    SCOPE_FUNCTION,
-    AnalysisKey,
-    AnalysisManager,
-)
+from repro.engine.manager import AnalysisKey, AnalysisManager
 from repro.frontend import compile_source
 from repro.ir.instructions import CallInst
 from repro.ir.printer import print_function
@@ -172,10 +168,9 @@ class TestApplyFunctionEdit:
     def test_refresh_counter_and_fallback_eviction(self):
         module, donor = _compile_pair()
         manager = AnalysisManager(module)
-        # A function-scoped key whose value has no refresh hook must fall
-        # back to eviction instead of being silently kept stale.
-        hookless = AnalysisKey("hookless", lambda m, mgr: object(),
-                               scope=SCOPE_FUNCTION)
+        # A value without a refresh hook must fall back to eviction instead
+        # of being silently kept stale.
+        hookless = AnalysisKey("hookless", lambda m, mgr: object())
         manager.get(hookless)
         manager.get(keys.RANGES)
         old = module.replace_function(donor.get_function("fill"))

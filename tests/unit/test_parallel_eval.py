@@ -144,6 +144,23 @@ class TestParallelAblation:
         assert parallel == serial
 
 
+def _removed_paths(record, stripped, path=""):
+    """Paths (list indices dropped) of the keys ``strip_volatile`` removed."""
+    if isinstance(record, dict):
+        removed = set()
+        for key, value in record.items():
+            child = f"{path}.{key}" if path else key
+            if key in stripped:
+                removed |= _removed_paths(value, stripped[key], child)
+            else:
+                removed.add(child)
+        return removed
+    if isinstance(record, list):
+        return set().union(*(_removed_paths(value, kept, f"{path}[]")
+                             for value, kept in zip(record, stripped)))
+    return set()
+
+
 class TestBenchRecords:
     def test_strip_volatile_removes_exactly_wall_time(self, serial_scalability,
                                                       serial_precision):
@@ -164,6 +181,18 @@ class TestBenchRecords:
         totals = stripped["precision"]["totals"]["engine"]
         assert totals["builds"] == sum(p["engine"]["builds"]
                                        for p in stripped["precision"]["programs"])
+
+    def test_only_the_run_and_figure15_timer_are_volatile(self, serial_scalability,
+                                                          serial_precision):
+        record = bench_record(serial_precision, serial_scalability,
+                              run_info={"jobs": 4})
+        assert _removed_paths(record, strip_volatile(record)) == {
+            "run",
+            "scalability.correlations",
+            "scalability.instructions_per_second",
+            "scalability.points[].analysis_seconds",
+            "scalability.totals.analysis_seconds",
+        }
 
     def test_diff_records_localises_differences(self):
         a = {"x": {"y": [1, 2]}, "z": 1}

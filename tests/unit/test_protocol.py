@@ -12,7 +12,6 @@ from repro.service.protocol import (
     ERROR_CODES,
     OPS,
     PROTOCOL_VERSION,
-    REQUESTS,
     RETRYABLE_ERROR_CODES,
     ServiceError,
     check_response,
@@ -75,7 +74,7 @@ class TestGoldenSchemas:
     }
 
     def test_registry_covers_exactly_the_protocol_ops(self):
-        assert set(REQUESTS) == set(self.GOLDEN)
+        assert set(OPS) == set(self.GOLDEN)
 
     def test_requests_round_trip_through_parse_and_encode(self):
         for op, fields in self.GOLDEN.items():
@@ -307,7 +306,7 @@ class TestDeadlines:
         # The supervisor's journal/retry split rides on this flag: exactly
         # the state-changing ops are mutating (never transparently retried,
         # journaled for crash replay when acknowledged).
-        mutating = {op for op, cls in REQUESTS.items() if cls.mutating}
+        mutating = {op for op, cls in OPS.items() if cls.mutating}
         assert mutating == {"load", "load_program", "edit", "unload"}
 
     def test_expired_deadline_short_circuits_deterministically(self):
