@@ -1,32 +1,17 @@
-"""Classic CFG analyses: orderings, dominance, loops, liveness and call graph."""
+"""Classic CFG analyses: one cached :class:`CFGInfo` per function (orders,
+dominator tree, loop forest, read through ``function.cfg()``) and the call
+graph."""
 
 from .callgraph import CallGraph, CallSite
-from .cfg import (
-    back_edges,
-    is_single_entry_region,
-    post_order,
-    predecessor_map,
-    reachable_blocks,
-    reverse_post_order,
-    successor_map,
-)
-from .dominance import DominatorTree, dominance_frontiers
-from .liveness import LivenessInfo
+from .cfg import CFGInfo
+from .dominance import DominatorTree
 from .loops import Loop, LoopInfo
 
 __all__ = [
     "CallGraph",
     "CallSite",
-    "back_edges",
-    "is_single_entry_region",
-    "post_order",
-    "predecessor_map",
-    "reachable_blocks",
-    "reverse_post_order",
-    "successor_map",
+    "CFGInfo",
     "DominatorTree",
-    "dominance_frontiers",
-    "LivenessInfo",
     "Loop",
     "LoopInfo",
 ]

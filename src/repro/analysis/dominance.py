@@ -1,33 +1,35 @@
-"""Dominator tree and dominance frontiers (Cooper–Harvey–Kennedy).
+"""Dominator tree (Cooper, Harvey and Kennedy, "A Simple, Fast Dominance
+Algorithm", 2001).
 
-The dominator tree drives three clients:
+Built once per function as part of :class:`~repro.analysis.cfg.CFGInfo`
+(read it through ``function.cfg().dom_tree``).  It drives:
 
-* SSA construction (φ placement uses dominance frontiers);
-* the e-SSA transformation (σ placement and renaming walk the tree);
+* SSA construction (mem2reg places φs on dominance frontiers and renames
+  along the tree);
+* the e-SSA transformation (σ renaming rewrites the uses a σ dominates);
 * the local pointer analysis, which evaluates instructions "in the order
-  given by the program's dominance tree" (Section 3.6 of the paper).
+  given by the program's dominance tree" (Section 3.6 of the paper);
+* the verifier's definition-dominates-use check.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional
 
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
-from .cfg import predecessor_map, reverse_post_order
 
-__all__ = ["DominatorTree", "dominance_frontiers"]
+__all__ = ["DominatorTree"]
 
 
 class DominatorTree:
     """Immediate-dominator tree for the reachable blocks of a function."""
 
-    def __init__(self, function: Function, idom: Dict[BasicBlock, Optional[BasicBlock]],
-                 rpo: List[BasicBlock]):
+    def __init__(self, function: Function, idom: Dict[BasicBlock, Optional[BasicBlock]]):
         self.function = function
         self._idom = idom
-        self._rpo = rpo
-        self._children: Dict[BasicBlock, List[BasicBlock]] = {block: [] for block in rpo}
+        # ``idom`` is keyed in reverse post-order, which fixes the child order.
+        self._children: Dict[BasicBlock, List[BasicBlock]] = {block: [] for block in idom}
         for block, dominator in idom.items():
             if dominator is not None and block is not dominator:
                 self._children[dominator].append(block)
@@ -44,14 +46,13 @@ class DominatorTree:
 
     # -- construction ---------------------------------------------------------
     @classmethod
-    def compute(cls, function: Function) -> "DominatorTree":
-        """Compute immediate dominators with the Cooper–Harvey–Kennedy algorithm."""
-        rpo = reverse_post_order(function)
+    def compute(cls, function: Function, rpo: List[BasicBlock],
+                predecessors: Dict[BasicBlock, List[BasicBlock]]) -> "DominatorTree":
+        """Immediate dominators of the blocks in ``rpo`` (entry first)."""
         if not rpo:
-            return cls(function, {}, [])
+            return cls(function, {})
         entry = rpo[0]
         order_index = {block: index for index, block in enumerate(rpo)}
-        preds = predecessor_map(function)
 
         idom: Dict[BasicBlock, Optional[BasicBlock]] = {block: None for block in rpo}
         idom[entry] = entry
@@ -68,7 +69,7 @@ class DominatorTree:
         while changed:
             changed = False
             for block in rpo[1:]:
-                candidates = [p for p in preds.get(block, []) if idom.get(p) is not None]
+                candidates = [p for p in predecessors.get(block, []) if idom.get(p) is not None]
                 if not candidates:
                     continue
                 new_idom = candidates[0]
@@ -77,7 +78,7 @@ class DominatorTree:
                 if idom[block] is not new_idom:
                     idom[block] = new_idom
                     changed = True
-        return cls(function, idom, rpo)
+        return cls(function, idom)
 
     # -- queries -----------------------------------------------------------------
     def idom(self, block: BasicBlock) -> Optional[BasicBlock]:
@@ -102,19 +103,6 @@ class DominatorTree:
                 return True
         return dominator is self.function.entry_block and block in self._depth
 
-    def strictly_dominates(self, dominator: BasicBlock, block: BasicBlock) -> bool:
-        return dominator is not block and self.dominates(dominator, block)
-
-    def dominated_blocks(self, root: BasicBlock) -> List[BasicBlock]:
-        """All blocks dominated by ``root`` (including ``root``) in preorder."""
-        result: List[BasicBlock] = []
-        worklist = [root]
-        while worklist:
-            block = worklist.pop()
-            result.append(block)
-            worklist.extend(self._children.get(block, []))
-        return result
-
     def preorder(self) -> Iterator[BasicBlock]:
         """Depth-first preorder traversal of the dominator tree."""
         entry = self.function.entry_block
@@ -126,31 +114,3 @@ class DominatorTree:
             yield block
             # Reverse so that children are visited in their insertion order.
             worklist.extend(reversed(self._children.get(block, [])))
-
-    def reachable(self) -> List[BasicBlock]:
-        return list(self._rpo)
-
-
-def dominance_frontiers(function: Function,
-                        dom_tree: Optional[DominatorTree] = None
-                        ) -> Dict[BasicBlock, Set[BasicBlock]]:
-    """Dominance frontier of every reachable block (Cytron's definition)."""
-    dom_tree = dom_tree or DominatorTree.compute(function)
-    preds = predecessor_map(function)
-    frontiers: Dict[BasicBlock, Set[BasicBlock]] = {
-        block: set() for block in dom_tree.reachable()
-    }
-    for block in dom_tree.reachable():
-        predecessors = preds.get(block, [])
-        if len(predecessors) < 2:
-            continue
-        for predecessor in predecessors:
-            if predecessor not in frontiers:
-                continue  # unreachable predecessor
-            runner = predecessor
-            while runner is not dom_tree.idom(block) and runner is not None:
-                frontiers[runner].add(block)
-                if runner is dom_tree.idom(runner):
-                    break
-                runner = dom_tree.idom(runner)
-    return frontiers

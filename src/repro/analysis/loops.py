@@ -9,13 +9,14 @@ pointers renamed at loop headers (which are φ-defining blocks).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import PhiInst
-from .cfg import predecessor_map
-from .dominance import DominatorTree
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .cfg import CFGInfo
 
 __all__ = ["Loop", "LoopInfo"]
 
@@ -45,15 +46,6 @@ class Loop:
         """The φ-functions of the header: candidate induction variables."""
         return self.header.phis()
 
-    def exit_blocks(self) -> List[BasicBlock]:
-        """Blocks outside the loop that are successors of loop blocks."""
-        exits: List[BasicBlock] = []
-        for block in self.blocks:
-            for successor in block.successors():
-                if successor not in self.blocks and successor not in exits:
-                    exits.append(successor)
-        return exits
-
     def __repr__(self) -> str:
         return f"<Loop header={self.header.label()} blocks={len(self.blocks)} depth={self.depth()}>"
 
@@ -71,14 +63,13 @@ class LoopInfo:
                 self._loop_of_block[block] = loop
 
     @classmethod
-    def compute(cls, function: Function, dom_tree: Optional[DominatorTree] = None) -> "LoopInfo":
+    def compute(cls, cfg: "CFGInfo") -> "LoopInfo":
         """Find natural loops from back edges (tail dominated by head)."""
-        dom_tree = dom_tree or DominatorTree.compute(function)
-        preds = predecessor_map(function)
+        dom_tree, preds = cfg.dom_tree, cfg.predecessors
         loops_by_header: Dict[BasicBlock, Loop] = {}
 
-        for block in dom_tree.reachable():
-            for successor in block.successors():
+        for block in cfg.rpo:
+            for successor in cfg.successors[block]:
                 if not dom_tree.dominates(successor, block):
                     continue
                 header = successor
@@ -106,18 +97,11 @@ class LoopInfo:
             loop.parent = best_parent
             if best_parent is not None:
                 best_parent.children.append(loop)
-        return cls(function, loops)
+        return cls(cfg.function, loops)
 
     def loop_for_block(self, block: BasicBlock) -> Optional[Loop]:
         """The innermost loop containing ``block``, if any."""
         return self._loop_of_block.get(block)
-
-    def top_level_loops(self) -> List[Loop]:
-        return [loop for loop in self.loops if loop.parent is None]
-
-    def loop_depth(self, block: BasicBlock) -> int:
-        loop = self.loop_for_block(block)
-        return loop.depth() if loop is not None else 0
 
     def __iter__(self):
         return iter(self.loops)

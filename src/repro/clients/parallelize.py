@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..aliases.results import AliasResult, MemoryAccess, NoAliasClaim
-from ..analysis.loops import Loop, LoopInfo
+from ..analysis.loops import Loop
 from ..engine import keys
 from ..interp.trace import access_width, memory_access_table
 from ..ir.function import Function
@@ -47,7 +47,6 @@ from ..ir.instructions import (
     CallInst,
     FreeInst,
     Instruction,
-    LoadInst,
     MallocInst,
     StoreInst,
 )
@@ -92,24 +91,15 @@ class LoopParallelismAnalysis:
             self.basic = BasicAliasAnalysis(module)
             self.scev = SCEVAliasAnalysis(module)
         self._reports: Dict[Function, Dict] = {}
-        self._loop_info: Dict[Function, LoopInfo] = {}
 
     # -- incremental invalidation (manager edit hook) -----------------------
     def refresh_function(self, old_function: Function,
                          new_function: Function, edit) -> None:
         self._reports.pop(old_function, None)
-        self._loop_info.pop(old_function, None)
         if self.manager is not None:
             self.rbaa = self.manager.get(keys.RBAA)
             self.basic = self.manager.get(keys.BASIC)
             self.scev = self.manager.get(keys.SCEV)
-
-    def loop_info(self, function: Function) -> LoopInfo:
-        info = self._loop_info.get(function)
-        if info is None:
-            info = LoopInfo.compute(function)
-            self._loop_info[function] = info
-        return info
 
     # -- pair independence ----------------------------------------------------
     def _defined_outside(self, value: Value, loop: Loop) -> bool:
@@ -138,20 +128,13 @@ class LoopParallelismAnalysis:
         return all(self._defined_outside(anchor, loop)
                    for anchor in claim.anchors)
 
-    @staticmethod
-    def _same_loop(recurrence_loop: Loop, loop: Loop) -> bool:
-        """The SCEV engine owns its own ``LoopInfo``; natural loops are
-        keyed by their (unique) header block, so compare headers."""
-        return recurrence_loop.header is loop.header
-
     def _lockstep_independent(self, a: LoopAccess, b: LoopAccess,
                               loop: Loop) -> bool:
         rec_a = self.scev.evolution_of(a.pointer)
         rec_b = self.scev.evolution_of(b.pointer)
         if rec_a is None or rec_b is None:
             return False
-        if not self._same_loop(rec_a.loop, loop) \
-                or not self._same_loop(rec_b.loop, loop):
+        if rec_a.loop is not loop or rec_b.loop is not loop:
             return False
         distance = rec_a.constant_distance_from(rec_b)
         if distance is None or rec_a.step == 0:
@@ -165,7 +148,7 @@ class LoopParallelismAnalysis:
     def _self_independent(self, access: LoopAccess, loop: Loop) -> bool:
         """One store against its own other-iteration executions."""
         rec = self.scev.evolution_of(access.pointer)
-        if rec is not None and self._same_loop(rec.loop, loop) \
+        if rec is not None and rec.loop is loop \
                 and rec.step != 0 and abs(rec.step) >= access.width:
             return True
         return self._iteration_fresh(access, loop)
@@ -256,9 +239,8 @@ class LoopParallelismAnalysis:
         cached = self._reports.get(function)
         if cached is not None:
             return cached
-        info = self.loop_info(function)
         loops = []
-        for loop in sorted(info.loops, key=lambda l: l.header.label()):
+        for loop in sorted(function.cfg().loops, key=lambda l: l.header.label()):
             accesses = self._loop_accesses(function, loop)
             parallel, reason = self.loop_verdict(function, loop, accesses)
             loops.append({

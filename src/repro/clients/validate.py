@@ -23,7 +23,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..analysis.loops import LoopInfo
 from ..interp.trace import ExecutionTrace, memory_access_table
 from ..ir.module import Module
 
@@ -110,7 +109,7 @@ def validate_loops(program_name: str, module: Module, trace: ExecutionTrace,
 
     Returns ``(loop_frames_checked, loop_frames_skipped, stale_claims,
     violations)``.  ``stale_claims`` counts claimed loop headers missing
-    from the recomputed ``LoopInfo`` — a report/module mismatch detected
+    from the module's loop forest — a report/module mismatch detected
     once per claim, independent of how many frames the function ran.
     """
     events_by_frame: Dict[int, List] = {}
@@ -128,8 +127,7 @@ def validate_loops(program_name: str, module: Module, trace: ExecutionTrace,
         function = module.get_function(function_report["function"])
         if function is None or function.is_declaration():
             continue
-        info = LoopInfo.compute(function)
-        loops_by_header = {loop.header.label(): loop for loop in info.loops}
+        loops_by_header = {loop.header.label(): loop for loop in function.cfg().loops}
         stale_claims += sum(1 for claim in claimed
                             if claim["header"] not in loops_by_header)
         claimed = [claim for claim in claimed

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.callgraph import CallGraph
-from ..analysis.cfg import reverse_post_order
 from ..engine.solver import SparseProblem, SparseSolver
 from ..ir.function import Function
 from ..ir.instructions import (
@@ -303,7 +302,7 @@ class GlobalRangeAnalysis:
             for argument in function.args:
                 if argument.type.is_pointer():
                     nodes.append(argument)
-            for block in reverse_post_order(function):
+            for block in function.cfg().rpo:
                 for inst in block.instructions:
                     if inst.type.is_pointer():
                         nodes.append(inst)

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..analysis.dominance import DominatorTree
 from ..engine.solver import SparseProblem, SparseSolver
 from ..ir.instructions import (
     AllocaInst,
@@ -195,7 +194,7 @@ class LocalRangeAnalysis:
             del self._arithmetic_bases[key]
         self._location_anchor_cache = None
         nodes: List[Instruction] = []
-        for block in DominatorTree.compute(new_function).preorder():
+        for block in new_function.cfg().dom_tree.preorder():
             nodes.extend(inst for inst in block.instructions
                          if inst.type.is_pointer())
         solver = SparseSolver(_LocalRangeProblem(self, nodes))
@@ -225,8 +224,7 @@ class LocalRangeAnalysis:
     def _run(self) -> None:
         nodes: List[Instruction] = []
         for function in self.module.defined_functions():
-            dom_tree = DominatorTree.compute(function)
-            for block in dom_tree.preorder():
+            for block in function.cfg().dom_tree.preorder():
                 for inst in block.instructions:
                     if inst.type.is_pointer():
                         nodes.append(inst)

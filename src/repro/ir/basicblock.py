@@ -18,10 +18,10 @@ class BasicBlock(Value):
     """A node of the control-flow graph.
 
     Successors are derived from the block's terminator; predecessor lists
-    are maintained by :class:`~repro.ir.function.Function` when blocks are
-    linked.  φ and σ instructions must appear before any other instruction
-    (σs sit right after the φs, at the point where the e-SSA transformation
-    splits live ranges).
+    live in the function's CFG facts (``function.cfg().predecessors``), which
+    adding or removing a terminator drops.  φ and σ instructions must appear
+    before any other instruction (σs sit right after the φs, at the point
+    where the e-SSA transformation splits live ranges).
     """
 
     __slots__ = ("parent", "instructions")
@@ -42,6 +42,7 @@ class BasicBlock(Value):
             raise ValueError("instruction already belongs to a block")
         instruction.parent = self
         self.instructions.append(instruction)
+        self._terminator_changed(instruction)
         return instruction
 
     def insert(self, index: int, instruction: Instruction) -> Instruction:
@@ -49,6 +50,7 @@ class BasicBlock(Value):
             raise ValueError("instruction already belongs to a block")
         instruction.parent = self
         self.instructions.insert(index, instruction)
+        self._terminator_changed(instruction)
         return instruction
 
     def insert_before_terminator(self, instruction: Instruction) -> Instruction:
@@ -78,6 +80,12 @@ class BasicBlock(Value):
     def remove_instruction(self, instruction: Instruction) -> None:
         self.instructions.remove(instruction)
         instruction.parent = None
+        self._terminator_changed(instruction)
+
+    def _terminator_changed(self, instruction: Instruction) -> None:
+        """Adding or removing a terminator changes the CFG."""
+        if self.parent is not None and instruction.is_terminator():
+            self.parent.invalidate_cfg()
 
     # -- structure -----------------------------------------------------------
     @property
@@ -96,11 +104,6 @@ class BasicBlock(Value):
                     targets.append(target)
             return targets
         return []
-
-    def predecessors(self) -> List["BasicBlock"]:
-        if self.parent is None:
-            return []
-        return [block for block in self.parent.blocks if self in block.successors()]
 
     def phis(self) -> List[PhiInst]:
         return [inst for inst in self.instructions if isinstance(inst, PhiInst)]

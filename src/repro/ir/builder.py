@@ -100,8 +100,11 @@ class IRBuilder:
     def _flush(self) -> None:
         pending = self._pending
         if pending:
-            self._block.instructions.extend(pending)
+            block = self._block
+            block.instructions.extend(pending)
             self._pending = []
+            if block.parent is not None:  # the batch may end in a terminator
+                block.parent.invalidate_cfg()
 
     def is_terminated(self) -> bool:
         """True when the current block (including pending instructions) ends

@@ -10,6 +10,7 @@ from .types import FunctionType, Type
 from .values import Argument, Value
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..analysis.cfg import CFGInfo
     from .module import Module
 
 __all__ = ["Function"]
@@ -21,9 +22,12 @@ class Function(Value):
     Functions own the name counter used to give every value a unique,
     stable textual name — uniqueness of names is what lets the analyses use
     plain dictionaries keyed by value.
+
+    They also hold their CFG facts (:meth:`cfg`), built on first use and
+    dropped by every IR operation that changes the CFG.
     """
 
-    __slots__ = ("parent", "args", "blocks", "_name_counter", "_taken_names")
+    __slots__ = ("parent", "args", "blocks", "_name_counter", "_taken_names", "_cfg")
 
     def __init__(self, name: str, function_type: FunctionType,
                  arg_names: Optional[Sequence[str]] = None,
@@ -33,6 +37,7 @@ class Function(Value):
         self.blocks: List[BasicBlock] = []
         self._name_counter = 0
         self._taken_names: Dict[str, int] = {}
+        self._cfg: Optional["CFGInfo"] = None
         arg_names = list(arg_names or [])
         while len(arg_names) < len(function_type.param_types):
             arg_names.append(f"arg{len(arg_names)}")
@@ -66,6 +71,7 @@ class Function(Value):
     def append_block(self, name: str = "") -> BasicBlock:
         block = BasicBlock(self.uniquify_name(name or "bb"), parent=self)
         self.blocks.append(block)
+        self._cfg = None
         return block
 
     def add_block(self, block: BasicBlock) -> BasicBlock:
@@ -73,11 +79,27 @@ class Function(Value):
         if not block.name:
             block.name = self.uniquify_name("bb")
         self.blocks.append(block)
+        self._cfg = None
         return block
 
     def remove_block(self, block: BasicBlock) -> None:
         self.blocks.remove(block)
         block.parent = None
+        self._cfg = None
+
+    # -- CFG facts -----------------------------------------------------------------
+    def cfg(self) -> "CFGInfo":
+        """Successors, predecessors, reverse post-order, dominator tree and
+        loop forest, built on first use and kept until the CFG changes."""
+        info = self._cfg
+        if info is None:
+            from ..analysis.cfg import CFGInfo  # the analysis layer imports ir
+            info = self._cfg = CFGInfo(self)
+        return info
+
+    def invalidate_cfg(self) -> None:
+        """Drop the cached CFG facts; every CFG-changing IR operation calls this."""
+        self._cfg = None
 
     def get_block(self, name: str) -> Optional[BasicBlock]:
         for block in self.blocks:

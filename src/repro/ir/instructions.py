@@ -545,6 +545,9 @@ class BranchInst(Instruction):
             self.true_target = new
         if self.false_target is old:
             self.false_target = new
+        function = self.function
+        if function is not None:
+            function.invalidate_cfg()
 
     def __repr__(self) -> str:
         if not self.is_conditional():

@@ -7,8 +7,10 @@ The verifier enforces the invariants the analyses rely on:
   per predecessor;
 * every SSA value is defined before use: operands belong to the same
   function, and each definition dominates its uses (same-block order, or a
-  dominating block via :mod:`repro.analysis.dominance`; a φ's incoming
-  value must dominate its incoming predecessor);
+  dominating block in the dominator tree; a φ's incoming value must
+  dominate its incoming predecessor);
+* a function's cached CFG facts (``function.cfg()``) equal a fresh build,
+  so a CFG change that missed its invalidation fails verification;
 * names of values are unique within a function;
 * operand types are consistent: loads and stores dereference pointer-typed
   operands, conditional branches test an ``i1``, and φ/σ results carry the
@@ -23,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..analysis.cfg import predecessor_map
-from ..analysis.dominance import DominatorTree
+from ..analysis.cfg import CFGInfo
 from .function import Function
 from .instructions import (
     BinaryInst,
@@ -81,11 +82,23 @@ def _check_terminators(function: Function, errors: List[VerificationError]) -> N
                             f"branch in {block.name} targets a block outside the function"))
 
 
-def _check_phis(function: Function, errors: List[VerificationError]) -> None:
-    predecessors_of = predecessor_map(function)
+def _check_cfg(function: Function, errors: List[VerificationError]) -> CFGInfo:
+    """Build the verifier's own CFG facts and compare any cached ones to them."""
+    fresh = CFGInfo(function)
+    cached = function._cfg
+    if cached is not None:
+        difference = cached.first_difference(fresh)
+        if difference is not None:
+            errors.append(VerificationError(
+                function.name, f"cached CFG facts are stale: {difference} "
+                               f"differ from a fresh build"))
+    return fresh
+
+
+def _check_phis(function: Function, cfg: CFGInfo, errors: List[VerificationError]) -> None:
     for block in function.blocks:
         seen_non_phi = False
-        predecessors = predecessors_of[block]
+        predecessors = cfg.predecessors[block]
         for inst in block.instructions:
             if isinstance(inst, PhiInst):
                 if seen_non_phi:
@@ -121,7 +134,8 @@ def _user(inst: Instruction) -> str:
     return inst.short_name() or inst.opcode
 
 
-def _check_operands(function: Function, errors: List[VerificationError]) -> None:
+def _check_operands(function: Function, cfg: CFGInfo,
+                    errors: List[VerificationError]) -> None:
     """Operands are local to the function and every definition dominates
     its uses: a non-φ use needs its definition earlier in the same block or
     in a dominating block; a φ's incoming value must dominate the incoming
@@ -130,7 +144,7 @@ def _check_operands(function: Function, errors: List[VerificationError]) -> None
     for block in function.blocks:
         for index, inst in enumerate(block.instructions):
             position[inst] = index
-    tree = DominatorTree.compute(function)
+    tree = cfg.dom_tree
     for block in function.blocks:
         for inst in block.instructions:
             phi = isinstance(inst, PhiInst)
@@ -205,9 +219,10 @@ def verify_function(function: Function, raise_on_error: bool = True) -> List[Ver
     if function.is_declaration():
         return errors
     _check_terminators(function, errors)
-    _check_phis(function, errors)
+    cfg = _check_cfg(function, errors)
+    _check_phis(function, cfg, errors)
     _check_names(function, errors)
-    _check_operands(function, errors)
+    _check_operands(function, cfg, errors)
     _check_types(function, errors)
     if errors and raise_on_error:
         raise IRVerificationFailure(errors)

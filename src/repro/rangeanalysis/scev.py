@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..analysis.loops import Loop, LoopInfo
+from ..analysis.loops import Loop
 from ..ir.function import Function
 from ..ir.instructions import BinaryInst, CastInst, Instruction, PhiInst, PtrAddInst, SigmaInst
 from ..ir.module import Module
@@ -64,9 +64,8 @@ class AddRecurrence:
 class ScalarEvolution:
     """Per-function add-recurrence computation."""
 
-    def __init__(self, function: Function, loop_info: Optional[LoopInfo] = None):
+    def __init__(self, function: Function):
         self.function = function
-        self.loop_info = loop_info or LoopInfo.compute(function)
         self._cache: Dict[Value, Optional[AddRecurrence]] = {}
 
     @classmethod
@@ -111,7 +110,7 @@ class ScalarEvolution:
     def _compute_phi(self, phi: PhiInst) -> Optional[AddRecurrence]:
         if phi.parent is None:
             return None
-        loop = self.loop_info.loop_for_block(phi.parent)
+        loop = self.function.cfg().loops.loop_for_block(phi.parent)
         if loop is None or loop.header is not phi.parent:
             return None
         incoming = phi.incoming()

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..analysis.cfg import reverse_post_order
 from ..engine.solver import SparseProblem, SparseSolver
 from ..ir.function import Function
 from ..ir.instructions import (
@@ -232,7 +231,7 @@ class SymbolicRangeAnalysis:
 
     def _integer_instructions(self, function: Function) -> List[Instruction]:
         order: List[Instruction] = []
-        for block in reverse_post_order(function):
+        for block in function.cfg().rpo:
             for inst in block.instructions:
                 if inst.type.is_integer():
                     order.append(inst)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from ..analysis.cfg import CFGInfo
 from ..analysis.dominance import DominatorTree
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
@@ -36,24 +37,27 @@ from ..ir.values import Argument, Value
 __all__ = ["build_essa_function", "build_essa", "split_critical_edges"]
 
 
-def _needs_split(source: BasicBlock, target: BasicBlock) -> bool:
+def _needs_split(cfg: CFGInfo, source: BasicBlock, target: BasicBlock) -> bool:
     """A critical edge: the source has several successors and the target several predecessors."""
-    return len(source.successors()) > 1 and len(target.predecessors()) > 1
+    return len(cfg.successors[source]) > 1 and len(cfg.predecessors[target]) > 1
 
 
 def split_critical_edges(function: Function) -> int:
     """Split every critical edge by inserting a forwarding block.
 
     Returns the number of edges split.  φ-functions in the old target are
-    updated to route the incoming value through the new block.
+    updated to route the incoming value through the new block.  Splitting
+    an edge keeps the degrees of both its endpoints, so the CFG facts read
+    before the first split decide every edge.
     """
+    cfg = function.cfg()
     split_count = 0
     for block in list(function.blocks):
         terminator = block.terminator
         if not isinstance(terminator, BranchInst) or not terminator.is_conditional():
             continue
         for target in list(terminator.targets()):
-            if not _needs_split(block, target):
+            if not _needs_split(cfg, block, target):
                 continue
             middle = function.append_block(f"{block.name}.{target.name}.split")
             middle_branch = BranchInst(target)
@@ -135,7 +139,7 @@ def build_essa_function(function: Function) -> int:
     if function.is_declaration():
         return 0
     split_critical_edges(function)
-    dom_tree = DominatorTree.compute(function)
+    cfg = function.cfg()
     created = 0
     for block in list(function.blocks):
         terminator = block.terminator
@@ -147,7 +151,7 @@ def build_essa_function(function: Function) -> int:
         lhs, rhs = condition.lhs, condition.rhs
         for target, on_true_edge in ((terminator.true_target, True),
                                      (terminator.false_target, False)):
-            if target is None or len(target.predecessors()) != 1:
+            if target is None or len(cfg.predecessors[target]) != 1:
                 continue
             constraints = _constraints_for(condition.predicate, on_true_edge)
             if constraints is None:
@@ -171,7 +175,7 @@ def build_essa_function(function: Function) -> int:
                 )
                 target.insert_sigma(sigma)
                 created += 1
-                _rewrite_dominated_uses(operand, sigma, target, dom_tree)
+                _rewrite_dominated_uses(operand, sigma, target, cfg.dom_tree)
     return created
 
 

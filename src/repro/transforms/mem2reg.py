@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
-from ..analysis.dominance import DominatorTree, dominance_frontiers
+from ..analysis.cfg import CFGInfo
+from ..analysis.dominance import DominatorTree
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import AllocaInst, Instruction, LoadInst, PhiInst, StoreInst
@@ -52,6 +53,26 @@ def _defining_blocks(alloca: AllocaInst) -> List[BasicBlock]:
     return blocks
 
 
+def _dominance_frontiers(cfg: CFGInfo) -> Dict[BasicBlock, Set[BasicBlock]]:
+    """Dominance frontier of every reachable block (Cytron's definition)."""
+    dom_tree = cfg.dom_tree
+    frontiers: Dict[BasicBlock, Set[BasicBlock]] = {block: set() for block in cfg.rpo}
+    for block in cfg.rpo:
+        predecessors = cfg.predecessors[block]
+        if len(predecessors) < 2:
+            continue
+        for predecessor in predecessors:
+            if predecessor not in frontiers:
+                continue  # unreachable predecessor
+            runner = predecessor
+            while runner is not dom_tree.idom(block) and runner is not None:
+                frontiers[runner].add(block)
+                if runner is dom_tree.idom(runner):
+                    break
+                runner = dom_tree.idom(runner)
+    return frontiers
+
+
 def _place_phis(function: Function, alloca: AllocaInst,
                 frontiers: Dict[BasicBlock, Set[BasicBlock]]) -> Dict[BasicBlock, PhiInst]:
     """Insert φs for one slot on the iterated dominance frontier of its stores."""
@@ -73,7 +94,7 @@ def _place_phis(function: Function, alloca: AllocaInst,
     return phis
 
 
-def _rename(function: Function, dom_tree: DominatorTree,
+def _rename(function: Function, cfg: CFGInfo,
             allocas: List[AllocaInst],
             phis: Dict[AllocaInst, Dict[BasicBlock, PhiInst]]) -> None:
     """Walk the dominator tree, tracking the reaching definition of every slot."""
@@ -106,11 +127,11 @@ def _rename(function: Function, dom_tree: DominatorTree,
                     and inst.pointer in current:
                 current[inst.pointer] = inst.value
                 inst.erase_from_parent()
-        for successor in block.successors():
+        for successor in cfg.successors[block]:
             for phi, owner in phi_owner.items():
                 if phi.parent is successor:
                     phi.add_incoming(current[owner], block)
-        for child in dom_tree.children(block):
+        for child in cfg.dom_tree.children(block):
             stack.append((child, current))
 
 
@@ -122,17 +143,17 @@ def promote_allocas_in_function(function: Function) -> int:
                if isinstance(inst, AllocaInst) and is_promotable(inst)]
     if not allocas:
         return 0
-    dom_tree = DominatorTree.compute(function)
-    frontiers = dominance_frontiers(function, dom_tree)
+    cfg = function.cfg()
+    frontiers = _dominance_frontiers(cfg)
     phis: Dict[AllocaInst, Dict[BasicBlock, PhiInst]] = {
         alloca: _place_phis(function, alloca, frontiers) for alloca in allocas
     }
-    _rename(function, dom_tree, allocas, phis)
+    _rename(function, cfg, allocas, phis)
     for alloca in allocas:
         # All loads/stores are gone; the slot itself can be dropped.
         if not alloca.uses:
             alloca.erase_from_parent()
-    _prune_dead_phis(function, dom_tree)
+    _prune_dead_phis(function, cfg.dom_tree)
     return len(allocas)
 
 

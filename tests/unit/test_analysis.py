@@ -1,20 +1,10 @@
-"""Unit tests for CFG analyses: orderings, dominance, loops, liveness, call graph."""
+"""Unit tests for CFG analyses: orderings, dominance, loops, call graph."""
 
 
-from repro.analysis import (
-    CallGraph,
-    DominatorTree,
-    LivenessInfo,
-    LoopInfo,
-    back_edges,
-    dominance_frontiers,
-    is_single_entry_region,
-    post_order,
-    predecessor_map,
-    reverse_post_order,
-)
+from repro.analysis import CallGraph
 from repro.frontend import compile_source
 from repro.ir import ConstantInt, FunctionType, INT32, IRBuilder, Module, VOID
+from repro.transforms.mem2reg import _dominance_frontiers
 
 
 def build_diamond():
@@ -59,81 +49,70 @@ def build_loop():
 class TestOrderings:
     def test_reverse_post_order_starts_at_entry(self):
         _, fn, (entry, left, right, merge) = build_diamond()
-        rpo = reverse_post_order(fn)
+        rpo = fn.cfg().rpo
         assert rpo[0] is entry
         assert rpo[-1] is merge
         assert set(rpo) == {entry, left, right, merge}
 
     def test_post_order_is_reverse_of_rpo(self):
         _, fn, _ = build_diamond()
-        assert list(reversed(post_order(fn))) == reverse_post_order(fn)
+        cfg = fn.cfg()
+        post_order = list(reversed(cfg.rpo))
+        for block in post_order:  # acyclic: every successor finishes first
+            for successor in cfg.successors[block]:
+                assert post_order.index(successor) < post_order.index(block)
 
     def test_unreachable_blocks_excluded(self):
         module, fn, blocks = build_diamond()
         dead = fn.append_block("dead")
         IRBuilder(dead).ret()
-        assert dead not in reverse_post_order(fn)
+        assert dead not in fn.cfg().rpo
 
     def test_predecessor_map(self):
         _, fn, (entry, left, right, merge) = build_diamond()
-        preds = predecessor_map(fn)
+        preds = fn.cfg().predecessors
         assert set(preds[merge]) == {left, right}
         assert preds[entry] == []
 
-    def test_back_edges_in_loop(self):
-        _, fn, (entry, header, body, exit_block) = build_loop()
-        edges = back_edges(fn)
-        assert edges == [(body, header)]
-
-    def test_single_entry_region(self):
-        _, fn, (entry, header, body, exit_block) = build_loop()
-        assert is_single_entry_region({header, body}, header)
-        assert not is_single_entry_region({body, exit_block}, body)
 
 
 class TestDominance:
     def test_entry_dominates_everything(self):
         _, fn, (entry, left, right, merge) = build_diamond()
-        dom = DominatorTree.compute(fn)
+        dom = fn.cfg().dom_tree
         for block in (entry, left, right, merge):
             assert dom.dominates(entry, block)
 
     def test_branches_do_not_dominate_merge(self):
         _, fn, (entry, left, right, merge) = build_diamond()
-        dom = DominatorTree.compute(fn)
+        dom = fn.cfg().dom_tree
         assert not dom.dominates(left, merge)
         assert not dom.dominates(right, merge)
         assert dom.idom(merge) is entry
 
-    def test_strict_dominance(self):
-        _, fn, (entry, left, right, merge) = build_diamond()
-        dom = DominatorTree.compute(fn)
-        assert dom.strictly_dominates(entry, merge)
-        assert not dom.strictly_dominates(merge, merge)
-
     def test_children_and_depth(self):
         _, fn, (entry, left, right, merge) = build_diamond()
-        dom = DominatorTree.compute(fn)
+        dom = fn.cfg().dom_tree
         assert set(dom.children(entry)) == {left, right, merge}
         assert dom.depth(entry) == 0
         assert dom.depth(left) == 1
 
     def test_preorder_visits_parents_before_children(self):
         _, fn, (entry, header, body, exit_block) = build_loop()
-        dom = DominatorTree.compute(fn)
+        dom = fn.cfg().dom_tree
         order = list(dom.preorder())
         assert order.index(entry) < order.index(header) < order.index(body)
 
     def test_dominance_frontiers_of_diamond(self):
         _, fn, (entry, left, right, merge) = build_diamond()
-        frontiers = dominance_frontiers(fn)
+        frontiers = _dominance_frontiers(fn.cfg())
         assert frontiers[left] == {merge}
         assert frontiers[right] == {merge}
         assert frontiers[entry] == set()
 
     def test_dominance_frontier_of_loop_header(self):
         _, fn, (entry, header, body, exit_block) = build_loop()
-        frontiers = dominance_frontiers(fn)
+        frontiers = _dominance_frontiers(fn.cfg())
         assert header in frontiers[body]
         assert header in frontiers[header]
 
@@ -141,26 +120,25 @@ class TestDominance:
 class TestLoops:
     def test_loop_detection(self):
         _, fn, (entry, header, body, exit_block) = build_loop()
-        loops = LoopInfo.compute(fn)
+        loops = fn.cfg().loops
         assert len(loops) == 1
         loop = loops.loops[0]
         assert loop.header is header
         assert loop.blocks == {header, body}
         assert loop.latches == [body]
-        assert loop.exit_blocks() == [exit_block]
         assert loop.depth() == 1
 
     def test_loop_for_block(self):
         _, fn, (entry, header, body, exit_block) = build_loop()
-        loops = LoopInfo.compute(fn)
+        loops = fn.cfg().loops
         assert loops.loop_for_block(body) is loops.loops[0]
         assert loops.loop_for_block(exit_block) is None
-        assert loops.loop_depth(body) == 1
-        assert loops.loop_depth(entry) == 0
+        assert loops.loop_for_block(entry) is None
+        assert loops.loop_for_block(body).depth() == 1
 
     def test_header_phis(self):
         _, fn, (entry, header, body, exit_block) = build_loop()
-        loops = LoopInfo.compute(fn)
+        loops = fn.cfg().loops
         assert len(loops.loops[0].header_phis()) == 1
 
     def test_nested_loops_from_source(self):
@@ -175,45 +153,15 @@ class TestLoops:
         }
         """)
         fn = module.get_function("nested")
-        loops = LoopInfo.compute(fn)
+        loops = fn.cfg().loops
         assert len(loops) == 2
         depths = sorted(loop.depth() for loop in loops)
         assert depths == [1, 2]
-        assert len(loops.top_level_loops()) == 1
+        assert sum(1 for loop in loops if loop.parent is None) == 1
 
     def test_no_loops_in_diamond(self):
         _, fn, _ = build_diamond()
-        assert len(LoopInfo.compute(fn)) == 0
-
-
-class TestLiveness:
-    def test_argument_live_through_loop(self):
-        _, fn, (entry, header, body, exit_block) = build_loop()
-        liveness = LivenessInfo.compute(fn)
-        n = fn.args[0]
-        assert liveness.is_live_into(n, header)
-        assert liveness.is_live_into(n, body)
-        assert not liveness.is_live_into(n, exit_block)
-
-    def test_phi_inputs_live_out_of_predecessors(self):
-        _, fn, (entry, header, body, exit_block) = build_loop()
-        liveness = LivenessInfo.compute(fn)
-        phi = header.phis()[0]
-        increment = phi.incoming_value_for(body)
-        assert increment in liveness.live_out(body)
-
-    def test_live_pointers_into_block(self):
-        module = compile_source("""
-        void touch(char* p, int n) {
-          int i;
-          for (i = 0; i < n; i++) { p[i] = 0; }
-        }
-        """)
-        fn = module.get_function("touch")
-        liveness = LivenessInfo.compute(fn)
-        loop_body = next(block for block in fn.blocks if block.name.startswith("for.body"))
-        live_pointers = liveness.live_pointers_into(loop_body)
-        assert any(value.name == "p" for value in live_pointers)
+        assert len(fn.cfg().loops) == 0
 
 
 class TestCallGraph:

@@ -1,7 +1,5 @@
 """The client analyses: bounds verdicts, loop verdicts, service surface."""
 
-import pytest
-
 from repro.clients import (
     DEFINITELY_OOB,
     MAYBE_OOB,

@@ -8,7 +8,6 @@ never leaks a σ to a path its guarding branch does not dominate.
 
 import pytest
 
-from repro.analysis.dominance import DominatorTree
 from repro.benchgen import build_program
 from repro.frontend import compile_source
 from repro.ir.instructions import PhiInst, SigmaInst
@@ -44,7 +43,8 @@ def assert_essa_invariants(module):
     """All e-SSA structural invariants, applied to every σ of a module."""
     saw_sigma = False
     for function in module.defined_functions():
-        dom_tree = DominatorTree.compute(function)
+        cfg = function.cfg()
+        dom_tree = cfg.dom_tree
         for block in function.blocks:
             # σs appear only in the φ/σ prefix of a block.
             prefix = True
@@ -60,12 +60,13 @@ def assert_essa_invariants(module):
                     continue
                 saw_sigma = True
                 # σ lives at the top of a single-predecessor edge target.
-                assert len(block.predecessors()) == 1, (
+                predecessors = cfg.predecessors[block]
+                assert len(predecessors) == 1, (
                     f"{inst!r} sits in {block.label()} with "
-                    f"{len(block.predecessors())} predecessors")
+                    f"{len(predecessors)} predecessors")
                 # The branch block that created the σ is the predecessor.
                 if inst.origin_block is not None:
-                    assert block.predecessors() == [inst.origin_block]
+                    assert predecessors == [inst.origin_block]
                 # Every use of the σ is dominated by its definition.
                 for use in inst.uses:
                     user = use.user
@@ -94,7 +95,7 @@ def test_sigma_sources_dominate_their_sigmas():
     module = compile_source(LOOP_SOURCE, "essa-loop")
     checked = 0
     for function in sigma_functions(module):
-        dom_tree = DominatorTree.compute(function)
+        dom_tree = function.cfg().dom_tree
         for inst in function.instructions():
             if not isinstance(inst, SigmaInst):
                 continue

@@ -280,7 +280,7 @@ class TestBuilderAndFunction:
         builder.branch(exit_block)
         IRBuilder(exit_block).ret(ConstantInt(0))
         assert entry.successors() == [exit_block]
-        assert exit_block.predecessors() == [entry]
+        assert fn.cfg().predecessors[exit_block] == [entry]
 
 
 class TestPrinterAndVerifier:

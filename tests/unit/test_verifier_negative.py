@@ -8,7 +8,6 @@ it with a diagnostic naming the offending construct.
 import pytest
 
 from repro.ir.basicblock import BasicBlock
-from repro.ir.function import Function
 from repro.ir.instructions import (
     BinaryInst,
     BranchInst,
@@ -195,6 +194,36 @@ class TestUseBeforeDef:
         block.append(ReturnInst())
         errors = errors_of(function)
         assert errors and "duplicate value name" in messages(errors)
+
+
+class TestStaleCFGFacts:
+    """A CFG change that bypasses the IR operations keeps the cached
+    ``function.cfg()`` stale; the verifier's fresh build exposes it."""
+
+    def _two_exits(self):
+        module, function = fresh_function()
+        entry = function.append_block("entry")
+        left = function.append_block("left")
+        right = function.append_block("right")
+        entry.append(BranchInst(left))
+        left.append(ReturnInst())
+        right.append(ReturnInst())
+        assert verify_module(module, raise_on_error=False) == []
+        function.cfg()
+        return module, entry.terminator, left, right
+
+    def test_direct_target_assignment_fails_verification(self):
+        module, branch, _, right = self._two_exits()
+        branch.true_target = right
+        errors = verify_module(module, raise_on_error=False)
+        assert "cached CFG facts are stale: successor lists" in messages(errors)
+        with pytest.raises(IRVerificationFailure):
+            verify_module(module)
+
+    def test_replace_target_drops_the_cached_facts(self):
+        module, branch, left, right = self._two_exits()
+        branch.replace_target(left, right)
+        assert verify_module(module, raise_on_error=False) == []
 
 
 class TestTypeMismatches:
