@@ -3,13 +3,16 @@
 PR 5's profiler showed cold loads dominated by the frontend; the staged
 scanner/IR-builder rewrite attacks exactly these three kernels, so each
 gets its own operation-level record: scanning a realistic source, parsing
-its token stream, and lowering the AST to IR.  The asserted invariants keep
-the benchmarks honest — token counts, stream digests and instruction
-counts are all deterministic — and the timings land in the pytest-benchmark
-report uploaded by the perf-smoke CI job (reported, never gated).
+its token stream, and lowering the AST to IR.  A fourth record times one
+``edit_source`` step, which recompiles only the edited function body.
+The asserted invariants keep the benchmarks honest — token counts, stream
+digests, instruction counts and the edit's ``changed`` list are all
+deterministic — and the timings land in the pytest-benchmark report
+uploaded by the perf-smoke CI job (reported, never gated).
 """
 
-from repro.benchgen import build_suite
+from repro.benchgen import build_suite, edit_scenario
+from repro.benchgen.suites import SUITE_PROGRAMS
 from repro.frontend import (
     Parser,
     analyze,
@@ -17,6 +20,7 @@ from repro.frontend import (
     token_stream_digest,
     tokenize,
 )
+from repro.service import AnalysisSession
 
 #: Two small suite programs: enough tokens that per-token costs dominate,
 #: small enough that a benchmark round stays in the milliseconds.
@@ -67,3 +71,21 @@ def test_lower_to_ir(benchmark):
     assert counts == [lower_translation_unit(unit, name, info).instruction_count()
                       for name, unit, info in infos]
     assert all(count > 0 for count in counts)
+
+
+def test_edit_source_one_step(benchmark):
+    config = next(p for p in SUITE_PROGRAMS if p.name == _PROGRAMS[0]).config()
+    start, step = edit_scenario(config, edits=1).steps
+    session = AnalysisSession()
+    session.load_source("m", start.source)
+
+    def reset():
+        # Untimed: put the resident back on the unedited source.
+        session.edit_source("m", start.source)
+
+    def run():
+        return session.edit_source("m", step.source)
+
+    answer = benchmark.pedantic(run, setup=reset, iterations=1, rounds=10)
+    assert answer["changed"] == [step.function]
+    assert answer["reloaded"] is False

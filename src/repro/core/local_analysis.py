@@ -40,7 +40,7 @@ from ..ir.module import Module
 from ..ir.values import Argument, GlobalVariable, NullPointer, UndefValue, Value
 from ..rangeanalysis.symbolic_ra import SymbolicRangeAnalysis
 from ..symbolic import SymbolicInterval
-from .locations import LocationTable, MemoryLocation
+from .locations import LocationKind, LocationTable, MemoryLocation
 
 __all__ = ["LocalAbstractValue", "LocalRangeAnalysis"]
 
@@ -180,18 +180,22 @@ class LocalRangeAnalysis:
         LR is strictly per-function (bases never cross function boundaries),
         so an edit purges the old body's state — per-value LR entries, fresh
         bases minted at its sites, shared arithmetic bases rooted in its
-        values — and re-solves only the new body in dominance preorder.
-        Solver statistics accumulate across refreshes.
+        values — drops the purged fresh bases from the location table, and
+        re-solves only the new body in dominance preorder.  Solver
+        statistics accumulate across refreshes.
         """
         stale = set(old_function.args)
         stale.update(old_function.instructions())
-        for value in [value for value in self._lr if value in stale]:
-            del self._lr[value]
-        for site in [site for site in self._fresh_by_site if site in stale]:
-            del self._fresh_by_site[site]
-        for key in [key for key in self._arithmetic_bases
-                    if key[0] in stale or key[1] in stale]:
-            del self._arithmetic_bases[key]
+        retired = [self._lr.pop(value).location
+                   for value in [value for value in self._lr if value in stale]]
+        retired += [self._fresh_by_site.pop(site).location
+                    for site in [site for site in self._fresh_by_site
+                                 if site in stale]]
+        retired += [self._arithmetic_bases.pop(key)
+                    for key in [key for key in self._arithmetic_bases
+                                if key[0] in stale or key[1] in stale]]
+        self.locations.discard(location for location in retired
+                               if location.kind is LocationKind.SYNTHETIC)
         self._location_anchor_cache = None
         nodes: List[Instruction] = []
         for block in new_function.cfg().dom_tree.preorder():

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from ..ir.instructions import AllocaInst, MallocInst
 from ..ir.module import Module
@@ -69,20 +69,24 @@ class LocationTable:
     """Creates and indexes the abstract locations of one module.
 
     The table is shared by the global analysis, the local analysis and the
-    query engine so that location identity is stable across them.
+    query engine so that location identity is stable across them.  Indices
+    come from a counter and are never reused, so an index names one
+    location for the table's lifetime even after edits retire locations.
     """
 
     def __init__(self, module: Module):
         self.module = module
-        self._locations: List[MemoryLocation] = []
+        self._locations: Dict[int, MemoryLocation] = {}
         self._by_site: Dict[Value, MemoryLocation] = {}
+        self._next_index = 0
         self._discover()
 
     # -- construction -----------------------------------------------------------
     def _new_location(self, kind: LocationKind, name: str,
                       site: Optional[Value] = None) -> MemoryLocation:
-        location = MemoryLocation(len(self._locations), kind, name, site)
-        self._locations.append(location)
+        location = MemoryLocation(self._next_index, kind, name, site)
+        self._next_index += 1
+        self._locations[location.index] = location
         if site is not None:
             self._by_site[site] = location
         return location
@@ -103,15 +107,16 @@ class LocationTable:
     def refresh_function(self, old_function, new_function, edit) -> None:
         """Function-granular incremental update (manager edit hook).
 
-        The table is append-only, so locations of the retired body's sites
-        simply become unreferenced once the analyses that pointed at them
-        are refreshed; only the site index must forget the old values (their
-        ids may be recycled) and register the new body's allocation sites.
+        Every location whose site is in the retired body (allocation sites,
+        parameter and unknown-object pseudo-locations) is dropped, so the
+        table does not keep the old body alive; the analyses that pointed
+        at them are refreshed too.  The new body's allocation sites are
+        registered; its pseudo-locations are created on demand again.
         """
-        for value in list(old_function.args):
-            self._by_site.pop(value, None)
-        for inst in old_function.instructions():
-            self._by_site.pop(inst, None)
+        for value in list(old_function.args) + list(old_function.instructions()):
+            location = self._by_site.pop(value, None)
+            if location is not None:
+                self._locations.pop(location.index, None)
         for inst in new_function.instructions():
             if inst in self._by_site:
                 continue
@@ -121,6 +126,12 @@ class LocationTable:
             elif isinstance(inst, AllocaInst):
                 self._new_location(LocationKind.STACK,
                                    f"{new_function.name}.{inst.name or 'alloca'}", inst)
+
+    def discard(self, locations: Iterable[MemoryLocation]) -> None:
+        """Drop site-less locations whose minting analysis forgot them (the
+        local analysis's fresh bases of a retired function body)."""
+        for location in locations:
+            self._locations.pop(location.index, None)
 
     # -- lookup / creation -------------------------------------------------------
     def location_for_site(self, site: Value) -> Optional[MemoryLocation]:
@@ -149,11 +160,12 @@ class LocationTable:
 
     # -- aggregates ------------------------------------------------------------------
     def all_locations(self) -> List[MemoryLocation]:
-        return list(self._locations)
+        return list(self._locations.values())
 
     def allocation_sites(self) -> List[MemoryLocation]:
         """The paper's ``Loc``: heap, stack and global allocation sites."""
-        return [location for location in self._locations if location.is_concrete_object()]
+        return [location for location in self._locations.values()
+                if location.is_concrete_object()]
 
     def __len__(self) -> int:
         return len(self._locations)

@@ -6,16 +6,18 @@ playing the role clang plays in the original LLVM-based implementation.
 """
 
 from .cparser import ParseError, Parser, parse
-from .driver import compile_source
+from .driver import BodyCompile, compile_bodies, compile_source
 from .lexer import LexerError, Token, TokenKind, tokenize
 from .lowering import LoweringError, lower_translation_unit
 from .sema import SemanticError, SemanticInfo, analyze
-from .stages import module_digest, token_stream_digest
+from .stages import UnitDigests, module_digest, parse_unit, token_stream_digest
 
 __all__ = [
     "ParseError",
     "Parser",
     "parse",
+    "BodyCompile",
+    "compile_bodies",
     "compile_source",
     "LexerError",
     "Token",
@@ -26,6 +28,8 @@ __all__ = [
     "SemanticError",
     "SemanticInfo",
     "analyze",
+    "UnitDigests",
     "module_digest",
+    "parse_unit",
     "token_stream_digest",
 ]

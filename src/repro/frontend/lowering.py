@@ -18,7 +18,7 @@ Known simplifications (documented, acceptable for static analysis targets):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from ..ir.basicblock import BasicBlock
 from ..ir.builder import IRBuilder
@@ -69,11 +69,12 @@ from .ast_nodes import (
     StringLiteral,
     TranslationUnit,
     UnaryOp,
+    VarDecl,
     WhileStmt,
 )
 from .sema import SemanticInfo, analyze
 
-__all__ = ["LoweringError", "lower_translation_unit"]
+__all__ = ["LoweringError", "function_string_literals", "lower_translation_unit"]
 
 
 class LoweringError(Exception):
@@ -619,7 +620,11 @@ class _FunctionLowerer:
 
         callee_function = self.module.get_function(name)
         signature = self.info.signature_for_call(name)
-        if callee_function is not None and not callee_function.is_declaration():
+        # A callee whose body comes no later in the unit is called through its
+        # ``Function``; any other callee by name.  The rule reads the unit
+        # order, not the callee's blocks, so a subset lowering (which leaves
+        # skipped bodies empty) calls exactly as a whole-module one does.
+        if callee_function is not None and name in self.parent.reached:
             call = self.builder.call(callee_function, arg_values, name=f"{name}.ret")
             return call, callee_function.return_type
         return_type = signature.return_type if signature is not None else INT32
@@ -663,14 +668,74 @@ _RVALUE_DISPATCH = {
 }
 
 
-class _ModuleLowerer:
-    """Lowers a whole translation unit."""
+# The children of each node in the order lowering visits them (type
+# specifications are resolved, never lowered, so they are not listed).
+_LOWERED_CHILDREN = {
+    CompoundStmt: ("statements",),
+    DeclStmt: ("declarations",),
+    VarDecl: ("initializer",),
+    ExprStmt: ("expression",),
+    IfStmt: ("condition", "then_branch", "else_branch"),
+    WhileStmt: ("condition", "body"),
+    DoWhileStmt: ("body", "condition"),
+    ForStmt: ("init", "condition", "body", "step"),
+    ReturnStmt: ("value",),
+    UnaryOp: ("operand",),
+    BinaryOp: ("lhs", "rhs"),
+    Assignment: ("target", "value"),
+    Conditional: ("condition", "true_value", "false_value"),
+    Call: ("args",),
+    ArrayIndex: ("base", "index"),
+    Member: ("base",),
+    Cast: ("operand",),
+    SizeOf: ("operand",),
+}
 
-    def __init__(self, unit: TranslationUnit, info: SemanticInfo, name: str):
+
+def function_string_literals(decl: FunctionDecl, returns_void: bool) -> List[str]:
+    """The string literals that lowering ``decl``'s body interns, in order.
+
+    Walks the body in the lowerer's visiting order: a ``for`` lowers its
+    step after its body, a compound assignment lowers its target twice and
+    a ``return`` in a void function drops its value.
+    """
+    texts: List[str] = []
+
+    def visit(node) -> None:
+        if node is None:
+            return
+        if isinstance(node, list):
+            for item in node:
+                visit(item)
+            return
+        kind = node.__class__
+        if kind is StringLiteral:
+            texts.append(node.value)
+            return
+        if kind is ReturnStmt and returns_void:
+            return
+        if kind is Assignment and node.op:
+            visit(node.target)
+        for name in _LOWERED_CHILDREN.get(kind, ()):
+            visit(getattr(node, name))
+
+    visit(decl.body)
+    return texts
+
+
+class _ModuleLowerer:
+    """Lowers a translation unit: every body, or a subset of them into the
+    full skeleton (every global and every ``Function``)."""
+
+    def __init__(self, unit: TranslationUnit, info: SemanticInfo, name: str,
+                 bodies: Optional[Collection[str]] = None):
         self.unit = unit
         self.info = info
         self.module = Module(name)
         self.global_map: Dict[str, GlobalVariable] = {}
+        self.bodies = bodies
+        #: Functions whose body the walk over the unit has reached.
+        self.reached: Set[str] = set()
         self._string_count = 0
 
     def string_literal(self, text: str) -> Tuple[Value, Type]:
@@ -688,20 +753,35 @@ class _ModuleLowerer:
             variable = self.module.create_global(declaration.name, value_type)
             self.global_map[declaration.name] = variable
         # Create all functions first so that calls can reference them.
-        lowerers: List[_FunctionLowerer] = []
+        defined: List[Tuple[FunctionDecl, Function]] = []
         for name, decl in self.info.function_decls.items():
             signature = self.info.function_types[name]
             function = self.module.create_function(
                 name, signature, [param.name for param in decl.params])
             if decl.body is not None:
-                lowerers.append(_FunctionLowerer(self, decl, function))
-        for lowerer in lowerers:
-            lowerer.lower()
+                defined.append((decl, function))
+        for decl, function in defined:
+            self.reached.add(decl.name)
+            if self.bodies is None or decl.name in self.bodies:
+                _FunctionLowerer(self, decl, function).lower()
+            else:
+                # A skipped body still interns its literals: the ``.str.N``
+                # numbering and the global order stay those of the unit.
+                for text in function_string_literals(
+                        decl, function.return_type == VOID):
+                    self.string_literal(text)
         return self.module
 
 
 def lower_translation_unit(unit: TranslationUnit, name: str = "module",
-                           info: Optional[SemanticInfo] = None) -> Module:
-    """Lower a parsed translation unit to an IR module (no optimisation)."""
+                           info: Optional[SemanticInfo] = None,
+                           bodies: Optional[Collection[str]] = None) -> Module:
+    """Lower a parsed translation unit to an IR module (no optimisation).
+
+    ``bodies`` names the function bodies to lower (default: all of them).
+    The others stay empty ``Function``s, so ``is_declaration()`` is true for
+    them, but every global and every lowered body is exactly what a
+    whole-module lowering gives.
+    """
     info = info or analyze(unit)
-    return _ModuleLowerer(unit, info, name).lower()
+    return _ModuleLowerer(unit, info, name, bodies).lower()

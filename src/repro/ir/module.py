@@ -47,11 +47,13 @@ class Module:
         """Swap in ``replacement`` for the same-named function (an *edit*).
 
         This is the module-level primitive behind function-granular
-        incremental analysis: the replacement typically comes from a donor
-        module (a re-compile of the edited source), so
+        incremental analysis: the replacement comes from another module
+        (the edit path's :func:`~repro.frontend.driver.compile_bodies`
+        skeleton of the edited source), so
 
-        * operands of its instructions that reference donor globals or donor
-          functions are remapped **by name** onto this module's objects;
+        * operands of its instructions that reference the other module's
+          globals or functions are remapped **by name** onto this module's
+          objects;
         * call sites elsewhere in this module are retargeted from the old
           function object to the replacement;
         * the replacement takes the old function's slot (module order is
@@ -75,7 +77,7 @@ class Module:
                 f"replace_function must preserve the signature of @{old.name}: "
                 f"{old.function_type} != {replacement.function_type}")
 
-        # Remap donor-module references inside the replacement body.
+        # Remap the other module's references inside the replacement body.
         for inst in replacement.instructions():
             for index, operand in enumerate(inst.operands):
                 if isinstance(operand, GlobalVariable):

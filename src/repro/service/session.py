@@ -15,8 +15,20 @@ analyses whose dependency cone the edit touches:
   retained fixed point survives and only the edit's dependent cone is
   re-solved (Steensgaard, whose unification is not retractable, re-applies
   every constraint but still routes through the same entry point);
-* only structural edits (function/global set or signature changes) fall
-  back to a full reload.
+* only structural edits (a changed struct, global, function list or
+  order, signature or prototype) fall back to a full reload.
+
+The edit's frontend work is function-granular too.  The new source is
+scanned, parsed and analyzed whole, and digested per function body
+(:class:`~repro.frontend.stages.UnitDigests`: position-free token digests,
+plus one context digest over structs, globals, prototypes, headers,
+function order and string-literal counts).  The candidates are the bodies
+whose digest differs from the resident source's, or all of them when the
+context differs; only they are lowered, prepared and printed
+(:func:`~repro.frontend.driver.compile_bodies`), and comparing their
+printed IR with the resident's decides ``changed`` exactly as a
+whole-module compile would.  Loads still run
+:func:`~repro.frontend.driver.compile_source` unchanged.
 
 A session may additionally be backed by a persistent content-addressed
 :class:`~repro.service.store.ResultStore`.  Results are then keyed by the
@@ -49,7 +61,8 @@ from ..aliases.results import AliasResult, MemoryAccess
 from ..benchgen import SUITE_PROGRAMS, build_program, source_digest
 from ..engine import keys
 from ..engine.manager import AnalysisKey, AnalysisManager, ManagerStatistics
-from ..frontend import compile_source
+from ..frontend import (BodyCompile, UnitDigests, compile_bodies,
+                        compile_source, parse_unit)
 from ..frontend.cparser import ParseError
 from ..frontend.lexer import LexerError
 from ..frontend.lowering import LoweringError
@@ -123,6 +136,8 @@ class ResidentModule:
     edits: int = 0
     #: ``EditImpact.as_dict()`` records, newest last.
     impacts: List[Dict[str, Any]] = field(default_factory=list)
+    #: Body and context digests of ``source``, computed on the first edit.
+    unit_digests: Optional[UnitDigests] = None
     #: function name -> value name -> value (invalidated per edit).
     _value_index: Dict[str, Dict[str, Value]] = field(default_factory=dict)
 
@@ -292,13 +307,22 @@ class AnalysisSession:
     def edit_source(self, name: str, source: str) -> Dict[str, Any]:
         """Apply an edited source to a resident module.
 
-        Function-body-only changes go down the incremental path: each
-        changed function is grafted via ``Module.replace_function`` and the
-        manager re-runs only what the edit invalidated.  Anything the
-        function-granular contract cannot express — added/removed functions
-        or globals, signature changes — falls back to a full reload (and
-        says so in the response).  A source the frontend rejects yields an
-        ``edit_rejected`` error and leaves the resident module untouched.
+        The new source is scanned, parsed and analyzed whole, and digested
+        per function body (:func:`~repro.frontend.stages.parse_unit`).  The
+        *candidates* are the bodies whose digest differs from the resident
+        source's, or every body when the context digest (structs, globals,
+        prototypes, headers, function order and string-literal counts)
+        differs.  Only the candidates are lowered and prepared
+        (:func:`~repro.frontend.driver.compile_bodies`), and comparing their
+        printed IR with the resident's decides which functions ``changed``.
+
+        Each changed function is grafted via ``Module.replace_function``
+        and the manager re-runs only what the edit invalidated.  Anything
+        the function-granular contract cannot express (a changed struct,
+        global, function set, function order or signature) falls back to a
+        full reload and says so in the response.  A source the frontend
+        rejects yields an ``edit_rejected`` error and leaves the resident
+        module untouched.
         """
         resident = self._resident(name)
         if self.store is not None:
@@ -306,17 +330,25 @@ class AnalysisSession:
         if source == resident.source:
             return {"module": name, "changed": [], "reloaded": False,
                     "impacts": []}
-        donor = self._compile(source, name, EDIT_REJECTED)
+        if resident.unit_digests is None:
+            resident.unit_digests = parse_unit(resident.source)[2]
+        try:
+            compiled = compile_bodies(source, name, resident.unit_digests)
+        except _COMPILE_ERRORS as error:
+            raise ServiceError(
+                f"compiling module {name!r} failed: "
+                f"{type(error).__name__}: {error}", EDIT_REJECTED) from error
         self._materialize(resident)
-        changed = self._diff_functions(resident.module, donor)
+        changed = self._diff_functions(resident.module, compiled)
         if changed is None:
             result = self.load_source(name, source)
+            self._modules[name].unit_digests = compiled.digests
             result.update({"changed": [], "reloaded": True, "impacts": []})
             return result
 
         impacts: List[Dict[str, Any]] = []
         for function_name in changed:
-            replacement = donor.get_function(function_name)
+            replacement = compiled.module.get_function(function_name)
             old = resident.module.replace_function(replacement)
             impact = resident.manager.apply_function_edit(old, replacement)
             impacts.append(impact.as_dict())
@@ -324,6 +356,7 @@ class AnalysisSession:
             resident.drop_value_index(function_name)
         resident.source = source
         resident.digest = source_digest(source)
+        resident.unit_digests = compiled.digests
         resident.meta = self._meta_of(resident.module)
         if self.store is not None:
             # Register the new content address: a restarted server loading
@@ -335,31 +368,38 @@ class AnalysisSession:
                 "impacts": impacts}
 
     @staticmethod
-    def _diff_functions(current: Module, donor: Module) -> Optional[List[str]]:
-        """Names of functions whose printed IR changed, in module order.
+    def _diff_functions(current: Module,
+                        compiled: BodyCompile) -> Optional[List[str]]:
+        """Names of recompiled functions whose printed IR changed, in module
+        order.
 
-        ``None`` means the edit is not function-granular (function or global
-        set changed, or a signature changed) and needs a full reload.
+        ``None`` means the edit is not function-granular and needs a full
+        reload: the structs, the globals (names, types, order), the function
+        list (names, order, signatures, which are defined) or a prototype's
+        parameter names changed.  Whether a function is defined is read from
+        the unit, because every skipped body is empty in the skeleton.
         """
-        current_functions = {fn.name: fn for fn in current.defined_functions()}
-        donor_functions = {fn.name: fn for fn in donor.defined_functions()}
-        if set(current_functions) != set(donor_functions):
+        skeleton = compiled.module
+        if list(current.struct_types.items()) != \
+                list(skeleton.struct_types.items()):
             return None
-        current_globals = {g.name: g for g in current.globals}
-        donor_globals = {g.name: g for g in donor.globals}
-        if set(current_globals) != set(donor_globals):
+        if [(g.name, g.value_type) for g in current.globals] != \
+                [(g.name, g.value_type) for g in skeleton.globals]:
             return None
-        for name, variable in donor_globals.items():
-            if variable.value_type != current_globals[name].value_type:
+        if len(current.functions) != len(skeleton.functions):
+            return None
+        for old, new in zip(current.functions, skeleton.functions):
+            if old.name != new.name or old.function_type != new.function_type:
                 return None
-        changed: List[str] = []
-        for fn in current.defined_functions():
-            donor_fn = donor_functions[fn.name]
-            if donor_fn.function_type != fn.function_type:
+            defined = compiled.info.function_decls[new.name].body is not None
+            if old.is_declaration() == defined:
                 return None
-            if print_function(donor_fn) != print_function(fn):
-                changed.append(fn.name)
-        return changed
+            if not defined and \
+                    [arg.name for arg in old.args] != [arg.name for arg in new.args]:
+                return None
+        return [function_name for function_name in compiled.bodies
+                if print_function(skeleton.get_function(function_name))
+                != print_function(current.get_function(function_name))]
 
     # -- queries ---------------------------------------------------------------
     def _require_analysis(self, name: str) -> AnalysisKey:
