@@ -11,9 +11,9 @@ manager memoizes analyses behind typed :class:`AnalysisKey`\\ s:
 
 Factories receive the manager itself, so an analysis declares its inputs by
 calling :meth:`AnalysisManager.get` recursively; the manager records those
-nested requests as dependency edges and uses them to invalidate dependents
-transitively when an input is invalidated (e.g. after a transform changes
-the module).
+nested requests as dependency edges and refreshes cached analyses
+dependencies-first when a function is edited
+(:meth:`AnalysisManager.apply_function_edit`).
 """
 
 from __future__ import annotations
@@ -155,12 +155,7 @@ class AnalysisManager:
         self._cache: Dict[_CacheKey, Any] = {}
         #: cache key -> keys that were requested while building it.
         self._dependencies: Dict[_CacheKey, Set[_CacheKey]] = {}
-        #: cache key -> keys whose build requested it.
-        self._dependents: Dict[_CacheKey, Set[_CacheKey]] = {}
         self._build_stack: List[_CacheKey] = []
-        #: Optional ``callback(key, value)`` invoked for every evicted entry
-        #: (the analysis service harvests retired solver-step counters here).
-        self.on_evict: Optional[Callable[[AnalysisKey, Any], None]] = None
 
     # -- cache keys -----------------------------------------------------------
     @staticmethod
@@ -219,50 +214,12 @@ class AnalysisManager:
             return
         requester = self._build_stack[-1]
         self._dependencies.setdefault(requester, set()).add(cache_key)
-        self._dependents.setdefault(cache_key, set()).add(requester)
-
-    # -- invalidation ---------------------------------------------------------
-    def invalidate(self, key: Optional[AnalysisKey] = None, **params) -> int:
-        """Drop cached analyses; returns how many entries were evicted.
-
-        With no ``key``, everything goes (the module changed wholesale).
-        With a ``key``, that entry *and every analysis built on top of it*
-        (transitively, via the recorded dependency edges) are evicted.
-        """
-        if key is None:
-            evicted = len(self._cache)
-            if self.on_evict is not None:
-                for cache_key, value in list(self._cache.items()):
-                    self.on_evict(cache_key[0], value)
-            self._cache.clear()
-            self._dependencies.clear()
-            self._dependents.clear()
-            self.statistics.invalidations += evicted
-            return evicted
-        doomed: Set[_CacheKey] = set()
-        frontier = [cache_key for cache_key in self._cache
-                    if cache_key[0] is key
-                    and (not params or cache_key == self._cache_key(key, params))]
-        while frontier:
-            cache_key = frontier.pop()
-            if cache_key in doomed:
-                continue
-            doomed.add(cache_key)
-            frontier.extend(self._dependents.get(cache_key, ()))
-        self._evict_entries(doomed)
-        self.statistics.invalidations += len(doomed)
-        return len(doomed)
 
     def _evict_entries(self, doomed: Set[_CacheKey]) -> None:
-        """Drop exactly ``doomed`` (no transitive closure) and clean edges."""
+        """Drop the ``doomed`` entries and their dependency edges."""
         for cache_key in doomed:
-            if self.on_evict is not None and cache_key in self._cache:
-                self.on_evict(cache_key[0], self._cache[cache_key])
             self._cache.pop(cache_key, None)
             self._dependencies.pop(cache_key, None)
-            self._dependents.pop(cache_key, None)
-        for dependents in self._dependents.values():
-            dependents.difference_update(doomed)
         for dependencies in self._dependencies.values():
             dependencies.difference_update(doomed)
 

@@ -3,23 +3,20 @@
 ``python -m repro.service.loadtest`` drives the asyncio TCP front end
 (:mod:`repro.service.server`) with N concurrent closed-loop clients over a
 deterministic, seeded request script, and writes ``BENCH_service.json``:
-per-run request counts, coalescing counters, solver steps and the gates
-below.  It measures no wall time; the repository benchmark
-(``perfbench``'s ``serve-read`` and ``serve-edit`` workloads) measures this
-traffic's throughput and latency end to end.  What is gated is
-correctness:
+per-run request counts, solver steps and the gates below.  It measures no
+wall time; the repository benchmark (``perfbench``'s ``serve-read`` and
+``serve-edit`` workloads) measures this traffic's throughput and latency
+end to end.  What is gated is correctness:
 
 * **Answer identity** — every response (loads, queries, ranges, value
   listings, sweeps, and the scripted error requests) must be bit-identical
   to what a serial in-process :class:`~repro.service.session.AnalysisSession`
-  produces for the same payload, at any worker/client count and under the
-  front end's query coalescing.
+  produces for the same payload, at any worker/client count.
 * **Stats identity** (storeless run) — the deterministic subset of each
   module's ``stats`` record (solver steps, Figure-14 counters, pair-memo
-  counters, engine build/invalidation counts) must equal the serial
-  session's.  Engine get-level hit counters are excluded — they depend on
-  how traffic happened to batch — as are the process-global symbolic
-  caches and the store's operational counters.
+  counters, the whole engine record) must equal the serial session's.
+  Only the process-global symbolic caches and the store's operational
+  counters are excluded.
 * **Edit replay** (on the storeless run's server, after its stats are
   taken) — each corpus program's seeded edit scenario
   (:func:`repro.benchgen.editscript.edit_scenario`, three single-function
@@ -277,18 +274,14 @@ def serial_expectations(corpus: Sequence[_Program],
 def stats_gate_view(record: Dict[str, Any]) -> Dict[str, Any]:
     """The deterministic, interleaving-independent subset of one ``stats``.
 
-    Excluded on purpose: engine get-level hits/misses (they count cache
-    *lookups*, whose number depends on how the front end batched),
-    ``symbolic_caches`` (process-global), and ``store`` (operational).
+    Excluded on purpose: ``symbolic_caches`` (process-global) and
+    ``store`` (operational).
     """
-    engine = record.get("engine", {})
     view: Dict[str, Any] = {
         "module": record.get("module"),
         "edits": record.get("edits"),
         "solver_steps": record.get("solver_steps"),
-        "engine_builds": engine.get("builds"),
-        "engine_invalidations": engine.get("invalidations"),
-        "engine_refreshes": engine.get("refreshes"),
+        "engine": record.get("engine"),
         "memos": record.get("memos"),
     }
     if "figure14" in record:
@@ -401,8 +394,6 @@ class RunResult:
     stats: Dict[str, Any] = field(default_factory=dict)
     #: Client script requests answered (a chaos hang answers none).
     requests: int = 0
-    batches: int = 0
-    batched_queries: int = 0
     fault_stats: Dict[str, Any] = field(default_factory=dict)
     #: The edit replay's record (``run_once(..., edits=True)`` only).
     edits: Dict[str, Any] = field(default_factory=dict)
@@ -561,8 +552,6 @@ async def _run_server(corpus: Sequence[_Program],
         await _close(writer)
     finally:
         await server.stop()
-    result.batches = server.batches
-    result.batched_queries = server.batched_queries
     result.fault_stats = server.fault_stats()
     if plan is not None:
         result.fault_stats["client_retries"] = policy.stats()
@@ -615,8 +604,6 @@ def _run_report(result: RunResult, identity: Dict[str, Any],
                 store_runs: bool) -> Dict[str, Any]:
     report: Dict[str, Any] = {"requests": result.requests,
                               "identity": identity}
-    report["coalesced_batches"] = result.batches
-    report["coalesced_queries"] = result.batched_queries
     report["solver_steps_total"] = sum(
         envelope.get("solver_steps", 0) for envelope in result.stats.values())
     report["materialized_modules"] = sorted(

@@ -46,8 +46,8 @@ Every op is declared once, as one :class:`OpSpec` in :data:`OPS`: its
 typed fields, routing field, ``mutating`` flag, the
 :class:`~repro.service.session.AnalysisSession` method it calls and its
 response fields.  The single :class:`Request` class parses, validates,
-encodes, routes and applies every op from that table, and the client
-checks response envelopes against it.  :func:`handle_payload` is the
+routes and applies every op from that table, and the client checks
+response envelopes against it.  :func:`handle_payload` is the
 single entry point transports call: parse, dispatch, envelope — it never
 raises.
 """
@@ -257,35 +257,15 @@ def _parse_pairs(payload: Dict[str, Any],
     return pairs
 
 
-#: Encoder result meaning "leave the field off the wire".
-_OMIT = object()
-
-
-def _omit_none(value: Any) -> Any:
-    return _OMIT if value is None else value
-
-
-def _encode_size_field(size: Any) -> Any:
-    return _OMIT if size is DEFAULT_SIZE else encode_size(size)
-
-
-def _encode_pairs(pairs: List[Tuple[str, str, Any, Any]]) -> List[List[Any]]:
-    return [[a, b] if size_a is DEFAULT_SIZE and size_b is DEFAULT_SIZE
-            else [a, b, encode_size(size_a), encode_size(size_b)]
-            for a, b, size_a, size_b in pairs]
-
-
-#: Field kind -> (parser, encoder).  A parser validates one field of a raw
-#: payload and returns its normalised value; an encoder maps that value back
-#: to its canonical wire spelling (``None`` = as is, :data:`_OMIT` = left
-#: off).  This is the only place request fields are checked.
-FIELD_KINDS: Dict[str, Tuple[Callable[[Dict[str, Any], str], Any],
-                             Optional[Callable[[Any], Any]]]] = {
-    "str": (_parse_str, None),
-    "opt_str": (_optional(str, "a string"), _omit_none),
-    "opt_int": (_optional(int, "an integer"), _omit_none),
-    "size": (_parse_size, _encode_size_field),
-    "pairs": (_parse_pairs, _encode_pairs),
+#: Field kind -> parser.  A parser validates one field of a raw payload and
+#: returns its normalised value.  This is the only place request fields are
+#: checked.
+FIELD_KINDS: Dict[str, Callable[[Dict[str, Any], str], Any]] = {
+    "str": _parse_str,
+    "opt_str": _optional(str, "a string"),
+    "opt_int": _optional(int, "an integer"),
+    "size": _parse_size,
+    "pairs": _parse_pairs,
 }
 
 
@@ -423,22 +403,6 @@ class Request:
         route = self.spec.route
         return self.args[route] if route else None
 
-    def to_payload(self) -> Dict[str, Any]:
-        """The canonical wire form (round-trips through :func:`parse_request`)."""
-        payload: Dict[str, Any] = {"op": self.spec.name, "v": PROTOCOL_VERSION}
-        for name, kind in self.spec.fields:
-            value = self.args[name]
-            encode = FIELD_KINDS[kind][1]
-            if encode is not None:
-                value = encode(value)
-            if value is not _OMIT:
-                payload[name] = value
-        if self.id is not None:
-            payload["id"] = self.id
-        if self.timeout_ms is not None:
-            payload["timeout_ms"] = self.timeout_ms
-        return payload
-
     def apply(self, session: Any) -> Dict[str, Any]:
         spec = self.spec
         if spec.method is None:
@@ -476,7 +440,7 @@ def parse_request(payload: Any) -> Request:
             f"unknown op {op!r} (known: {', '.join(sorted(OPS))})",
             UNKNOWN_OP)
     timeout_ms = _parse_timeout_ms(payload)
-    args = {name: FIELD_KINDS[kind][0](payload, name)
+    args = {name: FIELD_KINDS[kind](payload, name)
             for name, kind in spec.fields}
     return Request(spec, args, id=payload.get("id"), timeout_ms=timeout_ms)
 

@@ -29,20 +29,10 @@ Fault envelopes the front end itself can produce:
   deadline; cooperative worker-side deadlines are the common case
   (``protocol._apply_with_deadline``), the backstop is the guarantee.
 
-Batching: each shard has a dispatcher coroutine that drains its queue in
-rounds and *coalesces* the round's single ``query`` requests that target
-the same ``(module, analysis, function)`` into one ``query_many`` job —
-one IPC round-trip and one engine batch instead of N.  The dispatcher
-waits for the whole round to be answered before draining again, which is
-what gives concurrent clients a window to pile up coalescable queries.
-Batched answers are split back into per-request envelopes (id echoed), and
-because the persistent result store keys alias answers *per pair*, the
-coalescing a particular traffic interleaving happens to produce never
-changes what a warm store can answer later.  When a coalesced batch fails
-(one member naming an unknown value fails the whole ``query_many``), each
-member is resubmitted as its own ``query``, so a bad query never poisons
-the valid ones that shared its round.  Requests carrying ``timeout_ms``
-are never coalesced — their deadline is their own.
+Each admitted request is one worker job: the front end writes the
+request's own payload to its shard's worker socket at once and awaits that
+job's envelope.  Nothing is held back, merged or split, so a request waits
+only for the worker to reach it.
 
 The front end answers ``ping`` itself, fans ``modules`` out to every shard
 and merges the listings, and treats ``shutdown`` (or SIGTERM) as an
@@ -62,13 +52,12 @@ import argparse
 import asyncio
 import json
 import signal
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from .pool import WorkerPool
 from .protocol import (
     BAD_REQUEST,
     DEADLINE_EXCEEDED,
-    OPS,
     OVERLOADED,
     Request,
     ServiceError,
@@ -105,13 +94,12 @@ class ServiceServer:
         self.deadline_grace = deadline_grace
         self.supervisor = WorkerSupervisor(pool, on_response=on_response)
         self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._queues: List[asyncio.Queue] = []
-        self._dispatchers: List[asyncio.Task] = []
-        self._inflight: List[int] = []
+        self._inflight: List[int] = [0] * pool.workers
         self._shutdown = asyncio.Event()
         self._stopped = False
-        #: Telemetry: coalesced query rounds (observable from the loadtest).
+        #: Always 0: the front end does not coalesce queries.  Kept only
+        #: because ``perfbench/server_proc.py`` reads both when the server
+        #: stops; they go with the next change to the benchmark.
         self.batches = 0
         self.batched_queries = 0
         #: Fault telemetry: requests shed with ``overloaded`` and deadlines
@@ -121,13 +109,7 @@ class ServiceServer:
 
     # -- lifecycle -------------------------------------------------------------
     async def start(self) -> None:
-        self._loop = asyncio.get_running_loop()
         await self.supervisor.start()
-        for shard in range(self.pool.workers):
-            self._queues.append(asyncio.Queue())
-            self._inflight.append(0)
-            self._dispatchers.append(
-                asyncio.create_task(self._dispatch(shard)))
         self._server = await asyncio.start_server(
             self._serve_client, self.host, self._requested_port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -149,8 +131,6 @@ class ServiceServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for task in self._dispatchers:
-            task.cancel()
         await self.supervisor.stop()
         self._shutdown.set()
 
@@ -160,93 +140,6 @@ class ServiceServer:
         stats["shed"] = self.shed
         stats["backstops"] = self.backstops
         return stats
-
-    # -- dispatch + batching ---------------------------------------------------
-    async def _dispatch(self, shard: int) -> None:
-        """One shard's round loop: drain, coalesce, submit, await the round.
-
-        Awaiting the whole round before the next drain is deliberate — it
-        is the window during which concurrent clients' queries accumulate
-        into the next coalescable batch.
-        """
-        queue = self._queues[shard]
-        supervisor = self.supervisor
-        while True:
-            batch: List[Tuple[Request, Dict[str, Any], asyncio.Future]] = \
-                [await queue.get()]
-            while not queue.empty():
-                batch.append(queue.get_nowait())
-            round_jobs = []
-            groups: Dict[Tuple[str, str, str],
-                         List[Tuple[Request, asyncio.Future]]] = {}
-            for request, payload, reply in batch:
-                if request.op == "query" and request.timeout_ms is None:
-                    args = request.args
-                    key = (args["module"], args["analysis"], args["function"])
-                    groups.setdefault(key, []).append((request, reply))
-                else:
-                    job = await supervisor.submit(
-                        shard, payload, mutating=request.spec.mutating,
-                        request_id=request.id)
-                    round_jobs.append(self._deliver(job, reply))
-            for key, members in groups.items():
-                if len(members) == 1:
-                    round_jobs.append(self._deliver_alone(shard, *members[0]))
-                    continue
-                module, analysis, function = key
-                combined = Request(OPS["query_many"], {
-                    "module": module, "analysis": analysis,
-                    "function": function,
-                    "pairs": [(r.args["a"], r.args["b"], r.args["size_a"],
-                               r.args["size_b"]) for r, _ in members]})
-                self.batches += 1
-                self.batched_queries += len(members)
-                job = await supervisor.submit(shard, combined.to_payload())
-                round_jobs.append(self._deliver_split(shard, job, members))
-            await asyncio.gather(*round_jobs)
-
-    @staticmethod
-    async def _deliver(job: asyncio.Future, reply: asyncio.Future) -> None:
-        """Forward one job envelope to its reply, unless the reply already
-        terminated (deadline backstop) — then the round moves on and the
-        worker's late answer is consumed silently by the supervisor."""
-        await asyncio.wait({job, reply}, return_when=asyncio.FIRST_COMPLETED)
-        if reply.done():
-            return
-        envelope = await job
-        if not reply.done():
-            reply.set_result(envelope)
-
-    async def _deliver_alone(self, shard: int, request: Request,
-                             reply: asyncio.Future) -> None:
-        """Answer one ``query`` with its own worker job."""
-        job = await self.supervisor.submit(shard, request.to_payload(),
-                                           request_id=request.id)
-        await self._deliver(job, reply)
-
-    async def _deliver_split(self, shard: int, job: asyncio.Future,
-                             members: List[Tuple[Request,
-                                                 asyncio.Future]]) -> None:
-        """Split one coalesced ``query_many`` answer into per-query envelopes.
-
-        The reconstructed envelopes are field-for-field what the worker
-        would have produced for the individual ``query``.  A failed batch
-        says nothing about any one member — a single unknown value name
-        fails the whole ``query_many`` — so each member is then resubmitted
-        as its own ``query`` and gets its own answer.
-        """
-        envelope = await job
-        if not envelope.get("ok"):
-            await asyncio.gather(*(self._deliver_alone(shard, request, reply)
-                                   for request, reply in members))
-            return
-        for (request, reply), result in zip(members, envelope["results"]):
-            if not reply.done():
-                args = request.args
-                reply.set_result(success_envelope(request.id, {
-                    "module": args["module"], "analysis": args["analysis"],
-                    "function": args["function"],
-                    "a": args["a"], "b": args["b"], "result": result}))
 
     # -- client handling -------------------------------------------------------
     async def _serve_client(self, reader: asyncio.StreamReader,
@@ -297,37 +190,39 @@ class ServiceServer:
                 OVERLOADED,
                 f"shard {shard} at max in-flight ({self.max_inflight}); "
                 f"retry with backoff", request.id)
-        reply = self._loop.create_future()
         self._inflight[shard] += 1
-        reply.add_done_callback(
-            lambda _, s=shard: self._admit_release(s))
-        if request.timeout_ms is not None:
-            self._arm_backstop(request, reply)
-        await self._queues[shard].put((request, payload, reply))
-        return await reply
-
-    def _admit_release(self, shard: int) -> None:
-        self._inflight[shard] -= 1
-
-    def _arm_backstop(self, request: Request, reply: asyncio.Future) -> None:
-        """The front end's wall-clock deadline: fires even if the worker is
-        wedged (the cooperative worker-side deadline is the common case)."""
-        def backstop() -> None:
-            if not reply.done():
+        try:
+            answer = self._answer(shard, request, payload)
+            if request.timeout_ms is None:
+                return await answer
+            # The front end's wall-clock deadline: fires even if the worker
+            # is wedged (the cooperative worker-side deadline is the common
+            # case), and also covers the submit's wait for a failover in
+            # progress.  A late worker answer is consumed by the supervisor.
+            try:
+                return await asyncio.wait_for(
+                    answer, request.timeout_ms / 1000.0 + self.deadline_grace)
+            except asyncio.TimeoutError:
                 self.backstops += 1
-                reply.set_result(error_envelope(
+                return error_envelope(
                     DEADLINE_EXCEEDED,
                     f"deadline of {request.timeout_ms} ms exceeded "
-                    f"(front-end wall-clock backstop)", request.id))
+                    f"(front-end wall-clock backstop)", request.id)
+        finally:
+            self._inflight[shard] -= 1
 
-        handle = self._loop.call_later(
-            request.timeout_ms / 1000.0 + self.deadline_grace, backstop)
-        reply.add_done_callback(lambda _: handle.cancel())
+    async def _answer(self, shard: int, request: Request,
+                      payload: Dict[str, Any]) -> Dict[str, Any]:
+        """Send ``payload`` to the shard's worker as one job; its envelope."""
+        job = await self.supervisor.submit(
+            shard, payload, mutating=request.spec.mutating,
+            request_id=request.id)
+        return await job
 
     async def _merged_modules(self, request: Request) -> Dict[str, Any]:
         """Fan ``modules`` out to every shard; merge listings in name order."""
         jobs = [await self.supervisor.submit(shard, {"op": "modules", "v": 1})
-                for shard in range(len(self._queues))]
+                for shard in range(self.pool.workers)]
         envelopes = await asyncio.gather(*jobs)
         merged: List[Dict[str, Any]] = []
         for envelope in envelopes:

@@ -128,11 +128,6 @@ class ResidentModule:
     #: Load metadata (function names, instruction count), cached so lazy
     #: residents can answer ``load``/``modules`` without compiling.
     meta: Optional[Dict[str, Any]] = None
-    #: Solver steps of analyses that were evicted (harvested before drop).
-    retired_steps: int = 0
-    #: Same, attributed per analysis-key name (feeds the per-analysis
-    #: telemetry the incremental-interprocedural gate reads).
-    retired_by_analysis: Dict[str, int] = field(default_factory=dict)
     edits: int = 0
     #: ``EditImpact.as_dict()`` records, newest last.
     impacts: List[Dict[str, Any]] = field(default_factory=list)
@@ -144,39 +139,31 @@ class ResidentModule:
     def __post_init__(self) -> None:
         if not self.digest:
             self.digest = source_digest(self.source)
-        if self.manager is not None:
-            self.manager.on_evict = self._on_evict
-
-    def _on_evict(self, key: AnalysisKey, value: Any) -> None:
-        steps = _solver_steps_of(value)
-        self.retired_steps += steps
-        if steps:
-            self.retired_by_analysis[key.name] = \
-                self.retired_by_analysis.get(key.name, 0) + steps
 
     @property
     def materialized(self) -> bool:
         return self.module is not None
 
     def solver_steps(self) -> int:
-        """Total solver steps this module has cost the session so far:
-        retired analyses plus everything still cached (whose statistics
-        accumulate across incremental refreshes).  A lazy resident has
-        cost nothing — that zero is the warm-store acceptance signal."""
-        live = 0
-        if self.manager is not None:
-            live = sum(_solver_steps_of(value)
-                       for value in self.manager.cached_values())
-        return self.retired_steps + live
+        """Total solver steps this module has cost the session so far: the
+        sum over every cached analysis, whose statistics accumulate across
+        incremental refreshes.  An edit evicts only analyses that run no
+        solver (the call graph), so no step is ever dropped with an entry.
+        A lazy resident has cost nothing — that zero is the warm-store
+        acceptance signal."""
+        if self.manager is None:
+            return 0
+        return sum(_solver_steps_of(value)
+                   for value in self.manager.cached_values())
 
     def solver_steps_by_analysis(self) -> Dict[str, int]:
-        """Per-analysis solver-step totals (retired + live), name-sorted.
+        """Per-analysis solver-step totals of the cached analyses, name-sorted.
 
         The loadtest edit replay sums the interprocedural names out of this to
         gate the incremental-interprocedural path: after an edit, the GR /
         Andersen / Steensgaard re-seeds must have cost strictly fewer steps
         than the cold fixed points they replaced."""
-        totals = dict(self.retired_by_analysis)
+        totals: Dict[str, int] = {}
         if self.manager is not None:
             for name, value in self.manager.cached_items():
                 steps = _solver_steps_of(value)
@@ -244,7 +231,6 @@ class AnalysisSession:
         resident.module = self._compile(resident.source, resident.name,
                                         BAD_REQUEST)
         resident.manager = AnalysisManager(resident.module)
-        resident.manager.on_evict = resident._on_evict
 
     @staticmethod
     def _meta_of(module: Module) -> Dict[str, Any]:
@@ -443,9 +429,9 @@ class AnalysisSession:
                       pairs: Sequence[Tuple[str, str, Any, Any]]) -> List[str]:
         """Alias verdicts for normalised ``(a, b, size_a, size_b)`` pairs.
 
-        Pairs are stored *individually* (not per batch), so the socket
-        front end's request coalescing never changes which answers a warm
-        store can address.  Only the missing pairs touch the engine.
+        Pairs are stored one by one (not per batch), so the shape of the
+        batch a pair arrived in never changes which answers a warm store
+        can address.  Only the missing pairs touch the engine.
         """
         results: List[Optional[str]] = [None] * len(pairs)
         store_keys: List[Optional[str]] = [None] * len(pairs)

@@ -13,9 +13,9 @@ invalidates the whole store (old entries simply stop being addressed).
 A restarted server pointed at a warm store therefore answers its first
 query without re-running the compile-and-bootstrap path at all: the
 session keeps the module *lazy* (source held, nothing compiled) until a
-store miss forces materialisation.  Alias pairs are stored individually —
-not per batch — so the socket front end's request coalescing never changes
-what is addressable across restarts.
+store miss forces materialisation.  Alias pairs are stored one by one —
+not per batch — so the shape of the batch a pair arrived in (one ``query``
+or any ``query_many``) never changes what is addressable across restarts.
 
 Entries are one JSON file each under ``root/<key[:2]>/<key>.json``,
 written atomically (temp file + ``os.replace``) so shared-nothing workers

@@ -326,7 +326,7 @@ class TestClientMisbehaviour:
                 await server.stop()
         _run(scenario())
 
-    def test_bad_query_does_not_poison_its_coalesced_round(self):
+    def test_bad_query_does_not_poison_concurrent_queries(self):
         async def scenario():
             chaos = {0: {"latency_by_id": {"hold": 0.5}}}
             pool, server = await _start(workers=1, chaos=chaos)
@@ -341,8 +341,8 @@ class TestClientMisbehaviour:
                 base = next(v["name"] for v in values if v["op"] == "malloc")
                 offset = [v["name"] for v in values
                           if v["op"] == "ptradd"][-1]
-                # The held request keeps the shard's round busy, so both
-                # queries queue behind it and coalesce into one batch.
+                # The held request keeps the worker busy, so both queries
+                # are in flight on the shard at the same time.
                 held = asyncio.ensure_future(_send(hold_r, hold_w,
                                                    make_request(
                     "stats", id="hold", module="m")))
@@ -355,11 +355,42 @@ class TestClientMisbehaviour:
                     _send(bad_r, bad_w, make_request(
                         "query", id="bad", b="nothing", **query)))
                 await held
-                assert server.batches == 1
                 assert good["ok"] is True, good
                 assert good["id"] == "good" and good["result"] == "no-alias"
                 assert bad["error_code"] == "unknown_value"
                 assert bad["id"] == "bad"
+            finally:
+                for _, writer in connections:
+                    writer.close()
+                await server.stop()
+        _run(scenario())
+
+    def test_request_reaches_a_busy_worker_without_waiting(self):
+        async def scenario():
+            chaos = {0: {"latency_by_id": {"hold": 1.0}}}
+            pool, server = await _start(workers=1, chaos=chaos)
+            connections = [await _connect(server) for _ in range(2)]
+            try:
+                (hold_r, hold_w), (other_r, other_w) = connections
+                await _send(hold_r, hold_w, make_request(
+                    "load", id="l", name="m", source=SRC))
+                held = asyncio.ensure_future(_send(hold_r, hold_w,
+                                                   make_request(
+                    "stats", id="hold", module="m")))
+                await asyncio.sleep(0.1)  # ``hold`` is now with the worker
+                values = asyncio.ensure_future(_send(
+                    other_r, other_w, make_request(
+                        "values", id="v", module="m", function="main")))
+                # Both jobs reach the worker's socket while ``hold`` is
+                # still being answered: nothing waits in the front end.
+                deadline = time.monotonic() + 0.5
+                while len(server.supervisor._jobs) < 2 \
+                        and time.monotonic() < deadline:
+                    await asyncio.sleep(0.01)
+                assert not held.done()
+                assert len(server.supervisor._jobs) == 2
+                assert (await held)["ok"] is True
+                assert (await values)["ok"] is True
             finally:
                 for _, writer in connections:
                     writer.close()

@@ -62,7 +62,7 @@ class TestConcurrentIdentity:
         assert identity["checked"] == \
             len(corpus) + CLIENTS * REQUESTS
         # The deterministic stats subset is interleaving-independent: the
-        # sharded, coalescing front end must land on the serial counters.
+        # sharded front end must land on the serial counters.
         for program in corpus:
             assert stats_gate_view(result.stats[program.name]) == \
                 stats_gate_view(serial_stats[program.name])

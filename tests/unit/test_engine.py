@@ -196,27 +196,6 @@ class TestAnalysisManager:
         assert default is not custom
         assert manager.get(keys.RANGES) is default
 
-    def test_invalidation_evicts_dependents_transitively(self):
-        module = compile_source("void f(int n) { char* p = (char*)malloc(n); *p = 0; }")
-        manager = AnalysisManager(module)
-        global_analysis = manager.get(keys.GLOBAL_RANGES)
-        assert manager.cached(keys.RANGES) is not None
-        evicted = manager.invalidate(keys.RANGES)
-        # RANGES itself plus GLOBAL_RANGES, which was built on top of it.
-        assert evicted >= 2
-        assert manager.cached(keys.GLOBAL_RANGES) is None
-        rebuilt = manager.get(keys.GLOBAL_RANGES)
-        assert rebuilt is not global_analysis
-
-    def test_full_invalidation_clears_everything(self):
-        module = compile_source("void f() { }")
-        manager = AnalysisManager(module)
-        manager.get(keys.LOCATIONS)
-        manager.get(keys.CALLGRAPH)
-        assert len(manager) == 2
-        manager.invalidate()
-        assert len(manager) == 0
-
     @pytest.mark.parametrize("key", [keys.RANGES, keys.GLOBAL_RANGES,
                                      keys.LOCAL_RANGES, keys.ANDERSEN,
                                      keys.STEENSGAARD], ids=lambda key: key.name)

@@ -178,15 +178,18 @@ class TestApplyFunctionEdit:
         assert "hookless" in impact.evicted
         assert manager.statistics.refreshes > 0
 
-    def test_on_evict_callback_sees_retired_values(self):
+    def test_edit_evicts_only_the_solverless_callgraph(self):
+        # The service's solver-step totals sum the cached analyses only, so
+        # an edit must never evict an analysis that ran the solver.
         module, donor = _compile_pair()
         manager = AnalysisManager(module)
-        manager.get(keys.CALLGRAPH)
-        retired = []
-        manager.on_evict = lambda key, value: retired.append(key.name)
+        for name in keys.__all__:
+            manager.get(getattr(keys, name))
+        callgraph = manager.cached(keys.CALLGRAPH)
         old = module.replace_function(donor.get_function("fill"))
-        manager.apply_function_edit(old, module.get_function("fill"))
-        assert "callgraph" in retired
+        impact = manager.apply_function_edit(old, module.get_function("fill"))
+        assert impact.evicted == ["callgraph"]
+        assert getattr(callgraph, "solver_statistics", None) is None
 
     def test_reseed_is_cheaper_than_cold_rebuild(self):
         module, donor = _compile_pair()

@@ -26,6 +26,23 @@ class TestHazardClasses:
         assert result.returncode == 1
         assert "hash()" in result.stdout
 
+    def test_hash_inside_dunder_hash_allowed(self, tmp_path):
+        result = lint_source(
+            tmp_path,
+            "class Token:\n"
+            "    def __hash__(self):\n"
+            "        return hash((self.kind, self.text))\n")
+        assert result.returncode == 0, result.stdout
+
+    def test_hash_inside_other_method_flagged(self, tmp_path):
+        result = lint_source(
+            tmp_path,
+            "class Token:\n"
+            "    def seed(self):\n"
+            "        return hash((self.kind, self.text))\n")
+        assert result.returncode == 1
+        assert "hash()" in result.stdout
+
     def test_ambient_random_flagged(self, tmp_path):
         result = lint_source(
             tmp_path, "import random\nvalue = random.randrange(5)\n")

@@ -50,7 +50,7 @@ class TestGoldenSchemas:
     wire-incompatible way must come with a PROTOCOL_VERSION bump.
     """
 
-    #: op -> canonical request payload (minus op/v, which to_payload adds).
+    #: op -> canonical request payload (minus op/v, which the tests add).
     GOLDEN = {
         "ping": {},
         "load": {"name": "m", "source": "int main() { return 0; }"},
@@ -83,12 +83,6 @@ class TestGoldenSchemas:
             request = parse_request(payload)
             assert request.op == op
             assert request.id == f"rt-{op}"
-            encoded = request.to_payload()
-            # The canonical encoding parses back to an equal request.
-            assert parse_request(encoded) == request
-            # query_many normalises size spellings but preserves meaning.
-            if op != "query_many":
-                assert encoded == payload
 
     def test_routing_module_matches_the_sharding_contract(self):
         routed = {"load": "m", "load_program": "allroots", "edit": "m",
@@ -286,14 +280,10 @@ class TestDeadlines:
                                            analysis="rbaa", function="main",
                                            a="p", b="q"))
         assert plain.timeout_ms is None
-        assert "timeout_ms" not in plain.to_payload()
         bounded = parse_request(make_request(
             "query", module="m", analysis="rbaa", function="main",
             a="p", b="q", timeout_ms=250))
         assert bounded.timeout_ms == 250
-        encoded = bounded.to_payload()
-        assert encoded["timeout_ms"] == 250
-        assert parse_request(encoded) == bounded
 
     def test_timeout_ms_validation(self):
         for bad in (-1, True, 1.5, "250", [250]):

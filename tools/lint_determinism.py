@@ -7,7 +7,9 @@ determinism gate CI diffs.  This lint rejects the three bug classes that
 have historically broken it:
 
 * **builtin ``hash()``** — the string hash is salted per process; seeds
-  must flow from :func:`repro.benchgen.generator.stable_seed` instead;
+  must flow from :func:`repro.benchgen.generator.stable_seed` instead.
+  A ``hash()`` call inside a method named ``__hash__`` is allowed: that
+  method feeds dict and set lookups, never a seed or an output order;
 * **iteration over set-typed expressions** — set iteration order varies
   with the hash seed; iterate a sorted copy (or an insertion-ordered
   dict) instead.  Detected with light local inference: set literals and
@@ -21,8 +23,9 @@ Usage::
 
     python tools/lint_determinism.py [paths...]
 
-Defaults to ``src/repro/benchgen`` and ``src/repro/evaluation``.  Exits
-1 when any finding is reported; CI runs it in the lint job.
+Defaults to ``src/repro/benchgen``, ``src/repro/evaluation``,
+``src/repro/frontend`` and ``src/repro/service``.  Exits 1 when any
+finding is reported; CI runs it in the lint job.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ import sys
 from pathlib import Path
 from typing import List, Set
 
-DEFAULT_PATHS = ["src/repro/benchgen", "src/repro/evaluation"]
+DEFAULT_PATHS = ["src/repro/benchgen", "src/repro/evaluation",
+                 "src/repro/frontend", "src/repro/service"]
 
 _SET_BUILTINS = {"set", "frozenset"}
 _SET_OPS = (ast.BitAnd, ast.BitOr, ast.BitXor, ast.Sub)
@@ -52,10 +56,13 @@ class Finding:
 class _ScopeChecker(ast.NodeVisitor):
     """One function (or module) scope: set-name inference + hazard checks."""
 
-    def __init__(self, path: Path, findings: List[Finding]):
+    def __init__(self, path: Path, findings: List[Finding],
+                 allow_hash: bool = False):
         self.path = path
         self.findings = findings
         self.set_names: Set[str] = set()
+        #: True in a ``__hash__`` method, whose ``hash()`` calls are allowed.
+        self.allow_hash = allow_hash
 
     # -- light local type inference -------------------------------------------
     def _is_dict_view(self, node: ast.AST) -> bool:
@@ -95,7 +102,8 @@ class _ScopeChecker(ast.NodeVisitor):
 
     # -- hazards ---------------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        if isinstance(node.func, ast.Name) and node.func.id == "hash":
+        if isinstance(node.func, ast.Name) and node.func.id == "hash" \
+                and not self.allow_hash:
             self.findings.append(Finding(
                 self.path, node,
                 "builtin hash() is PYTHONHASHSEED-salted; "
@@ -144,7 +152,8 @@ class _ScopeChecker(ast.NodeVisitor):
 
     # -- scope boundaries ------------------------------------------------------
     def _visit_new_scope(self, node: ast.AST) -> None:
-        checker = _ScopeChecker(self.path, self.findings)
+        checker = _ScopeChecker(self.path, self.findings,
+                                allow_hash=node.name == "__hash__")
         for child in ast.iter_child_nodes(node):
             checker.visit(child)
 
