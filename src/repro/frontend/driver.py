@@ -59,13 +59,15 @@ class BodyCompile:
 def compile_bodies(source: str, name: str, previous: UnitDigests) -> BodyCompile:
     """Compile the function bodies of ``source`` that differ from ``previous``.
 
-    Scan, parse and analyze cover the whole source.  Lowering and the
-    standard preparation pipeline run only on the bodies
+    Scan covers the whole source, parse and analyze every body but the
+    unchanged ones (:func:`parse_unit`).  Lowering and the standard
+    preparation pipeline run only on the bodies
     :meth:`UnitDigests.changed_bodies` names, and each comes out exactly as
     :func:`compile_source` would give it.
     """
-    unit, info, digests = parse_unit(source)
+    unit, info, digests = parse_unit(source, previous)
     bodies = digests.changed_bodies(previous)
-    module = lower_translation_unit(unit, name, info, bodies)
+    module = lower_translation_unit(unit, name, info, bodies,
+                                    digests.literals)
     prepare_module(module)
     return BodyCompile(module, info, digests, bodies)

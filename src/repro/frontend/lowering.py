@@ -18,7 +18,7 @@ Known simplifications (documented, acceptable for static analysis targets):
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, Optional, Set, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir.basicblock import BasicBlock
 from ..ir.builder import IRBuilder
@@ -728,12 +728,14 @@ class _ModuleLowerer:
     full skeleton (every global and every ``Function``)."""
 
     def __init__(self, unit: TranslationUnit, info: SemanticInfo, name: str,
-                 bodies: Optional[Collection[str]] = None):
+                 bodies: Optional[Collection[str]] = None,
+                 literals: Optional[Dict[str, Sequence[str]]] = None):
         self.unit = unit
         self.info = info
         self.module = Module(name)
         self.global_map: Dict[str, GlobalVariable] = {}
         self.bodies = bodies
+        self.literals = literals
         #: Functions whose body the walk over the unit has reached.
         self.reached: Set[str] = set()
         self._string_count = 0
@@ -767,21 +769,27 @@ class _ModuleLowerer:
             else:
                 # A skipped body still interns its literals: the ``.str.N``
                 # numbering and the global order stay those of the unit.
-                for text in function_string_literals(
-                        decl, function.return_type == VOID):
+                texts = self.literals[decl.name] if self.literals is not None \
+                    else function_string_literals(
+                        decl, function.return_type == VOID)
+                for text in texts:
                     self.string_literal(text)
         return self.module
 
 
 def lower_translation_unit(unit: TranslationUnit, name: str = "module",
                            info: Optional[SemanticInfo] = None,
-                           bodies: Optional[Collection[str]] = None) -> Module:
+                           bodies: Optional[Collection[str]] = None,
+                           literals: Optional[Dict[str, Sequence[str]]] = None,
+                           ) -> Module:
     """Lower a parsed translation unit to an IR module (no optimisation).
 
     ``bodies`` names the function bodies to lower (default: all of them).
     The others stay empty ``Function``s, so ``is_declaration()`` is true for
     them, but every global and every lowered body is exactly what a
-    whole-module lowering gives.
+    whole-module lowering gives.  ``literals`` gives the string literals of
+    each skipped body (:attr:`UnitDigests.literals`), which spares walking
+    it and lets it be an unparsed placeholder.
     """
     info = info or analyze(unit)
-    return _ModuleLowerer(unit, info, name, bodies).lower()
+    return _ModuleLowerer(unit, info, name, bodies, literals).lower()

@@ -34,21 +34,22 @@ each stage's public entry point.
 :class:`UnitDigests`: one position-free digest per function body plus one
 context digest over the rest.  An edit compares them with the previous
 source's to find the bodies it must lower again
-(:func:`repro.frontend.driver.compile_bodies`).
+(:func:`repro.frontend.driver.compile_bodies`), and passes the previous
+digests in, so that bodies whose tokens did not change are not parsed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir.module import Module
 from ..ir.printer import print_module
 from ..ir.types import VOID
-from .ast_nodes import CompoundStmt, TranslationUnit
+from .ast_nodes import CompoundStmt, FunctionDecl, TranslationUnit, TypeSpec
 from .cparser import Parser
-from .lexer import Token, tokenize
+from .lexer import Token, TokenKind, tokenize
 from .lowering import function_string_literals
 from .sema import SemanticInfo, analyze
 
@@ -80,11 +81,13 @@ class UnitDigests:
     each definition's name and string-literal count in module order (a
     literal's ``.str.N`` name depends on every literal before it).  Tokens
     enter as kind and text only, so moving code or editing whitespace and
-    comments changes no digest.
+    comments changes no digest.  ``literals`` holds each body's string
+    literals in lowering order: what lowering interns for a body it skips.
     """
 
     context: str
     bodies: Dict[str, str]
+    literals: Dict[str, Tuple[str, ...]]
 
     def changed_bodies(self, previous: "UnitDigests") -> List[str]:
         """The bodies an edit from ``previous`` must lower again, in module
@@ -97,22 +100,60 @@ class UnitDigests:
 
 
 class _SpanParser(Parser):
-    """A parser that also records each function body's token span."""
+    """A parser that also records each function body's token span.
 
-    def __init__(self, tokens: List[Token]):
+    A body whose tokens digest to ``reuse[name]`` is not parsed: it is
+    left an empty block and its name is added to ``skipped``.
+    """
+
+    def __init__(self, tokens: List[Token], reuse: Dict[str, str]):
         super().__init__(tokens)
         self.body_spans: List[Tuple[int, int]] = []
+        self.skipped: Set[str] = set()
+        self._reuse = reuse
+        self._function = ""
         self._depth = 0
+
+    def _parse_function_rest(self, return_type: TypeSpec,
+                             name: str) -> FunctionDecl:
+        self._function = name
+        return super()._parse_function_rest(return_type, name)
 
     def _parse_compound(self) -> CompoundStmt:
         start = self._position
+        # Only a function body is a compound statement at top level.
+        if not self._depth and self._function in self._reuse:
+            end = _block_end(self._tokens, start)
+            if end is not None and self._reuse[self._function] \
+                    == _tokens_digest(self._tokens[start:end]):
+                self.body_spans.append((start, end))
+                self.skipped.add(self._function)
+                self._position = end
+                return CompoundStmt([])
         self._depth += 1
         body = super()._parse_compound()
         self._depth -= 1
         if not self._depth:
-            # Only a function body is a compound statement at top level.
             self.body_spans.append((start, self._position))
         return body
+
+
+def _block_end(tokens: Sequence[Token], start: int) -> Optional[int]:
+    """The index after the ``}`` closing the block that opens at ``start``
+    (``None`` when no block opens there or it never closes)."""
+    depth = 0
+    for index in range(start, len(tokens)):
+        token = tokens[index]
+        if token.kind == TokenKind.PUNCT:
+            if token.text == "{":
+                depth += 1
+            elif token.text == "}":
+                depth -= 1
+                if not depth:
+                    return index + 1
+        if not depth:
+            return None
+    return None
 
 
 def _tokens_digest(tokens: Sequence[Token]) -> str:
@@ -122,10 +163,19 @@ def _tokens_digest(tokens: Sequence[Token]) -> str:
     return sha256(text.encode()).hexdigest()
 
 
-def parse_unit(source: str) -> Tuple[TranslationUnit, SemanticInfo, UnitDigests]:
-    """Scan, parse and analyze ``source``; also digest it for edits."""
+def parse_unit(source: str, previous: Optional[UnitDigests] = None,
+               ) -> Tuple[TranslationUnit, SemanticInfo, UnitDigests]:
+    """Scan, parse and analyze ``source``; also digest it for edits.
+
+    Given the ``previous`` source's digests, a body whose tokens did not
+    change is not parsed again: it is an empty block in the returned unit,
+    and its literals come from ``previous``.  Only
+    :func:`~repro.frontend.driver.compile_bodies`, which lowers changed
+    bodies alone, passes ``previous``.  When the context changed, every
+    body must be lowered, so every body is parsed after all.
+    """
     tokens = tokenize(source)
-    parser = _SpanParser(tokens)
+    parser = _SpanParser(tokens, previous.bodies if previous else {})
     unit = parser.parse_translation_unit()
     info = analyze(unit)
     definitions = [decl for decl in unit.functions if decl.body is not None]
@@ -137,13 +187,22 @@ def parse_unit(source: str) -> Tuple[TranslationUnit, SemanticInfo, UnitDigests]
         position = end
     context.extend(tokens[position:])
     bodies: Dict[str, str] = {}
+    literals: Dict[str, Tuple[str, ...]] = {}
     layout: List[str] = []
     for name, decl in info.function_decls.items():
         if decl.body is None:
             continue
-        start, end = spans[name]
-        bodies[name] = _tokens_digest(tokens[start:end])
-        returns_void = info.function_types[name].return_type == VOID
-        layout.append(f"{name}:{len(function_string_literals(decl, returns_void))}")
+        if name in parser.skipped:
+            bodies[name] = previous.bodies[name]
+            literals[name] = previous.literals[name]
+        else:
+            start, end = spans[name]
+            bodies[name] = _tokens_digest(tokens[start:end])
+            returns_void = info.function_types[name].return_type == VOID
+            literals[name] = tuple(function_string_literals(decl, returns_void))
+        layout.append(f"{name}:{len(literals[name])}")
     text = _tokens_digest(context) + "\x1d" + "\x1d".join(layout)
-    return unit, info, UnitDigests(sha256(text.encode()).hexdigest(), bodies)
+    digests = UnitDigests(sha256(text.encode()).hexdigest(), bodies, literals)
+    if parser.skipped and digests.context != previous.context:
+        return parse_unit(source)
+    return unit, info, digests

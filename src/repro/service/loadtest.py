@@ -30,11 +30,14 @@ end to end.  What is gated is correctness:
   :func:`replay_edits` takes any :class:`~repro.service.client.ServiceClient`.
 * **Warm store** — the run is repeated against one persistent
   content-addressed store (:mod:`repro.service.store`) twice, with a full
-  server restart in between.  On the second (warm) run every store view
-  must show zero misses and a positive hit count, and every module must
-  finish the run unmaterialised with ``solver_steps == 0`` — i.e. the
-  restarted server answered everything, starting with its first query,
-  without re-running the compile-and-bootstrap path.
+  server restart in between.  On the second (warm) run every worker's
+  store view must show zero misses and a positive hit count, the front
+  end must have answered reads from the store itself (``store_hits`` in
+  its fault stats), and every module must finish the run unmaterialised
+  with ``solver_steps == 0`` — i.e. the restarted server answered
+  everything, starting with its first query, without re-running the
+  compile-and-bootstrap path.  The storeless run's front end must read
+  the store zero times.
 
 The three runs (``direct`` → ``cold`` → ``warm``) replay the *same*
 scripts, generated from :func:`repro.benchgen.stable_seed`, so the record
@@ -526,10 +529,20 @@ async def _run_server(corpus: Sequence[_Program],
     server = ServiceServer(pool, **options)
     await server.start()
     result = RunResult()
+    loads = _load_payloads(corpus)
+    if plan is not None:
+        # The victim module is loaded by name, so the front end does not
+        # know its source and answers none of its reads from the store:
+        # the probes reach the wedged worker, which answers them from the
+        # warm store without compiling.
+        loads = [make_request("load_program", id=payload["id"],
+                              name=payload["name"])
+                 if payload["name"] == plan.victim_module else payload
+                 for payload in loads]
     try:
         # Loads on a primer connection (journaled once acked).
         reader, writer = await asyncio.open_connection(server.host, server.port)
-        await _send_each(reader, writer, _load_payloads(corpus), result, policy)
+        await _send_each(reader, writer, loads, result, policy)
         # Concurrent scripted clients; a chaos plan's kill fires mid-traffic
         # (its threshold sits past the shard's load acks).
         await asyncio.gather(*[
@@ -611,6 +624,8 @@ def _run_report(result: RunResult, identity: Dict[str, Any],
         if envelope.get("materialized"))
     if store_runs:
         report["store_by_module"] = _store_views(result)
+    report["front_end_store"] = {
+        key: result.fault_stats[f"store_{key}"] for key in ("hits", "misses")}
     return report
 
 
@@ -675,7 +690,10 @@ def run_loadtest(programs: Sequence[str], workers: int, clients: int,
         "warm_store_hit_floor": bool(warm_views) and all(
             view["misses"] == 0 and view["corrupt_entries"] == 0
             for view in warm_views.values()) and any(
-            view["hits"] > 0 for view in warm_views.values()),
+            view["hits"] > 0 for view in warm_views.values())
+        and warm.fault_stats["store_hits"] > 0
+        and direct.fault_stats["store_hits"] == 0
+        and direct.fault_stats["store_misses"] == 0,
         "warm_no_bootstrap": bool(warm.stats) and all(
             envelope.get("solver_steps") == 0
             and not envelope.get("materialized")

@@ -32,7 +32,10 @@ worker state stays a pure function of the acknowledged request stream.
 Workers may share one persistent content-addressed result store
 (:mod:`repro.service.store`): entries are written atomically, and keys are
 pure functions of module source + request, so concurrent writers are safe
-and a warm store lets every worker answer without compiling anything.
+and a warm store lets every worker answer without compiling anything.  The
+front end opens the same store and answers warm read-only requests from
+it without a worker hop, so on a warm store the workers mostly see
+mutations, misses and ``stats``.
 
 Processes are *spawned*, not forked: the symbolic layer keeps
 process-global memo caches, and a forked child would inherit whatever the

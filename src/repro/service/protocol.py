@@ -85,6 +85,7 @@ __all__ = [
     "OPS",
     "Request",
     "parse_request",
+    "envelope_in_time",
     "handle_payload",
     "success_envelope",
     "error_envelope",
@@ -474,8 +475,11 @@ def error_envelope(code: str, message: str,
     return envelope
 
 
-def _apply_with_deadline(request: Request, session: Any) -> Dict[str, Any]:
-    """Dispatch one request, honouring its ``timeout_ms`` cooperatively.
+def envelope_in_time(request: Request,
+                     produce: Callable[[], Dict[str, Any]]) -> Dict[str, Any]:
+    """The success envelope of ``produce()``, honouring ``timeout_ms``
+    cooperatively.  Raises :class:`ServiceError` (``deadline_exceeded``)
+    when the budget runs out.
 
     Read-only requests run under a solver budget: every fixpoint the engine
     runs on their behalf checks the wall-clock deadline before each
@@ -484,10 +488,12 @@ def _apply_with_deadline(request: Request, session: Any) -> Dict[str, Any]:
     rebuilds it cleanly).  Mutating requests deliberately ignore the budget:
     aborting an in-place incremental refresh mid-flight would corrupt the
     retained fixed points, so their only guard is the front end's
-    wall-clock backstop.
+    wall-clock backstop.  Workers produce through the session; the socket
+    front end produces its store hits through the same call, so a
+    ``timeout_ms: 0`` read gets the same answer on either path.
     """
     if request.timeout_ms is None or request.spec.mutating:
-        return success_envelope(request.id, request.apply(session))
+        return success_envelope(request.id, produce())
     from ..engine.solver import SolverInterrupted, solver_budget
 
     deadline = time.monotonic() + request.timeout_ms / 1000.0
@@ -497,7 +503,7 @@ def _apply_with_deadline(request: Request, session: Any) -> Dict[str, Any]:
             DEADLINE_EXCEEDED)
     try:
         with solver_budget(lambda: time.monotonic() < deadline):
-            return success_envelope(request.id, request.apply(session))
+            return success_envelope(request.id, produce())
     except SolverInterrupted as interrupted:
         raise ServiceError(
             f"deadline of {request.timeout_ms} ms exceeded: {interrupted}",
@@ -516,7 +522,7 @@ def handle_payload(session: Any, payload: Any) -> Dict[str, Any]:
     request_id = request_id_of(payload)
     try:
         request = parse_request(payload)
-        return _apply_with_deadline(request, session)
+        return envelope_in_time(request, lambda: request.apply(session))
     except ServiceError as error:
         return error_envelope(error.code, str(error), request_id)
     except Exception as error:  # a request bug must not kill the transport

@@ -6,7 +6,8 @@ line, one response object per line; see :mod:`repro.service.protocol`).
 Requests are parsed *here* — malformed ones are rejected with the standard
 structured envelope without touching a worker — then routed by their
 module to a shard of the shared-nothing :class:`~repro.service.pool.WorkerPool`
-and answered out of that worker's resident session.  Responses are
+and answered out of that worker's resident session — or, for a warm read,
+out of the result store right here (below).  Responses are
 correlated by the protocol's request ``id``, so any one connection may
 pipeline freely.
 
@@ -27,19 +28,36 @@ Fault envelopes the front end itself can produce:
   with a wall-clock timer here (``timeout_ms`` plus a grace for queueing
   and IPC), so even a *wedged* worker cannot stall the client past its
   deadline; cooperative worker-side deadlines are the common case
-  (``protocol._apply_with_deadline``), the backstop is the guarantee.
+  (``protocol.envelope_in_time``), the backstop is the guarantee.
 
 Each admitted request is one worker job: the front end writes the
 request's own payload to its shard's worker socket at once and awaits that
 job's envelope.  Nothing is held back, merged or split, so a request waits
 only for the worker to reach it.
 
-The front end answers ``ping`` itself, fans ``modules`` out to every shard
-and merges the listings, and treats ``shutdown`` (or SIGTERM) as an
-orderly stop of the whole server.  Everything else — including every error
-a *valid* request produces — comes verbatim from a worker's
-``handle_payload``, so socket answers are bit-identical to the in-process
-session's.
+When the pool has a result store (:mod:`repro.service.store`), the front
+end opens it too and answers warm read-only requests (``query``,
+``query_many``, ``query_function``, ``values``, ``range``,
+``check_bounds``, ``parallel_loops``) itself, without a worker hop, when
+every store key of the request hits.  Keys are content addresses of the
+module's source, so the front end keeps each module's source digest: it
+is set from the source of an acknowledged ``load`` or ``edit``, and
+dropped when any mutating request on the module is admitted, so reads go
+to the worker, behind it, while it is in flight.  It stays dropped after
+``unload``, ``load_program`` and every mutating request that ends without
+``ok`` (a rejected or backstopped one): the front end does not know the
+source the worker then holds.  How a read is addressed and its answer
+built lives in :data:`repro.service.store.READS`, which the worker
+sessions use too, so a front-end answer is byte-identical to a worker's.  Each such answer
+passes through the supervisor's ``on_response`` hook, tagged with the
+module's shard.
+
+The front end answers ``ping`` and store hits itself, fans ``modules``
+out to every shard and merges the listings, and treats ``shutdown`` (or
+SIGTERM) as an orderly stop of the whole server.  Everything else —
+including every error a *valid* request produces — comes verbatim from a
+worker's ``handle_payload``, so socket answers are bit-identical to the
+in-process session's.
 
 Usage::
 
@@ -50,10 +68,12 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import itertools
 import json
 import signal
 from typing import Any, Callable, Dict, List, Optional
 
+from ..benchgen import source_digest
 from .pool import WorkerPool
 from .protocol import (
     BAD_REQUEST,
@@ -61,11 +81,13 @@ from .protocol import (
     OVERLOADED,
     Request,
     ServiceError,
+    envelope_in_time,
     error_envelope,
     parse_request,
     request_id_of,
     success_envelope,
 )
+from .store import READS, ResultStore
 from .supervisor import WorkerSupervisor
 
 __all__ = ["ServiceServer", "main"]
@@ -106,6 +128,14 @@ class ServiceServer:
         #: enforced by the front-end backstop (vs cooperatively by workers).
         self.shed = 0
         self.backstops = 0
+        #: The pool's result store, read by the front end's hit path.
+        self.store = ResultStore(pool.store_root) if pool.store_root \
+            else None
+        #: module -> source digest while the front end knows it is current.
+        self._digests: Dict[str, str] = {}
+        #: module -> id of the latest admitted mutating request on it.
+        self._latest_mutation: Dict[str, int] = {}
+        self._mutation_ids = itertools.count(1)
 
     # -- lifecycle -------------------------------------------------------------
     async def start(self) -> None:
@@ -139,6 +169,10 @@ class ServiceServer:
         stats = self.supervisor.stats.as_dict()
         stats["shed"] = self.shed
         stats["backstops"] = self.backstops
+        # The front end's own store reads (its hit path); workers report
+        # theirs through ``stats``.
+        stats["store_hits"] = self.store.hits if self.store else 0
+        stats["store_misses"] = self.store.misses if self.store else 0
         return stats
 
     # -- client handling -------------------------------------------------------
@@ -182,7 +216,13 @@ class ServiceServer:
             return success_envelope(request.id, request.apply(None))
         if request.op == "modules":
             return await self._merged_modules(request)
-        shard = self.pool.shard_of(request.routing_module())
+        module = request.routing_module()
+        shard = self.pool.shard_of(module)
+        stored = self._stored_answer(request, module)
+        if stored is not None:
+            if self.supervisor.on_response is not None:
+                self.supervisor.on_response(shard, stored)
+            return stored
         if self.max_inflight is not None \
                 and self._inflight[shard] >= self.max_inflight:
             self.shed += 1
@@ -190,26 +230,62 @@ class ServiceServer:
                 OVERLOADED,
                 f"shard {shard} at max in-flight ({self.max_inflight}); "
                 f"retry with backoff", request.id)
+        mutation = None
+        if request.spec.mutating:
+            # Until this request is acknowledged, reads of its module go to
+            # the worker, which answers them after it.
+            self._digests.pop(module, None)
+            mutation = self._latest_mutation[module] = next(self._mutation_ids)
         self._inflight[shard] += 1
         try:
-            answer = self._answer(shard, request, payload)
-            if request.timeout_ms is None:
-                return await answer
-            # The front end's wall-clock deadline: fires even if the worker
-            # is wedged (the cooperative worker-side deadline is the common
-            # case), and also covers the submit's wait for a failover in
-            # progress.  A late worker answer is consumed by the supervisor.
-            try:
-                return await asyncio.wait_for(
-                    answer, request.timeout_ms / 1000.0 + self.deadline_grace)
-            except asyncio.TimeoutError:
-                self.backstops += 1
-                return error_envelope(
-                    DEADLINE_EXCEEDED,
-                    f"deadline of {request.timeout_ms} ms exceeded "
-                    f"(front-end wall-clock backstop)", request.id)
+            envelope = await self._deliver(shard, request, payload)
         finally:
             self._inflight[shard] -= 1
+        if mutation is not None and envelope.get("ok") \
+                and "source" in request.args \
+                and self._latest_mutation[module] == mutation:
+            # An acknowledged ``load`` or ``edit`` that no later mutation
+            # overtook: the worker now holds this source.
+            self._digests[module] = source_digest(request.args["source"])
+        return envelope
+
+    def _stored_answer(self, request: Request,
+                       module: Optional[str]) -> Optional[Dict[str, Any]]:
+        """The front end's own answer to a warm read, or ``None`` to send
+        the request to its worker."""
+        address = READS.get(request.op)
+        digest = self._digests.get(module)
+        if address is None or digest is None or self.store is None:
+            return None
+        read = address(**request.args)
+        values = read.lookup(self.store, read.keys(self.store, digest))
+        if not values or any(value is None for value in values):
+            return None
+        try:
+            return envelope_in_time(request, lambda: read.respond(values))
+        except ServiceError as error:
+            return error_envelope(error.code, str(error), request.id)
+
+    async def _deliver(self, shard: int, request: Request,
+                       payload: Dict[str, Any]) -> Dict[str, Any]:
+        """The worker's envelope, or the backstop's when ``timeout_ms``
+        runs out first."""
+        answer = self._answer(shard, request, payload)
+        if request.timeout_ms is None:
+            return await answer
+        # The front end's wall-clock deadline: fires even if the worker
+        # is wedged (the cooperative worker-side deadline is the common
+        # case), and also covers the submit's wait for a failover in
+        # progress.  A late worker answer is consumed by the supervisor.
+        try:
+            return await asyncio.wait_for(
+                answer, request.timeout_ms / 1000.0 + self.deadline_grace)
+        except asyncio.TimeoutError:
+            self.backstops += 1
+            return error_envelope(
+                DEADLINE_EXCEEDED,
+                f"deadline of {request.timeout_ms} ms exceeded "
+                f"(front-end wall-clock backstop)", request.id)
 
     async def _answer(self, shard: int, request: Request,
                       payload: Dict[str, Any]) -> Dict[str, Any]:

@@ -19,7 +19,8 @@ analyses whose dependency cone the edit touches:
   order, signature or prototype) fall back to a full reload.
 
 The edit's frontend work is function-granular too.  The new source is
-scanned, parsed and analyzed whole, and digested per function body
+scanned whole, parsed and analyzed except for the bodies whose tokens did
+not change, and digested per function body
 (:class:`~repro.frontend.stages.UnitDigests`: position-free token digests,
 plus one context digest over structs, globals, prototypes, headers,
 function order and string-literal counts).  The candidates are the bodies
@@ -54,7 +55,7 @@ structured error envelopes via :func:`repro.service.protocol.handle_payload`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..aliases.base import AliasAnalysis
 from ..aliases.results import AliasResult, MemoryAccess
@@ -83,9 +84,8 @@ from .protocol import (
     UNKNOWN_SIZE,
     UNKNOWN_VALUE,
     ServiceError,
-    encode_size,
 )
-from .store import ResultStore
+from .store import READS, ResultStore, StoredRead
 
 __all__ = ["ANALYSIS_KEYS", "AnalysisSession", "ResidentModule", "ServiceError",
            "UNKNOWN_SIZE"]
@@ -293,8 +293,9 @@ class AnalysisSession:
     def edit_source(self, name: str, source: str) -> Dict[str, Any]:
         """Apply an edited source to a resident module.
 
-        The new source is scanned, parsed and analyzed whole, and digested
-        per function body (:func:`~repro.frontend.stages.parse_unit`).  The
+        The new source is scanned whole, parsed and analyzed except for
+        its unchanged bodies, and digested per function body
+        (:func:`~repro.frontend.stages.parse_unit`).  The
         *candidates* are the bodies whose digest differs from the resident
         source's, or every body when the context digest (structs, globals,
         prototypes, headers, function order and string-literal counts)
@@ -411,43 +412,36 @@ class AnalysisSession:
             return MemoryAccess.unknown_extent(pointer)
         return MemoryAccess.of(pointer, int(size))
 
-    def _stored(self, resident: ResidentModule, kind: str, parts: Any,
-                compute, expected: type):
-        """Serve one deterministic result through the content-addressed store."""
-        if self.store is None:
-            return compute()
-        key = self.store.key(resident.digest, kind, parts)
-        cached = self.store.get(key)
-        if isinstance(cached, expected):
-            return cached
-        value = compute()
-        self.store.put(key, value)
-        return value
+    def _answer(self, resident: ResidentModule, read: StoredRead,
+                compute: Callable[[List[int]], List[Any]]) -> Dict[str, Any]:
+        """``read``'s response, through the content-addressed store.
 
-    def _pair_results(self, resident: ResidentModule, analysis: str,
-                      function: str,
-                      pairs: Sequence[Tuple[str, str, Any, Any]]) -> List[str]:
+        Stored values are used where the store has them; ``compute`` gets
+        the indices of the missing ones and returns their values, which
+        are then stored.
+        """
+        if self.store is None:
+            return read.respond(compute(list(range(len(read.parts)))))
+        store_keys = read.keys(self.store, resident.digest)
+        values = read.lookup(self.store, store_keys)
+        missing = [index for index, value in enumerate(values)
+                   if value is None]
+        if missing:
+            for index, value in zip(missing, compute(missing)):
+                values[index] = value
+                self.store.put(store_keys[index], value)
+        return read.respond(values)
+
+    def _pairs(self, resident: ResidentModule, read: StoredRead,
+               analysis: str, function: str,
+               pairs: Sequence[Tuple[str, str, Any, Any]]) -> Dict[str, Any]:
         """Alias verdicts for normalised ``(a, b, size_a, size_b)`` pairs.
 
         Pairs are stored one by one (not per batch), so the shape of the
         batch a pair arrived in never changes which answers a warm store
         can address.  Only the missing pairs touch the engine.
         """
-        results: List[Optional[str]] = [None] * len(pairs)
-        store_keys: List[Optional[str]] = [None] * len(pairs)
-        if self.store is not None:
-            for index, (a, b, size_a, size_b) in enumerate(pairs):
-                key = self.store.key(
-                    resident.digest, "pair",
-                    [analysis, function, a, b,
-                     encode_size(size_a), encode_size(size_b)])
-                store_keys[index] = key
-                cached = self.store.get(key)
-                if isinstance(cached, str):
-                    results[index] = cached
-        missing = [index for index, result in enumerate(results)
-                   if result is None]
-        if missing:
+        def compute(missing: List[int]) -> List[str]:
             self._materialize(resident)
             engine = self._analysis(resident, analysis)
             accesses = []
@@ -455,12 +449,9 @@ class AnalysisSession:
                 a, b, size_a, size_b = pairs[index]
                 accesses.append((self._access(resident, function, a, size_a),
                                  self._access(resident, function, b, size_b)))
-            answers = engine.query_many(accesses)
-            for index, answer in zip(missing, answers):
-                results[index] = str(answer)
-                if self.store is not None:
-                    self.store.put(store_keys[index], results[index])
-        return results  # type: ignore[return-value]
+            return [str(answer) for answer in engine.query_many(accesses)]
+
+        return self._answer(resident, read, compute)
 
     def query(self, module: str, analysis: str, function: str,
               a: str, b: str, size_a: Any = DEFAULT_SIZE,
@@ -472,10 +463,9 @@ class AnalysisSession:
         """
         resident = self._resident(module)
         self._require_analysis(analysis)
-        result = self._pair_results(resident, analysis, function,
-                                    [(a, b, size_a, size_b)])[0]
-        return {"module": module, "analysis": analysis, "function": function,
-                "a": a, "b": b, "result": result}
+        read = READS["query"](module, analysis, function, a, b, size_a, size_b)
+        return self._pairs(resident, read, analysis, function,
+                           [(a, b, size_a, size_b)])
 
     def query_many(self, module: str, analysis: str, function: str,
                    pairs: Sequence[Tuple[str, str, Any, Any]]) -> Dict[str, Any]:
@@ -483,9 +473,8 @@ class AnalysisSession:
         pairs (the protocol's ``pairs`` field kind produces them)."""
         resident = self._resident(module)
         self._require_analysis(analysis)
-        results = self._pair_results(resident, analysis, function, pairs)
-        return {"module": module, "analysis": analysis, "function": function,
-                "results": results}
+        read = READS["query_many"](module, analysis, function, pairs)
+        return self._pairs(resident, read, analysis, function, pairs)
 
     def query_function(self, module: str, analysis: str,
                        function: Optional[str] = None,
@@ -499,7 +488,7 @@ class AnalysisSession:
         resident = self._resident(module)
         self._require_analysis(analysis)
 
-        def compute() -> Dict[str, Any]:
+        def compute(_: List[int]) -> List[Dict[str, Any]]:
             self._materialize(resident)
             engine = self._analysis(resident, analysis)
             targets = None if function is None \
@@ -509,13 +498,11 @@ class AnalysisSession:
             results = engine.query_many([(pair.a, pair.b) for pair in pairs])
             no_alias = [index for index, result in enumerate(results)
                         if result is AliasResult.NO_ALIAS]
-            return {"queries": len(pairs), "no_alias": len(no_alias),
-                    "no_alias_indices": no_alias}
+            return [{"queries": len(pairs), "no_alias": len(no_alias),
+                     "no_alias_indices": no_alias}]
 
-        core = self._stored(resident, "query_function",
-                            [analysis, function, max_pairs], compute, dict)
-        return {"module": module, "analysis": analysis,
-                "function": function, **core}
+        read = READS["query_function"](module, analysis, function, max_pairs)
+        return self._answer(resident, read, compute)
 
     def check_bounds(self, module: str,
                      function: Optional[str] = None) -> Dict[str, Any]:
@@ -534,20 +521,18 @@ class AnalysisSession:
                                    keys.PARALLEL)
 
     def _client_report(self, module: str, function: Optional[str],
-                       kind: str, key: AnalysisKey) -> Dict[str, Any]:
+                       op: str, key: AnalysisKey) -> Dict[str, Any]:
         """One client analysis's ``module_report``, addressed in the result
-        store like every other deterministic response (key: ``kind`` +
-        function part)."""
+        store like every other deterministic response."""
         resident = self._resident(module)
 
-        def compute() -> Dict[str, Any]:
+        def compute(_: List[int]) -> List[Dict[str, Any]]:
             self._materialize(resident)
             if function is not None:
                 resident.function(function)
-            return resident.manager.get(key).module_report(function)
+            return [resident.manager.get(key).module_report(function)]
 
-        core = self._stored(resident, kind, [function], compute, dict)
-        return {"module": module, "function": function, **core}
+        return self._answer(resident, READS[op](module, function), compute)
 
     def values(self, module: str, function: str) -> Dict[str, Any]:
         """The queryable SSA values of one function (name discovery).
@@ -559,7 +544,7 @@ class AnalysisSession:
         """
         resident = self._resident(module)
 
-        def compute() -> List[Dict[str, Any]]:
+        def compute(_: List[int]) -> List[List[Dict[str, Any]]]:
             self._materialize(resident)
             target = resident.function(function)
             listed: List[Dict[str, Any]] = []
@@ -570,25 +555,23 @@ class AnalysisSession:
                 if inst.name:
                     listed.append({"name": inst.name, "op": inst.opcode,
                                    "pointer": inst.is_pointer()})
-            return listed
+            return [listed]
 
-        listed = self._stored(resident, "values", [function], compute, list)
-        return {"module": module, "function": function, "values": listed}
+        return self._answer(resident, READS["values"](module, function),
+                            compute)
 
     def range_of(self, module: str, function: str, value: str) -> Dict[str, Any]:
         """The symbolic interval of one named integer SSA value."""
         resident = self._resident(module)
 
-        def compute() -> str:
+        def compute(_: List[int]) -> List[str]:
             self._materialize(resident)
             ranges = resident.manager.get(keys.RANGES)
             target = resident.value(function, value)
-            return repr(ranges.range_of(target))
+            return [repr(ranges.range_of(target))]
 
-        interval = self._stored(resident, "range", [function, value],
-                                compute, str)
-        return {"module": module, "function": function, "value": value,
-                "range": interval}
+        return self._answer(resident, READS["range"](module, function, value),
+                            compute)
 
     # -- statistics ------------------------------------------------------------
     def stats(self, module: str) -> Dict[str, Any]:

@@ -10,19 +10,31 @@ where the namespace bakes in the result-schema version, the protocol
 version and ``GENERATOR_VERSION``.  Bumping any of those silently
 invalidates the whole store (old entries simply stop being addressed).
 
+How each read op is addressed — its kind, its parts and how its response
+is built around the stored values — is declared once, in :data:`READS`.
+The session's store path and the socket front end's hit path
+(:mod:`repro.service.server`) both go through it, so an answer read back
+from the store is byte-identical to the one that was computed.
+
 A restarted server pointed at a warm store therefore answers its first
 query without re-running the compile-and-bootstrap path at all: the
-session keeps the module *lazy* (source held, nothing compiled) until a
-store miss forces materialisation.  Alias pairs are stored one by one —
-not per batch — so the shape of the batch a pair arrived in (one ``query``
-or any ``query_many``) never changes what is addressable across restarts.
+front end answers read-only hits itself, and a session keeps the module
+*lazy* (source held, nothing compiled) until a store miss forces
+materialisation.  Alias pairs are stored one by one — not per batch — so
+the shape of the batch a pair arrived in (one ``query`` or any
+``query_many``) never changes what is addressable across restarts.
 
 Entries are one JSON file each under ``root/<key[:2]>/<key>.json``,
 written atomically (temp file + ``os.replace``) so shared-nothing workers
-can share one store directory without locks.  A corrupt or foreign entry
-is counted, deleted and bypassed — the session recomputes.  Counters
-(``hits``/``misses``/``bypasses``/``corrupt_entries``/``writes``) surface
-through the service ``stats`` op.
+can share one store directory without locks.  Entries are immutable once
+written (a key names its content), so :meth:`ResultStore.get` remembers
+each entry it has read and validated in a bounded in-memory memo
+(:data:`READ_MEMO_ENTRIES`) and serves repeats without touching the disk;
+``put`` does not fill the memo, so the first read of an entry still
+validates the file.  A corrupt or foreign entry is counted, deleted and
+bypassed — the session recomputes.  Counters
+(``hits``/``misses``/``bypasses``/``corrupt_entries``/``writes``; memo
+hits count as hits) surface through the service ``stats`` op.
 """
 
 from __future__ import annotations
@@ -30,15 +42,24 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any, Dict, List, Optional
+import pickle
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..benchgen import manifest as _manifest
-from .protocol import PROTOCOL_VERSION
+from ..symbolic.cache import BoundedMemo
+from .protocol import DEFAULT_SIZE, PROTOCOL_VERSION, encode_size
 
-__all__ = ["RESULT_SCHEMA_VERSION", "ResultStore"]
+__all__ = ["READS", "READ_MEMO_ENTRIES", "RESULT_SCHEMA_VERSION",
+           "ResultStore", "StoredRead"]
 
 #: Bump when the shape of stored values changes (invalidates every entry).
 RESULT_SCHEMA_VERSION = 1
+
+#: Entries one :class:`ResultStore` keeps in memory after reading them
+#: (least recently used first out).  A serve-read run addresses ~1.6k
+#: distinct entries; this covers that with room for a few edit states.
+READ_MEMO_ENTRIES = 4096
 
 
 class ResultStore:
@@ -52,6 +73,10 @@ class ResultStore:
         self.bypasses = 0
         self.corrupt_entries = 0
         self.writes = 0
+        #: key -> pickled value of every entry read and validated; a hit
+        #: unpickles a fresh copy, so no reader can change what the next
+        #: one gets.
+        self._memo = BoundedMemo(READ_MEMO_ENTRIES)
 
     # -- keys ------------------------------------------------------------------
     def namespace(self) -> List[int]:
@@ -75,6 +100,10 @@ class ResultStore:
     # -- IO --------------------------------------------------------------------
     def get(self, key: str) -> Optional[Any]:
         """The stored value, or ``None`` (miss / corrupt-entry bypass)."""
+        remembered = self._memo.get(key)
+        if remembered is not None:
+            self.hits += 1
+            return pickle.loads(remembered)
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -90,6 +119,8 @@ class ResultStore:
             self._discard_corrupt(path)
             return None
         self.hits += 1
+        self._memo.put(key, pickle.dumps(entry["value"],
+                                         protocol=pickle.HIGHEST_PROTOCOL))
         return entry["value"]
 
     def put(self, key: str, value: Any) -> None:
@@ -127,3 +158,105 @@ class ResultStore:
             "corrupt_entries": self.corrupt_entries,
             "writes": self.writes,
         }
+
+
+# -- how each read op is stored ----------------------------------------------
+
+@dataclass(frozen=True)
+class StoredRead:
+    """How one read request is addressed in the store and answered from it.
+
+    ``parts`` holds the key parts of each stored value the answer is built
+    from: one per alias pair for ``query``/``query_many``, one for every
+    other read.  :meth:`respond` builds the op's response around the
+    values: ``head`` echoes the request, and the values go into ``field``
+    (the list of all of them when ``batch``), or, when ``field`` is
+    ``None``, the single stored dict is merged in.
+    """
+
+    kind: str
+    parts: Tuple[Any, ...]
+    expected: type
+    head: Dict[str, Any]
+    field: Optional[str] = None
+    batch: bool = False
+
+    def keys(self, store: ResultStore, digest: str) -> List[str]:
+        """The content address of each value, for one module source."""
+        return [store.key(digest, self.kind, parts) for parts in self.parts]
+
+    def lookup(self, store: ResultStore,
+               keys: List[str]) -> List[Optional[Any]]:
+        """Each stored value, ``None`` where the store holds none of the
+        expected type."""
+        values = [store.get(key) for key in keys]
+        return [value if isinstance(value, self.expected) else None
+                for value in values]
+
+    def respond(self, values: List[Any]) -> Dict[str, Any]:
+        if self.field is None:
+            return {**self.head, **values[0]}
+        return {**self.head,
+                self.field: list(values) if self.batch else values[0]}
+
+
+def _pair_parts(analysis: str, function: str, a: str, b: str,
+                size_a: Any, size_b: Any) -> List[Any]:
+    return [analysis, function, a, b, encode_size(size_a), encode_size(size_b)]
+
+
+def _query(module: str, analysis: str, function: str, a: str, b: str,
+           size_a: Any = DEFAULT_SIZE, size_b: Any = DEFAULT_SIZE,
+           ) -> StoredRead:
+    return StoredRead(
+        "pair", (_pair_parts(analysis, function, a, b, size_a, size_b),),
+        str, {"module": module, "analysis": analysis, "function": function,
+              "a": a, "b": b}, "result")
+
+
+def _query_many(module: str, analysis: str, function: str,
+                pairs: List[Tuple[str, str, Any, Any]]) -> StoredRead:
+    return StoredRead(
+        "pair", tuple(_pair_parts(analysis, function, *pair)
+                      for pair in pairs),
+        str, {"module": module, "analysis": analysis, "function": function},
+        "results", batch=True)
+
+
+def _query_function(module: str, analysis: str,
+                    function: Optional[str] = None,
+                    max_pairs: Optional[int] = None) -> StoredRead:
+    return StoredRead(
+        "query_function", ([analysis, function, max_pairs],), dict,
+        {"module": module, "analysis": analysis, "function": function})
+
+
+def _client_report(kind: str) -> Callable[..., StoredRead]:
+    def address(module: str, function: Optional[str] = None) -> StoredRead:
+        return StoredRead(kind, ([function],), dict,
+                          {"module": module, "function": function})
+    return address
+
+
+def _values(module: str, function: str) -> StoredRead:
+    return StoredRead("values", ([function],), list,
+                      {"module": module, "function": function}, "values")
+
+
+def _range(module: str, function: str, value: str) -> StoredRead:
+    return StoredRead("range", ([function, value],), str,
+                      {"module": module, "function": function,
+                       "value": value}, "range")
+
+
+#: Read op name -> the :class:`StoredRead` of a request, called with the
+#: op's normalised fields (``Request.args``) as keyword arguments.
+READS: Dict[str, Callable[..., StoredRead]] = {
+    "query": _query,
+    "query_many": _query_many,
+    "query_function": _query_function,
+    "check_bounds": _client_report("check_bounds"),
+    "parallel_loops": _client_report("parallel_loops"),
+    "values": _values,
+    "range": _range,
+}

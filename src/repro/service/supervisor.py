@@ -39,9 +39,10 @@ private side door.  An orderly stop closes our end of every socket: each
 worker sees EOF, exits 0, and is joined.
 
 The chaos harness (:mod:`repro.service.chaos`) observes the supervisor
-through the ``on_response`` hook — every worker envelope passes through it
-— which is how a fault plan's "kill worker N after K responses" trigger
-counts deterministically.
+through the ``on_response`` hook — every worker envelope passes through
+it, and so does every answer the front end serves from the result store
+on a shard's behalf — which is how a fault plan's "kill worker N after K
+responses" trigger counts deterministically.
 """
 
 from __future__ import annotations

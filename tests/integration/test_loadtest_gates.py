@@ -20,3 +20,10 @@ def test_quick_loadtest_passes_every_gate():
 
 def test_quick_chaos_drill_seed_1_passes_every_gate():
     assert failed_gates(run_chaos_loadtest(**QUICK, seed=1)) == []
+
+
+def test_quick_chaos_drill_on_one_worker_passes_every_gate():
+    # One shard: the victim module is also a killed one, so the probes
+    # that wedge it must not make it compile.
+    drill = dict(QUICK, workers=1)
+    assert failed_gates(run_chaos_loadtest(**drill, seed=1)) == []

@@ -269,6 +269,24 @@ def test_digests_ignore_positions():
     assert edited.changed_bodies(digests) == ["middle"]
 
 
+def test_an_edit_parses_only_the_bodies_that_changed():
+    def parsed(unit):
+        return [decl.name for decl in unit.functions
+                if decl.body is not None and decl.body.statements]
+
+    _, _, base = parse_unit(BASE)
+    after = _edited("a + b + 16", "a + b + 17")
+    unit, _, digests = parse_unit(after, base)
+    assert parsed(unit) == ["middle"]
+    assert digests == parse_unit(after)[2]
+    # A changed context needs every body lowered, so every body is parsed.
+    after = _edited("struct pt { int x; int y; };",
+                    "struct pt { int y; int x; };")
+    unit, _, digests = parse_unit(after, base)
+    assert parsed(unit) == parsed(parse_unit(BASE)[0])
+    assert digests == parse_unit(after)[2]
+
+
 def test_digest_code_passes_the_determinism_lint():
     result = subprocess.run(
         [sys.executable, str(REPO_ROOT / "tools" / "lint_determinism.py"),

@@ -6,6 +6,7 @@ import os
 from repro.benchgen import manifest, source_digest
 from repro.service import AnalysisSession, ResultStore
 from repro.service.protocol import DEFAULT_SIZE
+from repro.service import store as store_module
 from repro.service.store import RESULT_SCHEMA_VERSION
 
 SRC = """
@@ -97,6 +98,44 @@ class TestResultStore:
         assert new_key != old_key
         assert store.get(new_key) is None
         assert store.get(old_key) == {"functions": ["main"]}  # still intact
+
+
+class TestReadMemo:
+    def test_memo_holds_at_most_the_constant_number_of_entries(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "READ_MEMO_ENTRIES", 4)
+        store = ResultStore(str(tmp_path / "store"))
+        keys = [store.key("a" * 64, "values", [f"f{index}"])
+                for index in range(7)]
+        for key in keys:
+            store.put(key, [key])
+        assert len(store._memo) == 0  # ``put`` leaves the memo alone
+        for key in keys + keys:
+            assert store.get(key) == [key]
+        assert len(store._memo) == store_module.READ_MEMO_ENTRIES == 4
+
+    def test_memo_hits_count_as_hits(self, tmp_path):
+        store = ResultStore(str(tmp_path / "store"))
+        key = store.key("a" * 64, "range", ["main", "n"])
+        store.put(key, "[0, +inf]")
+        assert store.get(key) == "[0, +inf]"
+        # Entries are immutable: the repeat is served without the file.
+        [path] = _entry_files(store.root)
+        os.unlink(path)
+        assert store.get(key) == "[0, +inf]"
+        assert (store.hits, store.misses) == (2, 0)
+
+    def test_a_caller_mutating_a_value_cannot_change_later_reads(
+            self, tmp_path):
+        store = ResultStore(str(tmp_path / "store"))
+        key = store.key("a" * 64, "check_bounds", [None])
+        stored = {"functions": [{"function": "main"}], "summary": {"safe": 1}}
+        store.put(key, stored)
+        for _ in range(3):  # the file read, then two memo hits
+            value = store.get(key)
+            assert value == stored
+            value["functions"].append("mutated")
+            value["summary"]["safe"] = 99
 
 
 class TestStoreBackedSession:
