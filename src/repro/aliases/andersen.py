@@ -25,8 +25,9 @@ the paper's approach removes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
+from ..analysis.callgraph import CallGraph
 from ..engine.solver import SparseProblem, SparseSolver
 from ..ir.function import Function
 from ..ir.instructions import (
@@ -39,13 +40,12 @@ from ..ir.instructions import (
     MallocInst,
     PhiInst,
     PtrAddInst,
-    ReturnInst,
     SelectInst,
     SigmaInst,
     StoreInst,
 )
 from ..ir.module import Module
-from ..ir.values import Argument, GlobalVariable, NullPointer, Value
+from ..ir.values import GlobalVariable, NullPointer, Value
 from .base import AliasAnalysis
 from .results import AliasResult, MemoryAccess
 
@@ -194,8 +194,9 @@ class AndersenAliasAnalysis(AliasAnalysis):
 
     name = "andersen"
 
-    def __init__(self, module: Module):
+    def __init__(self, module: Module, callgraph: Optional[CallGraph] = None):
         super().__init__(module)
+        self.callgraph = callgraph if callgraph is not None else CallGraph(module)
         # points_to maps pointer values to sets of abstract objects, where an
         # abstract object is an allocation Value or the _UNKNOWN_OBJECT tag.
         self.points_to: Dict[Value, Set[object]] = {}
@@ -247,22 +248,22 @@ class AndersenAliasAnalysis(AliasAnalysis):
         for variable in self.module.globals:
             self._add_object(variable, variable)
         for function in self.module.defined_functions():
+            sites = self.callgraph.sites_calling(function)
             for argument in function.args:
-                if argument.type.is_pointer():
-                    self._seed_argument(function, argument)
+                if not argument.type.is_pointer():
+                    continue
+                # Bound to the actuals of every call passing it; a parameter
+                # no visible call passes also points to the unknown object.
+                bound = False
+                for site in sites:
+                    actuals = site.instruction.args
+                    if argument.index < len(actuals):
+                        self._add_copy(argument, actuals[argument.index])
+                        bound = True
+                if function.name == "main" or not bound:
+                    self._add_object(argument, _UNKNOWN_OBJECT)
             for inst in function.instructions():
                 self._generate_for(inst)
-
-    def _seed_argument(self, function: Function, argument: Argument) -> None:
-        internal_callers = False
-        for caller in self.module.defined_functions():
-            for inst in caller.instructions():
-                if isinstance(inst, CallInst) and inst.callee_name() == function.name \
-                        and argument.index < len(inst.args):
-                    self._add_copy(argument, inst.args[argument.index])
-                    internal_callers = True
-        if function.name == "main" or not internal_callers:
-            self._add_object(argument, _UNKNOWN_OBJECT)
 
     def _generate_for(self, inst: Instruction) -> None:
         if isinstance(inst, (MallocInst, AllocaInst)):
@@ -293,13 +294,10 @@ class AndersenAliasAnalysis(AliasAnalysis):
             self._node(inst.pointer)
             self._stores_by_pointer.setdefault(inst.pointer, set()).add(inst.value)
         elif isinstance(inst, CallInst) and inst.type.is_pointer():
-            callee = self.module.get_function(inst.callee_name())
-            if callee is not None and not callee.is_declaration():
-                for block in callee.blocks:
-                    terminator = block.terminator
-                    if isinstance(terminator, ReturnInst) and terminator.value is not None \
-                            and terminator.value.type.is_pointer():
-                        self._add_copy(inst, terminator.value)
+            callee = self.callgraph.callee_of(inst)
+            if callee is not None:
+                for value in self.callgraph.returned_pointers(callee):
+                    self._add_copy(inst, value)
             else:
                 self._add_object(inst, _UNKNOWN_OBJECT)
 

@@ -19,9 +19,6 @@ class AliasResult(enum.Enum):
     PARTIAL_ALIAS = "partial-alias"
     MUST_ALIAS = "must-alias"
 
-    def is_no_alias(self) -> bool:
-        return self is AliasResult.NO_ALIAS
-
     def __str__(self) -> str:
         return self.value
 

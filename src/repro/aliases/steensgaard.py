@@ -15,8 +15,9 @@ ablation benchmarks and as the substrate the paper suggests could be
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
+from ..analysis.callgraph import CallGraph, CallSite
 from ..engine.solver import SparseProblem, SparseSolver
 from ..ir.instructions import (
     AllocaInst,
@@ -28,7 +29,6 @@ from ..ir.instructions import (
     MallocInst,
     PhiInst,
     PtrAddInst,
-    ReturnInst,
     SelectInst,
     SigmaInst,
     StoreInst,
@@ -119,8 +119,9 @@ class SteensgaardAliasAnalysis(AliasAnalysis):
 
     name = "steensgaard"
 
-    def __init__(self, module: Module):
+    def __init__(self, module: Module, callgraph: Optional[CallGraph] = None):
         super().__init__(module)
+        self.callgraph = callgraph if callgraph is not None else CallGraph(module)
         self._uf = _UnionFind()
         #: representative class -> set of allocation objects in that class
         self._objects_of_class: Dict[object, Set[Value]] = {}
@@ -206,10 +207,7 @@ class SteensgaardAliasAnalysis(AliasAnalysis):
         # Interprocedural unification of actuals with formals and returns runs
         # after every intraprocedural constraint, as in the original one-pass
         # formulation.
-        for function in module.defined_functions():
-            for inst in function.instructions():
-                if isinstance(inst, CallInst):
-                    constraints.append(("call", inst))
+        constraints.extend(("call", site) for site in self.callgraph.call_sites)
         return constraints
 
     # -- incremental refresh --------------------------------------------------------
@@ -243,19 +241,13 @@ class SteensgaardAliasAnalysis(AliasAnalysis):
         elif kind == "call":
             self._apply_call_bindings(subject)
 
-    def _apply_call_bindings(self, inst: CallInst) -> None:
-        callee = self.module.get_function(inst.callee_name())
-        if callee is None or callee.is_declaration():
-            return
-        for formal, actual in zip(callee.args, inst.args):
+    def _apply_call_bindings(self, site: CallSite) -> None:
+        for formal, actual in site.argument_bindings():
             if formal.type.is_pointer() and actual.type.is_pointer():
                 self._unify(formal, actual)
-        if inst.type.is_pointer():
-            for block in callee.blocks:
-                terminator = block.terminator
-                if isinstance(terminator, ReturnInst) and terminator.value is not None \
-                        and terminator.value.type.is_pointer():
-                    self._unify(inst, terminator.value)
+        if site.callee is not None and site.instruction.type.is_pointer():
+            for value in self.callgraph.returned_pointers(site.callee):
+                self._unify(site.instruction, value)
 
     def _visit(self, inst: Instruction) -> None:
         if isinstance(inst, (MallocInst, AllocaInst)):
@@ -285,19 +277,10 @@ class SteensgaardAliasAnalysis(AliasAnalysis):
             cell = self._pointee_cell(inst.pointer)
             self._merge(cell, inst.value)
         elif isinstance(inst, CallInst) and inst.type.is_pointer():
-            callee = self.module.get_function(inst.callee_name())
-            if callee is None or callee.is_declaration():
+            if self.callgraph.callee_of(inst) is None:
                 self._mark_unknown(inst)
 
     # -- queries ------------------------------------------------------------------------
-    def class_objects(self, pointer: Value) -> Set[Value]:
-        representative = self._class_of(pointer)
-        return set(self._objects_of_class.get(representative, set()))
-
-    def class_is_unknown(self, pointer: Value) -> bool:
-        representative = self._class_of(pointer)
-        return self._class_unknown.get(representative, False)
-
     def alias(self, a: MemoryAccess, b: MemoryAccess) -> AliasResult:
         if a.pointer is b.pointer:
             return AliasResult.MUST_ALIAS

@@ -1,10 +1,14 @@
-"""Call graph construction.
+"""The call graph: the one home of call-site facts.
 
 The paper's implementation is interprocedural but context-insensitive: it
 "associates actual parameters with formal parameters of functions" (Section
-3.1).  The call graph records exactly those actual→formal bindings so the
-global analysis can seed argument abstract states, and it exposes a bottom-up
-ordering (SCC condensation) so callees are analysed before callers.
+3.1).  Every analysis that binds actuals to formals or call results to callee
+returns (GR, Andersen, Steensgaard) reads those facts from one
+:class:`CallGraph`: the call sites of each defined callee in module order,
+each call's defined callee, and the pointer values a callee's ``ret``\\ s
+return.  The engine caches one graph per module (``keys.CALLGRAPH``) and
+rebuilds it in place when a function is edited, before the analyses that
+read it.
 """
 
 from __future__ import annotations
@@ -13,11 +17,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir.function import Function
-from ..ir.instructions import CallInst
+from ..ir.instructions import CallInst, ReturnInst
 from ..ir.module import Module
 from ..ir.values import Value
 
-__all__ = ["CallSite", "CallGraph"]
+__all__ = ["CallSite", "CallGraph", "RETURNS_FIRST_ARGUMENT"]
+
+#: External routines whose pointer result is their first argument.
+RETURNS_FIRST_ARGUMENT = frozenset({
+    "strcpy", "strncpy", "strcat", "strncat", "memcpy", "memmove", "memset",
+})
 
 
 @dataclass(frozen=True)
@@ -26,134 +35,101 @@ class CallSite:
 
     instruction: CallInst
     caller: Function
-    callee: Optional[Function]  # ``None`` for calls to external names
-
-    @property
-    def callee_name(self) -> str:
-        return self.instruction.callee_name()
+    callee: Optional[Function]  # ``None`` unless defined in the module
 
     def argument_bindings(self) -> List[Tuple[Value, Value]]:
-        """Pairs ``(formal parameter, actual argument)`` for resolved callees."""
-        if self.callee is None or self.callee.is_declaration():
+        """Pairs ``(formal parameter, actual argument)`` for defined callees."""
+        if self.callee is None:
             return []
         return list(zip(self.callee.args, self.instruction.args))
 
 
 class CallGraph:
-    """Direct-call graph over the functions of a module."""
+    """Direct-call graph over the defined functions of a module."""
 
     def __init__(self, module: Module):
         self.module = module
-        self.call_sites: List[CallSite] = []
-        self._callees: Dict[Function, List[Function]] = {f: [] for f in module.defined_functions()}
-        self._callers: Dict[Function, List[Function]] = {f: [] for f in module.defined_functions()}
-        self._external_calls: Dict[Function, List[CallInst]] = {
-            f: [] for f in module.defined_functions()
-        }
+        #: Functions whose call sites the last :meth:`refresh_function`
+        #: changed (the callees of the edited body, before and after): the
+        #: actuals bound to their parameters are not the ones of before.
+        self.rebound: Set[Function] = set()
         self._build()
 
-    @classmethod
-    def compute(cls, module: Module) -> "CallGraph":
-        return cls(module)
-
     def _build(self) -> None:
+        #: Every call instruction of the module, in module order.
+        self.call_sites: List[CallSite] = []
+        self._callee: Dict[CallInst, Optional[Function]] = {}
+        self._sites_calling: Dict[Function, List[CallSite]] = {}
+        self._sites_in: Dict[Function, List[CallSite]] = {}
+        self._returns: Dict[Function, List[Value]] = {}
         for function in self.module.defined_functions():
+            sites = self._sites_in[function] = []
             for inst in function.instructions():
                 if not isinstance(inst, CallInst):
                     continue
-                callee: Optional[Function]
-                if isinstance(inst.callee, Function):
-                    callee = inst.callee
-                else:
-                    callee = self.module.get_function(inst.callee)
+                callee = inst.callee if isinstance(inst.callee, Function) \
+                    else self.module.get_function(inst.callee)
                 if callee is not None and callee.is_declaration():
                     callee = None
                 site = CallSite(instruction=inst, caller=function, callee=callee)
                 self.call_sites.append(site)
-                if callee is None:
-                    self._external_calls[function].append(inst)
-                else:
-                    if callee not in self._callees[function]:
-                        self._callees[function].append(callee)
-                    if function not in self._callers.get(callee, []):
-                        self._callers.setdefault(callee, []).append(function)
+                sites.append(site)
+                self._callee[inst] = callee
+                if callee is not None:
+                    self._sites_calling.setdefault(callee, []).append(site)
+
+    def refresh_function(self, old_function: Function, new_function: Function,
+                         edit) -> None:
+        """Rebuild in place after an edit: the new body may add or remove
+        call sites, so the graph is rebuilt and :attr:`rebound` records
+        whose parameters they bind."""
+        rebound = set(self.callees(old_function))
+        self._build()
+        self.rebound = rebound.union(self.callees(new_function))
 
     # -- queries -------------------------------------------------------------
-    def callees(self, function: Function) -> List[Function]:
-        return list(self._callees.get(function, []))
-
-    def callers(self, function: Function) -> List[Function]:
-        return list(self._callers.get(function, []))
-
-    def external_calls(self, function: Function) -> List[CallInst]:
-        """Calls whose target is not defined in the module."""
-        return list(self._external_calls.get(function, []))
+    def callee_of(self, call: CallInst) -> Optional[Function]:
+        """The defined function ``call`` targets (``None`` for external names)."""
+        return self._callee[call]
 
     def sites_calling(self, function: Function) -> List[CallSite]:
-        return [site for site in self.call_sites if site.callee is function]
+        """The call sites whose callee is ``function``, in module order."""
+        return self._sites_calling.get(function, [])
 
-    def sites_in(self, function: Function) -> List[CallSite]:
-        return [site for site in self.call_sites if site.caller is function]
+    def callers(self, function: Function) -> List[Function]:
+        return list(dict.fromkeys(site.caller for site in self.sites_calling(function)))
+
+    def callees(self, function: Function) -> List[Function]:
+        return list(dict.fromkeys(site.callee for site in self._sites_in.get(function, ())
+                                  if site.callee is not None))
+
+    def returned_pointers(self, function: Function) -> List[Value]:
+        """The pointer values ``function``'s ``ret``\\ s return, in block order."""
+        returns = self._returns.get(function)
+        if returns is None:
+            returns = self._returns[function] = []
+            for block in function.blocks:
+                terminator = block.terminator
+                if isinstance(terminator, ReturnInst) and terminator.value is not None \
+                        and terminator.value.type.is_pointer():
+                    returns.append(terminator.value)
+        return returns
 
     def is_address_taken(self, function: Function) -> bool:
         """True when the function escapes as a value (conservatively: any non-call use)."""
         return any(not isinstance(use.user, CallInst) for use in function.uses)
 
-    # -- orderings ------------------------------------------------------------
-    def strongly_connected_components(self) -> List[List[Function]]:
-        """Tarjan SCCs in bottom-up order (callees before callers)."""
-        index_counter = [0]
-        stack: List[Function] = []
-        lowlink: Dict[Function, int] = {}
-        index: Dict[Function, int] = {}
-        on_stack: Set[Function] = set()
-        components: List[List[Function]] = []
-
-        def strongconnect(node: Function) -> None:
-            # Iterative Tarjan to survive deep call chains in generated code.
-            work = [(node, iter(self._callees.get(node, [])))]
-            index[node] = lowlink[node] = index_counter[0]
-            index_counter[0] += 1
-            stack.append(node)
-            on_stack.add(node)
-            while work:
-                current, children = work[-1]
-                advanced = False
-                for child in children:
-                    if child not in index:
-                        index[child] = lowlink[child] = index_counter[0]
-                        index_counter[0] += 1
-                        stack.append(child)
-                        on_stack.add(child)
-                        work.append((child, iter(self._callees.get(child, []))))
-                        advanced = True
-                        break
-                    if child in on_stack:
-                        lowlink[current] = min(lowlink[current], index[child])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[current])
-                if lowlink[current] == index[current]:
-                    component: List[Function] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member is current:
-                            break
-                    components.append(component)
-
-        for function in self.module.defined_functions():
-            if function not in index:
-                strongconnect(function)
-        return components
-
-    def bottom_up_order(self) -> List[Function]:
-        """Functions ordered so that callees come before their callers."""
-        ordered: List[Function] = []
-        for component in self.strongly_connected_components():
-            ordered.extend(component)
-        return ordered
+    def cone(self, name: str) -> Tuple[str, ...]:
+        """Sorted names of ``name`` plus its transitive callers and callees:
+        the functions whose interprocedural results an edit of ``name`` can
+        influence."""
+        cone: Set[Function] = set()
+        frontier = [self.module.get_function(name)]
+        while frontier:
+            function = frontier.pop()
+            if function in cone:
+                continue
+            cone.add(function)
+            frontier.extend(self.callers(function))
+            frontier.extend(self.callees(function))
+        return tuple(sorted(function.name for function in cone))

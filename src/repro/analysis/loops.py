@@ -31,9 +31,6 @@ class Loop:
     parent: Optional["Loop"] = None
     children: List["Loop"] = field(default_factory=list)
 
-    def contains(self, block: BasicBlock) -> bool:
-        return block in self.blocks
-
     def depth(self) -> int:
         """Nesting depth: 1 for top-level loops."""
         depth, current = 1, self.parent

@@ -81,9 +81,6 @@ class EditScenario:
     def name(self) -> str:
         return self.config.name
 
-    def edited_functions(self) -> List[str]:
-        return [step.function for step in self.steps if step.index > 0]
-
 
 def _split_piece(piece: str) -> Optional[Tuple[List[str], str, List[str]]]:
     """Split a rendered idiom piece into ``(prelude, header, body)`` lines."""

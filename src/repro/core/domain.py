@@ -47,11 +47,6 @@ class PointerAbstractValue:
 
     # -- constructors ------------------------------------------------------------
     @classmethod
-    def bottom(cls) -> "PointerAbstractValue":
-        """The least element: the pointer references no location."""
-        return BOTTOM
-
-    @classmethod
     def top(cls) -> "PointerAbstractValue":
         """The greatest element: any location, any offset."""
         return TOP

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.callgraph import CallGraph
+from ..analysis.callgraph import RETURNS_FIRST_ARGUMENT, CallGraph
 from ..engine.solver import SparseProblem, SparseSolver
 from ..ir.function import Function
 from ..ir.instructions import (
@@ -35,7 +35,6 @@ from ..ir.instructions import (
     MallocInst,
     PhiInst,
     PtrAddInst,
-    ReturnInst,
     SelectInst,
     SigmaInst,
 )
@@ -51,11 +50,6 @@ __all__ = ["GlobalAnalysisOptions", "GlobalRangeAnalysis"]
 #: Re-evaluations of one value before the ascending phase forces
 #: convergence (widening makes few necessary).
 MAX_ASCENDING_PASSES = 6
-
-#: External routines whose pointer result is their first argument.
-_RETURNS_FIRST_ARGUMENT = frozenset({
-    "strcpy", "strncpy", "strcat", "strncat", "memcpy", "memmove", "memset",
-})
 
 
 @dataclass
@@ -156,9 +150,12 @@ class _GlobalRangeProblem(SparseProblem):
     def delta_nodes(self, edit) -> List[Value]:
         """Seed set of a re-solve after editing ``edit.function``.
 
-        The edited function's own nodes plus their transitive *dependents*
-        over the static dependence graph — every value whose fixed point the
-        edit can influence (interprocedural influence flows only through the
+        The edited function's own nodes and the formal parameters of every
+        function it called before or calls now (their actuals, and with them
+        their visibility, changed; an actual need not be a node, so no edge
+        reaches them), plus the transitive *dependents* of those over the
+        static dependence graph — every value whose fixed point the edit can
+        influence (interprocedural influence flows only through the
         actual→formal and return→call-site edges ``dependencies`` already
         declares).  Dependence cycles are either entirely inside or entirely
         outside this closure, so re-solving it with the cold schedule while
@@ -167,12 +164,15 @@ class _GlobalRangeProblem(SparseProblem):
         """
         analysis = self._analysis
         edited = analysis.module.get_function(edit.function)
+        rebound = analysis.callgraph.rebound
         known = set(self._nodes)
         dependents: Dict[Value, List[Value]] = {}
         seeds = set()
         for node in self._nodes:
-            owner = node.parent if isinstance(node, Argument) else node.function
-            if owner is edited:
+            if isinstance(node, Argument):
+                if node.parent is edited or node.parent in rebound:
+                    seeds.add(node)
+            elif node.function is edited:
                 seeds.add(node)
             for dependency in self.dependencies(node):
                 if dependency in known:
@@ -193,12 +193,13 @@ class GlobalRangeAnalysis:
     def __init__(self, module: Module,
                  ranges: Optional[SymbolicRangeAnalysis] = None,
                  locations: Optional[LocationTable] = None,
-                 options: Optional[GlobalAnalysisOptions] = None):
+                 options: Optional[GlobalAnalysisOptions] = None,
+                 callgraph: Optional[CallGraph] = None):
         self.module = module
         self.options = options or GlobalAnalysisOptions()
         self.ranges = ranges if ranges is not None else SymbolicRangeAnalysis(module)
         self.locations = locations if locations is not None else LocationTable(module)
-        self.callgraph = CallGraph.compute(module)
+        self.callgraph = callgraph if callgraph is not None else CallGraph(module)
         self.solver_statistics = None
         self._gr: Dict[Value, PointerAbstractValue] = {}
         #: function -> external-visibility verdict; the check walks callgraph
@@ -209,10 +210,6 @@ class GlobalRangeAnalysis:
         self._run()
 
     # -- public API --------------------------------------------------------------
-    @classmethod
-    def run(cls, module: Module, **kwargs) -> "GlobalRangeAnalysis":
-        return cls(module, **kwargs)
-
     def value_of(self, value: Value) -> PointerAbstractValue:
         """``GR(value)``: the abstract address set of a pointer value."""
         return self._abstract_of(value)
@@ -277,22 +274,12 @@ class GlobalRangeAnalysis:
     # -- fixed point -----------------------------------------------------------------
     def _call_dependencies(self, inst: CallInst) -> List[Value]:
         """Pointer values the transfer function of a call instruction reads."""
-        callee_name = inst.callee_name()
-        if callee_name in _RETURNS_FIRST_ARGUMENT and inst.args:
+        if inst.callee_name() in RETURNS_FIRST_ARGUMENT and inst.args:
             return [inst.args[0]]
-        if isinstance(inst.callee, Function):
-            callee = inst.callee
-        else:
-            callee = self.module.get_function(callee_name)
-        if callee is None or callee.is_declaration() or not self.options.interprocedural:
+        callee = self.callgraph.callee_of(inst)
+        if callee is None or not self.options.interprocedural:
             return []
-        deps: List[Value] = []
-        for block in callee.blocks:
-            terminator = block.terminator
-            if isinstance(terminator, ReturnInst) and terminator.value is not None \
-                    and terminator.value.type.is_pointer():
-                deps.append(terminator.value)
-        return deps
+        return self.callgraph.returned_pointers(callee)
 
     def _pointer_nodes(self) -> List[Value]:
         """Every pointer formal parameter and instruction, in sweep priority
@@ -331,9 +318,8 @@ class GlobalRangeAnalysis:
         """
         for value in list(old_function.args) + list(old_function.instructions()):
             self._gr.pop(value, None)
-        # The new body may add or remove call sites: visibility verdicts and
-        # the callgraph both depend on them and are cheap next to a solve.
-        self.callgraph = CallGraph.compute(self.module)
+        # The new body may add or remove call sites, so the visibility
+        # verdicts read from the (already refreshed) callgraph are re-derived.
         self._visible.clear()
         problem = _GlobalRangeProblem(self, self._pointer_nodes())
         seeds = problem.delta_nodes(edit)
@@ -419,21 +405,14 @@ class GlobalRangeAnalysis:
 
     def _evaluate_call(self, inst: CallInst) -> PointerAbstractValue:
         callee_name = inst.callee_name()
-        if callee_name in _RETURNS_FIRST_ARGUMENT and inst.args:
+        if callee_name in RETURNS_FIRST_ARGUMENT and inst.args:
             return self._abstract_of(inst.args[0])
-        callee = None
-        if isinstance(inst.callee, Function):
-            callee = inst.callee
-        else:
-            callee = self.module.get_function(callee_name)
-        if callee is not None and not callee.is_declaration():
+        callee = self.callgraph.callee_of(inst)
+        if callee is not None:
             if self.options.interprocedural:
                 state = BOTTOM
-                for block in callee.blocks:
-                    terminator = block.terminator
-                    if isinstance(terminator, ReturnInst) and terminator.value is not None \
-                            and terminator.value.type.is_pointer():
-                        state = state.join(self._abstract_of(terminator.value))
+                for value in self.callgraph.returned_pointers(callee):
+                    state = state.join(self._abstract_of(value))
                 return state
             return TOP
         # External call returning a pointer: a fresh unknown object.

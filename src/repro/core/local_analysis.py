@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..analysis.callgraph import RETURNS_FIRST_ARGUMENT
 from ..engine.solver import SparseProblem, SparseSolver
 from ..ir.instructions import (
     AllocaInst,
@@ -43,11 +44,6 @@ from ..symbolic import SymbolicInterval
 from .locations import LocationKind, LocationTable, MemoryLocation
 
 __all__ = ["LocalAbstractValue", "LocalRangeAnalysis"]
-
-#: External routines whose pointer result is their first argument.
-_RETURNS_FIRST_ARGUMENT = frozenset({
-    "strcpy", "strncpy", "strcat", "strncat", "memcpy", "memmove", "memset",
-})
 
 
 @dataclass(frozen=True)
@@ -89,7 +85,7 @@ class _LocalRangeProblem(SparseProblem):
         if isinstance(inst, CastInst) and inst.kind == "bitcast":
             return (inst.value,)
         if isinstance(inst, CallInst):
-            if inst.callee_name() in _RETURNS_FIRST_ARGUMENT and inst.args:
+            if inst.callee_name() in RETURNS_FIRST_ARGUMENT and inst.args:
                 return (inst.args[0],)
             return ()
         if isinstance(inst, PtrAddInst):
@@ -127,10 +123,6 @@ class LocalRangeAnalysis:
         self._run()
 
     # -- public API -----------------------------------------------------------
-    @classmethod
-    def run(cls, module: Module, **kwargs) -> "LocalRangeAnalysis":
-        return cls(module, **kwargs)
-
     def value_of(self, value: Value) -> Optional[LocalAbstractValue]:
         """``LR(value)``, or ``None`` for values the analysis has no state for."""
         cached = self._lr.get(value)
@@ -271,7 +263,7 @@ class LocalRangeAnalysis:
             # A select is a value chosen at runtime; it acts as its own base.
             return self._fresh_for(inst, label)
         if isinstance(inst, CallInst):
-            if inst.callee_name() in _RETURNS_FIRST_ARGUMENT and inst.args:
+            if inst.callee_name() in RETURNS_FIRST_ARGUMENT and inst.args:
                 source = self._operand(inst.args[0])
                 if source is not None:
                     return source

@@ -40,10 +40,6 @@ class DisambiguationReason(enum.Enum):
     LOCAL_DISJOINT_RANGES = "local-disjoint-ranges"
     NOT_DISAMBIGUATED = "not-disambiguated"
 
-    def is_global(self) -> bool:
-        return self in (DisambiguationReason.GLOBAL_DISJOINT_RANGES,
-                        DisambiguationReason.GLOBAL_DISTINCT_OBJECTS)
-
     def is_local(self) -> bool:
         return self is DisambiguationReason.LOCAL_DISJOINT_RANGES
 

@@ -5,9 +5,9 @@ happen inside the factories so that this module stays import-cycle-free (the
 analyses themselves import the engine for the sparse solver).
 
 Analyses that layer on others request their inputs through the manager —
-``GLOBAL_RANGES`` asks for ``RANGES`` and ``LOCATIONS`` — so any two
-consumers of the same module share one bootstrap range analysis, one
-location table and one GR/LR fixed point.
+``GLOBAL_RANGES`` asks for ``RANGES``, ``LOCATIONS`` and ``CALLGRAPH`` — so
+any two consumers of the same module share one bootstrap range analysis, one
+location table, one call graph and one GR/LR fixed point.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ def _build_locations(module, manager):
 
 def _build_callgraph(module, manager):
     from ..analysis.callgraph import CallGraph
-    return CallGraph.compute(module)
+    return CallGraph(module)
 
 
 def _build_global_ranges(module, manager, options=None, range_options=None):
@@ -41,6 +41,7 @@ def _build_global_ranges(module, manager, options=None, range_options=None):
         ranges=manager.get(RANGES, options=range_options),
         locations=manager.get(LOCATIONS),
         options=options,
+        callgraph=manager.get(CALLGRAPH),
     )
 
 
@@ -55,12 +56,12 @@ def _build_local_ranges(module, manager, range_options=None):
 
 def _build_andersen(module, manager):
     from ..aliases.andersen import AndersenAliasAnalysis
-    return AndersenAliasAnalysis(module)
+    return AndersenAliasAnalysis(module, callgraph=manager.get(CALLGRAPH))
 
 
 def _build_steensgaard(module, manager):
     from ..aliases.steensgaard import SteensgaardAliasAnalysis
-    return SteensgaardAliasAnalysis(module)
+    return SteensgaardAliasAnalysis(module, callgraph=manager.get(CALLGRAPH))
 
 
 def _build_basic(module, manager):
@@ -95,7 +96,8 @@ RANGES = AnalysisKey("symbolic-ranges", _build_ranges)
 #: The module's abstract memory locations (``Loc``); allocation sites of an
 #: edited function are re-registered in place.
 LOCATIONS = AnalysisKey("locations", _build_locations)
-#: The direct-call graph with SCC condensation.
+#: The direct-call graph: every call-site fact GR, Andersen and Steensgaard
+#: read.  It runs no solver; an edit rebuilds it in place before them.
 CALLGRAPH = AnalysisKey("callgraph", _build_callgraph)
 #: The global symbolic pointer range analysis (GR, Figure 9): an
 #: interprocedural fixed point re-run when an edit lands in its cone.

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
 
+from ..analysis.callgraph import CallGraph
+
 __all__ = ["AnalysisKey", "AnalysisManager", "ManagerStatistics", "EditImpact"]
 
 
@@ -108,36 +110,6 @@ class EditImpact:
                 "cone": sorted(self.cone),
                 "reseeded": dict(sorted(self.reseeded.items())),
                 "retained": dict(sorted(self.retained.items()))}
-
-
-def _callgraph_cone(module, function) -> Tuple[str, ...]:
-    """Function names in the edit cone: the edited function plus its
-    transitive callers and callees (computed directly from the IR so it
-    never depends on a cached — possibly stale — callgraph analysis)."""
-    from ..ir.instructions import CallInst
-
-    callers: Dict[str, Set[str]] = {}
-    callees: Dict[str, Set[str]] = {}
-    for caller in module.defined_functions():
-        for inst in caller.instructions():
-            if not isinstance(inst, CallInst):
-                continue
-            name = inst.callee_name()
-            target = module.get_function(name)
-            if target is None or target.is_declaration():
-                continue
-            callees.setdefault(caller.name, set()).add(name)
-            callers.setdefault(name, set()).add(caller.name)
-    cone: Set[str] = set()
-    frontier = [function.name]
-    while frontier:
-        name = frontier.pop()
-        if name in cone:
-            continue
-        cone.add(name)
-        frontier.extend(callers.get(name, ()))
-        frontier.extend(callees.get(name, ()))
-    return tuple(sorted(cone))
 
 
 class AnalysisManager:
@@ -254,7 +226,7 @@ class AnalysisManager:
                 doomed.add(cache_key)
         impact = EditImpact(
             function=new_function.name,
-            cone=_callgraph_cone(self.module, new_function))
+            cone=CallGraph(self.module).cone(new_function.name))
         impact.evicted = sorted({cache_key[0].name for cache_key in doomed})
         self._evict_entries(doomed)
         self.statistics.invalidations += len(doomed)

@@ -16,7 +16,7 @@ from .interpreter import (
     StepBudgetExceeded,
 )
 from .memory import Heap, MemObject, MemoryError_, Pointer
-from .trace import AccessEvent, ExecutionTrace, FrameTrace, windows_overlap
+from .trace import AccessEvent, ExecutionTrace, FrameTrace
 
 __all__ = [
     "AccessEvent",
@@ -33,5 +33,4 @@ __all__ = [
     "ProgramExit",
     "StepBudgetExceeded",
     "call_external",
-    "windows_overlap",
 ]

@@ -170,13 +170,6 @@ class Interpreter:
         self.trace.steps = self.steps
         return self.trace
 
-    def call_function(self, function: Function, args: Sequence[object]) -> object:
-        """Directly invoke one function (test hook); propagates errors."""
-        result = self._call(function, list(args))
-        self.trace.steps = self.steps
-        self.trace.completed = True
-        return result
-
     # -- execution core -----------------------------------------------------
     def _call(self, function: Function, args: List[object]) -> object:
         if self._frame_count >= self.limits.max_call_depth:

@@ -31,7 +31,6 @@ __all__ = [
     "AccessEvent",
     "FrameTrace",
     "ExecutionTrace",
-    "windows_overlap",
     "memory_access_table",
     "access_width",
 ]
@@ -165,11 +164,6 @@ class FrameTrace:
             else:
                 break
         return current
-
-
-def windows_overlap(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
-    """Half-open step intervals ``[start, end)`` intersect."""
-    return a[0] < b[1] and b[0] < a[1]
 
 
 @dataclass

@@ -53,12 +53,6 @@ class BasicBlock(Value):
         self._terminator_changed(instruction)
         return instruction
 
-    def insert_before_terminator(self, instruction: Instruction) -> Instruction:
-        """Insert just before the terminator (or append when there is none)."""
-        if self.instructions and self.instructions[-1].is_terminator():
-            return self.insert(len(self.instructions) - 1, instruction)
-        return self.append(instruction)
-
     def insert_phi(self, phi: PhiInst) -> PhiInst:
         """Insert a φ at the top of the block (after existing φs)."""
         index = 0
@@ -107,9 +101,6 @@ class BasicBlock(Value):
 
     def phis(self) -> List[PhiInst]:
         return [inst for inst in self.instructions if isinstance(inst, PhiInst)]
-
-    def non_phi_instructions(self) -> List[Instruction]:
-        return [inst for inst in self.instructions if not isinstance(inst, PhiInst)]
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)

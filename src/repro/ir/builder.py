@@ -31,7 +31,7 @@ from .instructions import (
     UnreachableInst,
 )
 from .types import INT32, INT8, PointerType, Type, VoidType
-from .values import ConstantInt, NullPointer, UndefValue, Value
+from .values import NullPointer, UndefValue, Value
 
 __all__ = ["IRBuilder"]
 
@@ -139,10 +139,6 @@ class IRBuilder:
         return instruction
 
     # -- constants -----------------------------------------------------------------
-    @staticmethod
-    def int_const(value: int, type_: Type = INT32) -> ConstantInt:
-        return ConstantInt(value, type_)
-
     @staticmethod
     def null(pointer_type: PointerType) -> NullPointer:
         return NullPointer(pointer_type)

@@ -74,19 +74,6 @@ class Function(Value):
         self._cfg = None
         return block
 
-    def add_block(self, block: BasicBlock) -> BasicBlock:
-        block.parent = self
-        if not block.name:
-            block.name = self.uniquify_name("bb")
-        self.blocks.append(block)
-        self._cfg = None
-        return block
-
-    def remove_block(self, block: BasicBlock) -> None:
-        self.blocks.remove(block)
-        block.parent = None
-        self._cfg = None
-
     # -- CFG facts -----------------------------------------------------------------
     def cfg(self) -> "CFGInfo":
         """Successors, predecessors, reverse post-order, dominator tree and
@@ -100,12 +87,6 @@ class Function(Value):
     def invalidate_cfg(self) -> None:
         """Drop the cached CFG facts; every CFG-changing IR operation calls this."""
         self._cfg = None
-
-    def get_block(self, name: str) -> Optional[BasicBlock]:
-        for block in self.blocks:
-            if block.name == name:
-                return block
-        return None
 
     # -- naming --------------------------------------------------------------------
     def uniquify_name(self, base: str) -> str:

@@ -131,10 +131,6 @@ class Instruction(Value):
     def is_terminator(self) -> bool:
         return isinstance(self, (BranchInst, ReturnInst, UnreachableInst))
 
-    def defines_value(self) -> bool:
-        """True when the instruction produces an SSA value."""
-        return not isinstance(self.type, type(VOID)) or self.type != VOID
-
     def is_allocation_site(self) -> bool:
         """True for instructions that create a fresh memory location."""
         return isinstance(self, (MallocInst, AllocaInst))

@@ -127,12 +127,6 @@ class SymbolicRangeAnalysis:
         self._run()
 
     # -- public API ---------------------------------------------------------
-    @classmethod
-    def run(cls, module: Module,
-            options: Optional[RangeAnalysisOptions] = None) -> "SymbolicRangeAnalysis":
-        """Convenience constructor mirroring the other analyses."""
-        return cls(module, options)
-
     def range_of(self, value: Value) -> SymbolicInterval:
         """The symbolic interval of ``value`` (``R(v)`` in the paper).
 
@@ -152,15 +146,10 @@ class SymbolicRangeAnalysis:
         """All symbols of the program's symbolic kernel discovered so far."""
         return list(self._kernel.values())
 
-    def symbol_for(self, value: Value) -> Optional[Symbol]:
-        """The kernel symbol assigned to ``value``, if any."""
-        return self._kernel.get(value)
-
     def kernel_bindings(self) -> Dict[str, Value]:
         """Symbol name → the IR value the symbol stands for.
 
-        The inverse of :meth:`symbol_for`, used by the soundness oracle to
-        bind kernel symbols to concretely observed runtime values when
+        Used by the soundness oracle to bind kernel symbols to concretely observed runtime values when
         checking that computed intervals enclose every observed value
         (query extraction hook).
         """

@@ -155,8 +155,6 @@ class WorkerPool:
     #: Deterministic fault spec per shard index (chaos harness only):
     #: ``{shard: {"latency_by_id": {...}, "latency_by_ordinal": {...}}}``.
     chaos: Optional[Dict[int, Dict[str, Any]]] = None
-    #: Lifetime respawn count (the supervisor's failovers land here).
-    respawns: int = 0
     _workers: List[_Worker] = field(default_factory=list)
     _placement: Dict[str, int] = field(default_factory=dict)
 
@@ -226,7 +224,6 @@ class WorkerPool:
             old.process.join()
         worker = self._spawn(shard, generation=old.generation + 1)
         self._workers[shard] = worker
-        self.respawns += 1
         return worker
 
     def close(self, timeout: float = 30.0) -> None:

@@ -54,7 +54,6 @@ __all__ = [
     "definitely_eq",
     "definitely_ne",
     "compare_memo_stats",
-    "resize_compare_memo",
 ]
 
 #: Maximum recursion depth of the structural min/max rules.
@@ -97,12 +96,6 @@ def compare_memo_stats() -> Dict[str, Dict[str, int]]:
     """Hit/miss/eviction counters of the order-layer memo caches."""
     return {"compare": _COMPARE_MEMO.stats(),
             "difference": _DIFFERENCE_MEMO.stats()}
-
-
-def resize_compare_memo(maxsize: int) -> None:
-    """The size knob: rebound both order-layer memo caches."""
-    _COMPARE_MEMO.resize(maxsize)
-    _DIFFERENCE_MEMO.resize(maxsize)
 
 
 def _difference_lower_bound(a: SymExpr, b: SymExpr) -> Optional[int]:

@@ -4,6 +4,7 @@
 from repro.analysis import CallGraph
 from repro.frontend import compile_source
 from repro.ir import ConstantInt, FunctionType, INT32, IRBuilder, Module, VOID
+from repro.ir.instructions import CallInst, PtrAddInst
 from repro.transforms.mem2reg import _dominance_frontiers
 
 
@@ -168,6 +169,7 @@ class TestCallGraph:
     SOURCE = """
     int helper(int* p) { return p[0]; }
     int middle(int* p) { return helper(p); }
+    int lonely(int n) { return n + 1; }
     int main(int argc, char** argv) {
       int data[4];
       return middle(data) + helper(data);
@@ -176,7 +178,7 @@ class TestCallGraph:
 
     def test_edges(self):
         module = compile_source(self.SOURCE)
-        graph = CallGraph.compute(module)
+        graph = CallGraph(module)
         helper = module.get_function("helper")
         middle = module.get_function("middle")
         main = module.get_function("main")
@@ -186,7 +188,7 @@ class TestCallGraph:
 
     def test_call_sites_and_bindings(self):
         module = compile_source(self.SOURCE)
-        graph = CallGraph.compute(module)
+        graph = CallGraph(module)
         helper = module.get_function("helper")
         sites = graph.sites_calling(helper)
         assert len(sites) == 2
@@ -197,29 +199,62 @@ class TestCallGraph:
             assert formal is helper.args[0]
             assert actual.type.is_pointer()
 
-    def test_bottom_up_order_has_callees_first(self):
+    def test_call_sites_are_in_module_order(self):
         module = compile_source(self.SOURCE)
-        graph = CallGraph.compute(module)
-        order = graph.bottom_up_order()
-        names = [fn.name for fn in order]
-        assert names.index("helper") < names.index("middle") < names.index("main")
+        graph = CallGraph(module)
+        calls = [inst for function in module.defined_functions()
+                 for inst in function.instructions() if isinstance(inst, CallInst)]
+        assert [site.instruction for site in graph.call_sites] == calls
+        helper = module.get_function("helper")
+        assert [site.caller.name for site in graph.sites_calling(helper)] \
+            == ["middle", "main"]
+        assert graph.sites_calling(module.get_function("lonely")) == []
 
-    def test_external_calls_tracked(self):
+    def test_external_callees_resolve_to_none(self):
         module = compile_source("""
         int main(int argc, char** argv) { return atoi(argv[0]); }
         """)
-        graph = CallGraph.compute(module)
-        main = module.get_function("main")
-        assert len(graph.external_calls(main)) == 1
+        graph = CallGraph(module)
+        (site,) = graph.call_sites
+        assert site.callee is None
+        assert graph.callee_of(site.instruction) is None
+        assert site.argument_bindings() == []
 
-    def test_recursion_forms_scc(self):
+    def test_returned_pointers(self):
         module = compile_source("""
-        int even(int n);
-        int odd(int n) { if (n == 0) { return 0; } return even(n - 1); }
-        int even(int n) { if (n == 0) { return 1; } return odd(n - 1); }
-        int main(int argc, char** argv) { return even(atoi(argv[1])); }
+        int* pick(int* a, int* b, int c) { if (c > 0) { return a + 1; } return b; }
+        int count(int* a) { return a[0]; }
+        int main(int argc, char** argv) {
+          int x[4]; int y[4];
+          return count(pick(x, y, argc));
+        }
         """)
-        graph = CallGraph.compute(module)
-        components = graph.strongly_connected_components()
-        sizes = sorted(len(component) for component in components)
-        assert sizes == [1, 2]
+        graph = CallGraph(module)
+        pick = module.get_function("pick")
+        returned = graph.returned_pointers(pick)
+        assert len(returned) == 2
+        assert isinstance(returned[0], PtrAddInst) and returned[0].base is pick.args[0]
+        assert returned[1] is pick.args[1]
+        assert graph.returned_pointers(module.get_function("count")) == []
+        call = next(site.instruction for site in graph.call_sites
+                    if site.callee is pick)
+        assert graph.callee_of(call) is pick
+
+    def test_cone_is_the_connected_call_component(self):
+        module = compile_source(self.SOURCE)
+        graph = CallGraph(module)
+        assert graph.cone("helper") == ("helper", "main", "middle")
+        assert graph.cone("lonely") == ("lonely",)
+
+    def test_refresh_rebuilds_in_place(self):
+        module = compile_source(self.SOURCE)
+        graph = CallGraph(module)
+        donor = compile_source(self.SOURCE.replace(
+            "return n + 1;", "int cell[2]; return n + helper(cell);"))
+        old = module.replace_function(donor.get_function("lonely"))
+        lonely = module.get_function("lonely")
+        graph.refresh_function(old, lonely, None)
+        helper = module.get_function("helper")
+        assert [site.caller.name for site in graph.sites_calling(helper)] \
+            == ["middle", "lonely", "main"]
+        assert graph.cone("lonely") == ("helper", "lonely", "main", "middle")

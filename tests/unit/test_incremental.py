@@ -6,6 +6,9 @@ Covers the two layers under the analysis service: ``Module
 including the refresh hooks of the function-local analyses.
 """
 
+import itertools
+import re
+
 import pytest
 
 from repro.aliases.results import MemoryAccess
@@ -138,14 +141,18 @@ class TestApplyFunctionEdit:
         assert impact.reseeded["global-ranges"] > 0
         assert impact.retained["global-ranges"] > 0
 
-    def test_module_scoped_entries_still_evict(self):
+    def test_callgraph_refreshes_in_place(self):
         module, donor = _compile_pair()
         manager = AnalysisManager(module)
         callgraph = manager.get(keys.CALLGRAPH)
         old = module.replace_function(donor.get_function("fill"))
         impact = manager.apply_function_edit(old, module.get_function("fill"))
-        assert "callgraph" in impact.evicted
-        assert manager.get(keys.CALLGRAPH) is not callgraph
+        assert "callgraph" in impact.refreshed
+        assert impact.evicted == []
+        assert manager.get(keys.CALLGRAPH) is callgraph
+        fill = module.get_function("fill")
+        assert [site.caller.name for site in callgraph.sites_calling(fill)] == ["main"]
+        assert not callgraph.sites_calling(old)
 
     def test_cone_covers_callgraph_closure(self):
         module, donor = _compile_pair()
@@ -178,18 +185,19 @@ class TestApplyFunctionEdit:
         assert "hookless" in impact.evicted
         assert manager.statistics.refreshes > 0
 
-    def test_edit_evicts_only_the_solverless_callgraph(self):
+    def test_edit_evicts_no_cached_analysis(self):
         # The service's solver-step totals sum the cached analyses only, so
-        # an edit must never evict an analysis that ran the solver.
+        # an edit must never evict an analysis that ran the solver; every
+        # shipped key refreshes in place.
         module, donor = _compile_pair()
         manager = AnalysisManager(module)
         for name in keys.__all__:
             manager.get(getattr(keys, name))
-        callgraph = manager.cached(keys.CALLGRAPH)
         old = module.replace_function(donor.get_function("fill"))
         impact = manager.apply_function_edit(old, module.get_function("fill"))
-        assert impact.evicted == ["callgraph"]
-        assert getattr(callgraph, "solver_statistics", None) is None
+        assert impact.evicted == []
+        assert set(impact.refreshed) == {getattr(keys, name).name
+                                         for name in keys.__all__}
 
     def test_reseed_is_cheaper_than_cold_rebuild(self):
         module, donor = _compile_pair()
@@ -254,7 +262,6 @@ class TestApplyFunctionEdit:
             for fn_name in ("fill", "scan", "main"):
                 warm_fn = module.get_function(fn_name)
                 cold_fn = cold_module.get_function(fn_name)
-                import itertools
                 warm_pairs = [(MemoryAccess.of(a), MemoryAccess.of(b))
                               for a, b in itertools.combinations(
                                   warm_fn.pointer_values(), 2)]
@@ -265,3 +272,72 @@ class TestApplyFunctionEdit:
                 warm_answers = warm_analysis.query_many(warm_pairs)
                 cold_answers = cold_analysis.query_many(cold_pairs)
                 assert warm_answers == cold_answers, (key.name, fn_name)
+
+
+CALLS_V1 = """
+int grid[8];
+int* step(int* p, int k) { return p + k; }
+void touch(int* p, int n) { int i; for (i = 0; i < n; i++) { p[i] = i; } }
+int main(int argc, char** argv) {
+  int n = atoi(argv[1]);
+  int* xs = (int*)malloc(n * 4);
+  touch(xs, n);
+  return xs[0];
+}
+"""
+
+#: ``step`` gains its first call site: its parameter stops being seeded as
+#: externally visible and binds to ``grid`` instead.
+CALLS_V2 = CALLS_V1.replace("touch(xs, n);", "touch(xs, n); touch(step(grid, 2), 3);")
+
+
+LOCATION_ID = re.compile(r"loc\d+")
+
+
+class TestCallGraphSharing:
+    def test_consumers_share_the_managers_callgraph(self):
+        manager = AnalysisManager(compile_source(CALLS_V1, "prog"))
+        callgraph = manager.get(keys.CALLGRAPH)
+        assert manager.get(keys.GLOBAL_RANGES).callgraph is callgraph
+        assert manager.get(keys.ANDERSEN).callgraph is callgraph
+        assert manager.get(keys.STEENSGAARD).callgraph is callgraph
+
+    @pytest.mark.parametrize("before, after", [(CALLS_V1, CALLS_V2), (CALLS_V2, CALLS_V1)],
+                             ids=["first-call-added", "last-call-removed"])
+    def test_call_site_edit_matches_cold_rebuild(self, before, after):
+        module = compile_source(before, "prog")
+        manager = AnalysisManager(module)
+        callgraph = manager.get(keys.CALLGRAPH)
+        for key in (keys.GLOBAL_RANGES, keys.ANDERSEN, keys.STEENSGAARD):
+            manager.get(key)
+        old = module.replace_function(compile_source(after, "prog").get_function("main"))
+        impact = manager.apply_function_edit(old, module.get_function("main"))
+        assert impact.evicted == []
+        assert manager.get(keys.CALLGRAPH) is callgraph
+        step_callers = [site.caller.name for site in
+                        callgraph.sites_calling(module.get_function("step"))]
+        assert step_callers == (["main"] if after is CALLS_V2 else [])
+
+        cold_module = compile_source(after, "prog")
+        cold = AnalysisManager(cold_module)
+
+        def pointers(of_module):
+            return [value for function in of_module.defined_functions()
+                    for value in function.pointer_values()]
+
+        warm_values, cold_values = pointers(module), pointers(cold_module)
+        assert len(warm_values) == len(cold_values)
+        # Location ids are allocation order, which an edit does not keep.
+        warm_gr, cold_gr = manager.get(keys.GLOBAL_RANGES), cold.get(keys.GLOBAL_RANGES)
+        assert [LOCATION_ID.sub("loc", repr(warm_gr.value_of(value))) for value in warm_values] \
+            == [LOCATION_ID.sub("loc", repr(cold_gr.value_of(value))) for value in cold_values]
+        warm_andersen, cold_andersen = manager.get(keys.ANDERSEN), cold.get(keys.ANDERSEN)
+        assert [sorted(map(str, warm_andersen.points_to_set(value))) for value in warm_values] \
+            == [sorted(map(str, cold_andersen.points_to_set(value))) for value in cold_values]
+        warm_pairs = [(MemoryAccess.of(a), MemoryAccess.of(b))
+                      for a, b in itertools.combinations(warm_values, 2)]
+        cold_pairs = [(MemoryAccess.of(a), MemoryAccess.of(b))
+                      for a, b in itertools.combinations(cold_values, 2)]
+        for key in (keys.ANDERSEN, keys.STEENSGAARD):
+            assert manager.get(key).query_many(warm_pairs) \
+                == cold.get(key).query_many(cold_pairs), key.name
