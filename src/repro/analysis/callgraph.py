@@ -96,9 +96,6 @@ class CallGraph:
         """The call sites whose callee is ``function``, in module order."""
         return self._sites_calling.get(function, [])
 
-    def callers(self, function: Function) -> List[Function]:
-        return list(dict.fromkeys(site.caller for site in self.sites_calling(function)))
-
     def callees(self, function: Function) -> List[Function]:
         return list(dict.fromkeys(site.callee for site in self._sites_in.get(function, ())
                                   if site.callee is not None))
@@ -119,17 +116,3 @@ class CallGraph:
         """True when the function escapes as a value (conservatively: any non-call use)."""
         return any(not isinstance(use.user, CallInst) for use in function.uses)
 
-    def cone(self, name: str) -> Tuple[str, ...]:
-        """Sorted names of ``name`` plus its transitive callers and callees:
-        the functions whose interprocedural results an edit of ``name`` can
-        influence."""
-        cone: Set[Function] = set()
-        frontier = [self.module.get_function(name)]
-        while frontier:
-            function = frontier.pop()
-            if function in cone:
-                continue
-            cone.add(function)
-            frontier.extend(self.callers(function))
-            frontier.extend(self.callees(function))
-        return tuple(sorted(function.name for function in cone))

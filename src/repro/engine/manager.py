@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
 
-from ..analysis.callgraph import CallGraph
 
 __all__ = ["AnalysisKey", "AnalysisManager", "ManagerStatistics", "EditImpact"]
 
@@ -85,11 +84,6 @@ _CacheKey = Tuple[AnalysisKey, Hashable]
 class EditImpact:
     """What one function edit did to a manager's cache.
 
-    ``cone`` is the callgraph closure of the edited function (itself plus
-    transitive callers and callees) — the set of functions whose
-    interprocedural analysis results the edit can influence, and therefore
-    the outer bound on any interprocedural re-seed.
-
     ``reseeded`` and ``retained`` record, per refreshed analysis, how many
     nodes the edit re-seeded and how much prior state survived it — the
     per-edit incremental telemetry the service's ``stats`` op surfaces
@@ -99,7 +93,6 @@ class EditImpact:
     function: str
     refreshed: List[str] = field(default_factory=list)
     evicted: List[str] = field(default_factory=list)
-    cone: Tuple[str, ...] = ()
     reseeded: Dict[str, int] = field(default_factory=dict)
     retained: Dict[str, int] = field(default_factory=dict)
 
@@ -107,7 +100,6 @@ class EditImpact:
         return {"function": self.function,
                 "refreshed": sorted(self.refreshed),
                 "evicted": sorted(self.evicted),
-                "cone": sorted(self.cone),
                 "reseeded": dict(sorted(self.reseeded.items())),
                 "retained": dict(sorted(self.retained.items()))}
 
@@ -224,9 +216,7 @@ class AnalysisManager:
                 refresh.append(cache_key)
             else:
                 doomed.add(cache_key)
-        impact = EditImpact(
-            function=new_function.name,
-            cone=CallGraph(self.module).cone(new_function.name))
+        impact = EditImpact(function=new_function.name)
         impact.evicted = sorted({cache_key[0].name for cache_key in doomed})
         self._evict_entries(doomed)
         self.statistics.invalidations += len(doomed)

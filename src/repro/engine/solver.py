@@ -17,13 +17,18 @@ loops with one algorithm:
    formal parameters, call results) to force convergence on cyclic regions;
 4. an optional descending (narrowing) sequence of full sweeps recovers
    precision lost to widening — the schedule of Section 3.9 of the paper.
+   A descending step whose node has a recorded transfer result and none of
+   whose inputs changed since that transfer gets the recorded result back
+   instead of calling ``transfer`` again (the *stale* set tracks which
+   nodes had an input written); narrowing, the change test and the write
+   run exactly as before.
 
 Problems describe themselves through :class:`SparseProblem`; the solver owns
 scheduling only, never abstract values, so every analysis keeps its existing
 state tables and transfer functions.  :class:`SolverStatistics` counts
-transfer-function applications ("steps"), the deterministic cost measure
-every gate reads; wall time is measured only outside the engine (the
-repository benchmark and Figure 15's timer).
+scheduled evaluations ("steps"), the deterministic cost measure every gate
+reads; wall time is measured only outside the engine (the repository
+benchmark and Figure 15's timer).
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ Node = Hashable
 class SolverInterrupted(RuntimeError):
     """An installed budget hook asked the solver to abandon its fixed point.
 
-    Raised *between* transfer applications, so the problem's abstract state
+    Raised *between* solver steps, so the problem's abstract state
     is internally consistent but not a fixed point — callers must discard
     the partially solved analysis (the :class:`~repro.engine.manager
     .AnalysisManager` never caches a build whose factory raised).
@@ -50,7 +55,7 @@ class SolverInterrupted(RuntimeError):
 
 
 #: Process-wide cooperative budget: when set, the solver calls it before
-#: every transfer application and raises :class:`SolverInterrupted` the
+#: every step and raises :class:`SolverInterrupted` the
 #: moment it returns ``False``.  Installed via :func:`solver_budget` by the
 #: serving layer to honour per-request ``timeout_ms`` deadlines; ``None``
 #: (the default) costs one attribute read per step.
@@ -61,7 +66,7 @@ _BUDGET_HOOK: Optional[Callable[[], bool]] = None
 def solver_budget(hook: Callable[[], bool]) -> Iterator[None]:
     """Install a cooperative step budget for every solve on this thread.
 
-    ``hook`` is consulted before each transfer application; returning
+    ``hook`` is consulted before each step; returning
     ``False`` aborts the solve with :class:`SolverInterrupted`.  The
     previous hook (usually ``None``) is restored on exit, so nested budgets
     compose: the innermost (tightest) deadline wins while it is active.
@@ -79,10 +84,14 @@ def solver_budget(hook: Callable[[], bool]) -> Iterator[None]:
 class SolverStatistics:
     """Counters of one :meth:`SparseSolver.solve` run.
 
-    ``steps`` is the total number of transfer-function applications — the
-    engine's hardware-independent cost measure.  ``max_node_evaluations``
-    plays the role the old per-analysis "pass" counters played: it bounds how
-    often any single node was re-evaluated during the ascending phase.
+    ``steps`` is the total number of scheduled evaluations — the engine's
+    hardware-independent cost measure.  It counts what the schedule asked
+    for, not what it recomputed: ``reused`` says how many of those steps (all
+    of them descending) got the node's last transfer result back because no
+    input had changed since, so ``steps - reused`` is the number of
+    ``transfer`` calls.  ``max_node_evaluations`` plays the role the old
+    per-analysis "pass" counters played: it bounds how often any single node
+    was re-evaluated during the ascending phase.
     """
 
     problem: str = ""
@@ -96,6 +105,7 @@ class SolverStatistics:
     descending_steps: int = 0
     widenings: int = 0
     max_node_evaluations: int = 0
+    reused: int = 0
 
     def accumulate(self, other: "SolverStatistics") -> None:
         """Fold a later solve's counters into this one.
@@ -114,6 +124,7 @@ class SolverStatistics:
         self.worklist_steps += other.worklist_steps
         self.descending_steps += other.descending_steps
         self.widenings += other.widenings
+        self.reused += other.reused
         self.max_node_evaluations = max(self.max_node_evaluations,
                                         other.max_node_evaluations)
 
@@ -124,6 +135,14 @@ class SparseProblem:
     Subclasses own the abstract state; the solver only schedules.  The
     minimal contract is ``nodes`` + ``transfer`` + ``read``/``write``;
     everything else has a sensible default.
+
+    A problem solved with descending passes must have a ``transfer`` that
+    reads only the nodes its ``dependencies`` declare, plus state that stays
+    fixed for the whole solve: a descending step reuses a node's last
+    transfer result when none of its declared in-problem dependencies was
+    written since.  The symbolic integer ranges and GR meet this contract;
+    problems whose ``transfer`` mutates state or registers edges on the fly
+    (Andersen, Steensgaard) run no descending passes.
     """
 
     #: Short name used in statistics and debugging output.
@@ -262,6 +281,10 @@ class SparseSolver:
         self._evaluations: Dict[Node, int] = {}
         self._worklist: deque = deque()
         self._enqueued: Set[Node] = set()
+        #: node -> its last ``transfer`` result, and the nodes an input of
+        #: which was written since; kept only for descending passes to reuse.
+        self._results: Dict[Node, Any] = {}
+        self._stale: Set[Node] = set()
 
     # -- dynamic dependence edges ---------------------------------------------
     def add_dependency(self, dependent: Node, dependency: Node) -> None:
@@ -290,6 +313,16 @@ class SparseSolver:
             self._worklist.append(dependent)
 
     # -- evaluation -----------------------------------------------------------
+    def _write(self, node: Node, value: Any) -> None:
+        self.problem.write(node, value)
+        if self.descending_passes:
+            self._stale.update(self._dependents.get(node, ()))
+
+    def _reusable(self, node: Node) -> bool:
+        """Whether a descending step of ``node`` may skip ``transfer``: it
+        has a recorded result and no input was written since."""
+        return node in self._results and node not in self._stale
+
     def _evaluate(self, node: Node, *, phase: str) -> bool:
         budget = _BUDGET_HOOK
         if budget is not None and not budget():
@@ -299,7 +332,14 @@ class SparseSolver:
         problem = self.problem
         stats = self.statistics
         old = problem.read(node)
-        new = problem.transfer(node)
+        if phase == "descending" and self._reusable(node):
+            new = self._results[node]
+            stats.reused += 1
+        else:
+            new = problem.transfer(node)
+            if self.descending_passes:
+                self._results[node] = new
+                self._stale.discard(node)
         stats.steps += 1
         seen = self._evaluations.get(node, 0)
         self._evaluations[node] = seen + 1
@@ -310,7 +350,7 @@ class SparseSolver:
             if problem.is_refinement_point(node):
                 new = problem.narrow(node, old, new)
             if new != old:
-                problem.write(node, new)
+                self._write(node, new)
                 return True
             return False
         if phase == "sweep":
@@ -323,7 +363,7 @@ class SparseSolver:
                     stats.widenings += 1
                 new = widened
         if new != old:
-            problem.write(node, new)
+            self._write(node, new)
             self._enqueue_dependents(node)
             return True
         return False
@@ -337,21 +377,33 @@ class SparseSolver:
             bind(self)
         ordered_nodes = list(problem.nodes())
         stats.nodes = len(ordered_nodes)
-
-        components = condense_sccs(ordered_nodes, problem.dependencies)
-        stats.sccs = len(components)
-        stats.largest_scc = max((len(c) for c in components), default=0)
         # Stable priority inside each component: the order nodes() gave us.
         priority = {node: position for position, node in enumerate(ordered_nodes)}
+
+        components = self._register_and_condense(ordered_nodes, priority,
+                                                 ordered_nodes)
+        stats.sccs = len(components)
+        stats.largest_scc = max((len(c) for c in components), default=0)
         self._order = [node for component in components
                        for node in sorted(component, key=priority.__getitem__)]
 
-        for node in ordered_nodes:
-            for dependency in problem.dependencies(node):
-                if dependency in priority:
-                    self.add_dependency(node, dependency)
-
         return self._run_phases()
+
+    def _register_and_condense(self, ordered_nodes: Sequence[Node],
+                               priority: Dict[Node, int],
+                               roots: Sequence[Node]) -> List[List[Node]]:
+        """Ask the problem once for each node's dependencies, register the
+        in-problem ones as dependence edges, and condense ``roots`` into
+        SCCs over the same lists (which are dropped before solving)."""
+        dependencies = self.problem.dependencies
+        edges: Dict[Node, List[Node]] = {}
+        for node in ordered_nodes:
+            inside = [dependency for dependency in dependencies(node)
+                      if dependency in priority]
+            edges[node] = inside
+            for dependency in inside:
+                self.add_dependency(node, dependency)
+        return condense_sccs(roots, edges.__getitem__)
 
     def resolve_from(self, state: SparseProblem,
                      seeds: Iterable[Node]) -> SolverStatistics:
@@ -395,17 +447,14 @@ class SparseSolver:
         stats.nodes = len(seed_list)
 
         # The full dependence graph is registered — change propagation must
-        # be able to leave the seed set — but only transfer applications
+        # be able to leave the seed set — but only scheduled evaluations
         # count as steps, so the edit pays O(edit cone) evaluations.
-        for node in ordered_nodes:
-            for dependency in problem.dependencies(node):
-                if dependency in priority:
-                    self.add_dependency(node, dependency)
+        components = self._register_and_condense(ordered_nodes, priority,
+                                                 seed_list)
         for node in ordered_nodes:
             if node not in seed_set:
                 self._evaluations[node] = 1
 
-        components = condense_sccs(seed_list, problem.dependencies)
         stats.sccs = len(components)
         stats.largest_scc = max((len(c) for c in components), default=0)
         self._order = [node for component in components

@@ -55,7 +55,7 @@ class ProgramResult:
     #: engine cache counters of the run's AnalysisManager (hits/misses/
     #: builds/invalidations) — deterministic, hardware-independent.
     engine: Dict[str, int] = field(default_factory=dict)
-    #: solver problem name -> {"steps"}: per-analysis cost attribution
+    #: solver problem name -> {"steps", "reused"}: per-analysis cost attribution
     #: collected from every cached analysis that ran the sparse solver.
     solver: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: frontend determinism fingerprint (token count, token-stream digest,
@@ -155,13 +155,15 @@ def solver_breakdown(manager: AnalysisManager) -> Dict[str, Dict[str, int]]:
     """Per-problem solver cost of every analysis cached by ``manager``.
 
     Keys are the sparse problems' names (``symbolic-ranges``,
-    ``global-ranges``, …); ``steps`` counts transfer applications.
+    ``global-ranges``, …); ``steps`` counts scheduled evaluations and
+    ``reused`` those of them that got a node's last transfer result back.
     """
     breakdown: Dict[str, Dict[str, int]] = {}
     for analysis in manager.cached_values():
         statistics = getattr(analysis, "solver_statistics", None)
         if statistics is None or not getattr(statistics, "problem", ""):
             continue
-        entry = breakdown.setdefault(statistics.problem, {"steps": 0})
+        entry = breakdown.setdefault(statistics.problem, {"steps": 0, "reused": 0})
         entry["steps"] += statistics.steps
+        entry["reused"] += statistics.reused
     return breakdown

@@ -142,8 +142,9 @@ def bench_record(precision: Optional[PrecisionReport] = None,
             if result.engine:
                 engine_totals.merge(ManagerStatistics(**result.engine))
             for problem, entry in result.solver.items():
-                bucket = solver_totals.setdefault(problem, {"steps": 0})
-                bucket["steps"] += entry.get("steps", 0)
+                bucket = solver_totals.setdefault(problem, {})
+                for counter, value in entry.items():
+                    bucket[counter] = bucket.get(counter, 0) + value
         record["precision"] = {
             "programs": [_program_result_record(result) for result in precision.results],
             "totals": {

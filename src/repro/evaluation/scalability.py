@@ -13,7 +13,7 @@ and reports the same correlation coefficients.  Each point is built
 :data:`BUILDS_PER_POINT` times and keeps the fastest build's time, so one
 build stalled by another process does not skew the fit.  Alongside wall
 time the experiment reports the sparse solver's fixpoint step counts
-(transfer applications), a hardware-independent cost measure.
+(scheduled evaluations), a hardware-independent cost measure.
 
 Run with ``python -m repro.evaluation bench`` (which also runs Figures 13/14).
 """

@@ -483,7 +483,7 @@ def envelope_in_time(request: Request,
 
     Read-only requests run under a solver budget: every fixpoint the engine
     runs on their behalf checks the wall-clock deadline before each
-    transfer application and abandons the solve the moment it expires (the
+    solver step and abandons the solve the moment it expires (the
     partially built analysis is discarded, never cached — a later request
     rebuilds it cleanly).  Mutating requests deliberately ignore the budget:
     aborting an in-place incremental refresh mid-flight would corrupt the
