@@ -4,7 +4,8 @@ PR 5's profiler showed cold loads dominated by the frontend; the staged
 scanner/IR-builder rewrite attacks exactly these three kernels, so each
 gets its own operation-level record: scanning a realistic source, parsing
 its token stream, and lowering the AST to IR.  A fourth record times one
-``edit_source`` step, which recompiles only the edited function body.
+``edit_source`` step, which recompiles only the edited function body, and
+a fifth the re-scan of that step's source against the previous tokens.
 The asserted invariants keep the benchmarks honest — token counts, stream
 digests, instruction counts and the edit's ``changed`` list are all
 deterministic — and the timings land in the pytest-benchmark report
@@ -17,6 +18,7 @@ from repro.frontend import (
     Parser,
     analyze,
     lower_translation_unit,
+    retokenize,
     token_stream_digest,
     tokenize,
 )
@@ -89,3 +91,18 @@ def test_edit_source_one_step(benchmark):
     answer = benchmark.pedantic(run, setup=reset, iterations=1, rounds=10)
     assert answer["changed"] == [step.function]
     assert answer["reloaded"] is False
+
+
+def test_retokenize_one_step(benchmark):
+    config = next(p for p in SUITE_PROGRAMS if p.name == _PROGRAMS[0]).config()
+    start, step = edit_scenario(config, edits=1).steps
+    old_tokens = tokenize(start.source)
+
+    def run():
+        return retokenize(start.source, old_tokens, step.source)
+
+    relex = benchmark.pedantic(run, iterations=10, rounds=5)
+    assert token_stream_digest(relex.tokens) == \
+        token_stream_digest(tokenize(step.source))
+    # Only the edited span is scanned again.
+    assert relex.tail - relex.head < len(relex.tokens) // 4

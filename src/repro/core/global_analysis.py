@@ -78,6 +78,10 @@ class _GlobalRangeProblem(SparseProblem):
     def __init__(self, analysis: "GlobalRangeAnalysis", nodes: List[Value]):
         self._analysis = analysis
         self._nodes = nodes
+        self._solver: Optional[SparseSolver] = None
+
+    def bind(self, solver: SparseSolver) -> None:
+        self._solver = solver
 
     def nodes(self) -> List[Value]:
         return self._nodes
@@ -161,12 +165,15 @@ class _GlobalRangeProblem(SparseProblem):
         outside this closure, so re-solving it with the cold schedule while
         reading retained values for everything else reproduces the cold
         fixed point.
+
+        The dependents are the edges the bound solver registered
+        (:meth:`SparseSolver.register`), so ``dependencies`` is asked once
+        per node for the whole re-solve.
         """
         analysis = self._analysis
         edited = analysis.module.get_function(edit.function)
         rebound = analysis.callgraph.rebound
-        known = set(self._nodes)
-        dependents: Dict[Value, List[Value]] = {}
+        dependents = self._solver.dependents
         seeds = set()
         for node in self._nodes:
             if isinstance(node, Argument):
@@ -174,13 +181,10 @@ class _GlobalRangeProblem(SparseProblem):
                     seeds.add(node)
             elif node.function is edited:
                 seeds.add(node)
-            for dependency in self.dependencies(node):
-                if dependency in known:
-                    dependents.setdefault(dependency, []).append(node)
         frontier = list(seeds)
         while frontier:
             node = frontier.pop()
-            for dependent in dependents.get(node, ()):
+            for dependent in dependents(node):
                 if dependent not in seeds:
                     seeds.add(dependent)
                     frontier.append(dependent)
@@ -322,15 +326,16 @@ class GlobalRangeAnalysis:
         # verdicts read from the (already refreshed) callgraph are re-derived.
         self._visible.clear()
         problem = _GlobalRangeProblem(self, self._pointer_nodes())
-        seeds = problem.delta_nodes(edit)
-        for node in seeds:
-            self._gr.pop(node, None)
-        retained = len(self._gr)
         solver = SparseSolver(
             problem,
             max_node_evaluations=MAX_ASCENDING_PASSES,
             descending_passes=self.options.descending_passes,
         )
+        solver.register(problem)
+        seeds = problem.delta_nodes(edit)
+        for node in seeds:
+            self._gr.pop(node, None)
+        retained = len(self._gr)
         self.solver_statistics.accumulate(solver.resolve_from(problem, seeds))
         return {"reseeded": len(seeds), "retained": retained}
 

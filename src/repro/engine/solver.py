@@ -192,7 +192,9 @@ class SparseProblem:
         single-function edit.  The returned nodes are exactly those whose
         retained abstract value the edit can influence — the inputs to
         :meth:`SparseSolver.resolve_from`, which recomputes them from
-        scratch against the rest of the retained fixed point.  Problems
+        scratch against the rest of the retained fixed point.  A problem
+        that closes its seeds over :meth:`SparseSolver.dependents` needs
+        the caller to :meth:`SparseSolver.register` it first.  Problems
         that do not support incremental re-seeding keep the default.
         """
         raise NotImplementedError(f"{self.name} does not support re-seeding")
@@ -285,6 +287,9 @@ class SparseSolver:
         #: which was written since; kept only for descending passes to reuse.
         self._results: Dict[Node, Any] = {}
         self._stale: Set[Node] = set()
+        #: What :meth:`register` recorded for the next :meth:`resolve_from`:
+        #: the problem, its nodes, their priorities and in-problem edges.
+        self._registered: Optional[tuple] = None
 
     # -- dynamic dependence edges ---------------------------------------------
     def add_dependency(self, dependent: Node, dependency: Node) -> None:
@@ -380,8 +385,8 @@ class SparseSolver:
         # Stable priority inside each component: the order nodes() gave us.
         priority = {node: position for position, node in enumerate(ordered_nodes)}
 
-        components = self._register_and_condense(ordered_nodes, priority,
-                                                 ordered_nodes)
+        edges = self._register_edges(ordered_nodes, priority)
+        components = condense_sccs(ordered_nodes, edges.__getitem__)
         stats.sccs = len(components)
         stats.largest_scc = max((len(c) for c in components), default=0)
         self._order = [node for component in components
@@ -389,12 +394,11 @@ class SparseSolver:
 
         return self._run_phases()
 
-    def _register_and_condense(self, ordered_nodes: Sequence[Node],
-                               priority: Dict[Node, int],
-                               roots: Sequence[Node]) -> List[List[Node]]:
-        """Ask the problem once for each node's dependencies, register the
-        in-problem ones as dependence edges, and condense ``roots`` into
-        SCCs over the same lists (which are dropped before solving)."""
+    def _register_edges(self, ordered_nodes: Sequence[Node],
+                        priority: Dict[Node, int]) -> Dict[Node, List[Node]]:
+        """Ask the problem once for each node's dependencies and register
+        the in-problem ones as dependence edges; the returned lists are
+        for condensing into SCCs and are dropped before solving."""
         dependencies = self.problem.dependencies
         edges: Dict[Node, List[Node]] = {}
         for node in ordered_nodes:
@@ -403,7 +407,29 @@ class SparseSolver:
             edges[node] = inside
             for dependency in inside:
                 self.add_dependency(node, dependency)
-        return condense_sccs(roots, edges.__getitem__)
+        return edges
+
+    def register(self, state: SparseProblem) -> None:
+        """Bind ``state`` and register its whole dependence graph.
+
+        :meth:`resolve_from` does this itself; a caller registers first when
+        the problem's :meth:`SparseProblem.delta_nodes` closes its seeds
+        over :meth:`dependents`, and the following ``resolve_from`` on the
+        same state reuses the registration, so ``dependencies`` is still
+        asked once per node.
+        """
+        self.problem = state
+        bind = getattr(state, "bind", None)
+        if bind is not None:
+            bind(self)
+        ordered_nodes = list(state.nodes())
+        priority = {node: position for position, node in enumerate(ordered_nodes)}
+        edges = self._register_edges(ordered_nodes, priority)
+        self._registered = (state, ordered_nodes, priority, edges)
+
+    def dependents(self, node: Node) -> Sequence[Node]:
+        """The registered nodes that read ``node``."""
+        return self._dependents.get(node, ())
 
     def resolve_from(self, state: SparseProblem,
                      seeds: Iterable[Node]) -> SolverStatistics:
@@ -432,13 +458,11 @@ class SparseSolver:
         statistics cover only this run — callers fold them into a long-lived
         counter with :meth:`SolverStatistics.accumulate`.
         """
-        self.problem = problem = state
         stats = self.statistics
-        bind = getattr(problem, "bind", None)
-        if bind is not None:
-            bind(self)
-        ordered_nodes = list(problem.nodes())
-        priority = {node: position for position, node in enumerate(ordered_nodes)}
+        if self._registered is None or self._registered[0] is not state:
+            self.register(state)
+        _, ordered_nodes, priority, edges = self._registered
+        self._registered = None
         # Seeds in sweep-priority order, deduplicated, unknown nodes dropped
         # (an edit's seed map may mention values that no longer exist).
         seed_list = sorted({node for node in seeds if node in priority},
@@ -449,8 +473,7 @@ class SparseSolver:
         # The full dependence graph is registered — change propagation must
         # be able to leave the seed set — but only scheduled evaluations
         # count as steps, so the edit pays O(edit cone) evaluations.
-        components = self._register_and_condense(ordered_nodes, priority,
-                                                 seed_list)
+        components = condense_sccs(seed_list, edges.__getitem__)
         for node in ordered_nodes:
             if node not in seed_set:
                 self._evaluations[node] = 1

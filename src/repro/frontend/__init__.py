@@ -7,10 +7,11 @@ playing the role clang plays in the original LLVM-based implementation.
 
 from .cparser import ParseError, Parser, parse
 from .driver import BodyCompile, compile_bodies, compile_source
-from .lexer import LexerError, Token, TokenKind, tokenize
+from .lexer import LexerError, Token, TokenKind, retokenize, tokenize
 from .lowering import LoweringError, lower_translation_unit
 from .sema import SemanticError, SemanticInfo, analyze
-from .stages import UnitDigests, module_digest, parse_unit, token_stream_digest
+from .stages import (UnitDigests, UnitScan, module_digest, parse_unit,
+                     token_stream_digest)
 
 __all__ = [
     "ParseError",
@@ -22,6 +23,7 @@ __all__ = [
     "LexerError",
     "Token",
     "TokenKind",
+    "retokenize",
     "tokenize",
     "LoweringError",
     "lower_translation_unit",
@@ -29,6 +31,7 @@ __all__ = [
     "SemanticInfo",
     "analyze",
     "UnitDigests",
+    "UnitScan",
     "module_digest",
     "parse_unit",
     "token_stream_digest",

@@ -17,7 +17,7 @@ from .cparser import Parser
 from .lexer import tokenize
 from .lowering import lower_translation_unit
 from .sema import SemanticInfo, analyze
-from .stages import UnitDigests, parse_unit
+from .stages import UnitScan, parse_unit
 
 __all__ = ["BodyCompile", "compile_bodies", "compile_source"]
 
@@ -51,23 +51,26 @@ class BodyCompile:
     #: blocks, so ``is_declaration()`` is true for every skipped body.
     module: Module
     info: SemanticInfo
-    digests: UnitDigests
+    #: The scan of ``source``, which the next edit starts from.
+    scan: UnitScan
     #: The lowered and prepared bodies, in module order.
     bodies: List[str]
 
 
-def compile_bodies(source: str, name: str, previous: UnitDigests) -> BodyCompile:
-    """Compile the function bodies of ``source`` that differ from ``previous``.
+def compile_bodies(source: str, name: str, previous: UnitScan) -> BodyCompile:
+    """Compile the function bodies of ``source``, an edit of the source
+    ``previous`` scanned, that differ from it.
 
-    Scan covers the whole source, parse and analyze every body but the
-    unchanged ones (:func:`parse_unit`).  Lowering and the standard
-    preparation pipeline run only on the bodies
+    Scan covers only the changed span of the source, parse and analyze
+    every body but the unchanged ones (:func:`parse_unit`).  Lowering and
+    the standard preparation pipeline run only on the bodies
     :meth:`UnitDigests.changed_bodies` names, and each comes out exactly as
-    :func:`compile_source` would give it.
+    :func:`compile_source` would give it.  The returned record holds the
+    new scan, for the edit after this one.
     """
-    unit, info, digests = parse_unit(source, previous)
-    bodies = digests.changed_bodies(previous)
+    unit, info, scan = parse_unit(source, previous)
+    bodies = scan.digests.changed_bodies(previous.digests)
     module = lower_translation_unit(unit, name, info, bodies,
-                                    digests.literals)
+                                    scan.digests.literals)
     prepare_module(module)
-    return BodyCompile(module, info, digests, bodies)
+    return BodyCompile(module, info, scan, bodies)

@@ -7,12 +7,23 @@ producing a flat token list consumed by the recursive-descent parser.
 
 Scanner shape (the cold-load hot path, so it is written for speed):
 
-* one position loop with ``line``/``line_start`` bookkeeping — a column is
-  ``position - line_start + 1``, so nothing recounts characters;
+* one position loop, :func:`_scan`, with ``line``/``line_start``
+  bookkeeping — a column is ``position - line_start + 1``, so nothing
+  recounts characters;
 * punctuators dispatch through 3/2/1-character tables (maximal munch without
   a longest-first linear scan);
 * token texts are interned, so keyword checks and parser punctuator
   comparisons degenerate to pointer comparisons.
+
+:func:`tokenize` runs that loop from offset 0.  :func:`retokenize` is the
+edit path (incremental lexing in the manner of Wagner & Graham, "Efficient
+and Flexible Incremental Parsing", TOPLAS 1998): it keeps the previous
+token list's tokens that end safely before the first changed character,
+re-runs the same loop from the last of them, and stops at the first token
+start that is also an old token start inside the unchanged tail of the
+source.  From there the old tokens are reused, their line and column
+shifted only where the edit moved them.  Both give the same tokens and
+raise the same errors.
 
 Every rejection — malformed literal, unknown escape, unterminated construct,
 stray character — raises :class:`LexerError` carrying line/column.  Bare
@@ -23,10 +34,12 @@ stray character — raises :class:`LexerError` carrying line/column.  Bare
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from sys import intern
-from typing import List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-__all__ = ["Token", "TokenKind", "LexerError", "tokenize", "KEYWORDS"]
+__all__ = ["Token", "TokenKind", "LexerError", "Relex", "tokenize",
+           "retokenize", "KEYWORDS"]
 
 
 class TokenKind:
@@ -114,11 +127,23 @@ _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\", "'": "'", '"
 
 def tokenize(source: str) -> List[Token]:
     """Convert ``source`` into a token list terminated by an EOF token."""
+    return _scan(source, 0, 1, 0, None)[0]
+
+
+def _scan(source: str, position: int, line: int, line_start: int,
+          sync: Optional[Dict[int, int]],
+          ) -> Tuple[List[Token], Optional[Tuple[int, int, int]]]:
+    """The scanner loop: tokens of ``source`` from offset ``position``.
+
+    ``position`` must be a token boundary on scanner line ``line``, which
+    starts at offset ``line_start``.  Without ``sync`` the scan runs to the
+    end and returns the tokens (EOF last) and ``None``.  ``sync`` maps
+    offsets to indices of a previous token list; the scan then stops at the
+    first boundary it reaches that ``sync`` names and returns the tokens
+    before it with ``(index, line, column)`` of that boundary.
+    """
     tokens: List[Token] = []
     append = tokens.append
-    position = 0
-    line = 1
-    line_start = 0
     length = len(source)
 
     KW = KEYWORDS
@@ -139,6 +164,8 @@ def tokenize(source: str) -> List[Token]:
             line += 1
             line_start = position
             continue
+        if sync is not None and position in sync:
+            return tokens, (sync[position], line, position - line_start + 1)
         start_line = line
         start_column = position - line_start + 1
         # Identifiers / keywords (most common token class first).
@@ -286,4 +313,152 @@ def tokenize(source: str) -> List[Token]:
         raise LexerError(f"unexpected character {char!r}", start_line, start_column)
 
     tokens.append(Token(TokenKind.EOF, "", line, length - line_start + 1))
-    return tokens
+    return tokens, None
+
+
+class Relex(NamedTuple):
+    """What :func:`retokenize` kept of the previous token list.
+
+    ``tokens[:head]`` are the old list's first ``head`` tokens, and
+    ``tokens[tail:]`` are ``old_tokens[old_tail:]`` with the same kinds,
+    texts and values (their positions may have moved).  Only
+    ``tokens[head:tail]`` were scanned again.
+    """
+
+    tokens: List[Token]
+    head: int
+    tail: int
+    old_tail: int
+
+
+#: Old token starts past an edit that a re-scan may resynchronise on.  An
+#: edit whose effect on token boundaries reaches further (an opened comment
+#: or string) re-scans to the end of the source.
+_SYNC_CANDIDATES = 64
+
+#: A character literal holding a raw newline: the scanner does not count
+#: that newline, so positions cannot be mapped back to offsets by lines.
+_RAW_NEWLINE_CHAR = "'\n'"
+
+
+def retokenize(old_source: str, old_tokens: List[Token],
+               source: str) -> Relex:
+    """Tokenize ``source``, an edit of ``old_source`` whose tokens
+    (:func:`tokenize`) are ``old_tokens``, scanning only what changed.
+
+    The tokens are exactly :func:`tokenize`'s, and so is any
+    :class:`LexerError`.  Tokens of the common prefix are kept while the
+    scanner's look-ahead past them (at most two characters) stays inside
+    it; the scan restarts after the last one kept and stops at the first
+    token boundary that is an old token start in the common suffix.
+    """
+    if _RAW_NEWLINE_CHAR in old_source:
+        tokens = tokenize(source)
+        return Relex(tokens, 0, len(tokens), len(old_tokens))
+    old_length, length = len(old_source), len(source)
+    prefix = _common_prefix(old_source, source)
+    suffix = min(_common_prefix(old_source[::-1], source[::-1]),
+                 min(old_length, length) - prefix)
+    head, position, line, line_start = _restart(old_source, old_tokens,
+                                                prefix - 2)
+    sync = _sync_points(old_source, old_tokens, head, old_length - suffix,
+                        length - old_length)
+    fresh, resume = _scan(source, position, line, line_start, sync)
+    tokens = old_tokens[:head]
+    tokens.extend(fresh)
+    if resume is None:
+        return Relex(tokens, head, len(tokens), len(old_tokens))
+    old_tail, line, column = resume
+    tail = len(tokens)
+    _extend_moved(tokens, old_tokens, old_tail, line, column)
+    return Relex(tokens, head, tail, old_tail)
+
+
+def _restart(old_source: str, old_tokens: List[Token],
+             boundary: int) -> Tuple[int, int, int, int]:
+    """How many old tokens end at or before offset ``boundary``, and the
+    scanner state (offset, line, line start) just past the last of them."""
+    if boundary <= 0:
+        return 0, 0, 1, 0
+    boundary_line, line_start = _line_of(old_source, boundary)
+    head = bisect_right(old_tokens,
+                        (boundary_line, boundary - line_start + 1),
+                        0, len(old_tokens) - 1, key=_token_end)
+    if not head:
+        return 0, 0, 1, 0
+    line, column = _token_end(old_tokens[head - 1])
+    for _ in range(boundary_line - line):
+        line_start = old_source.rfind("\n", 0, line_start - 1) + 1
+    return head, line_start + column - 1, line, line_start
+
+
+def _sync_points(old_source: str, old_tokens: List[Token], head: int,
+                 tail_start: int, shift: int) -> Dict[int, int]:
+    """The first old token starts at or after offset ``tail_start`` (none
+    of the first ``head`` tokens, nor EOF), keyed by the offset each has in
+    the edited source, ``shift`` characters further on."""
+    last = len(old_tokens) - 1
+    line, line_start = _line_of(old_source, tail_start)
+    first = bisect_left(old_tokens, (line, tail_start - line_start + 1),
+                        head, last, key=_token_start)
+    sync: Dict[int, int] = {}
+    for index in range(first, min(first + _SYNC_CANDIDATES, last)):
+        token = old_tokens[index]
+        while line < token.line:
+            line_start = old_source.find("\n", line_start) + 1
+            line += 1
+        sync[line_start + token.column - 1 + shift] = index
+    return sync
+
+
+def _extend_moved(tokens: List[Token], old_tokens: List[Token], index: int,
+                  line: int, column: int) -> None:
+    """Append ``old_tokens[index:]``, moved so the first starts at
+    ``line``/``column``: tokens on its line shift by both, later ones by
+    the line difference only."""
+    first = old_tokens[index]
+    lines, columns = line - first.line, column - first.column
+    count = len(old_tokens)
+    if columns:
+        old_line = first.line
+        while index < count and old_tokens[index].line == old_line:
+            token = old_tokens[index]
+            tokens.append(Token(token.kind, token.text, line,
+                                token.column + columns, token.value))
+            index += 1
+    if lines:
+        tokens.extend([Token(token.kind, token.text, token.line + lines,
+                             token.column, token.value)
+                       for token in old_tokens[index:]])
+    else:
+        tokens.extend(old_tokens[index:])
+
+
+def _common_prefix(a: str, b: str) -> int:
+    """Length of the longest common prefix of ``a`` and ``b``."""
+    low, high = 0, min(len(a), len(b))
+    while low < high:
+        middle = (low + high + 1) // 2
+        if a.startswith(b[low:middle], low):
+            low = middle
+        else:
+            high = middle - 1
+    return low
+
+
+def _line_of(source: str, offset: int) -> Tuple[int, int]:
+    """The scanner line holding ``offset`` and the offset it starts at."""
+    return source.count("\n", 0, offset) + 1, source.rfind("\n", 0, offset) + 1
+
+
+def _token_start(token: Token) -> Tuple[int, int]:
+    return token.line, token.column
+
+
+def _token_end(token: Token) -> Tuple[int, int]:
+    """Line and column just past ``token`` (a string may span lines)."""
+    text = token.text
+    newlines = text.count("\n")
+    if newlines:
+        return token.line + newlines, len(text) - text.rindex("\n")
+    return token.line, token.column + len(text)

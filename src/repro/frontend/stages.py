@@ -31,11 +31,14 @@ come from the repository benchmark (``perfbench --trace 1``), which times
 each stage's public entry point.
 
 :func:`parse_unit` runs scan → parse → analyze and also returns the unit's
-:class:`UnitDigests`: one position-free digest per function body plus one
-context digest over the rest.  An edit compares them with the previous
-source's to find the bodies it must lower again
+:class:`UnitScan`: the source, its tokens, each function body's token span
+and the :class:`UnitDigests` — one position-free digest per function body
+plus one context digest over the rest.  An edit compares the digests with
+the previous source's to find the bodies it must lower again
 (:func:`repro.frontend.driver.compile_bodies`), and passes the previous
-digests in, so that bodies whose tokens did not change are not parsed.
+scan in, so that only the changed span of the source is scanned again
+(:func:`~repro.frontend.lexer.retokenize`) and bodies whose tokens did not
+change are neither parsed nor digested again.
 """
 
 from __future__ import annotations
@@ -49,11 +52,12 @@ from ..ir.printer import print_module
 from ..ir.types import VOID
 from .ast_nodes import CompoundStmt, FunctionDecl, TranslationUnit, TypeSpec
 from .cparser import Parser
-from .lexer import Token, TokenKind, tokenize
+from .lexer import Relex, Token, TokenKind, retokenize, tokenize
 from .lowering import function_string_literals
 from .sema import SemanticInfo, analyze
 
-__all__ = ["UnitDigests", "module_digest", "parse_unit", "token_stream_digest"]
+__all__ = ["UnitDigests", "UnitScan", "module_digest", "parse_unit",
+           "token_stream_digest"]
 
 
 def token_stream_digest(tokens: Sequence[Token]) -> str:
@@ -99,18 +103,37 @@ class UnitDigests:
                 if previous.bodies.get(name) != digest]
 
 
+@dataclass(frozen=True)
+class UnitScan:
+    """One source as scanned for edits: what the next edit starts from.
+
+    ``spans`` maps each function definition to its body's token span in
+    ``tokens`` (from the ``{`` to just past the ``}``).
+    """
+
+    source: str
+    tokens: List[Token]
+    spans: Dict[str, Tuple[int, int]]
+    digests: UnitDigests
+
+
 class _SpanParser(Parser):
     """A parser that also records each function body's token span.
 
-    A body whose tokens digest to ``reuse[name]`` is not parsed: it is
-    left an empty block and its name is added to ``skipped``.
+    A body at its span in ``unmoved`` (the previous scan's tokens, reused
+    unchanged) is not parsed: it is left an empty block and its name is
+    added to ``skipped``.  So is any other body whose tokens digest to
+    ``reuse[name]``; the digests this check computes stay in ``digested``.
     """
 
-    def __init__(self, tokens: List[Token], reuse: Dict[str, str]):
+    def __init__(self, tokens: List[Token], reuse: Dict[str, str],
+                 unmoved: Dict[str, Tuple[int, int]]):
         super().__init__(tokens)
         self.body_spans: List[Tuple[int, int]] = []
         self.skipped: Set[str] = set()
+        self.digested: Dict[Tuple[int, int], str] = {}
         self._reuse = reuse
+        self._unmoved = unmoved
         self._function = ""
         self._depth = 0
 
@@ -122,20 +145,29 @@ class _SpanParser(Parser):
     def _parse_compound(self) -> CompoundStmt:
         start = self._position
         # Only a function body is a compound statement at top level.
-        if not self._depth and self._function in self._reuse:
-            end = _block_end(self._tokens, start)
-            if end is not None and self._reuse[self._function] \
-                    == _tokens_digest(self._tokens[start:end]):
-                self.body_spans.append((start, end))
-                self.skipped.add(self._function)
-                self._position = end
-                return CompoundStmt([])
+        if not self._depth:
+            span = self._unmoved.get(self._function)
+            if span is not None and span[0] == start:
+                return self._skip(span)
+            if self._function in self._reuse:
+                end = _block_end(self._tokens, start)
+                if end is not None:
+                    digest = _tokens_digest(self._tokens[start:end])
+                    if digest == self._reuse[self._function]:
+                        return self._skip((start, end))
+                    self.digested[start, end] = digest
         self._depth += 1
         body = super()._parse_compound()
         self._depth -= 1
         if not self._depth:
             self.body_spans.append((start, self._position))
         return body
+
+    def _skip(self, span: Tuple[int, int]) -> CompoundStmt:
+        self.body_spans.append(span)
+        self.skipped.add(self._function)
+        self._position = span[1]
+        return CompoundStmt([])
 
 
 def _block_end(tokens: Sequence[Token], start: int) -> Optional[int]:
@@ -163,19 +195,48 @@ def _tokens_digest(tokens: Sequence[Token]) -> str:
     return sha256(text.encode()).hexdigest()
 
 
-def parse_unit(source: str, previous: Optional[UnitDigests] = None,
-               ) -> Tuple[TranslationUnit, SemanticInfo, UnitDigests]:
+def parse_unit(source: str, previous: Optional[UnitScan] = None,
+               ) -> Tuple[TranslationUnit, SemanticInfo, UnitScan]:
     """Scan, parse and analyze ``source``; also digest it for edits.
 
-    Given the ``previous`` source's digests, a body whose tokens did not
-    change is not parsed again: it is an empty block in the returned unit,
-    and its literals come from ``previous``.  Only
+    Given the ``previous`` source's scan, only the span of ``source`` that
+    differs is scanned again (:func:`~repro.frontend.lexer.retokenize`).  A
+    body whose tokens did not change is not parsed again: it is an empty
+    block in the returned unit, and its digest and literals come from
+    ``previous``.  A body wholly outside the re-scanned span is skipped by
+    its known span, without even finding its end or digesting it.  Only
     :func:`~repro.frontend.driver.compile_bodies`, which lowers changed
     bodies alone, passes ``previous``.  When the context changed, every
-    body must be lowered, so every body is parsed after all.
+    body must be lowered, so every body is parsed after all, from the
+    tokens already scanned.
     """
-    tokens = tokenize(source)
-    parser = _SpanParser(tokens, previous.bodies if previous else {})
+    if previous is None:
+        return _parse_tokens(source, tokenize(source), None, {})
+    relex = retokenize(previous.source, previous.tokens, source)
+    return _parse_tokens(source, relex.tokens, previous,
+                         _unmoved_bodies(previous.spans, relex))
+
+
+def _unmoved_bodies(spans: Dict[str, Tuple[int, int]],
+                    relex: Relex) -> Dict[str, Tuple[int, int]]:
+    """The previous bodies whose tokens ``relex`` reused, at their new
+    spans."""
+    moved = relex.tail - relex.old_tail
+    unmoved: Dict[str, Tuple[int, int]] = {}
+    for name, (start, end) in spans.items():
+        if end <= relex.head:
+            unmoved[name] = (start, end)
+        elif start >= relex.old_tail:
+            unmoved[name] = (start + moved, end + moved)
+    return unmoved
+
+
+def _parse_tokens(source: str, tokens: List[Token],
+                  previous: Optional[UnitScan],
+                  unmoved: Dict[str, Tuple[int, int]],
+                  ) -> Tuple[TranslationUnit, SemanticInfo, UnitScan]:
+    parser = _SpanParser(tokens, previous.digests.bodies if previous else {},
+                         unmoved)
     unit = parser.parse_translation_unit()
     info = analyze(unit)
     definitions = [decl for decl in unit.functions if decl.body is not None]
@@ -193,16 +254,18 @@ def parse_unit(source: str, previous: Optional[UnitDigests] = None,
         if decl.body is None:
             continue
         if name in parser.skipped:
-            bodies[name] = previous.bodies[name]
-            literals[name] = previous.literals[name]
+            bodies[name] = previous.digests.bodies[name]
+            literals[name] = previous.digests.literals[name]
         else:
             start, end = spans[name]
-            bodies[name] = _tokens_digest(tokens[start:end])
+            digest = parser.digested.get((start, end))
+            bodies[name] = digest if digest is not None \
+                else _tokens_digest(tokens[start:end])
             returns_void = info.function_types[name].return_type == VOID
             literals[name] = tuple(function_string_literals(decl, returns_void))
         layout.append(f"{name}:{len(literals[name])}")
     text = _tokens_digest(context) + "\x1d" + "\x1d".join(layout)
     digests = UnitDigests(sha256(text.encode()).hexdigest(), bodies, literals)
-    if parser.skipped and digests.context != previous.context:
-        return parse_unit(source)
-    return unit, info, digests
+    if parser.skipped and digests.context != previous.digests.context:
+        return _parse_tokens(source, tokens, None, {})
+    return unit, info, UnitScan(source, tokens, spans, digests)

@@ -18,9 +18,11 @@ analyses whose dependency cone the edit touches:
 * only structural edits (a changed struct, global, function list or
   order, signature or prototype) fall back to a full reload.
 
-The edit's frontend work is function-granular too.  The new source is
-scanned whole, parsed and analyzed except for the bodies whose tokens did
-not change, and digested per function body
+The edit's frontend work is function-granular too.  Each resident keeps
+the scan of its source (:class:`~repro.frontend.stages.UnitScan`: tokens,
+body spans and digests), so only the span of the new source that differs
+is scanned again; the source is parsed and analyzed except for the bodies
+whose tokens did not change, and digested per function body
 (:class:`~repro.frontend.stages.UnitDigests`: position-free token digests,
 plus one context digest over structs, globals, prototypes, headers,
 function order and string-literal counts).  The candidates are the bodies
@@ -62,7 +64,7 @@ from ..aliases.results import AliasResult, MemoryAccess
 from ..benchgen import SUITE_PROGRAMS, build_program, source_digest
 from ..engine import keys
 from ..engine.manager import AnalysisKey, AnalysisManager, ManagerStatistics
-from ..frontend import (BodyCompile, UnitDigests, compile_bodies,
+from ..frontend import (BodyCompile, UnitScan, compile_bodies,
                         compile_source, parse_unit)
 from ..frontend.cparser import ParseError
 from ..frontend.lexer import LexerError
@@ -131,8 +133,9 @@ class ResidentModule:
     edits: int = 0
     #: ``EditImpact.as_dict()`` records, newest last.
     impacts: List[Dict[str, Any]] = field(default_factory=list)
-    #: Body and context digests of ``source``, computed on the first edit.
-    unit_digests: Optional[UnitDigests] = None
+    #: The scan of ``source`` (tokens, body spans, digests) the next edit
+    #: starts from; made by the first edit, then replaced by each one.
+    scan: Optional[UnitScan] = None
     #: function name -> value name -> value (invalidated per edit).
     _value_index: Dict[str, Dict[str, Value]] = field(default_factory=dict)
 
@@ -293,9 +296,10 @@ class AnalysisSession:
     def edit_source(self, name: str, source: str) -> Dict[str, Any]:
         """Apply an edited source to a resident module.
 
-        The new source is scanned whole, parsed and analyzed except for
-        its unchanged bodies, and digested per function body
-        (:func:`~repro.frontend.stages.parse_unit`).  The
+        Only the span of the new source that differs from the resident's
+        is scanned again, against the resident's kept scan; the source is
+        parsed and analyzed except for its unchanged bodies, and digested
+        per function body (:func:`~repro.frontend.stages.parse_unit`).  The
         *candidates* are the bodies whose digest differs from the resident
         source's, or every body when the context digest (structs, globals,
         prototypes, headers, function order and string-literal counts)
@@ -317,10 +321,10 @@ class AnalysisSession:
         if source == resident.source:
             return {"module": name, "changed": [], "reloaded": False,
                     "impacts": []}
-        if resident.unit_digests is None:
-            resident.unit_digests = parse_unit(resident.source)[2]
+        if resident.scan is None:
+            resident.scan = parse_unit(resident.source)[2]
         try:
-            compiled = compile_bodies(source, name, resident.unit_digests)
+            compiled = compile_bodies(source, name, resident.scan)
         except _COMPILE_ERRORS as error:
             raise ServiceError(
                 f"compiling module {name!r} failed: "
@@ -329,7 +333,7 @@ class AnalysisSession:
         changed = self._diff_functions(resident.module, compiled)
         if changed is None:
             result = self.load_source(name, source)
-            self._modules[name].unit_digests = compiled.digests
+            self._modules[name].scan = compiled.scan
             result.update({"changed": [], "reloaded": True, "impacts": []})
             return result
 
@@ -343,13 +347,14 @@ class AnalysisSession:
             resident.drop_value_index(function_name)
         resident.source = source
         resident.digest = source_digest(source)
-        resident.unit_digests = compiled.digests
+        resident.scan = compiled.scan
         resident.meta = self._meta_of(resident.module)
         if self.store is not None:
             # Register the new content address: a restarted server loading
             # the edited source stays lazy, exactly like a fresh load would.
-            self.store.put(self.store.key(resident.digest, "load"),
-                           resident.meta)
+            # An address already stored holds these very bytes.
+            self.store.put_new(self.store.key(resident.digest, "load"),
+                               resident.meta)
         resident.edits += len(changed)
         return {"module": name, "changed": changed, "reloaded": False,
                 "impacts": impacts}

@@ -32,9 +32,14 @@ each entry it has read and validated in a bounded in-memory memo
 (:data:`READ_MEMO_ENTRIES`) and serves repeats without touching the disk;
 ``put`` does not fill the memo, so the first read of an entry still
 validates the file.  A corrupt or foreign entry is counted, deleted and
-bypassed — the session recomputes.  Counters
+bypassed — the session recomputes.  :meth:`ResultStore.put_new` writes an
+entry only when its key does not already name a valid one (a corrupt one
+is discarded and rewritten).  Counters
 (``hits``/``misses``/``bypasses``/``corrupt_entries``/``writes``; memo
-hits count as hits) surface through the service ``stats`` op.
+hits count as hits) surface through the service ``stats`` op.  ``writes``
+counts entry files written: every ``put``, and every ``put_new`` that
+found no valid entry; the check a ``put_new`` makes counts as neither a
+hit nor a miss.
 """
 
 from __future__ import annotations
@@ -55,6 +60,9 @@ __all__ = ["READS", "READ_MEMO_ENTRIES", "RESULT_SCHEMA_VERSION",
 
 #: Bump when the shape of stored values changes (invalidates every entry).
 RESULT_SCHEMA_VERSION = 1
+
+#: What :meth:`ResultStore._read` gives for a key with no valid entry.
+_ABSENT = object()
 
 #: Entries one :class:`ResultStore` keeps in memory after reading them
 #: (least recently used first out).  A serve-read run addresses ~1.6k
@@ -100,25 +108,32 @@ class ResultStore:
     # -- IO --------------------------------------------------------------------
     def get(self, key: str) -> Optional[Any]:
         """The stored value, or ``None`` (miss / corrupt-entry bypass)."""
+        value = self._read(key)
+        if value is _ABSENT:
+            self.misses += 1
+            return None
+        self.hits += 1
+        return value
+
+    def _read(self, key: str) -> Any:
+        """The value of ``key``'s valid entry, else ``_ABSENT`` (a corrupt
+        entry is discarded)."""
         remembered = self._memo.get(key)
         if remembered is not None:
-            self.hits += 1
             return pickle.loads(remembered)
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 entry = json.load(handle)
         except FileNotFoundError:
-            self.misses += 1
-            return None
+            return _ABSENT
         except (OSError, ValueError, UnicodeDecodeError):
             self._discard_corrupt(path)
-            return None
+            return _ABSENT
         if not isinstance(entry, dict) or entry.get("key") != key \
                 or "value" not in entry:
             self._discard_corrupt(path)
-            return None
-        self.hits += 1
+            return _ABSENT
         self._memo.put(key, pickle.dumps(entry["value"],
                                          protocol=pickle.HIGHEST_PROTOCOL))
         return entry["value"]
@@ -134,10 +149,18 @@ class ResultStore:
         os.replace(temporary, path)
         self.writes += 1
 
+    def put_new(self, key: str, value: Any) -> None:
+        """Store ``value`` unless ``key`` already names a valid entry.
+
+        A key is a content address, so a valid entry under it already holds
+        ``value``; only a missing or corrupt entry is (re)written.
+        """
+        if self._read(key) is _ABSENT:
+            self.put(key, value)
+
     def _discard_corrupt(self, path: str) -> None:
-        """Count, delete and bypass an unreadable entry (a miss recomputes)."""
+        """Count and delete an unreadable entry (a miss recomputes)."""
         self.corrupt_entries += 1
-        self.misses += 1
         try:
             os.unlink(path)
         except OSError:

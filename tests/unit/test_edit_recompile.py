@@ -24,7 +24,8 @@ from repro.frontend import (
     module_digest,
     parse_unit,
 )
-from repro.frontend import lowering
+from repro.frontend import lowering, stages
+from repro.frontend.lexer import Token, tokenize
 from repro.ir.function import Function
 from repro.ir.instructions import CallInst, Instruction
 from repro.ir.printer import print_function
@@ -261,10 +262,10 @@ int f(char *p, int n) {
 
 
 def test_digests_ignore_positions():
-    _, _, digests = parse_unit(BASE)
-    _, _, moved = parse_unit("\n\n" + BASE.replace("  ", "\t"))
+    digests = parse_unit(BASE)[2].digests
+    moved = parse_unit("\n\n" + BASE.replace("  ", "\t"))[2].digests
     assert moved == digests
-    _, _, edited = parse_unit(_edited("a + b + 16", "a + b + 17"))
+    edited = parse_unit(_edited("a + b + 16", "a + b + 17"))[2].digests
     assert edited.context == digests.context
     assert edited.changed_bodies(digests) == ["middle"]
 
@@ -276,15 +277,47 @@ def test_an_edit_parses_only_the_bodies_that_changed():
 
     _, _, base = parse_unit(BASE)
     after = _edited("a + b + 16", "a + b + 17")
-    unit, _, digests = parse_unit(after, base)
+    unit, _, scan = parse_unit(after, base)
     assert parsed(unit) == ["middle"]
-    assert digests == parse_unit(after)[2]
+    # The edit's scan record is the one a whole scan of ``after`` gives.
+    assert scan.digests == parse_unit(after)[2].digests
+    assert scan == parse_unit(after)[2]
     # A changed context needs every body lowered, so every body is parsed.
     after = _edited("struct pt { int x; int y; };",
                     "struct pt { int y; int x; };")
-    unit, _, digests = parse_unit(after, base)
+    unit, _, scan = parse_unit(after, base)
     assert parsed(unit) == parsed(parse_unit(BASE)[0])
-    assert digests == parse_unit(after)[2]
+    assert scan.digests == parse_unit(after)[2].digests
+    assert scan == parse_unit(after)[2]
+
+
+def test_a_one_body_edit_digests_only_the_rescanned_body(monkeypatch):
+    _, _, base = parse_unit(BASE)
+    digested, ended = [], []
+    tokens_digest, block_end = stages._tokens_digest, stages._block_end
+
+    def counting_digest(tokens):
+        digested.append(len(tokens))
+        return tokens_digest(tokens)
+
+    def counting_end(tokens, start):
+        ended.append(start)
+        return block_end(tokens, start)
+
+    monkeypatch.setattr(stages, "_tokens_digest", counting_digest)
+    monkeypatch.setattr(stages, "_block_end", counting_end)
+    after = _edited("a + b + 16", "a + b + 17")
+    _, _, scan = parse_unit(after, base)
+    start, end = scan.spans["middle"]
+    context = len(scan.tokens) - sum(end - start
+                                     for start, end in scan.spans.values())
+    # The edited body is brace-scanned and digested once; every other body
+    # is skipped by its known span; the context is digested once.
+    assert ended == [start]
+    assert digested == [end - start, context]
+    monkeypatch.undo()
+    assert scan.digests == parse_unit(after)[2].digests
+    assert scan == parse_unit(after)[2]
 
 
 def test_digest_code_passes_the_determinism_lint():
@@ -301,6 +334,11 @@ def _live_instructions():
     return sum(1 for obj in gc.get_objects() if isinstance(obj, Instruction))
 
 
+def _live_tokens():
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, Token))
+
+
 def test_memory_is_bounded_across_edit_cycles():
     config = next(p for p in SUITE_PROGRAMS if p.name == "anagram").config()
     steps = edit_scenario(config, edits=3).steps
@@ -315,8 +353,17 @@ def test_memory_is_bounded_across_edit_cycles():
             session.parallel_loops("m")
 
     cycle()
-    baseline = (_live_instructions(), len(resident.manager.get(keys.LOCATIONS)))
+    baseline = (_live_instructions(), len(resident.manager.get(keys.LOCATIONS)),
+                _live_tokens())
     for _ in range(2):
         cycle()
-        assert (_live_instructions(),
-                len(resident.manager.get(keys.LOCATIONS))) == baseline
+        assert (_live_instructions(), len(resident.manager.get(keys.LOCATIONS)),
+                _live_tokens()) == baseline
+    # The kept scan is the current source's, replaced by every edit.
+    scans = []
+    for index in (1, 0):
+        session.edit_source("m", steps[index].source)
+        assert resident.scan.source is resident.source
+        assert resident.scan.tokens == tokenize(resident.source)
+        scans.append(resident.scan)
+    assert scans[0] is not scans[1]

@@ -9,10 +9,12 @@ import dataclasses
 
 import pytest
 
+from repro.benchgen import edit_scenario
 from repro.benchgen.suites import SUITE_PROGRAMS, build_program
-from repro.core.global_analysis import GlobalRangeAnalysis
+from repro.core.global_analysis import GlobalRangeAnalysis, _GlobalRangeProblem
 from repro.engine import AnalysisManager, SparseProblem, SparseSolver, keys
 from repro.frontend import compile_source
+from repro.ir.values import Argument
 from repro.rangeanalysis.symbolic_ra import SymbolicRangeAnalysis
 
 INFINITY = 1000
@@ -191,3 +193,92 @@ class TestAnalysesWithAndWithoutReuse:
         assert reusing_gr.solver_statistics.reused > reused_before_edit
         assert _without_reused(reusing_gr.solver_statistics) == plain_gr.solver_statistics
 
+
+
+def _reference_seeds(problem, edit, dependencies):
+    """GR's edit seeds computed the way a problem without a registered
+    graph would: roots closed over a reverse map built from
+    ``dependencies``."""
+    analysis = problem._analysis
+    edited = analysis.module.get_function(edit.function)
+    rebound = analysis.callgraph.rebound
+    nodes = problem.nodes()
+    known = set(nodes)
+    dependents = {}
+    seeds = set()
+    for node in nodes:
+        if isinstance(node, Argument):
+            if node.parent is edited or node.parent in rebound:
+                seeds.add(node)
+        elif node.function is edited:
+            seeds.add(node)
+        for dependency in dependencies(problem, node):
+            if dependency in known:
+                dependents.setdefault(dependency, []).append(node)
+    frontier = list(seeds)
+    while frontier:
+        for dependent in dependents.get(frontier.pop(), ()):
+            if dependent not in seeds:
+                seeds.add(dependent)
+                frontier.append(dependent)
+    return [node for node in nodes if node in seeds]
+
+
+class TestGlobalRangeEditSeeds:
+    """GR's edit seeds close over the dependents the solver registers, so a
+    re-solve asks ``dependencies`` once per node, not twice."""
+
+    def _spy(self, monkeypatch):
+        asked, seeded = [], []
+        dependencies = _GlobalRangeProblem.dependencies
+        delta_nodes = _GlobalRangeProblem.delta_nodes
+
+        def counting(problem, node):
+            asked.append(node)
+            return dependencies(problem, node)
+
+        def recording(problem, edit):
+            seeds = delta_nodes(problem, edit)
+            seeded.append((seeds, _reference_seeds(problem, edit,
+                                                   dependencies)))
+            return seeds
+
+        monkeypatch.setattr(_GlobalRangeProblem, "dependencies", counting)
+        monkeypatch.setattr(_GlobalRangeProblem, "delta_nodes", recording)
+        return asked, seeded
+
+    def test_one_function_edit_asks_each_node_once(self, monkeypatch):
+        module = compile_source(EDIT_V1, "prog")
+        manager = AnalysisManager(module)
+        gr = manager.get(keys.GLOBAL_RANGES)
+        asked, seeded = self._spy(monkeypatch)
+        old = module.replace_function(compile_source(EDIT_V2, "prog").get_function("main"))
+        impact = manager.apply_function_edit(old, module.get_function("main"))
+        nodes = gr._pointer_nodes()
+        assert len(nodes) == 18
+        assert len(asked) == 18
+        assert set(asked) == set(nodes)
+        [(seeds, reference)] = seeded
+        assert seeds == reference
+        assert impact.reseeded == {"global-ranges": 18}
+
+    @pytest.mark.parametrize("program", ["anagram", "bc"])
+    def test_scenario_seeds_match_the_reverse_map_closure(self, program,
+                                                          monkeypatch):
+        config = next(p for p in SUITE_PROGRAMS if p.name == program).config()
+        steps = edit_scenario(config, edits=2).steps
+        module = compile_source(steps[0].source, program)
+        manager = AnalysisManager(module)
+        gr = manager.get(keys.GLOBAL_RANGES)
+        asked, seeded = self._spy(monkeypatch)
+        for step in steps[1:]:
+            donor = compile_source(step.source, program)
+            old = module.replace_function(donor.get_function(step.function))
+            manager.apply_function_edit(old, module.get_function(step.function))
+            cold = GlobalRangeAnalysis(module, manager.get(keys.RANGES),
+                                       manager.get(keys.LOCATIONS),
+                                       callgraph=manager.get(keys.CALLGRAPH))
+            assert gr._gr == cold._gr
+        assert [seeds for seeds, _ in seeded] == \
+            [reference for _, reference in seeded]
+        assert any(len(seeds) < len(gr._pointer_nodes()) for seeds, _ in seeded)

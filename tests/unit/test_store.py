@@ -100,6 +100,34 @@ class TestResultStore:
         assert store.get(old_key) == {"functions": ["main"]}  # still intact
 
 
+    def test_put_new_skips_a_valid_entry(self, tmp_path):
+        store = ResultStore(str(tmp_path / "store"))
+        key = store.key("a" * 64, "load")
+        store.put_new(key, {"functions": ["main"]})
+        [path] = _entry_files(store.root)
+        written = os.stat(path).st_mtime_ns
+        for _ in range(2):  # the file check, then the memo
+            store.put_new(key, {"functions": ["main"]})
+        assert store.writes == 1
+        assert os.stat(path).st_mtime_ns == written
+        # The existence check is neither a hit nor a miss.
+        assert (store.hits, store.misses, store.corrupt_entries) == (0, 0, 0)
+        assert store.get(key) == {"functions": ["main"]}
+
+    def test_put_new_rewrites_a_corrupt_entry(self, tmp_path):
+        store = ResultStore(str(tmp_path / "store"))
+        key = store.key("a" * 64, "load")
+        store.put(key, {"functions": ["main"]})
+        [path] = _entry_files(store.root)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("{ truncated")
+        store.put_new(key, {"functions": ["main"]})
+        assert (store.corrupt_entries, store.writes) == (1, 2)
+        with open(path, encoding="utf-8") as handle:
+            assert json.load(handle)["value"] == {"functions": ["main"]}
+        assert store.get(key) == {"functions": ["main"]}
+
+
 class TestReadMemo:
     def test_memo_holds_at_most_the_constant_number_of_entries(
             self, tmp_path, monkeypatch):
@@ -219,6 +247,31 @@ class TestStoreBackedSession:
                 plain.query("m", "rbaa", "main", base, offset)
         assert stored.range_of("m", "main", "argc") == \
             plain.range_of("m", "main", "argc")
+
+    def test_edits_write_each_load_address_once(self, tmp_path):
+        store = ResultStore(str(tmp_path / "store"))
+        session = AnalysisSession(store=store)
+        session.load_source("m", SRC)
+        edited = SRC.replace("a + 1", "a + 2")
+        assert store.writes == 1
+        session.edit_source("m", edited)
+        assert store.writes == 2
+        # Back and forth over stored sources: both addresses exist already.
+        for _ in range(2):
+            session.edit_source("m", SRC)
+            session.edit_source("m", edited)
+        assert store.writes == 2
+        # A corrupt load entry is discarded and written again.
+        path = store._path(store.key(source_digest(SRC), "load"))
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("{ truncated")
+        fresh = AnalysisSession(store=ResultStore(store.root))
+        fresh.load_source("m", edited)
+        fresh.edit_source("m", SRC)
+        assert (fresh.store.corrupt_entries, fresh.store.writes) == (1, 1)
+        restarted = AnalysisSession(store=ResultStore(store.root))
+        restarted.load_source("m", SRC)
+        assert restarted.stats("m")["materialized"] is False
 
     def test_load_digest_tracks_source(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
