@@ -4,8 +4,9 @@ PR 5's profiler showed cold loads dominated by the frontend; the staged
 scanner/IR-builder rewrite attacks exactly these three kernels, so each
 gets its own operation-level record: scanning a realistic source, parsing
 its token stream, and lowering the AST to IR.  A fourth record times one
-``edit_source`` step, which recompiles only the edited function body, and
-a fifth the re-scan of that step's source against the previous tokens.
+``edit_source`` step, which recompiles only the edited function body, a
+fifth a load followed by its first edit, and a sixth the re-scan of that
+step's source against the previous tokens.
 The asserted invariants keep the benchmarks honest — token counts, stream
 digests, instruction counts and the edit's ``changed`` list are all
 deterministic — and the timings land in the pytest-benchmark report
@@ -89,6 +90,25 @@ def test_edit_source_one_step(benchmark):
         return session.edit_source("m", step.source)
 
     answer = benchmark.pedantic(run, setup=reset, iterations=1, rounds=10)
+    assert answer["changed"] == [step.function]
+    assert answer["reloaded"] is False
+
+
+def test_first_edit_after_load(benchmark):
+    config = next(p for p in SUITE_PROGRAMS if p.name == _PROGRAMS[0]).config()
+    start, step = edit_scenario(config, edits=1).steps
+
+    def load():
+        # Untimed: a fresh resident, which has never been edited.
+        session = AnalysisSession()
+        session.load_source("m", start.source)
+        return (session,), {}
+
+    def run(session):
+        # The first edit starts from the scan the load kept.
+        return session.edit_source("m", step.source)
+
+    answer = benchmark.pedantic(run, setup=load, iterations=1, rounds=10)
     assert answer["changed"] == [step.function]
     assert answer["reloaded"] is False
 

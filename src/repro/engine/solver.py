@@ -375,24 +375,23 @@ class SparseSolver:
 
     # -- driver ---------------------------------------------------------------
     def solve(self) -> SolverStatistics:
-        problem = self.problem
-        stats = self.statistics
-        bind = getattr(problem, "bind", None)
-        if bind is not None:
-            bind(self)
-        ordered_nodes = list(problem.nodes())
-        stats.nodes = len(ordered_nodes)
-        # Stable priority inside each component: the order nodes() gave us.
-        priority = {node: position for position, node in enumerate(ordered_nodes)}
+        self.register(self.problem)
+        _, ordered_nodes, priority, edges = self._registered
+        self._registered = None
+        self.statistics.nodes = len(ordered_nodes)
+        self._schedule(ordered_nodes, priority, edges)
+        return self._run_phases()
 
-        edges = self._register_edges(ordered_nodes, priority)
-        components = condense_sccs(ordered_nodes, edges.__getitem__)
+    def _schedule(self, nodes: Sequence[Node], priority: Dict[Node, int],
+                  edges: Dict[Node, List[Node]]) -> None:
+        """Condense ``nodes`` into SCCs, dependencies first, and sweep each
+        component in ``priority`` order (the order ``nodes()`` gave)."""
+        stats = self.statistics
+        components = condense_sccs(nodes, edges.__getitem__)
         stats.sccs = len(components)
         stats.largest_scc = max((len(c) for c in components), default=0)
         self._order = [node for component in components
                        for node in sorted(component, key=priority.__getitem__)]
-
-        return self._run_phases()
 
     def _register_edges(self, ordered_nodes: Sequence[Node],
                         priority: Dict[Node, int]) -> Dict[Node, List[Node]]:
@@ -412,11 +411,11 @@ class SparseSolver:
     def register(self, state: SparseProblem) -> None:
         """Bind ``state`` and register its whole dependence graph.
 
-        :meth:`resolve_from` does this itself; a caller registers first when
-        the problem's :meth:`SparseProblem.delta_nodes` closes its seeds
-        over :meth:`dependents`, and the following ``resolve_from`` on the
-        same state reuses the registration, so ``dependencies`` is still
-        asked once per node.
+        :meth:`solve` and :meth:`resolve_from` do this themselves; a caller
+        registers first when the problem's :meth:`SparseProblem.delta_nodes`
+        closes its seeds over :meth:`dependents`, and the following
+        ``resolve_from`` on the same state reuses the registration, so
+        ``dependencies`` is still asked once per node.
         """
         self.problem = state
         bind = getattr(state, "bind", None)
@@ -473,16 +472,10 @@ class SparseSolver:
         # The full dependence graph is registered — change propagation must
         # be able to leave the seed set — but only scheduled evaluations
         # count as steps, so the edit pays O(edit cone) evaluations.
-        components = condense_sccs(seed_list, edges.__getitem__)
         for node in ordered_nodes:
             if node not in seed_set:
                 self._evaluations[node] = 1
-
-        stats.sccs = len(components)
-        stats.largest_scc = max((len(c) for c in components), default=0)
-        self._order = [node for component in components
-                       for node in sorted(component, key=priority.__getitem__)]
-
+        self._schedule(seed_list, priority, edges)
         return self._run_phases()
 
     def _run_phases(self) -> SolverStatistics:

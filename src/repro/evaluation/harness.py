@@ -18,7 +18,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..aliases.base import AliasAnalysis
 from ..aliases.results import AliasResult, MemoryAccess
 from ..engine.manager import AnalysisManager
-from ..frontend import module_digest, token_stream_digest, tokenize
+from ..frontend import frontend_fingerprint
 from ..ir.function import Function
 from ..ir.module import Module
 
@@ -68,24 +68,6 @@ class ProgramResult:
         if not self.queries:
             return 0.0
         return 100.0 * self.no_alias.get(analysis_name, 0) / self.queries
-
-
-def frontend_fingerprint(source: str, module: Module) -> Dict[str, object]:
-    """Deterministic frontend fingerprint of a compiled program.
-
-    Re-lexes ``source`` (cheap after the scanner rewrite) and hashes the
-    token stream plus the printed IR.  The digests ride along in the bench
-    record under non-volatile keys, so the CI determinism and perf-smoke
-    compares gate on them: any frontend change that alters the token stream
-    or the produced IR shows up as a digest mismatch, not as a silent
-    precision drift.
-    """
-    tokens = tokenize(source)
-    return {
-        "tokens": len(tokens),
-        "token_digest": token_stream_digest(tokens),
-        "ir_digest": module_digest(module),
-    }
 
 
 def enumerate_query_pairs(module: Module,

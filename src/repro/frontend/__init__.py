@@ -10,8 +10,8 @@ from .driver import BodyCompile, compile_bodies, compile_source
 from .lexer import LexerError, Token, TokenKind, retokenize, tokenize
 from .lowering import LoweringError, lower_translation_unit
 from .sema import SemanticError, SemanticInfo, analyze
-from .stages import (UnitDigests, UnitScan, module_digest, parse_unit,
-                     token_stream_digest)
+from .stages import (UnitDigests, UnitScan, frontend_fingerprint,
+                     module_digest, parse_unit, token_stream_digest)
 
 __all__ = [
     "ParseError",
@@ -32,6 +32,7 @@ __all__ = [
     "analyze",
     "UnitDigests",
     "UnitScan",
+    "frontend_fingerprint",
     "module_digest",
     "parse_unit",
     "token_stream_digest",

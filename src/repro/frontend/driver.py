@@ -1,9 +1,12 @@
 """One-call compilation driver: mini-C source text to analysis-ready IR.
 
 The driver chains the explicit frontend stages (see
-:mod:`repro.frontend.stages`): scan → parse → analyze → lower → prepare.
-:func:`compile_source` runs them over a whole unit; :func:`compile_bodies`
-is the edit path, which lowers and prepares only the bodies that changed.
+:mod:`repro.frontend.stages`): scan → parse → analyze → lower → prepare,
+in one sequence, :func:`compile_bodies`.  Without a previous scan it
+compiles every body; given the scan of the source an edit starts from, it
+scans only the changed span and lowers and prepares only the bodies that
+changed.  Either way it returns the new scan, which the next edit starts
+from.  :func:`compile_source` is the whole-unit case's module.
 """
 
 from __future__ import annotations
@@ -13,10 +16,7 @@ from typing import List, Optional
 
 from ..ir.module import Module
 from ..transforms.pipeline import PipelineOptions, prepare_module
-from .cparser import Parser
-from .lexer import tokenize
 from .lowering import lower_translation_unit
-from .sema import SemanticInfo, analyze
 from .stages import UnitScan, parse_unit
 
 __all__ = ["BodyCompile", "compile_bodies", "compile_source"]
@@ -35,42 +35,45 @@ def compile_source(source: str, name: str = "module", *,
             pointer analyses; when false, return the raw ``-O0``-style IR.
         pipeline_options: overrides for the preparation pipeline.
     """
-    unit = Parser(tokenize(source)).parse_translation_unit()
-    info = analyze(unit)
-    module = lower_translation_unit(unit, name, info)
-    if prepare:
-        prepare_module(module, pipeline_options)
-    return module
+    return compile_bodies(source, name, prepare=prepare,
+                          pipeline_options=pipeline_options).module
 
 
 @dataclass
 class BodyCompile:
-    """An edited source compiled body by body (see :func:`compile_bodies`)."""
+    """A source compiled body by body (see :func:`compile_bodies`)."""
 
     #: Every global and every ``Function`` of the unit; only ``bodies`` have
     #: blocks, so ``is_declaration()`` is true for every skipped body.
     module: Module
-    info: SemanticInfo
     #: The scan of ``source``, which the next edit starts from.
     scan: UnitScan
     #: The lowered and prepared bodies, in module order.
     bodies: List[str]
 
 
-def compile_bodies(source: str, name: str, previous: UnitScan) -> BodyCompile:
-    """Compile the function bodies of ``source``, an edit of the source
-    ``previous`` scanned, that differ from it.
+def compile_bodies(source: str, name: str = "module",
+                   previous: Optional[UnitScan] = None, *,
+                   prepare: bool = True,
+                   pipeline_options: Optional[PipelineOptions] = None,
+                   ) -> BodyCompile:
+    """Compile ``source``: every function body, or, when it is an edit of
+    the source ``previous`` scanned, the bodies that differ from it.
 
-    Scan covers only the changed span of the source, parse and analyze
-    every body but the unchanged ones (:func:`parse_unit`).  Lowering and
-    the standard preparation pipeline run only on the bodies
-    :meth:`UnitDigests.changed_bodies` names, and each comes out exactly as
-    :func:`compile_source` would give it.  The returned record holds the
-    new scan, for the edit after this one.
+    Given ``previous``, scan covers only the changed span of the source,
+    and parse and analyze every body but the unchanged ones
+    (:func:`parse_unit`).  Lowering and preparation (as for
+    :func:`compile_source`) run only on the bodies
+    :meth:`UnitDigests.changed_bodies` names, each exactly as a whole-unit
+    compile gives it.  The record holds the new scan, for the next edit.
     """
     unit, info, scan = parse_unit(source, previous)
-    bodies = scan.digests.changed_bodies(previous.digests)
-    module = lower_translation_unit(unit, name, info, bodies,
-                                    scan.digests.literals)
-    prepare_module(module)
-    return BodyCompile(module, info, scan, bodies)
+    digests = scan.digests
+    bodies = digests.changed_bodies(previous and previous.digests)
+    lowered = set(bodies)
+    module = lower_translation_unit(
+        unit, name, info, {body: texts for body, texts in
+                           digests.literals.items() if body not in lowered})
+    if prepare:
+        prepare_module(module, pipeline_options)
+    return BodyCompile(module, scan, bodies)

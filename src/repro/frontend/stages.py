@@ -25,20 +25,21 @@ surfaces as ``internal_error``).
 This module adds the one cross-cutting facility the stages themselves stay
 free of: **digests**.  :func:`token_stream_digest` and :func:`module_digest`
 hash a token stream / printed module to a stable hex digest.  Evaluation
-records embed them per program, so the determinism gate's compare proves
-the frontend byte-identical across runs and hash seeds; per-stage timings
-come from the repository benchmark (``perfbench --trace 1``), which times
-each stage's public entry point.
+records embed them per program (:func:`frontend_fingerprint`), so the
+determinism gate's compare proves the frontend byte-identical across runs
+and hash seeds; per-stage timings come from the repository benchmark
+(``perfbench --trace 1``), which times each stage's public entry point.
 
 :func:`parse_unit` runs scan → parse → analyze and also returns the unit's
 :class:`UnitScan`: the source, its tokens, each function body's token span
 and the :class:`UnitDigests` — one position-free digest per function body
-plus one context digest over the rest.  An edit compares the digests with
-the previous source's to find the bodies it must lower again
-(:func:`repro.frontend.driver.compile_bodies`), and passes the previous
-scan in, so that only the changed span of the source is scanned again
-(:func:`~repro.frontend.lexer.retokenize`) and bodies whose tokens did not
-change are neither parsed nor digested again.
+plus one context digest over the rest.  Every compile runs through it
+(:func:`repro.frontend.driver.compile_bodies`), so every compiled source
+has a scan for its next edit.  An edit passes the previous scan in: only
+the changed span of the source is scanned again
+(:func:`~repro.frontend.lexer.retokenize`), bodies whose tokens did not
+change are neither parsed nor digested again, and comparing the digests
+with the previous source's finds the bodies to lower again.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ from .lexer import Relex, Token, TokenKind, retokenize, tokenize
 from .lowering import function_string_literals
 from .sema import SemanticInfo, analyze
 
-__all__ = ["UnitDigests", "UnitScan", "module_digest", "parse_unit",
-           "token_stream_digest"]
+__all__ = ["UnitDigests", "UnitScan", "frontend_fingerprint", "module_digest",
+           "parse_unit", "token_stream_digest"]
 
 
 def token_stream_digest(tokens: Sequence[Token]) -> str:
@@ -75,6 +76,20 @@ def module_digest(module: Module) -> str:
     return sha256(print_module(module).encode()).hexdigest()
 
 
+def frontend_fingerprint(source: str, module: Module) -> Dict[str, object]:
+    """Deterministic frontend fingerprint of a compiled program: the token
+    count and digests of ``source``'s token stream and ``module``'s printed
+    IR.  Bench records carry it under non-volatile keys, so a frontend
+    change that alters either shows up as a digest mismatch in the CI
+    compares, not as a silent precision drift."""
+    tokens = tokenize(source)
+    return {
+        "tokens": len(tokens),
+        "token_digest": token_stream_digest(tokens),
+        "ir_digest": module_digest(module),
+    }
+
+
 @dataclass(frozen=True)
 class UnitDigests:
     """Position-free digests of one translation unit.
@@ -82,22 +97,25 @@ class UnitDigests:
     ``bodies`` maps each function definition, in module order, to the
     digest of its body's tokens.  ``context`` digests everything outside
     the bodies: structs, globals, prototypes and function headers, then
-    each definition's name and string-literal count in module order (a
-    literal's ``.str.N`` name depends on every literal before it).  Tokens
-    enter as kind and text only, so moving code or editing whitespace and
-    comments changes no digest.  ``literals`` holds each body's string
-    literals in lowering order: what lowering interns for a body it skips.
+    each definition's name and string-literal lengths in module order (a
+    literal's ``.str.N`` name depends on every literal before it, and its
+    length is its global's type).  So every edit the function-granular
+    contract cannot express changes the context, and all bodies are
+    lowered again.  Tokens enter as kind and text only, so moving code or
+    editing whitespace and comments changes no digest.  ``literals`` holds
+    each body's string literals in lowering order: what lowering interns
+    for a body it skips.
     """
 
     context: str
     bodies: Dict[str, str]
     literals: Dict[str, Tuple[str, ...]]
 
-    def changed_bodies(self, previous: "UnitDigests") -> List[str]:
+    def changed_bodies(self, previous: Optional["UnitDigests"]) -> List[str]:
         """The bodies an edit from ``previous`` must lower again, in module
         order: those whose digest differs, or all of them when the context
-        differs."""
-        if self.context != previous.context:
+        differs or there is no ``previous``."""
+        if previous is None or self.context != previous.context:
             return list(self.bodies)
         return [name for name, digest in self.bodies.items()
                 if previous.bodies.get(name) != digest]
@@ -204,11 +222,9 @@ def parse_unit(source: str, previous: Optional[UnitScan] = None,
     body whose tokens did not change is not parsed again: it is an empty
     block in the returned unit, and its digest and literals come from
     ``previous``.  A body wholly outside the re-scanned span is skipped by
-    its known span, without even finding its end or digesting it.  Only
-    :func:`~repro.frontend.driver.compile_bodies`, which lowers changed
-    bodies alone, passes ``previous``.  When the context changed, every
-    body must be lowered, so every body is parsed after all, from the
-    tokens already scanned.
+    its known span, without even finding its end or digesting it.  When
+    the context changed, every body must be lowered, so every body is
+    parsed after all, from the tokens already scanned.
     """
     if previous is None:
         return _parse_tokens(source, tokenize(source), None, {})
@@ -263,7 +279,8 @@ def _parse_tokens(source: str, tokens: List[Token],
                 else _tokens_digest(tokens[start:end])
             returns_void = info.function_types[name].return_type == VOID
             literals[name] = tuple(function_string_literals(decl, returns_void))
-        layout.append(f"{name}:{len(literals[name])}")
+        layout.append(f"{name}:" + ",".join(str(len(text))
+                                            for text in literals[name]))
     text = _tokens_digest(context) + "\x1d" + "\x1d".join(layout)
     digests = UnitDigests(sha256(text.encode()).hexdigest(), bodies, literals)
     if parser.skipped and digests.context != previous.digests.context:

@@ -18,20 +18,21 @@ analyses whose dependency cone the edit touches:
 * only structural edits (a changed struct, global, function list or
   order, signature or prototype) fall back to a full reload.
 
-The edit's frontend work is function-granular too.  Each resident keeps
-the scan of its source (:class:`~repro.frontend.stages.UnitScan`: tokens,
-body spans and digests), so only the span of the new source that differs
-is scanned again; the source is parsed and analyzed except for the bodies
-whose tokens did not change, and digested per function body
+The edit's frontend work is function-granular too.  Loads, edits and
+reloads all compile through one sequence,
+:func:`~repro.frontend.driver.compile_bodies`, and each compiled resident
+keeps the scan it produced (:class:`~repro.frontend.stages.UnitScan`:
+tokens, body spans and digests).  An edit scans again only the span of
+the new source that differs; the source is parsed and analyzed except for
+the bodies whose tokens did not change, and digested per function body
 (:class:`~repro.frontend.stages.UnitDigests`: position-free token digests,
 plus one context digest over structs, globals, prototypes, headers,
-function order and string-literal counts).  The candidates are the bodies
-whose digest differs from the resident source's, or all of them when the
-context differs; only they are lowered, prepared and printed
-(:func:`~repro.frontend.driver.compile_bodies`), and comparing their
-printed IR with the resident's decides ``changed`` exactly as a
-whole-module compile would.  Loads still run
-:func:`~repro.frontend.driver.compile_source` unchanged.
+function order and string-literal lengths).  The candidates are the
+bodies whose digest differs from the resident source's, or all of them
+when the context differs; only they are lowered, prepared and printed,
+and comparing their printed IR with the resident's decides ``changed``
+exactly as a whole-module compile would.  A structural edit changes the
+context, so its compile lowered every body and is the reloaded module.
 
 A session may additionally be backed by a persistent content-addressed
 :class:`~repro.service.store.ResultStore`.  Results are then keyed by the
@@ -61,11 +62,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..aliases.base import AliasAnalysis
 from ..aliases.results import AliasResult, MemoryAccess
-from ..benchgen import SUITE_PROGRAMS, build_program, source_digest
+from ..benchgen import SUITE_PROGRAMS, generate_source, source_digest
 from ..engine import keys
 from ..engine.manager import AnalysisKey, AnalysisManager, ManagerStatistics
-from ..frontend import (BodyCompile, UnitScan, compile_bodies,
-                        compile_source, parse_unit)
+from ..frontend import BodyCompile, UnitScan, compile_bodies
 from ..frontend.cparser import ParseError
 from ..frontend.lexer import LexerError
 from ..frontend.lowering import LoweringError
@@ -134,7 +134,7 @@ class ResidentModule:
     #: ``EditImpact.as_dict()`` records, newest last.
     impacts: List[Dict[str, Any]] = field(default_factory=list)
     #: The scan of ``source`` (tokens, body spans, digests) the next edit
-    #: starts from; made by the first edit, then replaced by each one.
+    #: starts from; set whenever ``module`` is.
     scan: Optional[UnitScan] = None
     #: function name -> value name -> value (invalidated per edit).
     _value_index: Dict[str, Dict[str, Value]] = field(default_factory=dict)
@@ -219,9 +219,10 @@ class AnalysisSession:
         return resident
 
     @staticmethod
-    def _compile(source: str, name: str, code: str) -> Module:
+    def _compile(source: str, name: str, code: str,
+                 previous: Optional[UnitScan] = None) -> BodyCompile:
         try:
-            return compile_source(source, name)
+            return compile_bodies(source, name, previous)
         except _COMPILE_ERRORS as error:
             raise ServiceError(
                 f"compiling module {name!r} failed: "
@@ -231,8 +232,8 @@ class AnalysisSession:
         """Compile a lazy resident's held source and warm up its manager."""
         if resident.module is not None:
             return
-        resident.module = self._compile(resident.source, resident.name,
-                                        BAD_REQUEST)
+        compiled = self._compile(resident.source, resident.name, BAD_REQUEST)
+        resident.module, resident.scan = compiled.module, compiled.scan
         resident.manager = AnalysisManager(resident.module)
 
     @staticmethod
@@ -254,23 +255,31 @@ class AnalysisSession:
                                           digest=digest, meta=dict(meta))
                 self._modules[name] = resident
                 return {"module": name, **meta}
-        module = self._compile(source, name, BAD_REQUEST)
+        return self._install(name, source, digest,
+                             self._compile(source, name, BAD_REQUEST))
+
+    def _install(self, name: str, source: str, digest: str,
+                 compiled: BodyCompile) -> Dict[str, Any]:
+        """Make a whole-unit compile of ``source`` resident, as a load."""
+        module = compiled.module
         meta = self._meta_of(module)
-        resident = ResidentModule(name=name, source=source, module=module,
-                                  manager=AnalysisManager(module),
-                                  digest=digest, meta=dict(meta))
-        self._modules[name] = resident
+        self._modules[name] = ResidentModule(
+            name=name, source=source, module=module,
+            manager=AnalysisManager(module), digest=digest, meta=dict(meta),
+            scan=compiled.scan)
         if self.store is not None:
-            self.store.put(self.store.key(digest, "load"), meta)
+            # An address already stored holds these very bytes.
+            self.store.put_new(self.store.key(digest, "load"), meta)
         return {"module": name, **meta}
 
     def load_program(self, name: str) -> Dict[str, Any]:
         """Generate, compile and make resident one named suite program."""
-        known = sorted(program.name for program in SUITE_PROGRAMS)
-        if name not in known:
+        programs = {program.name: program for program in SUITE_PROGRAMS}
+        if name not in programs:
             raise ServiceError(f"unknown suite program {name!r} "
-                               f"(expected one of {known})")
-        return self.load_source(name, build_program(name).source)
+                               f"(expected one of {sorted(programs)})")
+        return self.load_source(name,
+                                generate_source(programs[name].config()))
 
     def unload(self, name: str) -> Dict[str, Any]:
         self._resident(name)
@@ -296,24 +305,27 @@ class AnalysisSession:
     def edit_source(self, name: str, source: str) -> Dict[str, Any]:
         """Apply an edited source to a resident module.
 
-        Only the span of the new source that differs from the resident's
-        is scanned again, against the resident's kept scan; the source is
-        parsed and analyzed except for its unchanged bodies, and digested
-        per function body (:func:`~repro.frontend.stages.parse_unit`).  The
-        *candidates* are the bodies whose digest differs from the resident
-        source's, or every body when the context digest (structs, globals,
-        prototypes, headers, function order and string-literal counts)
-        differs.  Only the candidates are lowered and prepared
-        (:func:`~repro.frontend.driver.compile_bodies`), and comparing their
-        printed IR with the resident's decides which functions ``changed``.
+        A lazy resident is materialised first, which also scans its held
+        source.  The new source is compiled against the resident's kept
+        scan (:func:`~repro.frontend.driver.compile_bodies`): only the span
+        that differs is scanned again, the source is parsed and analyzed
+        except for its unchanged bodies, and digested per function body.
+        The *candidates* are the bodies whose digest differs from the
+        resident source's, or every body when the context digest (structs,
+        globals, prototypes, headers, function order and string-literal
+        lengths) differs.  Only the candidates are lowered and prepared, and
+        comparing their printed IR with the resident's decides which
+        functions ``changed``.
 
         Each changed function is grafted via ``Module.replace_function``
         and the manager re-runs only what the edit invalidated.  Anything
         the function-granular contract cannot express (a changed struct,
-        global, function set, function order or signature) falls back to a
-        full reload and says so in the response.  A source the frontend
-        rejects yields an ``edit_rejected`` error and leaves the resident
-        module untouched.
+        global, function set, function order or signature) changes the
+        context, so the compile lowered every body: its module replaces the
+        resident as a fresh load of the new source would, and the response
+        says ``reloaded``.  A source the frontend rejects yields an
+        ``edit_rejected`` error and leaves the resident module untouched
+        (a lazy one materialised).
         """
         resident = self._resident(name)
         if self.store is not None:
@@ -321,19 +333,12 @@ class AnalysisSession:
         if source == resident.source:
             return {"module": name, "changed": [], "reloaded": False,
                     "impacts": []}
-        if resident.scan is None:
-            resident.scan = parse_unit(resident.source)[2]
-        try:
-            compiled = compile_bodies(source, name, resident.scan)
-        except _COMPILE_ERRORS as error:
-            raise ServiceError(
-                f"compiling module {name!r} failed: "
-                f"{type(error).__name__}: {error}", EDIT_REJECTED) from error
         self._materialize(resident)
+        compiled = self._compile(source, name, EDIT_REJECTED, resident.scan)
         changed = self._diff_functions(resident.module, compiled)
         if changed is None:
-            result = self.load_source(name, source)
-            self._modules[name].scan = compiled.scan
+            result = self._install(name, source, source_digest(source),
+                                   compiled)
             result.update({"changed": [], "reloaded": True, "impacts": []})
             return result
 
@@ -369,7 +374,7 @@ class AnalysisSession:
         reload: the structs, the globals (names, types, order), the function
         list (names, order, signatures, which are defined) or a prototype's
         parameter names changed.  Whether a function is defined is read from
-        the unit, because every skipped body is empty in the skeleton.
+        the scan, because every skipped body is empty in the skeleton.
         """
         skeleton = compiled.module
         if list(current.struct_types.items()) != \
@@ -383,7 +388,7 @@ class AnalysisSession:
         for old, new in zip(current.functions, skeleton.functions):
             if old.name != new.name or old.function_type != new.function_type:
                 return None
-            defined = compiled.info.function_decls[new.name].body is not None
+            defined = new.name in compiled.scan.digests.bodies
             if old.is_declaration() == defined:
                 return None
             if not defined and \

@@ -25,11 +25,13 @@ from repro.frontend import (
     parse_unit,
 )
 from repro.frontend import lowering, stages
+from repro.frontend import lexer
 from repro.frontend.lexer import Token, tokenize
 from repro.ir.function import Function
 from repro.ir.instructions import CallInst, Instruction
 from repro.ir.printer import print_function
 from repro.service import AnalysisSession
+from repro.service.store import ResultStore
 from repro.transforms import mem2reg
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -146,6 +148,21 @@ def work(monkeypatch):
     return done
 
 
+@pytest.fixture
+def whole_scans(monkeypatch):
+    """The sources the scanner ran over from offset 0, in call order."""
+    sources = []
+    scan = lexer._scan
+
+    def counting_scan(source, position, *rest):
+        if position == 0:
+            sources.append(source)
+        return scan(source, position, *rest)
+
+    monkeypatch.setattr(lexer, "_scan", counting_scan)
+    return sources
+
+
 def _session(source=BASE):
     session = AnalysisSession()
     session.load_source("m", source)
@@ -229,6 +246,45 @@ def test_prototype_change_is_structural():
         assert answer["reloaded"] is True
 
 
+def test_first_edit_after_a_load_does_not_rescan_the_old_source(
+        work, whole_scans):
+    session = _session()
+    after = _edited("a + b + 16", "a + b + 17")
+    _edit_and_check(session, BASE, after, {**work, "scans": whole_scans})
+    assert whole_scans == []
+    assert work == {"lowered": ["middle"], "prepared": ["middle"]}
+
+
+@pytest.mark.parametrize("old, new", [
+    ("struct pt { int x; int y; };", "struct pt { int y; int x; };"),
+    ("int total;", "int total;\nint extra;"),
+])
+def test_structural_edit_lowers_each_body_once(work, old, new):
+    session = _session()
+    answer = _edit_and_check(session, BASE, _edited(old, new), work)
+    assert answer["reloaded"] is True
+    bodies = ["fact", "first", "middle", "last", "main"]
+    assert work == {"lowered": bodies, "prepared": bodies}
+    resident = session._modules["m"]
+    assert (resident.edits, resident.impacts) == (0, [])
+    assert resident.scan.source is resident.source
+
+
+def test_lazy_resident_first_edit_compiles_its_source_once(
+        tmp_path, work, whole_scans):
+    root = str(tmp_path / "store")
+    AnalysisSession(store=ResultStore(root)).load_source("m", BASE)
+    session = AnalysisSession(store=ResultStore(root))
+    session.load_source("m", BASE)
+    assert not session._modules["m"].materialized
+    after = _edited("a + b + 16", "a + b + 17")
+    _edit_and_check(session, BASE, after, {**work, "scans": whole_scans})
+    assert whole_scans == [BASE]
+    bodies = ["fact", "first", "middle", "last", "main"]
+    assert work == {"lowered": bodies + ["middle"],
+                    "prepared": bodies + ["middle"]}
+
+
 def test_struct_change_reloads_and_updates_struct_types():
     session = _session()
     after = _edited("struct pt { int x; int y; };", "struct pt { int y; int x; };")
@@ -250,10 +306,13 @@ int f(char *p, int n) {
   return sizeof("sized") + g("last");
 }
 """
-    unit, info, _ = parse_unit(source)
+    unit, info, scan = parse_unit(source)
+    literals = scan.digests.literals
     whole = lower_translation_unit(unit, "m", info)
     for bodies in ((), ("f",), ("v",)):
-        skeleton = lower_translation_unit(unit, "m", info, bodies)
+        skipped = {name: texts for name, texts in literals.items()
+                   if name not in bodies}
+        skeleton = lower_translation_unit(unit, "m", info, skipped)
         assert [(g.name, g.value_type) for g in skeleton.globals] == \
             [(g.name, g.value_type) for g in whole.globals]
         for name in bodies:
