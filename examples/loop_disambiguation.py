@@ -14,12 +14,11 @@ never collide at the same moment.  That is exactly the fact a vectoriser
 needs to keep both updates in one loop body.
 """
 
-from repro import BasicAliasAnalysis, RBAAAliasAnalysis, SCEVAliasAnalysis, compile_source
+from repro import BasicAliasAnalysis, RBAAAliasAnalysis, SCEVAliasAnalysis
 from repro.aliases import MemoryAccess
 from repro.benchgen import FIGURE3_SOURCE, compile_figure3
 from repro.core import global_test
 from repro.ir.instructions import StoreInst
-from repro.transforms import PipelineOptions, canonical_bases
 
 
 def main() -> None:
@@ -51,14 +50,6 @@ def main() -> None:
     print("=== Baselines on the same query ===")
     print(f"  basic: {BasicAliasAnalysis(module).alias_pointers(p_i.pointer, p_i1.pointer)}")
     print(f"  scev : {SCEVAliasAnalysis(module).alias_pointers(p_i.pointer, p_i1.pointer)}")
-
-    print()
-    print("=== The Figure 4 renaming, materialised in the IR ===")
-    renamed = compile_source(FIGURE3_SOURCE, "figure3_renamed",
-                             pipeline_options=PipelineOptions(rename_region_pointers=True))
-    bases = canonical_bases(renamed.get_function("accelerate"))
-    for base in bases:
-        print(f"  canonical base: {base!r}")
 
 
 if __name__ == "__main__":

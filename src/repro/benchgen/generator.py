@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..frontend import compile_source
+from ..frontend import UnitScan, compile_bodies
 from ..ir.module import Module
 from .idioms import IDIOMS, Idiom, get_idiom
 
@@ -85,15 +85,20 @@ class GeneratorConfig:
 
 @dataclass
 class GeneratedProgram:
-    """A generated source plus its compiled module."""
+    """A generated source's compiled module and the scan it was compiled
+    from (source text and tokens)."""
 
     config: GeneratorConfig
-    source: str
     module: Module
+    scan: UnitScan
 
     @property
     def name(self) -> str:
         return self.config.name
+
+    @property
+    def source(self) -> str:
+        return self.scan.source
 
 
 def _rng_label(config: GeneratorConfig) -> str:
@@ -161,9 +166,8 @@ def generate_source(config: GeneratorConfig) -> str:
 
 def generate_module(config: GeneratorConfig) -> GeneratedProgram:
     """Generate and compile one synthetic program."""
-    source = generate_source(config)
-    module = compile_source(source, config.name)
-    return GeneratedProgram(config=config, source=source, module=module)
+    compiled = compile_bodies(generate_source(config), config.name)
+    return GeneratedProgram(config=config, module=compiled.module, scan=compiled.scan)
 
 
 @dataclass(frozen=True)

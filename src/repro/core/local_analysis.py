@@ -7,7 +7,9 @@ base locations at the program points where their runtime value becomes a
 single unknown-but-fixed quantity: φ-functions, loads, ``malloc``s — the
 ``NewLocs()`` of Figure 11 — and, equivalently to the renaming of Figure 4,
 one shared base per ``(base pointer, varying index, scale)`` triple of
-pointer arithmetic.
+pointer arithmetic.  This is the only implementation of that renaming; no
+IR pass materialises it.  One rule per instruction kind sits in the
+``_RULES`` table at the end of this module.
 
 Because every abstract value is ``location + interval`` with a *single*
 location, the analysis converges in one sweep (the lattice is finite; no
@@ -23,12 +25,14 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..analysis.callgraph import RETURNS_FIRST_ARGUMENT
-from ..engine.solver import SparseProblem, SparseSolver
+from ..engine.solver import RuleProblem, SparseSolver, TransferRule, no_operands
 from ..ir.instructions import (
     AllocaInst,
+    BinaryInst,
     CallInst,
     CastInst,
     FreeInst,
+    ICmpInst,
     Instruction,
     LoadInst,
     MallocInst,
@@ -38,7 +42,7 @@ from ..ir.instructions import (
     SigmaInst,
 )
 from ..ir.module import Module
-from ..ir.values import Argument, GlobalVariable, NullPointer, UndefValue, Value
+from ..ir.values import Argument, ConstantInt, GlobalVariable, NullPointer, UndefValue, Value
 from ..rangeanalysis.symbolic_ra import SymbolicRangeAnalysis
 from ..symbolic import SymbolicInterval
 from .locations import LocationKind, LocationTable, MemoryLocation
@@ -58,48 +62,6 @@ class LocalAbstractValue:
 
     def __repr__(self) -> str:
         return f"{self.location!r} + {self.interval!r}"
-
-
-class _LocalRangeProblem(SparseProblem):
-    """Adapter presenting the LR analysis to the sparse solver.
-
-    Only the transfer functions that forward an operand's state (σ, bitcast,
-    ``strcpy``-style calls, pointer arithmetic) declare dependencies; the
-    location-defining instructions of Figure 11 (φ, loads, allocations) are
-    sources.  The dependence graph is therefore acyclic — every SSA cycle
-    passes through a φ — and one topological sweep reaches the fixed point.
-    """
-
-    name = "local-ranges"
-
-    def __init__(self, analysis: "LocalRangeAnalysis", nodes: List[Instruction]):
-        self._analysis = analysis
-        self._nodes = nodes
-
-    def nodes(self) -> List[Instruction]:
-        return self._nodes
-
-    def dependencies(self, inst: Instruction):
-        if isinstance(inst, SigmaInst):
-            return (inst.source,)
-        if isinstance(inst, CastInst) and inst.kind == "bitcast":
-            return (inst.value,)
-        if isinstance(inst, CallInst):
-            if inst.callee_name() in RETURNS_FIRST_ARGUMENT and inst.args:
-                return (inst.args[0],)
-            return ()
-        if isinstance(inst, PtrAddInst):
-            return (inst.base,)
-        return ()
-
-    def transfer(self, inst: Instruction) -> LocalAbstractValue:
-        return self._analysis._evaluate(inst)
-
-    def read(self, inst: Instruction) -> Optional[LocalAbstractValue]:
-        return self._analysis._lr.get(inst)
-
-    def write(self, inst: Instruction, value: LocalAbstractValue) -> None:
-        self._analysis._lr[inst] = value
 
 
 class LocalRangeAnalysis:
@@ -205,14 +167,11 @@ class LocalRangeAnalysis:
         self._lr[value] = abstract
         return abstract
 
-    def _scalar_range(self, value: Value) -> SymbolicInterval:
-        return self.ranges.range_of(value)
-
-    def _fresh_for(self, site: Value, hint: str) -> LocalAbstractValue:
+    def _fresh_for(self, site: Instruction) -> LocalAbstractValue:
         """The (memoized) fresh base state of a location-defining site."""
         state = self._fresh_by_site.get(site)
         if state is None:
-            state = self._fresh(hint)
+            state = self._fresh(_label(site))
             self._fresh_by_site[site] = state
         return state
 
@@ -240,37 +199,14 @@ class LocalRangeAnalysis:
             return self._remember(value, self._fresh(f"{value.name or 'ptr'}.fwd"))
         return None
 
-    def _evaluate(self, inst: Instruction) -> LocalAbstractValue:
-        function_name = inst.function.name if inst.function is not None else "?"
-        label = f"{function_name}.{inst.name or inst.opcode}"
-        if isinstance(inst, (MallocInst, AllocaInst)):
-            return self._fresh_for(inst, label)
-        if isinstance(inst, (PhiInst, LoadInst)):
-            # Figure 11: φs and loads define new locations.
-            return self._fresh_for(inst, label)
-        if isinstance(inst, FreeInst):
-            return self._fresh_for(inst, label)
-        if isinstance(inst, SigmaInst):
-            source = self._operand(inst.source)
-            return source if source is not None else self._fresh_for(inst, label)
-        if isinstance(inst, CastInst):
-            if inst.kind == "bitcast":
-                source = self._operand(inst.value)
-                if source is not None:
-                    return source
-            return self._fresh_for(inst, label)
-        if isinstance(inst, SelectInst):
-            # A select is a value chosen at runtime; it acts as its own base.
-            return self._fresh_for(inst, label)
-        if isinstance(inst, CallInst):
-            if inst.callee_name() in RETURNS_FIRST_ARGUMENT and inst.args:
-                source = self._operand(inst.args[0])
-                if source is not None:
-                    return source
-            return self._fresh_for(inst, label)
-        if isinstance(inst, PtrAddInst):
-            return self._evaluate_ptradd(inst, label)
-        return self._fresh_for(inst, label)
+    def _forward(self, inst: Instruction) -> LocalAbstractValue:
+        """The state of the rule's operand when it has one (σ, bitcast,
+        ``strcpy``-style calls), else a fresh base."""
+        for operand in _RULES[inst.__class__].operands(self, inst):
+            source = self._operand(operand)
+            if source is not None:
+                return source
+        return self._fresh_for(inst)
 
     @staticmethod
     def _decompose_index(index: Value) -> Tuple[Value, int]:
@@ -280,9 +216,6 @@ class LocalRangeAnalysis:
         values ``i`` and ``i + 1``; peeling constant additions off the index
         lets both share the root ``i`` — the renaming of Figure 4.
         """
-        from ..ir.instructions import BinaryInst, CastInst
-        from ..ir.values import ConstantInt
-
         addend = 0
         current = index
         for _ in range(16):
@@ -305,13 +238,13 @@ class LocalRangeAnalysis:
             break
         return current, addend
 
-    def _evaluate_ptradd(self, inst: PtrAddInst, label: str) -> LocalAbstractValue:
+    def _evaluate_ptradd(self, inst: PtrAddInst) -> LocalAbstractValue:
         base = self._operand(inst.base)
         constant_offset = inst.constant_byte_offset()
         if base is not None and constant_offset is not None:
             return base.shifted(SymbolicInterval.point(constant_offset))
         if base is not None and inst.index is not None:
-            index_range = self._scalar_range(inst.index)
+            index_range = self.ranges.range_of(inst.index)
             if index_range.is_constant() and index_range.lower is index_range.upper:
                 delta = index_range.scale(inst.scale).shift(inst.offset)
                 return base.shifted(delta)
@@ -323,8 +256,69 @@ class LocalRangeAnalysis:
             key = (inst.base, root_index, inst.scale)
             location = self._arithmetic_bases.get(key)
             if location is None:
-                location = self.locations.new_synthetic_location(f"{label}.base")
+                location = self.locations.new_synthetic_location(f"{_label(inst)}.base")
                 self._arithmetic_bases[key] = location
             byte_offset = inst.offset + addend * inst.scale
             return LocalAbstractValue(location, SymbolicInterval.point(byte_offset))
-        return self._fresh_for(inst, label)
+        return self._fresh_for(inst)
+
+
+def _label(inst: Instruction) -> str:
+    function_name = inst.function.name if inst.function is not None else "?"
+    return f"{function_name}.{inst.name or inst.opcode}"
+
+
+def _call_operands(analysis, inst: CallInst):
+    if inst.callee_name() in RETURNS_FIRST_ARGUMENT and inst.args:
+        return (inst.args[0],)
+    return ()
+
+
+#: ``NewLocs()`` (Figure 11): the site defines a fresh base location.
+_NEW_LOCATION = TransferRule(no_operands, LocalRangeAnalysis._fresh_for)
+
+# The rule table (Figure 11): one entry per value-producing IR class,
+# holding the operands the transfer reads and the transfer.
+_RULES = {
+    # Allocations, φs and loads define new locations (Figure 11); so does
+    # a free, whose result points nowhere valid.
+    MallocInst: _NEW_LOCATION,
+    AllocaInst: _NEW_LOCATION,
+    PhiInst: _NEW_LOCATION,
+    LoadInst: _NEW_LOCATION,
+    FreeInst: _NEW_LOCATION,
+    # A select is a value chosen at runtime; it acts as its own base.
+    SelectInst: _NEW_LOCATION,
+    # σ, bitcast and strcpy-style calls copy their operand (Figure 11's q = p).
+    SigmaInst: TransferRule(lambda analysis, inst: (inst.source,), LocalRangeAnalysis._forward),
+    CastInst: TransferRule(lambda analysis, inst: (inst.value,) if inst.kind == "bitcast" else (),
+                           LocalRangeAnalysis._forward),
+    CallInst: TransferRule(_call_operands, LocalRangeAnalysis._forward),
+    # q = p + c shifts p's interval; a varying index shares one base per
+    # (base, root index, scale) — the renaming of Figure 4.
+    PtrAddInst: TransferRule(lambda analysis, inst: (inst.base,),
+                             LocalRangeAnalysis._evaluate_ptradd),
+    # Never pointer-typed.
+    BinaryInst: _NEW_LOCATION,
+    ICmpInst: _NEW_LOCATION,
+}
+
+
+class _LocalRangeProblem(RuleProblem):
+    """Adapter presenting the LR analysis to the sparse solver.
+
+    Only the transfer functions that forward an operand's state (σ, bitcast,
+    ``strcpy``-style calls, pointer arithmetic) declare dependencies; the
+    location-defining instructions of Figure 11 (φ, loads, allocations) are
+    sources.  The dependence graph is therefore acyclic — every SSA cycle
+    passes through a φ — and one topological sweep reaches the fixed point.
+    """
+
+    name = "local-ranges"
+    rules = _RULES
+
+    def read(self, inst: Instruction) -> Optional[LocalAbstractValue]:
+        return self._analysis._lr.get(inst)
+
+    def write(self, inst: Instruction, value: LocalAbstractValue) -> None:
+        self._analysis._lr[inst] = value

@@ -36,10 +36,12 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
-__all__ = ["SolverInterrupted", "SolverStatistics", "SparseProblem",
-           "SparseSolver", "condense_sccs", "solver_budget"]
+__all__ = ["RuleProblem", "SolverInterrupted", "SolverStatistics", "SparseProblem",
+           "SparseSolver", "TransferRule", "condense_sccs", "no_operands",
+           "solver_budget"]
 
 Node = Hashable
 
@@ -140,9 +142,13 @@ class SparseProblem:
     reads only the nodes its ``dependencies`` declare, plus state that stays
     fixed for the whole solve: a descending step reuses a node's last
     transfer result when none of its declared in-problem dependencies was
-    written since.  The symbolic integer ranges and GR meet this contract;
-    problems whose ``transfer`` mutates state or registers edges on the fly
-    (Andersen, Steensgaard) run no descending passes.
+    written since.  The symbolic integer ranges, GR and LR keep both halves
+    in one place — a :class:`RuleProblem` whose :class:`TransferRule` table
+    lists each instruction kind's operands next to its transfer — and
+    ``tests/unit/test_transfer_contract.py`` checks the contract on the
+    benchmark suite.  Problems whose ``transfer`` mutates state or
+    registers edges on the fly (Andersen, Steensgaard) run no descending
+    passes.
     """
 
     #: Short name used in statistics and debugging output.
@@ -198,6 +204,44 @@ class SparseProblem:
         that do not support incremental re-seeding keep the default.
         """
         raise NotImplementedError(f"{self.name} does not support re-seeding")
+
+
+class TransferRule(NamedTuple):
+    """One instruction kind's entry in an analysis' rule table.
+
+    ``operands(analysis, node)`` lists the values ``transfer(analysis,
+    node)`` reads from the analysis' own state, in the order the solver
+    registers them as dependence edges (and so the worklist order).
+    """
+
+    operands: Callable[[Any, Node], Iterable[Node]]
+    transfer: Callable[[Any, Node], Any]
+
+
+def no_operands(analysis: Any, node: Node) -> Tuple[()]:
+    """The ``operands`` of a rule whose transfer reads no node."""
+    return ()
+
+
+class RuleProblem(SparseProblem):
+    """A problem over one analysis whose rules sit in ``rules``, a
+    :class:`TransferRule` table keyed by exact node class (IR classes are
+    never subclassed): ``dependencies`` and ``transfer`` are lookups in it."""
+
+    rules: Dict[type, TransferRule] = {}
+
+    def __init__(self, analysis: Any, nodes: Sequence[Node]):
+        self._analysis = analysis
+        self._nodes = nodes
+
+    def nodes(self) -> Sequence[Node]:
+        return self._nodes
+
+    def dependencies(self, node: Node) -> Iterable[Node]:
+        return self.rules[node.__class__].operands(self._analysis, node)
+
+    def transfer(self, node: Node) -> Any:
+        return self.rules[node.__class__].transfer(self._analysis, node)
 
 
 def condense_sccs(nodes: Sequence[Node],

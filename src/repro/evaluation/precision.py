@@ -98,7 +98,7 @@ def _precision_program(name: str, max_pairs_per_function: Optional[int]) -> Prog
     """The Figure 13/14 queries over one suite program (one work unit)."""
     program = build_program(name)
     result = run_queries(name, program.module, standard_factories(), max_pairs_per_function)
-    result.frontend = frontend_fingerprint(program.source, program.module)
+    result.frontend = frontend_fingerprint(program.scan, program.module)
     return result
 
 

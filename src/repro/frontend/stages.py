@@ -76,13 +76,14 @@ def module_digest(module: Module) -> str:
     return sha256(print_module(module).encode()).hexdigest()
 
 
-def frontend_fingerprint(source: str, module: Module) -> Dict[str, object]:
+def frontend_fingerprint(scan: UnitScan, module: Module) -> Dict[str, object]:
     """Deterministic frontend fingerprint of a compiled program: the token
-    count and digests of ``source``'s token stream and ``module``'s printed
-    IR.  Bench records carry it under non-volatile keys, so a frontend
-    change that alters either shows up as a digest mismatch in the CI
-    compares, not as a silent precision drift."""
-    tokens = tokenize(source)
+    count and digests of the token stream ``module`` was compiled from
+    (``scan``, as :func:`parse_unit` returned it) and of ``module``'s
+    printed IR.  Bench records carry it under non-volatile keys, so a
+    frontend change that alters either shows up as a digest mismatch in
+    the CI compares, not as a silent precision drift."""
+    tokens = scan.tokens
     return {
         "tokens": len(tokens),
         "token_digest": token_stream_digest(tokens),

@@ -13,7 +13,8 @@ the first complete sweep, followed by a descending (narrowing) sequence of
 length two.  Scheduling is delegated to the shared sparse solver of
 :mod:`repro.engine.solver`: def-use edges between integer instructions form
 the dependence graph, so acyclic code stabilises in one visit and only
-φ-cycles iterate.
+φ-cycles iterate.  One rule per instruction kind sits in the ``_RULES``
+table at the end of this module.
 """
 
 from __future__ import annotations
@@ -21,16 +22,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..engine.solver import SparseProblem, SparseSolver
+from ..engine.solver import RuleProblem, SparseSolver, TransferRule, no_operands
 from ..ir.function import Function
 from ..ir.instructions import (
+    AllocaInst,
     BinaryInst,
     CallInst,
     CastInst,
+    FreeInst,
     ICmpInst,
     Instruction,
     LoadInst,
+    MallocInst,
     PhiInst,
+    PtrAddInst,
     SelectInst,
     SigmaInst,
 )
@@ -64,57 +69,6 @@ class RangeAnalysisOptions:
     loads_as_symbols: bool = True
 
 
-class _IntegerRangeProblem(SparseProblem):
-    """Adapter presenting the integer range analysis to the sparse solver."""
-
-    name = "symbolic-ranges"
-
-    def __init__(self, analysis: "SymbolicRangeAnalysis", nodes: List[Instruction]):
-        self._analysis = analysis
-        self._nodes = nodes
-
-    def nodes(self) -> List[Instruction]:
-        return self._nodes
-
-    def dependencies(self, inst: Instruction):
-        if isinstance(inst, BinaryInst):
-            return (inst.lhs, inst.rhs)
-        if isinstance(inst, PhiInst):
-            return [value for value, _ in inst.incoming()]
-        if isinstance(inst, SigmaInst):
-            deps = [inst.source]
-            if inst.lower is not None:
-                deps.append(inst.lower)
-            if inst.upper is not None:
-                deps.append(inst.upper)
-            return deps
-        if isinstance(inst, CastInst):
-            return (inst.value,)
-        if isinstance(inst, SelectInst):
-            return (inst.true_value, inst.false_value)
-        return ()
-
-    def transfer(self, inst: Instruction) -> SymbolicInterval:
-        return self._analysis._evaluate(inst)
-
-    def read(self, inst: Instruction) -> SymbolicInterval:
-        return self._analysis._ranges.get(inst, EMPTY_INTERVAL)
-
-    def write(self, inst: Instruction, value: SymbolicInterval) -> None:
-        self._analysis._ranges[inst] = value
-
-    def is_refinement_point(self, inst: Instruction) -> bool:
-        return isinstance(inst, PhiInst)
-
-    def widen(self, inst: Instruction, old: SymbolicInterval,
-              new: SymbolicInterval) -> SymbolicInterval:
-        return old.widen(new) if not old.is_empty else new
-
-    def narrow(self, inst: Instruction, old: SymbolicInterval,
-               new: SymbolicInterval) -> SymbolicInterval:
-        return old.narrow(new) if not old.is_empty else new
-
-
 class SymbolicRangeAnalysis:
     """Maps every integer SSA value of a module to a symbolic interval."""
 
@@ -131,7 +85,9 @@ class SymbolicRangeAnalysis:
         """The symbolic interval of ``value`` (``R(v)`` in the paper).
 
         Constants evaluate to point intervals on the fly; values the analysis
-        never reached (dead code, non-integers) map to ``[-inf, +inf]``.
+        never reached (dead code, non-integers) map to ``[-inf, +inf]``.  So
+        does, during the solve, an operand a back edge has not computed yet,
+        which keeps σ meets sound; the transfers read operands through here.
         """
         if isinstance(value, ConstantInt):
             return SymbolicInterval.point(value.value)
@@ -227,55 +183,39 @@ class SymbolicRangeAnalysis:
         return order
 
     # -- transfer functions ----------------------------------------------------------
-    def _operand_range(self, value: Value) -> SymbolicInterval:
-        if isinstance(value, ConstantInt):
-            return SymbolicInterval.point(value.value)
-        if isinstance(value, UndefValue):
-            return TOP_INTERVAL
-        interval = self._ranges.get(value)
-        if interval is None or interval.is_empty:
-            # Not yet computed (back edge on the first pass): assume top so
-            # the meet in σ nodes stays sound.
-            return TOP_INTERVAL
-        return interval
+    def _evaluate_phi(self, inst: PhiInst) -> SymbolicInterval:
+        incoming = [self._ranges.get(value, EMPTY_INTERVAL)
+                    if isinstance(value, (Instruction, Argument))
+                    else self.range_of(value)
+                    for value, _ in inst.incoming()]
+        return SymbolicInterval.join_all(
+            interval for interval in incoming if not interval.is_empty
+        )
 
-    def _evaluate(self, inst: Instruction) -> SymbolicInterval:
-        if isinstance(inst, BinaryInst):
-            return self._evaluate_binary(inst)
-        if isinstance(inst, ICmpInst):
-            return SymbolicInterval(0, 1)
-        if isinstance(inst, PhiInst):
-            incoming = [self._ranges.get(value, EMPTY_INTERVAL)
-                        if isinstance(value, Instruction) or isinstance(value, Argument)
-                        else self._operand_range(value)
-                        for value, _ in inst.incoming()]
-            return SymbolicInterval.join_all(
-                interval for interval in incoming if not interval.is_empty
-            )
-        if isinstance(inst, SigmaInst):
-            return self._evaluate_sigma(inst)
-        if isinstance(inst, CastInst):
-            if inst.value.type.is_integer() or inst.kind in ("trunc", "sext", "zext"):
-                return self._operand_range(inst.value)
-            return TOP_INTERVAL
-        if isinstance(inst, SelectInst):
-            return self._operand_range(inst.true_value).join(
-                self._operand_range(inst.false_value))
-        if isinstance(inst, LoadInst):
-            if self.options.loads_as_symbols:
-                hint = f"{inst.function.name}.load.{inst.name or id(inst)}"
-                return self._symbol_interval(inst, hint)
-            return TOP_INTERVAL
-        if isinstance(inst, CallInst):
-            if inst.is_external():
-                hint = f"{inst.function.name}.{inst.callee_name()}.{inst.name or id(inst)}"
-                return self._symbol_interval(inst, hint)
-            return TOP_INTERVAL
+    def _evaluate_cast(self, inst: CastInst) -> SymbolicInterval:
+        if inst.value.type.is_integer() or inst.kind in ("trunc", "sext", "zext"):
+            return self.range_of(inst.value)
+        return TOP_INTERVAL
+
+    def _evaluate_select(self, inst: SelectInst) -> SymbolicInterval:
+        return self.range_of(inst.true_value).join(
+            self.range_of(inst.false_value))
+
+    def _evaluate_load(self, inst: LoadInst) -> SymbolicInterval:
+        if self.options.loads_as_symbols:
+            hint = f"{inst.function.name}.load.{inst.name or id(inst)}"
+            return self._symbol_interval(inst, hint)
+        return TOP_INTERVAL
+
+    def _evaluate_call(self, inst: CallInst) -> SymbolicInterval:
+        if inst.is_external():
+            hint = f"{inst.function.name}.{inst.callee_name()}.{inst.name or id(inst)}"
+            return self._symbol_interval(inst, hint)
         return TOP_INTERVAL
 
     def _evaluate_binary(self, inst: BinaryInst) -> SymbolicInterval:
-        lhs = self._operand_range(inst.lhs)
-        rhs = self._operand_range(inst.rhs)
+        lhs = self.range_of(inst.lhs)
+        rhs = self.range_of(inst.rhs)
         opcode = inst.opcode
         if opcode == "add":
             return lhs.add(rhs)
@@ -313,15 +253,15 @@ class SymbolicRangeAnalysis:
         return TOP_INTERVAL
 
     def _evaluate_sigma(self, inst: SigmaInst) -> SymbolicInterval:
-        source = self._operand_range(inst.source)
+        source = self.range_of(inst.source)
         lower_bound = NEG_INF
         upper_bound = POS_INF
         if inst.lower is not None:
-            bound = self._operand_range(inst.lower)
+            bound = self.range_of(inst.lower)
             if not bound.is_empty and bound.lower is not NEG_INF:
                 lower_bound = sym_add(bound.lower, inst.lower_adjust)
         if inst.upper is not None:
-            bound = self._operand_range(inst.upper)
+            bound = self.range_of(inst.upper)
             if not bound.is_empty and bound.upper is not POS_INF:
                 upper_bound = sym_add(bound.upper, inst.upper_adjust)
         constraint = SymbolicInterval(lower_bound, upper_bound)
@@ -332,3 +272,61 @@ class SymbolicRangeAnalysis:
             # still see a well-formed interval.
             return constraint
         return result
+
+
+
+_OPAQUE = TransferRule(no_operands, lambda analysis, inst: TOP_INTERVAL)
+
+# The rule table: one entry per value-producing IR class, holding the
+# operands the transfer reads (in dependence-edge order) and the transfer.
+# The rules are the integer range analysis that bootstraps Figure 5, over
+# Section 3.3's interval arithmetic.
+_RULES = {
+    # x = a op b: interval arithmetic on the operands' ranges.
+    BinaryInst: TransferRule(lambda analysis, inst: inst.operands,
+                             SymbolicRangeAnalysis._evaluate_binary),
+    # A comparison yields a boolean.
+    ICmpInst: TransferRule(no_operands, lambda analysis, inst: SymbolicInterval(0, 1)),
+    # x = φ(a, b, …): the join of the incoming ranges (widened, Section 3.9).
+    PhiInst: TransferRule(lambda analysis, inst: inst.operands,
+                          SymbolicRangeAnalysis._evaluate_phi),
+    # e-SSA σ: the source range met with the branch's bounds.
+    SigmaInst: TransferRule(
+        lambda analysis, inst: [inst.source] + [bound for bound in (inst.lower, inst.upper)
+                                                if bound is not None],
+        SymbolicRangeAnalysis._evaluate_sigma),
+    # Integer casts keep the range; anything else is unknown.
+    CastInst: TransferRule(lambda analysis, inst: (inst.value,),
+                           SymbolicRangeAnalysis._evaluate_cast),
+    SelectInst: TransferRule(lambda analysis, inst: (inst.true_value, inst.false_value),
+                             SymbolicRangeAnalysis._evaluate_select),
+    # Loads and external call results enter the symbolic kernel.
+    LoadInst: TransferRule(no_operands, SymbolicRangeAnalysis._evaluate_load),
+    CallInst: TransferRule(no_operands, SymbolicRangeAnalysis._evaluate_call),
+    # Pointer-valued kinds are never nodes of the integer problem.
+    AllocaInst: _OPAQUE, MallocInst: _OPAQUE, FreeInst: _OPAQUE, PtrAddInst: _OPAQUE,
+}
+
+
+class _IntegerRangeProblem(RuleProblem):
+    """Adapter presenting the integer range analysis to the sparse solver."""
+
+    name = "symbolic-ranges"
+    rules = _RULES
+
+    def read(self, inst: Instruction) -> SymbolicInterval:
+        return self._analysis._ranges.get(inst, EMPTY_INTERVAL)
+
+    def write(self, inst: Instruction, value: SymbolicInterval) -> None:
+        self._analysis._ranges[inst] = value
+
+    def is_refinement_point(self, inst: Instruction) -> bool:
+        return isinstance(inst, PhiInst)
+
+    def widen(self, inst: Instruction, old: SymbolicInterval,
+              new: SymbolicInterval) -> SymbolicInterval:
+        return old.widen(new) if not old.is_empty else new
+
+    def narrow(self, inst: Instruction, old: SymbolicInterval,
+               new: SymbolicInterval) -> SymbolicInterval:
+        return old.narrow(new) if not old.is_empty else new

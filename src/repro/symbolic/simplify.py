@@ -1,16 +1,16 @@
-"""Utilities for evaluating and bounding symbolic expressions.
+"""Concrete evaluation of symbolic expressions.
 
 Besides construction-time canonicalisation (:mod:`repro.symbolic.expr`), the
-analyses need two services:
+analyses need **concrete evaluation**: replacing every kernel symbol by an
+integer and computing the resulting value.  This is how the test-suite
+checks that the abstract ranges really enclose the concrete offsets (the
+Galois-connection property), and how the benchmark harness concretises
+symbolic reports.
 
-* **concrete evaluation** — replacing every kernel symbol by an integer and
-  computing the resulting value.  This is how the test-suite checks that the
-  abstract ranges really enclose the concrete offsets (the Galois-connection
-  property), and how the benchmark harness concretises symbolic reports.
-* **complexity limiting** — Section 3.8 of the paper argues the analysis
-  stays ``O(|V|)`` because abstract values never develop long chains of
-  ``min``/``max``.  :func:`limit_expr` and :func:`limit_interval` enforce a
-  node budget by conservatively flattening over-sized bounds to infinity.
+No expression-size budget is applied anywhere.  What keeps bounds short —
+the premise of Section 3.8's ``O(|V|)`` argument — is the fixed-point
+schedule: widening sends a bound that keeps growing at a φ-function to an
+infinity, and the descending sequence has a fixed length of two.
 """
 
 from __future__ import annotations
@@ -26,20 +26,13 @@ from .expr import (
     MaxExpr,
     MinExpr,
     ModExpr,
-    NEG_INF,
-    POS_INF,
     ProductExpr,
     SumExpr,
     Symbol,
-    SymExpr,
     as_expr,
 )
-from .interval import SymbolicInterval
 
-__all__ = ["evaluate", "limit_expr", "limit_interval", "DEFAULT_EXPR_BUDGET"]
-
-#: Maximum number of expression nodes a bound may have before it is widened.
-DEFAULT_EXPR_BUDGET = 24
+__all__ = ["evaluate"]
 
 Number = Union[int, float]
 
@@ -87,27 +80,3 @@ def evaluate(expr: ExprLike, env: Mapping[str, int]) -> Number:
         return -remainder if lhs < 0 else remainder
     raise TypeError(f"cannot evaluate {expr!r}")
 
-
-def limit_expr(expr: SymExpr, *, budget: int = DEFAULT_EXPR_BUDGET,
-               toward_upper: bool) -> SymExpr:
-    """Replace ``expr`` by an infinity when it exceeds the node ``budget``.
-
-    ``toward_upper`` selects the direction of over-approximation: upper
-    bounds grow to ``+inf`` and lower bounds shrink to ``-inf``, so the
-    enclosing interval only ever gets larger (sound).
-    """
-    if expr.complexity() <= budget:
-        return expr
-    return POS_INF if toward_upper else NEG_INF
-
-
-def limit_interval(interval: SymbolicInterval,
-                   *, budget: int = DEFAULT_EXPR_BUDGET) -> SymbolicInterval:
-    """Apply :func:`limit_expr` to both bounds of ``interval``."""
-    if interval.is_empty:
-        return interval
-    lower = limit_expr(interval.lower, budget=budget, toward_upper=False)
-    upper = limit_expr(interval.upper, budget=budget, toward_upper=True)
-    if lower is interval.lower and upper is interval.upper:
-        return interval
-    return SymbolicInterval(lower, upper)

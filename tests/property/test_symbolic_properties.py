@@ -17,8 +17,6 @@ from repro.symbolic import (
     SymbolicInterval,
     compare,
     evaluate,
-    limit_expr,
-    limit_interval,
     sym,
     sym_add,
     sym_max,
@@ -312,20 +310,3 @@ def test_canonicalisation_merges_like_terms(a, b):
     assert sym_sub(sym_add(a, b), b) == a
 
 
-@given(symbolic_expressions(), st.integers(min_value=1, max_value=64))
-@settings(max_examples=150, deadline=None)
-def test_limit_expr_is_idempotent(a, budget):
-    limited = limit_expr(a, budget=budget, toward_upper=True)
-    assert limit_expr(limited, budget=budget, toward_upper=True) == limited
-    limited_low = limit_expr(a, budget=budget, toward_upper=False)
-    assert limit_expr(limited_low, budget=budget, toward_upper=False) == limited_low
-
-
-@given(intervals(), st.integers(min_value=1, max_value=64), environments, small_ints)
-@settings(max_examples=150, deadline=None)
-def test_limit_interval_is_idempotent_and_sound(interval, budget, env, probe):
-    limited = limit_interval(interval, budget=budget)
-    assert limit_interval(limited, budget=budget) == limited
-    # Budgeting must only ever enlarge the interval (sound direction).
-    if _contains(interval, env, probe):
-        assert _contains(limited, env, probe)

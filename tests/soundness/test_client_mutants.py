@@ -14,13 +14,13 @@ from repro.benchgen import GeneratedProgram, GeneratorConfig, generate_module
 from repro.clients.bounds import BoundsCheckAnalysis, SAFE
 from repro.clients.parallelize import LoopParallelismAnalysis
 from repro.evaluation.clients import check_clients_program, clients_corpus
-from repro.frontend import compile_source
+from repro.frontend import compile_bodies
 
 
 def crafted(name, source):
     config = GeneratorConfig(name=name, instances=1, seed=0)
-    return GeneratedProgram(config=config, source=source,
-                            module=compile_source(source, name))
+    compiled = compile_bodies(source, name)
+    return GeneratedProgram(config=config, module=compiled.module, scan=compiled.scan)
 
 
 class AlwaysSafeDetector(BoundsCheckAnalysis):

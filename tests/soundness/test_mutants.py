@@ -15,7 +15,7 @@ from repro.core import RBAAAliasAnalysis
 from repro.engine import keys
 from repro.engine.manager import AnalysisManager
 from repro.evaluation.soundness import check_program
-from repro.frontend import compile_source
+from repro.frontend import compile_bodies
 from repro.symbolic import SymbolicInterval
 
 
@@ -30,8 +30,8 @@ def _managed(cls):
 
 def crafted(name, source):
     config = GeneratorConfig(name=name, instances=1, seed=0)
-    return GeneratedProgram(config=config, source=source,
-                            module=compile_source(source, name))
+    compiled = compile_bodies(source, name)
+    return GeneratedProgram(config=config, module=compiled.module, scan=compiled.scan)
 
 
 class AlwaysNoAliasAnalysis(AliasAnalysis):

@@ -26,6 +26,7 @@ from repro.evaluation import (
 from repro.evaluation.ablation import run_ablation
 from repro.evaluation.harness import frontend_fingerprint
 from repro.evaluation.parallel import diff_records, write_json
+from repro.frontend import lexer, token_stream_digest, tokenize
 
 PROGRAMS = ["allroots", "anagram"]
 MAX_PAIRS = 100
@@ -90,7 +91,7 @@ def serial_precision():
     results = []
     for name, program in build_suite(PROGRAMS).items():
         result = run_queries(name, program.module, standard_factories(), MAX_PAIRS)
-        result.frontend = frontend_fingerprint(program.source, program.module)
+        result.frontend = frontend_fingerprint(program.scan, program.module)
         results.append(result)
     return PrecisionReport(results=results)
 
@@ -115,6 +116,25 @@ class TestParallelPrecision:
             [result.program for result in serial_precision.results]
         assert strip_volatile(bench_record(report)) == \
             strip_volatile(bench_record(serial_precision))
+
+    def test_each_program_is_scanned_once(self, monkeypatch):
+        """The frontend fingerprint reads the tokens the compile scanned."""
+        scan = lexer._scan
+        scans = []
+
+        def counting(source, *args):
+            scans.append(source)
+            return scan(source, *args)
+
+        monkeypatch.setattr(lexer, "_scan", counting)
+        report = run_precision_experiment(PROGRAMS, max_pairs_per_function=MAX_PAIRS,
+                                          jobs=1)
+        assert len(scans) == len(PROGRAMS)
+        monkeypatch.undo()
+        for source, result in zip(scans, report.results):
+            tokens = tokenize(source)
+            assert result.frontend["tokens"] == len(tokens)
+            assert result.frontend["token_digest"] == token_stream_digest(tokens)
 
 
 class TestParallelScalability:

@@ -10,7 +10,6 @@ from repro.symbolic import (
     SymbolicInterval,
     TOP_INTERVAL,
     compare,
-    limit_interval,
     sym,
     sym_max,
     sym_min,
@@ -243,16 +242,3 @@ class TestDisjointness:
     def test_substitute(self):
         assert SymbolicInterval(0, N).substitute({"N": 5}) == SymbolicInterval(0, 5)
 
-
-class TestLimitInterval:
-    def test_small_interval_unchanged(self):
-        interval = SymbolicInterval(0, N)
-        assert limit_interval(interval) == interval
-
-    def test_oversized_bound_widens_to_infinity(self):
-        bound = N
-        for i in range(30):
-            bound = sym_max(bound, sym(f"s{i}"))
-        limited = limit_interval(SymbolicInterval(0, bound), budget=8)
-        assert limited.upper == POS_INF
-        assert limited.lower == SymbolicInterval(0, bound).lower

@@ -1,4 +1,4 @@
-"""Unit tests for the IR transforms: mem2reg, e-SSA, region renaming, simplify."""
+"""Unit tests for the IR transforms: mem2reg, e-SSA, simplify."""
 
 
 from repro.frontend import compile_source
@@ -8,9 +8,6 @@ from repro.ir import (
     INT32,
     IRBuilder,
     Module,
-    PointerType,
-    INT8,
-    VOID,
     verify_module,
 )
 from repro.ir.instructions import (
@@ -18,20 +15,17 @@ from repro.ir.instructions import (
     BinaryInst,
     LoadInst,
     PhiInst,
-    PtrAddInst,
     SigmaInst,
     StoreInst,
 )
 from repro.transforms import (
     PipelineOptions,
     build_essa_function,
-    canonical_bases,
     eliminate_dead_code_in_function,
     fold_constants_in_function,
     is_promotable,
     prepare_module,
     promote_allocas_in_function,
-    rename_region_pointers_in_function,
     simplify_module,
     split_critical_edges,
 )
@@ -220,49 +214,6 @@ class TestESSA:
         result = prepare_module(module, PipelineOptions(build_essa=False))
         assert result.sigmas_created == 0
         assert result.stages_run == ["mem2reg", "simplify", "verify"]
-
-
-class TestRegionRename:
-    def _function_with_two_indexed_stores(self):
-        module = Module("m")
-        fn = module.create_function(
-            "f", FunctionType(VOID, [PointerType(INT8), INT32]), ["p", "i"])
-        entry = fn.append_block("entry")
-        builder = IRBuilder(entry)
-        p, i = fn.args
-        first = builder.ptradd(p, i, scale=4, offset=0, name="a0")
-        second = builder.ptradd(p, i, scale=4, offset=4, name="a1")
-        builder.store(ConstantInt(1), first)
-        builder.store(ConstantInt(2), second)
-        builder.ret()
-        return module, fn
-
-    def test_offsets_share_a_canonical_base(self):
-        module, fn = self._function_with_two_indexed_stores()
-        created = rename_region_pointers_in_function(fn)
-        assert created == 0  # the zero-offset ptradd already is the canonical base
-        bases = canonical_bases(fn)
-        assert len(bases) == 1
-        # The +4 computation is now expressed as canonical base + 4.
-        rewritten = [inst for inst in fn.instructions()
-                     if isinstance(inst, PtrAddInst) and inst.index is None and inst.offset == 4]
-        assert rewritten and rewritten[0].base is bases[0]
-        verify_module(module)
-
-    def test_canonical_base_created_when_missing(self):
-        module = Module("m")
-        fn = module.create_function(
-            "f", FunctionType(VOID, [PointerType(INT8), INT32]), ["p", "i"])
-        entry = fn.append_block("entry")
-        builder = IRBuilder(entry)
-        p, i = fn.args
-        only = builder.ptradd(p, i, scale=2, offset=6, name="a")
-        builder.store(ConstantInt(0), only)
-        builder.ret()
-        created = rename_region_pointers_in_function(fn)
-        assert created == 1
-        assert len(canonical_bases(fn)) == 1
-        verify_module(module)
 
 
 class TestSimplify:
