@@ -19,7 +19,7 @@ narrowing schedule, and the verdict of every analysis on the critical query.
 from repro import BasicAliasAnalysis, RBAAAliasAnalysis, SCEVAliasAnalysis
 from repro.aliases import MemoryAccess
 from repro.benchgen import FIGURE1_SOURCE, compile_figure1
-from repro.core import GlobalAnalysisOptions, GlobalRangeAnalysis, RBAAOptions
+from repro.core import GlobalAnalysisOptions, GlobalRangeAnalysis
 from repro.ir.instructions import StoreInst
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from ..analysis.callgraph import CallGraph
-from ..engine.solver import SparseProblem, SparseSolver
+from ..engine.solver import SolverStatistics, SparseProblem, SparseSolver
 from ..ir.function import Function
 from ..ir.instructions import (
     AllocaInst,
@@ -88,36 +88,11 @@ class _PointsToProblem(SparseProblem):
             pointer = analysis._load_pointer.get(subject)
             if pointer is not None:
                 deps.append(("v", pointer))
-                # Memory reads already known from the current points-to sets.
-                # A cold solve sees nothing here (the sets are empty until it
-                # runs; the edges appear dynamically instead), but a re-seeded
-                # solve must pre-register them so summary growth re-enqueues
-                # retained loads.
-                for obj in analysis.points_to.get(pointer, ()):
-                    deps.append(("m", obj))
             return deps
-        # Memory summaries read through stores, whose targets only become
-        # known as points-to sets grow; those edges are registered
-        # dynamically (see _transfer_value), never declared densely.
+        # The edges through memory (a load reading a summary, a summary
+        # reading a store) follow points-to sets, which are empty until the
+        # solve runs; _transfer_value registers them dynamically.
         return ()
-
-    def delta_nodes(self, edit):
-        """Seed set after a single-function edit.
-
-        :meth:`AndersenAliasAnalysis.refresh_function` prepares the hard
-        part — the constraint destinations whose inclusion constraints the
-        edit changed, closed over the *previous* dependence graph (the
-        ``_dirty`` set) — before asking for the seeds.  Every store pointer
-        and memory summary rides along because the contributor registries
-        (``_stores_targeting``, ``_memory_of``) are derived state without
-        provenance: they are re-derived from one evaluation each rather
-        than surgically patched.
-        """
-        analysis = self._analysis
-        seeds = list(analysis._dirty)
-        seeds.extend(("v", pointer) for pointer in analysis._stores_by_pointer)
-        seeds.extend(("m", obj) for obj in analysis._objects)
-        return seeds
 
     def transfer(self, node):
         kind, subject = node
@@ -197,29 +172,7 @@ class AndersenAliasAnalysis(AliasAnalysis):
     def __init__(self, module: Module, callgraph: Optional[CallGraph] = None):
         super().__init__(module)
         self.callgraph = callgraph if callgraph is not None else CallGraph(module)
-        # points_to maps pointer values to sets of abstract objects, where an
-        # abstract object is an allocation Value or the _UNKNOWN_OBJECT tag.
-        self.points_to: Dict[Value, Set[object]] = {}
-        # base ("address-of") facts: p ∋ obj constraints from allocations.
-        self._base: Dict[Value, Set[object]] = {}
-        # copy sources per destination: pts(dst) ⊇ pts(src).
-        self._sources: Dict[Value, List[Value]] = {}
-        # object -> summary "memory node" points-to set (field-insensitive heap).
-        self._memory_of: Dict[object, Set[object]] = {}
-        self._load_pointer: Dict[LoadInst, Value] = {}
-        # store pointer -> values stored through it; object -> stored values
-        # of the stores known to reach it (built dynamically during solving).
-        self._stores_by_pointer: Dict[Value, Set[Value]] = {}
-        self._stores_targeting: Dict[object, Set[Value]] = {}
-        self._pointer_nodes: List[Value] = []
-        self._known_nodes: Set[Value] = set()
-        self._objects: List[object] = []
-        self._object_set: Set[object] = set()
-        # Seed closure of the most recent refresh_function call; consumed by
-        # _PointsToProblem.delta_nodes.
-        self._dirty: Set[tuple] = set()
-        self.solver_statistics = None
-        self._solve()
+        self.solver_statistics = self._solve()
 
     # -- constraint helpers -----------------------------------------------------
     def _node(self, value: Value) -> None:
@@ -302,121 +255,40 @@ class AndersenAliasAnalysis(AliasAnalysis):
                 self._add_object(inst, _UNKNOWN_OBJECT)
 
     # -- solving ----------------------------------------------------------------------
-    def _solve(self) -> None:
+    def _solve(self) -> SolverStatistics:
+        """Generate the constraints of the current module into fresh state
+        tables and solve them cold."""
+        # points_to maps pointer values to sets of abstract objects, where an
+        # abstract object is an allocation Value or the _UNKNOWN_OBJECT tag.
+        self.points_to: Dict[Value, Set[object]] = {}
+        # base ("address-of") facts: p ∋ obj constraints from allocations.
+        self._base: Dict[Value, Set[object]] = {}
+        # copy sources per destination: pts(dst) ⊇ pts(src).
+        self._sources: Dict[Value, List[Value]] = {}
+        # object -> summary "memory node" points-to set (field-insensitive heap).
+        self._memory_of: Dict[object, Set[object]] = {}
+        self._load_pointer: Dict[LoadInst, Value] = {}
+        # store pointer -> values stored through it; object -> stored values
+        # of the stores known to reach it (built dynamically during solving).
+        self._stores_by_pointer: Dict[Value, Set[Value]] = {}
+        self._stores_targeting: Dict[object, Set[Value]] = {}
+        self._pointer_nodes: List[Value] = []
+        self._known_nodes: Set[Value] = set()
+        self._objects: List[object] = []
+        self._object_set: Set[object] = set()
         self._generate()
-        solver = SparseSolver(_PointsToProblem(self))
-        self.solver_statistics = solver.solve()
+        return SparseSolver(_PointsToProblem(self)).solve()
 
-    # -- incremental refresh ------------------------------------------------------------
     def refresh_function(self, old_function: Function, new_function: Function,
-                         edit) -> Dict[str, int]:
-        """Re-seed the inclusion fixed point after one function was replaced.
-
-        The constraint system is regenerated over the edited module, then the
-        retained points-to sets are kept wherever the edit cannot have
-        removed a contribution: every destination whose constraints changed
-        is reset together with its dependent closure over the *previous*
-        dependence graph (copy edges, load indirections through the retained
-        sets, store indirections likewise).  Inclusion solving is monotone
-        and grow-only, so re-running the solver over that seed set against
-        the retained state converges to exactly the cold answer.
-        """
-        old_values: Set[Value] = set(old_function.args)
-        old_values.update(old_function.instructions())
-        old_base = self._base
-        old_sources = self._sources
-        old_load_pointer = self._load_pointer
-        old_stores = self._stores_by_pointer
-
-        # Regenerate the constraint system over the edited module; unchanged
-        # functions contribute the identical Value objects, so the diff in
-        # _dirty_closure is exact.
-        self._base = {}
-        self._sources = {}
-        self._load_pointer = {}
-        self._stores_by_pointer = {}
-        self._stores_targeting = {}
-        self._pointer_nodes = []
-        self._known_nodes = set()
-        self._objects = []
-        self._object_set = set()
-        self._generate()
-
-        self._dirty = self._dirty_closure(old_values, old_base, old_sources,
-                                          old_load_pointer, old_stores)
-        for kind, subject in self._dirty:
-            if kind == "v":
-                self.points_to.pop(subject, None)
-        for value in old_values:
-            self.points_to.pop(value, None)
-        # Memory summaries and the contributor registry are derived state
-        # without provenance; drop both and let the re-seeded store pointers
-        # rebuild them (every ("m", obj) node is a seed).
-        self._memory_of = {}
-        retained = len(self.points_to)
-
-        problem = _PointsToProblem(self)
-        seeds = problem.delta_nodes(edit)
-        solver = SparseSolver(problem)
-        self.solver_statistics.accumulate(solver.resolve_from(problem, seeds))
+                         edit) -> None:
+        """Rebuild the inclusion fixed point in place after one function was
+        replaced: every state table is reset, the constraints are generated
+        again from the edited module and the call graph (which the manager
+        refreshed first), and a cold solve runs.  Its counters fold into
+        ``solver_statistics``, so ``steps`` covers the first build plus
+        every rebuild."""
+        self.solver_statistics.accumulate(self._solve())
         self.pair_memo.clear()
-        return {"reseeded": len(set(seeds)), "retained": retained}
-
-    def _dirty_closure(self, old_values, old_base, old_sources,
-                       old_load_pointer, old_stores):
-        """Nodes whose retained set may exceed the new least fixed point.
-
-        Starts from every destination whose constraints the edit changed and
-        closes over the dependence graph of the *previous* solve — static
-        copy/load edges plus the memory indirections the retained points-to
-        sets imply.  Anything outside the closure received no contribution
-        from a removed constraint, so its retained set is a sound lower
-        bound that the monotone re-solve can only confirm.
-        """
-        def fingerprint(values):
-            return sorted(id(value) for value in values)
-
-        dirty: Set[tuple] = {("v", value) for value in old_values}
-        for destination in set(old_base) | set(self._base):
-            if fingerprint(old_base.get(destination, ())) \
-                    != fingerprint(self._base.get(destination, ())):
-                dirty.add(("v", destination))
-        for destination in set(old_sources) | set(self._sources):
-            if fingerprint(old_sources.get(destination, ())) \
-                    != fingerprint(self._sources.get(destination, ())):
-                dirty.add(("v", destination))
-        for destination in set(old_load_pointer) | set(self._load_pointer):
-            if old_load_pointer.get(destination) is not self._load_pointer.get(destination):
-                dirty.add(("v", destination))
-        # A changed store can shrink every summary its pointer reached and,
-        # through loads, anything read out of those summaries.
-        for pointer in set(old_stores) | set(self._stores_by_pointer):
-            if fingerprint(old_stores.get(pointer, ())) \
-                    != fingerprint(self._stores_by_pointer.get(pointer, ())):
-                for obj in self.points_to.get(pointer, ()):
-                    dirty.add(("m", obj))
-        dependents: Dict[tuple, List[tuple]] = {}
-        for destination, sources in old_sources.items():
-            for source in sources:
-                dependents.setdefault(("v", source), []).append(("v", destination))
-        for destination, pointer in old_load_pointer.items():
-            dependents.setdefault(("v", pointer), []).append(("v", destination))
-            for obj in self.points_to.get(pointer, ()):
-                dependents.setdefault(("m", obj), []).append(("v", destination))
-        for pointer, stored_values in old_stores.items():
-            for obj in self.points_to.get(pointer, ()):
-                edge = ("m", obj)
-                dependents.setdefault(("v", pointer), []).append(edge)
-                for stored in stored_values:
-                    dependents.setdefault(("v", stored), []).append(edge)
-        frontier = list(dirty)
-        while frontier:
-            node = frontier.pop()
-            for dependent in dependents.get(node, ()):
-                if dependent not in dirty:
-                    dirty.add(dependent)
-                    frontier.append(dependent)
-        return dirty
 
     # -- queries -------------------------------------------------------------------------
     def points_to_set(self, pointer: Value) -> Set[object]:

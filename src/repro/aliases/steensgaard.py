@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.callgraph import CallGraph, CallSite
-from ..engine.solver import SparseProblem, SparseSolver
+from ..engine.solver import SolverStatistics, SparseProblem, SparseSolver
 from ..ir.instructions import (
     AllocaInst,
     CallInst,
@@ -91,18 +91,6 @@ class _UnificationProblem(SparseProblem):
     def nodes(self) -> List[Tuple[str, object]]:
         return self._constraints
 
-    def delta_nodes(self, edit) -> List[Tuple[str, object]]:
-        """Every constraint: unification is not retractable.
-
-        A union-find merge cannot be undone, and the replaced function's old
-        constraints are entangled with live equivalence classes, so there is
-        no sound subset of state to retain.  A function edit therefore
-        re-seeds the entire schedule; routing the rebuild through
-        :meth:`SparseSolver.resolve_from` keeps the step accounting uniform
-        with the genuinely incremental analyses.
-        """
-        return list(self._constraints)
-
     def transfer(self, constraint: Tuple[str, object]) -> bool:
         self._analysis._apply(constraint)
         return True
@@ -122,15 +110,7 @@ class SteensgaardAliasAnalysis(AliasAnalysis):
     def __init__(self, module: Module, callgraph: Optional[CallGraph] = None):
         super().__init__(module)
         self.callgraph = callgraph if callgraph is not None else CallGraph(module)
-        self._uf = _UnionFind()
-        #: representative class -> set of allocation objects in that class
-        self._objects_of_class: Dict[object, Set[Value]] = {}
-        #: representative class -> True when the class contains an unknown pointer
-        self._class_unknown: Dict[object, bool] = {}
-        #: class of pointers -> class of what their pointees' cells hold
-        self._pointee_class: Dict[object, object] = {}
-        self.solver_statistics = None
-        self._build()
+        self.solver_statistics = self._build()
 
     # -- class helpers --------------------------------------------------------
     def _class_of(self, value: Value) -> object:
@@ -189,9 +169,16 @@ class SteensgaardAliasAnalysis(AliasAnalysis):
         return self._uf.find(cell)
 
     # -- construction -------------------------------------------------------------
-    def _build(self) -> None:
-        solver = SparseSolver(_UnificationProblem(self, self._constraints()))
-        self.solver_statistics = solver.solve()
+    def _build(self) -> SolverStatistics:
+        """Apply every constraint of the current module to fresh classes."""
+        self._uf = _UnionFind()
+        #: representative class -> set of allocation objects in that class
+        self._objects_of_class: Dict[object, Set[Value]] = {}
+        #: representative class -> True when the class contains an unknown pointer
+        self._class_unknown: Dict[object, bool] = {}
+        #: class of pointers -> class of what their pointees' cells hold
+        self._pointee_class: Dict[object, object] = {}
+        return SparseSolver(_UnificationProblem(self, self._constraints())).solve()
 
     def _constraints(self) -> List[Tuple[str, object]]:
         module = self.module
@@ -210,25 +197,16 @@ class SteensgaardAliasAnalysis(AliasAnalysis):
         constraints.extend(("call", site) for site in self.callgraph.call_sites)
         return constraints
 
-    # -- incremental refresh --------------------------------------------------------
-    def refresh_function(self, old_function, new_function, edit) -> Dict[str, int]:
-        """Rebuild the unification fixed point after one function was replaced.
+    def refresh_function(self, old_function, new_function, edit) -> None:
+        """Rebuild the classes in place after one function was replaced.
 
-        See :meth:`_UnificationProblem.delta_nodes`: merges cannot be undone,
-        so nothing is retained — the class state is reset and every
-        constraint of the edited module is re-applied through the shared
-        re-seed entry point, accumulating into the same statistics object.
+        A union-find merge cannot be undone, so nothing is retained: every
+        constraint of the edited module, with the call sites of the call
+        graph the manager refreshed first, is applied to fresh classes, and
+        the counters fold into ``solver_statistics``.
         """
-        self._uf = _UnionFind()
-        self._objects_of_class = {}
-        self._class_unknown = {}
-        self._pointee_class = {}
-        problem = _UnificationProblem(self, self._constraints())
-        seeds = problem.delta_nodes(edit)
-        solver = SparseSolver(problem)
-        self.solver_statistics.accumulate(solver.resolve_from(problem, seeds))
+        self.solver_statistics.accumulate(self._build())
         self.pair_memo.clear()
-        return {"reseeded": len(seeds), "retained": 0}
 
     def _apply(self, constraint: Tuple[str, object]) -> None:
         kind, subject = constraint

@@ -49,7 +49,6 @@ class BoundsCheckAnalysis:
 
     def __init__(self, module: Module, manager=None):
         self.module = module
-        self.manager = manager
         if manager is not None:
             self.rbaa = manager.get(keys.RBAA)
             self.basic = manager.get(keys.BASIC)
@@ -66,14 +65,11 @@ class BoundsCheckAnalysis:
     # -- incremental invalidation (manager edit hook) -----------------------
     def refresh_function(self, old_function: Function,
                          new_function: Function, edit) -> None:
-        """Drop the edited function's report; inputs were refreshed first
-        (dependencies-first ordering), so re-requesting them is a hit."""
+        """Drop the edited function's report and the extents; the manager
+        refreshed the inputs this analysis holds in place first
+        (dependencies-first ordering)."""
         self._reports.pop(old_function, None)
         self._extents.clear()
-        if self.manager is not None:
-            self.rbaa = self.manager.get(keys.RBAA)
-            self.basic = self.manager.get(keys.BASIC)
-            self.ranges = self.manager.get(keys.RANGES)
 
     # -- extents ------------------------------------------------------------
     def extent_interval(self, site: Value,

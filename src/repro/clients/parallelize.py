@@ -78,7 +78,6 @@ class LoopParallelismAnalysis:
 
     def __init__(self, module: Module, manager=None):
         self.module = module
-        self.manager = manager
         if manager is not None:
             self.rbaa = manager.get(keys.RBAA)
             self.basic = manager.get(keys.BASIC)
@@ -95,11 +94,10 @@ class LoopParallelismAnalysis:
     # -- incremental invalidation (manager edit hook) -----------------------
     def refresh_function(self, old_function: Function,
                          new_function: Function, edit) -> None:
+        """Drop the edited function's report; the manager refreshed the
+        inputs this analysis holds in place first (dependencies-first
+        ordering)."""
         self._reports.pop(old_function, None)
-        if self.manager is not None:
-            self.rbaa = self.manager.get(keys.RBAA)
-            self.basic = self.manager.get(keys.BASIC)
-            self.scev = self.manager.get(keys.SCEV)
 
     # -- pair independence ----------------------------------------------------
     def _defined_outside(self, value: Value, loop: Loop) -> bool:

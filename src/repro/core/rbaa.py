@@ -85,14 +85,14 @@ class RBAAAliasAnalysis(AliasAnalysis):
                  manager: Optional[AnalysisManager] = None):
         super().__init__(module)
         self.options = options or RBAAOptions()
-        self.manager = manager if manager is not None else AnalysisManager(module)
-        self.ranges = self.manager.get(keys.RANGES, options=self.options.range_options)
-        self.locations = self.manager.get(keys.LOCATIONS)
-        self.global_analysis = self.manager.get(
+        manager = manager if manager is not None else AnalysisManager(module)
+        self.ranges = manager.get(keys.RANGES, options=self.options.range_options)
+        self.locations = manager.get(keys.LOCATIONS)
+        self.global_analysis = manager.get(
             keys.GLOBAL_RANGES,
             options=self.options.global_options,
             range_options=self.options.range_options)
-        self.local_analysis = self.manager.get(
+        self.local_analysis = manager.get(
             keys.LOCAL_RANGES, range_options=self.options.range_options)
         self.statistics = RBAAStatistics()
 
@@ -100,25 +100,14 @@ class RBAAAliasAnalysis(AliasAnalysis):
         """Function-granular incremental refresh (manager edit hook).
 
         The function-local inputs (ranges, locations, LR) and the
-        interprocedural GR fixed point were all refreshed in place by the
-        manager before this hook runs (dependencies-first), so every
-        re-request below is a cache hit on the same objects — GR re-seeded
-        its own fixed point from the edit cone rather than rebuilding from
-        scratch.  The pair memo is cleared: its keys are pointer identities,
-        and the retired body's ids may be recycled, while surviving pairs
-        may sit in the edit's interprocedural cone — but the cumulative
-        Figure-14 counters survive, so a memoized-then-recomputed query is
-        still counted exactly once per ask.
+        interprocedural GR fixed point are the objects this analysis holds,
+        and the manager refreshed each in place before this hook runs
+        (dependencies-first), so only the pair memo is cleared: its keys are
+        pointer identities, and the retired body's ids may be recycled,
+        while surviving pairs may sit in the edit's interprocedural cone.
+        The cumulative Figure-14 counters survive, so a memoized-then-
+        recomputed query is still counted exactly once per ask.
         """
-        self.ranges = self.manager.get(keys.RANGES,
-                                       options=self.options.range_options)
-        self.locations = self.manager.get(keys.LOCATIONS)
-        self.global_analysis = self.manager.get(
-            keys.GLOBAL_RANGES,
-            options=self.options.global_options,
-            range_options=self.options.range_options)
-        self.local_analysis = self.manager.get(
-            keys.LOCAL_RANGES, range_options=self.options.range_options)
         self.pair_memo.clear()
 
     # -- introspection helpers ----------------------------------------------------

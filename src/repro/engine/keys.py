@@ -99,15 +99,17 @@ LOCATIONS = AnalysisKey("locations", _build_locations)
 #: The direct-call graph: every call-site fact GR, Andersen and Steensgaard
 #: read.  It runs no solver; an edit rebuilds it in place before them.
 CALLGRAPH = AnalysisKey("callgraph", _build_callgraph)
-#: The global symbolic pointer range analysis (GR, Figure 9): an
-#: interprocedural fixed point re-run when an edit lands in its cone.
+#: The global symbolic pointer range analysis (GR, Figure 9): the one
+#: interprocedural fixed point an edit re-seeds, from the edit's cone.
 GLOBAL_RANGES = AnalysisKey("global-ranges", _build_global_ranges)
 #: The local symbolic pointer range analysis (LR, Figure 11): one-sweep and
 #: per-function, so edits refresh it in place.
 LOCAL_RANGES = AnalysisKey("local-ranges", _build_local_ranges)
-#: Inclusion-based points-to baseline (whole-module constraint graph).
+#: Inclusion-based points-to baseline (whole-module constraint graph); an
+#: edit rebuilds it in place with a cold solve.
 ANDERSEN = AnalysisKey("andersen", _build_andersen)
-#: Unification-based points-to baseline (whole-module constraint drain).
+#: Unification-based points-to baseline (whole-module constraint drain); an
+#: edit rebuilds it in place with a cold solve.
 STEENSGAARD = AnalysisKey("steensgaard", _build_steensgaard)
 #: The basicaa-style heuristic baseline (stateless; per-function caches).
 BASIC = AnalysisKey("basic", _build_basic)

@@ -84,10 +84,11 @@ _CacheKey = Tuple[AnalysisKey, Hashable]
 class EditImpact:
     """What one function edit did to a manager's cache.
 
-    ``reseeded`` and ``retained`` record, per refreshed analysis, how many
-    nodes the edit re-seeded and how much prior state survived it — the
-    per-edit incremental telemetry the service's ``stats`` op surfaces
-    (pure counts: deterministic, and untouched by ``strip_volatile``).
+    ``reseeded`` and ``retained`` record, per re-seeded analysis (GR is
+    the one), how many nodes the edit re-seeded and how much prior state
+    survived it — the per-edit incremental telemetry the service's
+    ``stats`` op surfaces (pure counts: deterministic, and untouched by
+    ``strip_volatile``).
     """
 
     function: str
@@ -195,19 +196,18 @@ class AnalysisManager:
         edit)`` is *refreshed in place*; every other entry is evicted and
         rebuilt lazily.  ``edit`` is this :class:`EditImpact`.  A
         function-local analysis ignores it: its hook purges the old
-        function's state and re-runs only the new function's nodes.  An
-        interprocedural fixed point maps the edit to the nodes it can
-        influence (``SparseProblem.delta_nodes``) and restarts change-driven
-        propagation against the retained fixed point
-        (``SparseSolver.resolve_from``), so the edit pays for its cone rather
-        than the module.  A hook may return a telemetry dict
+        function's state and re-runs only the new function's nodes.  GR is
+        the one fixed point an edit re-seeds: it maps the edit to the nodes
+        it can influence and restarts change-driven propagation against the
+        retained fixed point (``SparseSolver.resolve_from``), so the edit
+        pays for its cone rather than the module, and returns its telemetry
         (``reseeded``/``retained`` counts), recorded on the impact.
+        Andersen and Steensgaard rebuild in place with a cold solve over
+        the refreshed call graph.
 
-        Refreshes run dependencies-first (the recorded edge order), with the
-        refreshing entry pushed on the build stack so any nested
-        :meth:`get` — e.g. RBAA re-requesting the re-seeded GR analysis,
-        now a cache hit on the same object — keeps its dependency edges
-        recorded.
+        Refreshes run dependencies-first (the recorded edge order), so a
+        hook that holds its inputs (RBAA holds GR, the clients hold RBAA)
+        finds them already refreshed and only clears its own memos.
         """
         refresh: List[_CacheKey] = []
         doomed: Set[_CacheKey] = set()
@@ -222,13 +222,8 @@ class AnalysisManager:
         self.statistics.invalidations += len(doomed)
 
         for cache_key in self._refresh_order(refresh):
-            value = self._cache[cache_key]
-            self._build_stack.append(cache_key)
-            try:
-                telemetry = value.refresh_function(old_function, new_function,
-                                                   impact)
-            finally:
-                self._build_stack.pop()
+            telemetry = self._cache[cache_key].refresh_function(
+                old_function, new_function, impact)
             self.statistics.refreshes += 1
             impact.refreshed.append(cache_key[0].name)
             if isinstance(telemetry, dict):

@@ -191,20 +191,6 @@ class SparseProblem:
         ``"descending:<k>"`` — the GR analysis snapshots its Figure-12 trace
         from here."""
 
-    def delta_nodes(self, edit) -> Sequence[Node]:
-        """Map one function edit to the seed set of a re-solve.
-
-        ``edit`` is the :class:`~repro.engine.manager.EditImpact` of a
-        single-function edit.  The returned nodes are exactly those whose
-        retained abstract value the edit can influence — the inputs to
-        :meth:`SparseSolver.resolve_from`, which recomputes them from
-        scratch against the rest of the retained fixed point.  A problem
-        that closes its seeds over :meth:`SparseSolver.dependents` needs
-        the caller to :meth:`SparseSolver.register` it first.  Problems
-        that do not support incremental re-seeding keep the default.
-        """
-        raise NotImplementedError(f"{self.name} does not support re-seeding")
-
 
 class TransferRule(NamedTuple):
     """One instruction kind's entry in an analysis' rule table.
@@ -455,11 +441,11 @@ class SparseSolver:
     def register(self, state: SparseProblem) -> None:
         """Bind ``state`` and register its whole dependence graph.
 
-        :meth:`solve` and :meth:`resolve_from` do this themselves; a caller
-        registers first when the problem's :meth:`SparseProblem.delta_nodes`
-        closes its seeds over :meth:`dependents`, and the following
-        ``resolve_from`` on the same state reuses the registration, so
-        ``dependencies`` is still asked once per node.
+        :meth:`solve` and :meth:`resolve_from` do this themselves.  GR's
+        edit refresh registers first, because it closes its seed set over
+        :meth:`dependents`; the following ``resolve_from`` on the same state
+        reuses the registration, so ``dependencies`` is still asked once per
+        node.
         """
         self.problem = state
         bind = getattr(state, "bind", None)
@@ -480,9 +466,10 @@ class SparseSolver:
 
         ``state`` is the problem holding a previously computed fixed point
         (problems own their abstract values, so the retained state *is* the
-        problem); ``seeds`` are the nodes an edit can influence, typically
-        the problem's :meth:`SparseProblem.delta_nodes` for that edit.  The
-        schedule mirrors :meth:`solve` restricted to the seed set:
+        problem); ``seeds`` are the nodes an edit can influence.  GR is the
+        one fixed point an edit re-seeds; the other interprocedural analyses
+        rebuild cold.  The schedule mirrors :meth:`solve` restricted to the
+        seed set:
 
         1. the seed subgraph is condensed and swept dependencies-first,
            reading retained values for every non-seed dependency (because

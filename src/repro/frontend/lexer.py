@@ -271,6 +271,10 @@ def _scan(source: str, position: int, line: int, line_start: int,
                                      start_line, start_column)
                 value = ord(_ESCAPES[escape]) if escape else 0
                 end += 2
+            elif end < length and source[end] == "\n":
+                # C11 6.4.4.4: a c-char is any character but ', \ and new-line.
+                raise LexerError("newline in character literal",
+                                 start_line, start_column)
             else:
                 value = ord(source[end]) if end < length else 0
                 end += 1
@@ -336,10 +340,6 @@ class Relex(NamedTuple):
 #: or string) re-scans to the end of the source.
 _SYNC_CANDIDATES = 64
 
-#: A character literal holding a raw newline: the scanner does not count
-#: that newline, so positions cannot be mapped back to offsets by lines.
-_RAW_NEWLINE_CHAR = "'\n'"
-
 
 def retokenize(old_source: str, old_tokens: List[Token],
                source: str) -> Relex:
@@ -352,9 +352,6 @@ def retokenize(old_source: str, old_tokens: List[Token],
     it; the scan restarts after the last one kept and stops at the first
     token boundary that is an old token start in the common suffix.
     """
-    if _RAW_NEWLINE_CHAR in old_source:
-        tokens = tokenize(source)
-        return Relex(tokens, 0, len(tokens), len(old_tokens))
     old_length, length = len(old_source), len(source)
     prefix = _common_prefix(old_source, source)
     suffix = min(_common_prefix(old_source[::-1], source[::-1]),

@@ -37,9 +37,9 @@ plus one context digest over the rest.  Every compile runs through it
 (:func:`repro.frontend.driver.compile_bodies`), so every compiled source
 has a scan for its next edit.  An edit passes the previous scan in: only
 the changed span of the source is scanned again
-(:func:`~repro.frontend.lexer.retokenize`), bodies whose tokens did not
-change are neither parsed nor digested again, and comparing the digests
-with the previous source's finds the bodies to lower again.
+(:func:`~repro.frontend.lexer.retokenize`), bodies outside that span are
+neither parsed nor digested again, and comparing the digests with the
+previous source's finds the bodies to lower again.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from ..ir.printer import print_module
 from ..ir.types import VOID
 from .ast_nodes import CompoundStmt, FunctionDecl, TranslationUnit, TypeSpec
 from .cparser import Parser
-from .lexer import Relex, Token, TokenKind, retokenize, tokenize
+from .lexer import Relex, Token, retokenize, tokenize
 from .lowering import function_string_literals
 from .sema import SemanticInfo, analyze
 
@@ -141,17 +141,14 @@ class _SpanParser(Parser):
 
     A body at its span in ``unmoved`` (the previous scan's tokens, reused
     unchanged) is not parsed: it is left an empty block and its name is
-    added to ``skipped``.  So is any other body whose tokens digest to
-    ``reuse[name]``; the digests this check computes stay in ``digested``.
+    added to ``skipped``.
     """
 
-    def __init__(self, tokens: List[Token], reuse: Dict[str, str],
+    def __init__(self, tokens: List[Token],
                  unmoved: Dict[str, Tuple[int, int]]):
         super().__init__(tokens)
         self.body_spans: List[Tuple[int, int]] = []
         self.skipped: Set[str] = set()
-        self.digested: Dict[Tuple[int, int], str] = {}
-        self._reuse = reuse
         self._unmoved = unmoved
         self._function = ""
         self._depth = 0
@@ -167,44 +164,16 @@ class _SpanParser(Parser):
         if not self._depth:
             span = self._unmoved.get(self._function)
             if span is not None and span[0] == start:
-                return self._skip(span)
-            if self._function in self._reuse:
-                end = _block_end(self._tokens, start)
-                if end is not None:
-                    digest = _tokens_digest(self._tokens[start:end])
-                    if digest == self._reuse[self._function]:
-                        return self._skip((start, end))
-                    self.digested[start, end] = digest
+                self.body_spans.append(span)
+                self.skipped.add(self._function)
+                self._position = span[1]
+                return CompoundStmt([])
         self._depth += 1
         body = super()._parse_compound()
         self._depth -= 1
         if not self._depth:
             self.body_spans.append((start, self._position))
         return body
-
-    def _skip(self, span: Tuple[int, int]) -> CompoundStmt:
-        self.body_spans.append(span)
-        self.skipped.add(self._function)
-        self._position = span[1]
-        return CompoundStmt([])
-
-
-def _block_end(tokens: Sequence[Token], start: int) -> Optional[int]:
-    """The index after the ``}`` closing the block that opens at ``start``
-    (``None`` when no block opens there or it never closes)."""
-    depth = 0
-    for index in range(start, len(tokens)):
-        token = tokens[index]
-        if token.kind == TokenKind.PUNCT:
-            if token.text == "{":
-                depth += 1
-            elif token.text == "}":
-                depth -= 1
-                if not depth:
-                    return index + 1
-        if not depth:
-            return None
-    return None
 
 
 def _tokens_digest(tokens: Sequence[Token]) -> str:
@@ -220,12 +189,12 @@ def parse_unit(source: str, previous: Optional[UnitScan] = None,
 
     Given the ``previous`` source's scan, only the span of ``source`` that
     differs is scanned again (:func:`~repro.frontend.lexer.retokenize`).  A
-    body whose tokens did not change is not parsed again: it is an empty
-    block in the returned unit, and its digest and literals come from
-    ``previous``.  A body wholly outside the re-scanned span is skipped by
-    its known span, without even finding its end or digesting it.  When
-    the context changed, every body must be lowered, so every body is
-    parsed after all, from the tokens already scanned.
+    body wholly outside the re-scanned span is not parsed again: it is
+    skipped by its known span, it is an empty block in the returned unit,
+    and its digest and literals come from ``previous``.  A body inside the
+    span is parsed and digested; the caller lowers it only if its digest
+    changed.  When the context changed, every body must be lowered, so
+    every body is parsed after all, from the tokens already scanned.
     """
     if previous is None:
         return _parse_tokens(source, tokenize(source), None, {})
@@ -252,8 +221,7 @@ def _parse_tokens(source: str, tokens: List[Token],
                   previous: Optional[UnitScan],
                   unmoved: Dict[str, Tuple[int, int]],
                   ) -> Tuple[TranslationUnit, SemanticInfo, UnitScan]:
-    parser = _SpanParser(tokens, previous.digests.bodies if previous else {},
-                         unmoved)
+    parser = _SpanParser(tokens, unmoved)
     unit = parser.parse_translation_unit()
     info = analyze(unit)
     definitions = [decl for decl in unit.functions if decl.body is not None]
@@ -275,9 +243,7 @@ def _parse_tokens(source: str, tokens: List[Token],
             literals[name] = previous.digests.literals[name]
         else:
             start, end = spans[name]
-            digest = parser.digested.get((start, end))
-            bodies[name] = digest if digest is not None \
-                else _tokens_digest(tokens[start:end])
+            bodies[name] = _tokens_digest(tokens[start:end])
             returns_void = info.function_types[name].return_type == VOID
             literals[name] = tuple(function_string_literals(decl, returns_void))
         layout.append(f"{name}:" + ",".join(str(len(text))

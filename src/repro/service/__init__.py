@@ -8,8 +8,11 @@
   access-size schema, and client helpers.
 * :mod:`repro.service.session` — :class:`AnalysisSession`, the in-process
   API: modules stay resident with warm analysis state (each alias
-  analysis keeps its own bounded pair memo); single-function edits re-run only the invalidated cone;
-  optionally backed by the persistent result store.
+  analysis keeps its own bounded pair memo); a single-function edit
+  re-parses only the re-scanned bodies, re-solves the function-local
+  analyses for the edited body, re-seeds GR from the edit's cone and
+  rebuilds the points-to baselines cold; optionally backed by the
+  persistent result store.
 * :mod:`repro.service.store` — :class:`ResultStore`, the persistent
   content-addressed result cache keyed by source digest + generator and
   protocol versions (warm restarts skip compile-and-bootstrap).

@@ -103,31 +103,26 @@ def _worker_main(index: int, channel: socket.socket,
     ``chaos`` is the deterministic fault spec of the chaos harness
     (:mod:`repro.service.chaos`): ``latency_by_id`` maps request ids to a
     sleep (seconds) injected *before* handling — how the harness makes a
-    worker wedge on one scripted request — and ``latency_by_ordinal`` maps
-    the 0-based arrival ordinal to a sleep.  Production runs pass ``None``.
+    worker wedge on one scripted request.  Production runs pass ``None``.
     """
     from .protocol import handle_payload
     from .session import AnalysisSession
     from .store import ResultStore
 
     latency_by_id = (chaos or {}).get("latency_by_id", {})
-    latency_by_ordinal = (chaos or {}).get("latency_by_ordinal", {})
     store = ResultStore(store_root) if store_root else None
     session = AnalysisSession(store=store)
     stream = channel.makefile("rb")
-    ordinal = 0
     try:
         while True:
             job = _read_frame_blocking(stream)
             if job is None:
                 return
             job_id, payload = job
-            delay = latency_by_ordinal.get(str(ordinal))
-            if delay is None and isinstance(payload, dict):
+            if isinstance(payload, dict):
                 delay = latency_by_id.get(str(payload.get("id")))
-            if delay:
-                time.sleep(float(delay))
-            ordinal += 1
+                if delay:
+                    time.sleep(float(delay))
             channel.sendall(pack_frame((job_id,
                                         handle_payload(session, payload))))
     except ConnectionError:
@@ -153,7 +148,7 @@ class WorkerPool:
     #: Shared result-store directory (``None`` disables persistence).
     store_root: Optional[str] = None
     #: Deterministic fault spec per shard index (chaos harness only):
-    #: ``{shard: {"latency_by_id": {...}, "latency_by_ordinal": {...}}}``.
+    #: ``{shard: {"latency_by_id": {...}}}``.
     chaos: Optional[Dict[int, Dict[str, Any]]] = None
     _workers: List[_Worker] = field(default_factory=list)
     _placement: Dict[str, int] = field(default_factory=dict)

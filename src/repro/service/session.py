@@ -8,13 +8,13 @@ of alias/range queries pays the expensive analysis builds once, and a
 analyses whose dependency cone the edit touches:
 
 * the function-local analyses (symbolic ranges, LR, locations, basicaa
-  caches, SCEV engines, RBAA) are refreshed in place, re-solving only the
+  caches, SCEV engines) are refreshed in place, re-solving only the
   edited function's nodes, and every alias analysis clears its pair memo;
-* the interprocedural fixed points (GR, Andersen, Steensgaard) are
-  *re-seeded* in place through :meth:`SparseSolver.resolve_from`: the
-  retained fixed point survives and only the edit's dependent cone is
-  re-solved (Steensgaard, whose unification is not retractable, re-applies
-  every constraint but still routes through the same entry point);
+* GR, the one fixed point an edit *re-seeds*, is refreshed in place
+  through :meth:`SparseSolver.resolve_from`: the retained fixed point
+  survives and only the edit's dependent cone is re-solved;
+* the points-to baselines (Andersen, Steensgaard) rebuild in place with a
+  cold solve of the edited module;
 * only structural edits (a changed struct, global, function list or
   order, signature or prototype) fall back to a full reload.
 
@@ -24,7 +24,7 @@ reloads all compile through one sequence,
 keeps the scan it produced (:class:`~repro.frontend.stages.UnitScan`:
 tokens, body spans and digests).  An edit scans again only the span of
 the new source that differs; the source is parsed and analyzed except for
-the bodies whose tokens did not change, and digested per function body
+the bodies outside that span, and digested per function body
 (:class:`~repro.frontend.stages.UnitDigests`: position-free token digests,
 plus one context digest over structs, globals, prototypes, headers,
 function order and string-literal lengths).  The candidates are the
@@ -163,9 +163,9 @@ class ResidentModule:
         """Per-analysis solver-step totals of the cached analyses, name-sorted.
 
         The loadtest edit replay sums the interprocedural names out of this to
-        gate the incremental-interprocedural path: after an edit, the GR /
-        Andersen / Steensgaard re-seeds must have cost strictly fewer steps
-        than the cold fixed points they replaced."""
+        gate the incremental-interprocedural path: after an edit, the GR
+        re-seed plus the Andersen / Steensgaard cold rebuilds must have cost
+        strictly fewer steps than the cold fixed points they replaced."""
         totals: Dict[str, int] = {}
         if self.manager is not None:
             for name, value in self.manager.cached_items():
@@ -309,7 +309,8 @@ class AnalysisSession:
         source.  The new source is compiled against the resident's kept
         scan (:func:`~repro.frontend.driver.compile_bodies`): only the span
         that differs is scanned again, the source is parsed and analyzed
-        except for its unchanged bodies, and digested per function body.
+        except for the bodies outside that span, and digested per function
+        body.
         The *candidates* are the bodies whose digest differs from the
         resident source's, or every body when the context digest (structs,
         globals, prototypes, headers, function order and string-literal

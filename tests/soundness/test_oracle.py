@@ -98,12 +98,14 @@ def test_default_max_pairs_is_bounded():
 
 @pytest.mark.parametrize("name", ("fixoutput", "anagram"))
 def test_warm_edited_module_replays_clean_through_the_oracle(name):
-    """Post-edit verdicts from *re-seeded* fixed points are oracle-clean.
+    """Post-edit verdicts from fixed points refreshed in place are
+    oracle-clean.
 
     The warm analyses are pulled straight out of an edited session's
-    manager — the exact objects whose interprocedural state was re-seeded
-    via ``resolve_from`` rather than rebuilt — and fed through the full
-    differential oracle against concrete executions of the edited module.
+    manager — the exact objects whose state the edit refreshed (GR's
+    re-seeded via ``resolve_from``, the points-to baselines' rebuilt) —
+    and fed through the full differential oracle against concrete
+    executions of the edited module.
     """
     from types import SimpleNamespace
 

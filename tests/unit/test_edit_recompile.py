@@ -200,6 +200,21 @@ def test_whitespace_and_comment_edit_changes_nothing(work):
     assert work == {"lowered": [], "prepared": []}
 
 
+def test_comment_edit_inside_a_body_parses_it_and_lowers_nothing(work):
+    after = _edited("puts(\"mid\");", "puts(\"mid\"); /* a comment */")
+    _, _, base = parse_unit(BASE)
+    unit, _, scan = parse_unit(after, base)
+    # The body is in the re-scanned span, so it is parsed again; its
+    # digest, like every other, is unchanged.
+    assert [decl.name for decl in unit.functions
+            if decl.body is not None and decl.body.statements] == ["middle"]
+    assert scan.digests == base.digests
+    session = _session()
+    answer = _edit_and_check(session, BASE, after, work)
+    assert (answer["changed"], answer["reloaded"]) == ([], False)
+    assert work == {"lowered": [], "prepared": []}
+
+
 def test_token_change_with_identical_ir(work):
     session = _session()
     answer = _edit_and_check(
@@ -352,27 +367,21 @@ def test_an_edit_parses_only_the_bodies_that_changed():
 
 def test_a_one_body_edit_digests_only_the_rescanned_body(monkeypatch):
     _, _, base = parse_unit(BASE)
-    digested, ended = [], []
-    tokens_digest, block_end = stages._tokens_digest, stages._block_end
+    digested = []
+    tokens_digest = stages._tokens_digest
 
     def counting_digest(tokens):
         digested.append(len(tokens))
         return tokens_digest(tokens)
 
-    def counting_end(tokens, start):
-        ended.append(start)
-        return block_end(tokens, start)
-
     monkeypatch.setattr(stages, "_tokens_digest", counting_digest)
-    monkeypatch.setattr(stages, "_block_end", counting_end)
     after = _edited("a + b + 16", "a + b + 17")
     _, _, scan = parse_unit(after, base)
     start, end = scan.spans["middle"]
     context = len(scan.tokens) - sum(end - start
                                      for start, end in scan.spans.values())
-    # The edited body is brace-scanned and digested once; every other body
-    # is skipped by its known span; the context is digested once.
-    assert ended == [start]
+    # The edited body is digested once; every other body is skipped by its
+    # known span; the context is digested once.
     assert digested == [end - start, context]
     monkeypatch.undo()
     assert scan.digests == parse_unit(after)[2].digests

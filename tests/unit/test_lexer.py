@@ -50,6 +50,13 @@ class TestMalformedLiterals:
         assert (error.line, error.column) == (1, 11)
         assert r"\q" in str(error)
 
+    def test_raw_newline_in_char_literal(self):
+        # Used to be accepted without counting the line break, so every
+        # later token's line was one short.  C forbids a new-line c-char.
+        error = _lex_error("int f() {\n  char c = '\n';\n  return x;\n}\n")
+        assert (error.line, error.column) == (2, 12)
+        assert "newline in character literal" in str(error)
+
     def test_error_position_tracks_lines(self):
         error = _lex_error("int a;\nint b;\nint c = 0x;\n")
         assert (error.line, error.column) == (3, 9)

@@ -149,10 +149,11 @@ LONG = "int a; /* x */ " + "int b; " * 40 + "/* y */ int c;\n"
     (BASE, BASE.replace("return x + ", "return x +=")),
     (BASE, BASE.replace("0x1F", "0x")),
     (BASE, BASE.replace("0x1F", "1.2.3")),
-    # A character literal holding a raw newline.
+    # A raw newline in a character literal (rejected by both scans): a
+    # literal replaced, a newline inserted into one, an escape made raw.
     (BASE, BASE.replace("'q'", "'\n'")),
-    (BASE.replace("'q'", "'\n'"), BASE),
-    (BASE.replace("'q'", "'\n'"), BASE.replace("'q'", "'\n'") + " "),
+    (BASE, BASE.replace("'q'", "'\nq'")),
+    (BASE, BASE.replace("'\\n'", "'\n'")),
     # Empty and identical sources.
     ("", ""),
     ("", BASE),

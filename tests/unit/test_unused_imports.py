@@ -12,7 +12,7 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
-SCANNED = ("src", "tests", "benchmarks")
+SCANNED = ("src", "tests", "benchmarks", "examples", "tools")
 NOQA = re.compile(r"#\s*noqa(?!:)|#\s*noqa:[\w\s,]*\bF401\b")
 
 
