@@ -112,17 +112,15 @@ class PointerAbstractValue:
             return other
         if other.is_bottom or self is other:
             return self
+        # ``self``'s locations first, then ``other``'s new ones: key order
+        # must not follow the hash order of location names.
         widened: Dict[MemoryLocation, SymbolicInterval] = {}
-        for location in set(self._ranges) | set(other._ranges):
-            old = self._ranges.get(location)
+        for location, old in self._ranges.items():
             new = other._ranges.get(location)
-            if old is None:
-                assert new is not None
+            widened[location] = old if new is None else old.widen(new)
+        for location, new in other._ranges.items():
+            if location not in widened:
                 widened[location] = new
-            elif new is None:
-                widened[location] = old
-            else:
-                widened[location] = old.widen(new)
         return PointerAbstractValue(widened)
 
     def narrow(self, other: "PointerAbstractValue") -> "PointerAbstractValue":

@@ -96,13 +96,20 @@ class LocationTable:
         for variable in self.module.globals:
             self._new_location(LocationKind.GLOBAL, f"@{variable.name}", variable)
         for function in self.module.defined_functions():
-            for inst in function.instructions():
-                if isinstance(inst, MallocInst):
-                    self._new_location(LocationKind.HEAP,
-                                       f"{function.name}.{inst.name or 'malloc'}", inst)
-                elif isinstance(inst, AllocaInst):
-                    self._new_location(LocationKind.STACK,
-                                       f"{function.name}.{inst.name or 'alloca'}", inst)
+            self._register_sites(function)
+
+    def _register_sites(self, function) -> None:
+        """A location for each heap and stack allocation site of
+        ``function`` that has none yet, in instruction order."""
+        for inst in function.instructions():
+            if inst in self._by_site:
+                continue
+            if isinstance(inst, MallocInst):
+                self._new_location(LocationKind.HEAP,
+                                   f"{function.name}.{inst.name or 'malloc'}", inst)
+            elif isinstance(inst, AllocaInst):
+                self._new_location(LocationKind.STACK,
+                                   f"{function.name}.{inst.name or 'alloca'}", inst)
 
     def refresh_function(self, old_function, new_function, edit) -> None:
         """Function-granular incremental update (manager edit hook).
@@ -117,15 +124,7 @@ class LocationTable:
             location = self._by_site.pop(value, None)
             if location is not None:
                 self._locations.pop(location.index, None)
-        for inst in new_function.instructions():
-            if inst in self._by_site:
-                continue
-            if isinstance(inst, MallocInst):
-                self._new_location(LocationKind.HEAP,
-                                   f"{new_function.name}.{inst.name or 'malloc'}", inst)
-            elif isinstance(inst, AllocaInst):
-                self._new_location(LocationKind.STACK,
-                                   f"{new_function.name}.{inst.name or 'alloca'}", inst)
+        self._register_sites(new_function)
 
     def discard(self, locations: Iterable[MemoryLocation]) -> None:
         """Drop site-less locations whose minting analysis forgot them (the

@@ -405,12 +405,8 @@ class SparseSolver:
 
     # -- driver ---------------------------------------------------------------
     def solve(self) -> SolverStatistics:
-        self.register(self.problem)
-        _, ordered_nodes, priority, edges = self._registered
-        self._registered = None
-        self.statistics.nodes = len(ordered_nodes)
-        self._schedule(ordered_nodes, priority, edges)
-        return self._run_phases()
+        """Solve the problem cold: :meth:`resolve_from` every node."""
+        return self.resolve_from(self.problem)
 
     def _schedule(self, nodes: Sequence[Node], priority: Dict[Node, int],
                   edges: Dict[Node, List[Node]]) -> None:
@@ -461,15 +457,16 @@ class SparseSolver:
         return self._dependents.get(node, ())
 
     def resolve_from(self, state: SparseProblem,
-                     seeds: Iterable[Node]) -> SolverStatistics:
+                     seeds: Optional[Iterable[Node]] = None) -> SolverStatistics:
         """Restart change-driven propagation from ``seeds`` against ``state``.
 
         ``state`` is the problem holding a previously computed fixed point
         (problems own their abstract values, so the retained state *is* the
         problem); ``seeds`` are the nodes an edit can influence.  GR is the
         one fixed point an edit re-seeds; the other interprocedural analyses
-        rebuild cold.  The schedule mirrors :meth:`solve` restricted to the
-        seed set:
+        rebuild cold.  ``seeds=None`` seeds every node, which is the cold
+        solve (:meth:`solve`).  The schedule is the cold one restricted to
+        the seed set:
 
         1. the seed subgraph is condensed and swept dependencies-first,
            reading retained values for every non-seed dependency (because
@@ -493,19 +490,23 @@ class SparseSolver:
             self.register(state)
         _, ordered_nodes, priority, edges = self._registered
         self._registered = None
-        # Seeds in sweep-priority order, deduplicated, unknown nodes dropped
-        # (an edit's seed map may mention values that no longer exist).
-        seed_list = sorted({node for node in seeds if node in priority},
-                           key=priority.__getitem__)
-        seed_set = set(seed_list)
+        if seeds is None:
+            seed_list = ordered_nodes
+        else:
+            # Seeds in sweep-priority order, deduplicated, unknown nodes
+            # dropped (an edit's seed map may mention values that no longer
+            # exist).
+            seed_list = sorted({node for node in seeds if node in priority},
+                               key=priority.__getitem__)
+            seed_set = set(seed_list)
+            # The full dependence graph is registered — change propagation
+            # must be able to leave the seed set — but only scheduled
+            # evaluations count as steps, so the edit pays O(edit cone)
+            # evaluations.
+            for node in ordered_nodes:
+                if node not in seed_set:
+                    self._evaluations[node] = 1
         stats.nodes = len(seed_list)
-
-        # The full dependence graph is registered — change propagation must
-        # be able to leave the seed set — but only scheduled evaluations
-        # count as steps, so the edit pays O(edit cone) evaluations.
-        for node in ordered_nodes:
-            if node not in seed_set:
-                self._evaluations[node] = 1
         self._schedule(seed_list, priority, edges)
         return self._run_phases()
 

@@ -8,7 +8,7 @@ playing the role clang plays in the original LLVM-based implementation.
 from .cparser import ParseError, Parser, parse
 from .driver import BodyCompile, compile_bodies, compile_source
 from .lexer import LexerError, Token, TokenKind, retokenize, tokenize
-from .lowering import LoweringError, lower_translation_unit
+from .lowering import LoweringError, lower_bodies, lower_translation_unit
 from .sema import SemanticError, SemanticInfo, analyze
 from .stages import (UnitDigests, UnitScan, frontend_fingerprint,
                      module_digest, parse_unit, token_stream_digest)
@@ -26,6 +26,7 @@ __all__ = [
     "retokenize",
     "tokenize",
     "LoweringError",
+    "lower_bodies",
     "lower_translation_unit",
     "SemanticError",
     "SemanticInfo",

@@ -11,12 +11,12 @@ from.  :func:`compile_source` is the whole-unit case's module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from ..ir.module import Module
 from ..transforms.pipeline import PipelineOptions, prepare_module
-from .lowering import lower_translation_unit
+from .lowering import lower_bodies
 from .stages import UnitScan, parse_unit
 
 __all__ = ["BodyCompile", "compile_bodies", "compile_source"]
@@ -65,15 +65,23 @@ def compile_bodies(source: str, name: str = "module",
     (:func:`parse_unit`).  Lowering and preparation (as for
     :func:`compile_source`) run only on the bodies
     :meth:`UnitDigests.changed_bodies` names, each exactly as a whole-unit
-    compile gives it.  The record holds the new scan, for the next edit.
+    compile gives it; every other body interns the string-literal lengths
+    ``previous`` recorded for it.  A lowered body whose literal lengths
+    differ from the recorded ones renumbers or retypes ``.str.N`` globals
+    the skipped bodies use, so then the whole unit is compiled instead.
+    The record holds the new scan, with each body's literal lengths, for
+    the next edit.
     """
     unit, info, scan = parse_unit(source, previous)
-    digests = scan.digests
-    bodies = digests.changed_bodies(previous and previous.digests)
+    bodies = scan.digests.changed_bodies(previous and previous.digests)
     lowered = set(bodies)
-    module = lower_translation_unit(
-        unit, name, info, {body: texts for body, texts in
-                           digests.literals.items() if body not in lowered})
+    skipped = {body: previous.literals[body] for body in scan.digests.bodies
+               if body not in lowered}
+    module, literals = lower_bodies(unit, info, name, skipped)
+    if skipped and any(literals[body] != previous.literals[body]
+                       for body in bodies):
+        return compile_bodies(source, name, prepare=prepare,
+                              pipeline_options=pipeline_options)
     if prepare:
         prepare_module(module, pipeline_options)
-    return BodyCompile(module, scan, bodies)
+    return BodyCompile(module, replace(scan, literals=literals), bodies)

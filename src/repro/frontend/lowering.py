@@ -69,12 +69,11 @@ from .ast_nodes import (
     StringLiteral,
     TranslationUnit,
     UnaryOp,
-    VarDecl,
     WhileStmt,
 )
 from .sema import SemanticInfo, analyze
 
-__all__ = ["LoweringError", "function_string_literals", "lower_translation_unit"]
+__all__ = ["LoweringError", "lower_bodies", "lower_translation_unit"]
 
 
 class LoweringError(Exception):
@@ -434,7 +433,7 @@ class _FunctionLowerer:
         return ConstantFloat(expr.value, DOUBLE), DOUBLE
 
     def _lower_string_literal(self, expr: StringLiteral) -> Tuple[Value, Type]:
-        return self.parent.string_literal(expr.value)
+        return self.parent.string_literal(len(expr.value))
 
     def _lower_null_literal(self, expr: NullLiteral) -> Tuple[Value, Type]:
         pointer_type = PointerType(INT8)
@@ -668,67 +667,12 @@ _RVALUE_DISPATCH = {
 }
 
 
-# The children of each node in the order lowering visits them (type
-# specifications are resolved, never lowered, so they are not listed).
-_LOWERED_CHILDREN = {
-    CompoundStmt: ("statements",),
-    DeclStmt: ("declarations",),
-    VarDecl: ("initializer",),
-    ExprStmt: ("expression",),
-    IfStmt: ("condition", "then_branch", "else_branch"),
-    WhileStmt: ("condition", "body"),
-    DoWhileStmt: ("body", "condition"),
-    ForStmt: ("init", "condition", "body", "step"),
-    ReturnStmt: ("value",),
-    UnaryOp: ("operand",),
-    BinaryOp: ("lhs", "rhs"),
-    Assignment: ("target", "value"),
-    Conditional: ("condition", "true_value", "false_value"),
-    Call: ("args",),
-    ArrayIndex: ("base", "index"),
-    Member: ("base",),
-    Cast: ("operand",),
-    SizeOf: ("operand",),
-}
-
-
-def function_string_literals(decl: FunctionDecl, returns_void: bool) -> List[str]:
-    """The string literals that lowering ``decl``'s body interns, in order.
-
-    Walks the body in the lowerer's visiting order: a ``for`` lowers its
-    step after its body, a compound assignment lowers its target twice and
-    a ``return`` in a void function drops its value.
-    """
-    texts: List[str] = []
-
-    def visit(node) -> None:
-        if node is None:
-            return
-        if isinstance(node, list):
-            for item in node:
-                visit(item)
-            return
-        kind = node.__class__
-        if kind is StringLiteral:
-            texts.append(node.value)
-            return
-        if kind is ReturnStmt and returns_void:
-            return
-        if kind is Assignment and node.op:
-            visit(node.target)
-        for name in _LOWERED_CHILDREN.get(kind, ()):
-            visit(getattr(node, name))
-
-    visit(decl.body)
-    return texts
-
-
 class _ModuleLowerer:
     """Lowers a translation unit: every body, or a subset of them into the
     full skeleton (every global and every ``Function``)."""
 
     def __init__(self, unit: TranslationUnit, info: SemanticInfo, name: str,
-                 skipped: Optional[Mapping[str, Sequence[str]]] = None):
+                 skipped: Optional[Mapping[str, Sequence[int]]] = None):
         self.unit = unit
         self.info = info
         self.module = Module(name)
@@ -736,13 +680,18 @@ class _ModuleLowerer:
         self.skipped = skipped or {}
         #: Functions whose body the walk over the unit has reached.
         self.reached: Set[str] = set()
+        #: Each body's string-literal lengths, in the order it interned them.
+        self.literals: Dict[str, List[int]] = {}
+        self._lengths: List[int] = []
         self._string_count = 0
 
-    def string_literal(self, text: str) -> Tuple[Value, Type]:
-        """Intern a string literal as a constant global byte array."""
+    def string_literal(self, length: int) -> Tuple[Value, Type]:
+        """Intern a string literal of ``length`` characters as a constant
+        global byte array (its type is all the IR keeps of it)."""
         name = f".str.{self._string_count}"
         self._string_count += 1
-        array_type = ArrayType(INT8, len(text) + 1)
+        self._lengths.append(length)
+        array_type = ArrayType(INT8, length + 1)
         variable = self.module.create_global(name, array_type, is_constant_data=True)
         return variable, PointerType(INT8)
 
@@ -762,29 +711,38 @@ class _ModuleLowerer:
                 defined.append((decl, function))
         for decl, function in defined:
             self.reached.add(decl.name)
-            texts = self.skipped.get(decl.name)
-            if texts is None:
+            self._lengths = self.literals[decl.name] = []
+            lengths = self.skipped.get(decl.name)
+            if lengths is None:
                 _FunctionLowerer(self, decl, function).lower()
             else:
                 # A skipped body still interns its literals: the ``.str.N``
                 # numbering and the global order stay those of the unit.
-                for text in texts:
-                    self.string_literal(text)
+                for length in lengths:
+                    self.string_literal(length)
         return self.module
 
 
-def lower_translation_unit(unit: TranslationUnit, name: str = "module",
-                           info: Optional[SemanticInfo] = None,
-                           skipped: Optional[Mapping[str, Sequence[str]]] = None,
-                           ) -> Module:
-    """Lower a parsed translation unit to an IR module (no optimisation).
+def lower_bodies(unit: TranslationUnit, info: SemanticInfo,
+                 name: str = "module",
+                 skipped: Optional[Mapping[str, Sequence[int]]] = None,
+                 ) -> Tuple[Module, Dict[str, List[int]]]:
+    """Lower ``unit`` but the bodies ``skipped`` names; also give each
+    body's string-literal lengths, in the order it interned them.
 
-    ``skipped`` maps the function bodies to leave unlowered (default: none)
-    to the string literals lowering each would intern
-    (:attr:`UnitDigests.literals`), so a skipped body may be an unparsed
-    placeholder.  Skipped bodies stay empty ``Function``s, so
-    ``is_declaration()`` is true for them, but every global and every
-    lowered body is exactly what a whole-module lowering gives.
+    ``skipped`` maps the bodies to leave unlowered (default: none) to the
+    literal lengths an earlier lowering of each gave, which a skipped body
+    interns in place of lowering, so it may be an unparsed placeholder.
+    Skipped bodies stay empty ``Function``s, so ``is_declaration()`` is
+    true for them, but every global and every lowered body is exactly what
+    a whole-module lowering gives as long as those lengths are the ones
+    the skipped bodies would intern.
     """
-    info = info or analyze(unit)
-    return _ModuleLowerer(unit, info, name, skipped).lower()
+    lowerer = _ModuleLowerer(unit, info, name, skipped)
+    return lowerer.lower(), lowerer.literals
+
+
+def lower_translation_unit(unit: TranslationUnit, name: str = "module",
+                           info: Optional[SemanticInfo] = None) -> Module:
+    """Lower a parsed translation unit to an IR module (no optimisation)."""
+    return lower_bodies(unit, info or analyze(unit), name)[0]

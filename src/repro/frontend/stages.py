@@ -44,17 +44,15 @@ previous source's finds the bodies to lower again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir.module import Module
 from ..ir.printer import print_module
-from ..ir.types import VOID
 from .ast_nodes import CompoundStmt, FunctionDecl, TranslationUnit, TypeSpec
 from .cparser import Parser
 from .lexer import Relex, Token, retokenize, tokenize
-from .lowering import function_string_literals
 from .sema import SemanticInfo, analyze
 
 __all__ = ["UnitDigests", "UnitScan", "frontend_fingerprint", "module_digest",
@@ -97,20 +95,17 @@ class UnitDigests:
 
     ``bodies`` maps each function definition, in module order, to the
     digest of its body's tokens.  ``context`` digests everything outside
-    the bodies: structs, globals, prototypes and function headers, then
-    each definition's name and string-literal lengths in module order (a
-    literal's ``.str.N`` name depends on every literal before it, and its
-    length is its global's type).  So every edit the function-granular
-    contract cannot express changes the context, and all bodies are
-    lowered again.  Tokens enter as kind and text only, so moving code or
-    editing whitespace and comments changes no digest.  ``literals`` holds
-    each body's string literals in lowering order: what lowering interns
-    for a body it skips.
+    the bodies: structs, globals, prototypes and function headers.  So an
+    edit outside the bodies changes the context, and all bodies are
+    lowered again.  (An edit inside a body that changes the string-literal
+    globals shows only once the body is lowered; see
+    :func:`~repro.frontend.driver.compile_bodies`.)  Tokens enter as kind
+    and text only, so moving code or editing whitespace and comments
+    changes no digest.
     """
 
     context: str
     bodies: Dict[str, str]
-    literals: Dict[str, Tuple[str, ...]]
 
     def changed_bodies(self, previous: Optional["UnitDigests"]) -> List[str]:
         """The bodies an edit from ``previous`` must lower again, in module
@@ -127,13 +122,18 @@ class UnitScan:
     """One source as scanned for edits: what the next edit starts from.
 
     ``spans`` maps each function definition to its body's token span in
-    ``tokens`` (from the ``{`` to just past the ``}``).
+    ``tokens`` (from the ``{`` to just past the ``}``).  ``literals`` maps
+    each definition to the lengths of the string literals its lowering
+    interned, in order; :func:`~repro.frontend.driver.compile_bodies` fills
+    it in, because only lowering knows them, and an edit's compile interns
+    them for each body it does not lower again.
     """
 
     source: str
     tokens: List[Token]
     spans: Dict[str, Tuple[int, int]]
     digests: UnitDigests
+    literals: Dict[str, List[int]] = field(default_factory=dict)
 
 
 class _SpanParser(Parser):
@@ -191,7 +191,7 @@ def parse_unit(source: str, previous: Optional[UnitScan] = None,
     differs is scanned again (:func:`~repro.frontend.lexer.retokenize`).  A
     body wholly outside the re-scanned span is not parsed again: it is
     skipped by its known span, it is an empty block in the returned unit,
-    and its digest and literals come from ``previous``.  A body inside the
+    and its digest comes from ``previous``.  A body inside the
     span is parsed and digested; the caller lowers it only if its digest
     changed.  When the context changed, every body must be lowered, so
     every body is parsed after all, from the tokens already scanned.
@@ -233,23 +233,15 @@ def _parse_tokens(source: str, tokens: List[Token],
         position = end
     context.extend(tokens[position:])
     bodies: Dict[str, str] = {}
-    literals: Dict[str, Tuple[str, ...]] = {}
-    layout: List[str] = []
     for name, decl in info.function_decls.items():
         if decl.body is None:
             continue
         if name in parser.skipped:
             bodies[name] = previous.digests.bodies[name]
-            literals[name] = previous.digests.literals[name]
         else:
             start, end = spans[name]
             bodies[name] = _tokens_digest(tokens[start:end])
-            returns_void = info.function_types[name].return_type == VOID
-            literals[name] = tuple(function_string_literals(decl, returns_void))
-        layout.append(f"{name}:" + ",".join(str(len(text))
-                                            for text in literals[name]))
-    text = _tokens_digest(context) + "\x1d" + "\x1d".join(layout)
-    digests = UnitDigests(sha256(text.encode()).hexdigest(), bodies, literals)
+    digests = UnitDigests(_tokens_digest(context), bodies)
     if parser.skipped and digests.context != previous.digests.context:
         return _parse_tokens(source, tokens, None, {})
     return unit, info, UnitScan(source, tokens, spans, digests)

@@ -60,6 +60,19 @@ MAX_ASCENDING_PASSES = 8
 DESCENDING_PASSES = 2
 
 
+def _hint_name(inst: Instruction) -> str:
+    """``inst``'s name, or for an unnamed one its block and position there
+    (``#`` keeps it apart from every value name).
+
+    Symbols are interned and ordered by name, so a hint must name one
+    instruction and hold nothing that varies between runs (an address).
+    """
+    if inst.name:
+        return inst.name
+    block = inst.parent
+    return f"{block.name}#{block.instructions.index(inst)}"
+
+
 @dataclass
 class RangeAnalysisOptions:
     """Knobs for the integer range analysis."""
@@ -155,9 +168,7 @@ class SymbolicRangeAnalysis:
         re-solving the new body's nodes.  Solver statistics accumulate so
         ``solver_statistics.steps`` totals the initial solve plus refreshes.
         """
-        stale = set(old_function.args)
-        stale.update(old_function.instructions())
-        for value in stale:
+        for value in [*old_function.args, *old_function.instructions()]:
             self._ranges.pop(value, None)
             self._kernel.pop(value, None)
         self._seed_arguments(new_function)
@@ -203,13 +214,13 @@ class SymbolicRangeAnalysis:
 
     def _evaluate_load(self, inst: LoadInst) -> SymbolicInterval:
         if self.options.loads_as_symbols:
-            hint = f"{inst.function.name}.load.{inst.name or id(inst)}"
+            hint = f"{inst.function.name}.load.{_hint_name(inst)}"
             return self._symbol_interval(inst, hint)
         return TOP_INTERVAL
 
     def _evaluate_call(self, inst: CallInst) -> SymbolicInterval:
         if inst.is_external():
-            hint = f"{inst.function.name}.{inst.callee_name()}.{inst.name or id(inst)}"
+            hint = f"{inst.function.name}.{inst.callee_name()}.{_hint_name(inst)}"
             return self._symbol_interval(inst, hint)
         return TOP_INTERVAL
 

@@ -7,33 +7,8 @@ schema — is defined once in :mod:`repro.service.protocol`; this module is
 only the stdio transport around :func:`repro.service.protocol.handle_payload`
 (the daemon never dies on a bad request — only on EOF or ``shutdown``).
 
-Operations (``"op"``).  Each row mirrors one entry of ``protocol.OPS``,
-which also declares every op's response fields; ``[...]`` marks optional
-request fields:
-
-==================  ===========================================================
-``ping``            liveness check; answers ``{"pong": true}``
-``load``            ``{name, source}`` — compile and hold resident
-``load_program``    ``{name}`` — generate + compile a named suite program
-``edit``            ``{name, source}`` — incremental function-granular edit
-``query``           ``{module, analysis, function, a, b[, size_a, size_b]}``
-                    — one alias verdict between two SSA values
-``query_many``      ``{module, analysis, function, pairs}`` — alias verdicts
-                    for ``[a, b]`` or ``[a, b, size_a, size_b]`` pairs
-``query_function``  ``{module, analysis[, function, max_pairs]}`` — the
-                    harness pair sweep of one function or the whole module
-``check_bounds``    ``{module[, function]}`` — per-access out-of-bounds
-                    verdicts (``safe`` / ``maybe-oob`` / ``definitely-oob``)
-``parallel_loops``  ``{module[, function]}`` — per-loop parallelizability
-                    with the first blocking reason
-``values``          ``{module, function}`` — queryable SSA value names
-``range``           ``{module, function, value}`` — symbolic interval of one
-                    integer SSA value
-``stats``           ``{module}`` — solver steps, cache + Figure-14 counters
-``modules``         list resident modules
-``unload``          ``{name}`` — drop a resident module
-``shutdown``        acknowledge and exit
-==================  ===========================================================
+The ops and their fields are those of ``protocol.OPS``;
+``python -m repro.service --help`` lists them.
 
 Requests must carry ``"v"`` (protocol version; omissions and mismatches
 are rejected with ``error_code: "protocol_mismatch"``) and may carry
@@ -52,7 +27,7 @@ pre-v1 free-form ``"error"`` string has completed its removal cycle):
                         word, bad ``timeout_ms``) or a request the service
                         rejects (bad source, unknown suite program) — fix,
                         don't retry
-``unknown_op``          ``op`` not in the table above — fix, don't retry
+``unknown_op``          ``op`` not in ``protocol.OPS`` — fix, don't retry
 ``unknown_module``      module not resident — load it, don't retry
 ``unknown_function``    no such function in the module
 ``unknown_value``       no such SSA value name in the function
@@ -110,11 +85,12 @@ import json
 import sys
 from typing import Any, IO, Optional
 
-from .protocol import BAD_REQUEST, error_envelope, handle_payload, request_id_of
+from .protocol import (BAD_REQUEST, OPS, error_envelope, handle_payload,
+                       request_id_of)
 from .session import AnalysisSession
 from .store import ResultStore
 
-__all__ = ["serve", "main"]
+__all__ = ["main", "op_table", "serve"]
 
 
 def serve(stdin: Optional[IO[str]] = None,
@@ -145,10 +121,24 @@ def serve(stdin: Optional[IO[str]] = None,
     return 0
 
 
+def op_table() -> str:
+    """One line per op of ``protocol.OPS``: its name, its request fields
+    (optional ones in brackets) and what it does."""
+    lines = ["ops:"]
+    for spec in OPS.values():
+        fields = ", ".join(name if kind in ("str", "pairs") else f"[{name}]"
+                           for name, kind in spec.fields)
+        text = f"{{{fields}}} — {spec.doc}" if fields else spec.doc
+        lines.append(f"  {spec.name:<16}{text}")
+    return "\n".join(lines)
+
+
 def main(argv: Optional[list] = None) -> int:  # pragma: no cover - subprocess
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
-        description="line-delimited JSON analysis daemon over stdin/stdout")
+        description="line-delimited JSON analysis daemon over stdin/stdout",
+        epilog=op_table(),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--store", metavar="DIR", default=None,
                         help="back the session with a persistent "
                              "content-addressed result store at DIR")

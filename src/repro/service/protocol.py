@@ -44,8 +44,9 @@ Ops
 
 Every op is declared once, as one :class:`OpSpec` in :data:`OPS`: its
 typed fields, routing field, ``mutating`` flag, the
-:class:`~repro.service.session.AnalysisSession` method it calls and its
-response fields.  The single :class:`Request` class parses, validates,
+:class:`~repro.service.session.AnalysisSession` method it calls, its
+response fields and, for a read the result store keeps, the store kind
+and type of its values.  The single :class:`Request` class parses, validates,
 routes and applies every op from that table, and the client checks
 response envelopes against it.  :func:`handle_payload` is the
 single entry point transports call: parse, dispatch, envelope — it never
@@ -299,11 +300,16 @@ class OpSpec:
     #: journaled.  They also skip the cooperative solver budget: aborting an
     #: in-place incremental refresh would corrupt retained fixed points.
     mutating: bool = False
+    #: For a read whose answers the result store keeps: the store kind of
+    #: its values and their type (``None`` for every other op).  How the
+    #: values are keyed and answered derives from ``fields`` and
+    #: ``response`` (:class:`repro.service.store.StoredRead`).
+    stored: Optional[Tuple[str, type]] = None
 
 
 def _op(name: str, fields: str, method: Optional[str], response: str,
-        doc: str, route: Optional[str] = None,
-        mutating: bool = False) -> OpSpec:
+        doc: str, route: Optional[str] = None, mutating: bool = False,
+        stored: Optional[Tuple[str, type]] = None) -> OpSpec:
     """One table entry; ``fields`` is ``"name[:kind] ..."`` (kind ``str``
     when omitted), ``response`` a space-separated field list."""
     declared = []
@@ -315,14 +321,16 @@ def _op(name: str, fields: str, method: Optional[str], response: str,
         declared.append((field_name, kind))
     return OpSpec(name=name, fields=tuple(declared), method=method,
                   response=tuple(response.split()), doc=doc, route=route,
-                  mutating=mutating)
+                  mutating=mutating, stored=stored)
 
 
 _LOADED = "module functions instructions"
 _REPORT = "module function functions summary"
 
 #: op name -> spec: every op the service speaks, declared exactly once as
-#: ``_op(name, fields, session method, response fields, doc, route, mutating)``.
+#: ``_op(name, fields, session method, response fields, doc, route,
+#: mutating, stored)``.  ``query`` and ``query_many`` store their verdicts
+#: under one kind, so each finds the other's.
 OPS: Dict[str, OpSpec] = {spec.name: spec for spec in (
     _op("ping", "", None, "pong",
         'liveness check; answers ``{"pong": true}``'),
@@ -336,28 +344,32 @@ OPS: Dict[str, OpSpec] = {spec.name: spec for spec in (
         "incremental function-granular edit", route="name", mutating=True),
     _op("query", "module analysis function a b size_a:size size_b:size",
         "query", "module analysis function a b result",
-        "one alias verdict between two SSA values", route="module"),
+        "one alias verdict between two SSA values", route="module",
+        stored=("pair", str)),
     _op("query_many", "module analysis function pairs:pairs", "query_many",
         "module analysis function results",
         "alias verdicts for ``[a, b]`` or ``[a, b, size_a, size_b]`` pairs",
-        route="module"),
+        route="module", stored=("pair", str)),
     _op("query_function",
         "module analysis function:opt_str max_pairs:opt_int",
         "query_function",
         "module analysis function queries no_alias no_alias_indices",
         "the harness pair sweep of one function or the whole module",
-        route="module"),
+        route="module", stored=("query_function", dict)),
     _op("check_bounds", "module function:opt_str", "check_bounds", _REPORT,
         "per-access out-of-bounds verdicts (``safe`` / ``maybe-oob`` / "
-        "``definitely-oob``)", route="module"),
+        "``definitely-oob``)", route="module",
+        stored=("check_bounds", dict)),
     _op("parallel_loops", "module function:opt_str", "parallel_loops",
         _REPORT, "per-loop parallelizability with the first blocking reason",
-        route="module"),
+        route="module", stored=("parallel_loops", dict)),
     _op("values", "module function", "values", "module function values",
-        "queryable SSA value names", route="module"),
+        "queryable SSA value names", route="module",
+        stored=("values", list)),
     _op("range", "module function value", "range_of",
         "module function value range",
-        "symbolic interval of one integer SSA value", route="module"),
+        "symbolic interval of one integer SSA value", route="module",
+        stored=("range", str)),
     _op("stats", "module", "stats",
         "module edits materialized solver_steps solver_steps_by_analysis "
         "incremental engine memos symbolic_caches",

@@ -36,10 +36,9 @@ job's envelope.  Nothing is held back, merged or split, so a request waits
 only for the worker to reach it.
 
 When the pool has a result store (:mod:`repro.service.store`), the front
-end opens it too and answers warm read-only requests (``query``,
-``query_many``, ``query_function``, ``values``, ``range``,
-``check_bounds``, ``parallel_loops``) itself, without a worker hop, when
-every store key of the request hits.  Keys are content addresses of the
+end opens it too and answers warm reads (every op whose spec declares
+``stored``) itself, without a worker hop, when every store key of the
+request hits.  Keys are content addresses of the
 module's source, so the front end keeps each module's source digest: it
 is set from the source of an acknowledged ``load`` or ``edit``, and
 dropped when any mutating request on the module is admitted, so reads go
@@ -47,9 +46,10 @@ to the worker, behind it, while it is in flight.  It stays dropped after
 ``unload``, ``load_program`` and every mutating request that ends without
 ``ok`` (a rejected or backstopped one): the front end does not know the
 source the worker then holds.  How a read is addressed and its answer
-built lives in :data:`repro.service.store.READS`, which the worker
-sessions use too, so a front-end answer is byte-identical to a worker's.  Each such answer
-passes through the supervisor's ``on_response`` hook, tagged with the
+built derives from its op's declaration
+(:meth:`repro.service.store.StoredRead.of`), which the worker sessions
+use too, so a front-end answer is byte-identical to a worker's.  Each
+such answer passes through the supervisor's ``on_response`` hook, tagged with the
 module's shard.
 
 The front end answers ``ping`` and store hits itself, fans ``modules``
@@ -87,7 +87,7 @@ from .protocol import (
     request_id_of,
     success_envelope,
 )
-from .store import READS, ResultStore
+from .store import ResultStore, StoredRead
 from .supervisor import WorkerSupervisor
 
 __all__ = ["ServiceServer", "main"]
@@ -253,11 +253,10 @@ class ServiceServer:
                        module: Optional[str]) -> Optional[Dict[str, Any]]:
         """The front end's own answer to a warm read, or ``None`` to send
         the request to its worker."""
-        address = READS.get(request.op)
         digest = self._digests.get(module)
-        if address is None or digest is None or self.store is None:
+        if request.spec.stored is None or digest is None or self.store is None:
             return None
-        read = address(**request.args)
+        read = StoredRead.of(request.spec, request.args)
         values = read.lookup(self.store, read.keys(self.store, digest))
         if not values or any(value is None for value in values):
             return None

@@ -22,17 +22,19 @@ The edit's frontend work is function-granular too.  Loads, edits and
 reloads all compile through one sequence,
 :func:`~repro.frontend.driver.compile_bodies`, and each compiled resident
 keeps the scan it produced (:class:`~repro.frontend.stages.UnitScan`:
-tokens, body spans and digests).  An edit scans again only the span of
-the new source that differs; the source is parsed and analyzed except for
-the bodies outside that span, and digested per function body
+tokens, body spans, digests and each body's string-literal lengths).  An
+edit scans again only the span of the new source that differs; the source
+is parsed and analyzed except for the bodies outside that span, and
+digested per function body
 (:class:`~repro.frontend.stages.UnitDigests`: position-free token digests,
-plus one context digest over structs, globals, prototypes, headers,
-function order and string-literal lengths).  The candidates are the
-bodies whose digest differs from the resident source's, or all of them
-when the context differs; only they are lowered, prepared and printed,
-and comparing their printed IR with the resident's decides ``changed``
-exactly as a whole-module compile would.  A structural edit changes the
-context, so its compile lowered every body and is the reloaded module.
+plus one context digest over structs, globals, prototypes, headers and
+function order).  The candidates are the bodies whose digest differs from
+the resident source's, or all of them when the context differs; only they
+are lowered, prepared and printed, and comparing their printed IR with
+the resident's decides ``changed`` exactly as a whole-module compile
+would.  A structural edit changes the context, and a candidate whose
+string-literal lengths changed renumbers or retypes ``.str.N`` globals;
+either way the compile lowered every body and is the reloaded module.
 
 A session may additionally be backed by a persistent content-addressed
 :class:`~repro.service.store.ResultStore`.  Results are then keyed by the
@@ -80,6 +82,7 @@ from .protocol import (
     BAD_REQUEST,
     DEFAULT_SIZE,
     EDIT_REJECTED,
+    OPS,
     UNKNOWN_ANALYSIS,
     UNKNOWN_FUNCTION,
     UNKNOWN_MODULE,
@@ -87,7 +90,7 @@ from .protocol import (
     UNKNOWN_VALUE,
     ServiceError,
 )
-from .store import READS, ResultStore, StoredRead
+from .store import ResultStore, StoredRead
 
 __all__ = ["ANALYSIS_KEYS", "AnalysisSession", "ResidentModule", "ServiceError",
            "UNKNOWN_SIZE"]
@@ -313,18 +316,18 @@ class AnalysisSession:
         body.
         The *candidates* are the bodies whose digest differs from the
         resident source's, or every body when the context digest (structs,
-        globals, prototypes, headers, function order and string-literal
-        lengths) differs.  Only the candidates are lowered and prepared, and
-        comparing their printed IR with the resident's decides which
-        functions ``changed``.
+        globals, prototypes, headers and function order) differs.  Only the
+        candidates are lowered and prepared, and comparing their printed IR
+        with the resident's decides which functions ``changed``.
 
         Each changed function is grafted via ``Module.replace_function``
         and the manager re-runs only what the edit invalidated.  Anything
         the function-granular contract cannot express (a changed struct,
-        global, function set, function order or signature) changes the
-        context, so the compile lowered every body: its module replaces the
-        resident as a fresh load of the new source would, and the response
-        says ``reloaded``.  A source the frontend rejects yields an
+        global, function set, function order or signature, or a candidate
+        whose string-literal lengths changed, which renumbers or retypes
+        ``.str.N`` globals) made the compile lower every body: its module
+        replaces the resident as a fresh load of the new source would, and
+        the response says ``reloaded``.  A source the frontend rejects yields an
         ``edit_rejected`` error and leaves the resident module untouched
         (a lazy one materialised).
         """
@@ -474,7 +477,9 @@ class AnalysisSession:
         """
         resident = self._resident(module)
         self._require_analysis(analysis)
-        read = READS["query"](module, analysis, function, a, b, size_a, size_b)
+        read = StoredRead.of(OPS["query"], {
+            "module": module, "analysis": analysis, "function": function,
+            "a": a, "b": b, "size_a": size_a, "size_b": size_b})
         return self._pairs(resident, read, analysis, function,
                            [(a, b, size_a, size_b)])
 
@@ -484,7 +489,9 @@ class AnalysisSession:
         pairs (the protocol's ``pairs`` field kind produces them)."""
         resident = self._resident(module)
         self._require_analysis(analysis)
-        read = READS["query_many"](module, analysis, function, pairs)
+        read = StoredRead.of(OPS["query_many"], {
+            "module": module, "analysis": analysis, "function": function,
+            "pairs": pairs})
         return self._pairs(resident, read, analysis, function, pairs)
 
     def query_function(self, module: str, analysis: str,
@@ -512,7 +519,9 @@ class AnalysisSession:
             return [{"queries": len(pairs), "no_alias": len(no_alias),
                      "no_alias_indices": no_alias}]
 
-        read = READS["query_function"](module, analysis, function, max_pairs)
+        read = StoredRead.of(OPS["query_function"], {
+            "module": module, "analysis": analysis, "function": function,
+            "max_pairs": max_pairs})
         return self._answer(resident, read, compute)
 
     def check_bounds(self, module: str,
@@ -543,7 +552,8 @@ class AnalysisSession:
                 resident.function(function)
             return [resident.manager.get(key).module_report(function)]
 
-        return self._answer(resident, READS[op](module, function), compute)
+        read = StoredRead.of(OPS[op], {"module": module, "function": function})
+        return self._answer(resident, read, compute)
 
     def values(self, module: str, function: str) -> Dict[str, Any]:
         """The queryable SSA values of one function (name discovery).
@@ -568,8 +578,9 @@ class AnalysisSession:
                                    "pointer": inst.is_pointer()})
             return [listed]
 
-        return self._answer(resident, READS["values"](module, function),
-                            compute)
+        read = StoredRead.of(OPS["values"],
+                             {"module": module, "function": function})
+        return self._answer(resident, read, compute)
 
     def range_of(self, module: str, function: str, value: str) -> Dict[str, Any]:
         """The symbolic interval of one named integer SSA value."""
@@ -581,8 +592,9 @@ class AnalysisSession:
             target = resident.value(function, value)
             return [repr(ranges.range_of(target))]
 
-        return self._answer(resident, READS["range"](module, function, value),
-                            compute)
+        read = StoredRead.of(OPS["range"], {
+            "module": module, "function": function, "value": value})
+        return self._answer(resident, read, compute)
 
     # -- statistics ------------------------------------------------------------
     def stats(self, module: str) -> Dict[str, Any]:

@@ -11,8 +11,11 @@ version and ``GENERATOR_VERSION``.  Bumping any of those silently
 invalidates the whole store (old entries simply stop being addressed).
 
 How each read op is addressed — its kind, its parts and how its response
-is built around the stored values — is declared once, in :data:`READS`.
-The session's store path and the socket front end's hit path
+is built around the stored values — derives from the op's one declaration
+in :data:`repro.service.protocol.OPS` (:meth:`StoredRead.of`): the key
+parts are its fields but the route, the response echoes the fields it
+shares with the request, and the stored values fill the rest.  The
+session's store path and the socket front end's hit path
 (:mod:`repro.service.server`) both go through it, so an answer read back
 from the store is byte-identical to the one that was computed.
 
@@ -49,14 +52,14 @@ import json
 import os
 import pickle
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..benchgen import manifest as _manifest
 from ..symbolic.cache import BoundedMemo
-from .protocol import DEFAULT_SIZE, PROTOCOL_VERSION, encode_size
+from .protocol import OPS, PROTOCOL_VERSION, OpSpec, encode_size
 
-__all__ = ["READS", "READ_MEMO_ENTRIES", "RESULT_SCHEMA_VERSION",
-           "ResultStore", "StoredRead"]
+__all__ = ["READ_MEMO_ENTRIES", "RESULT_SCHEMA_VERSION", "ResultStore",
+           "StoredRead"]
 
 #: Bump when the shape of stored values changes (invalidates every entry).
 RESULT_SCHEMA_VERSION = 1
@@ -186,100 +189,92 @@ class ResultStore:
 # -- how each read op is stored ----------------------------------------------
 
 @dataclass(frozen=True)
+class _Layout:
+    """How one read op is stored, derived from its :class:`OpSpec`."""
+
+    kind: str
+    expected: type
+    #: The fields a key part is made of: every field but the route, in
+    #: declared order, with its kind.
+    keyed: Tuple[Tuple[str, str], ...]
+    #: The response fields that echo request fields.
+    head: Tuple[str, ...]
+    #: The one other response field, which the stored values fill; ``None``
+    #: when there are several, which the single stored dict holds.
+    field: Optional[str]
+    #: Whether there is one stored value per entry of a ``pairs`` field.
+    batch: bool
+
+
+def _layout(spec: OpSpec) -> _Layout:
+    store_kind, expected = spec.stored
+    declared = [name for name, _ in spec.fields]
+    rest = [name for name in spec.response if name not in declared]
+    return _Layout(
+        store_kind, expected,
+        tuple(entry for entry in spec.fields if entry[0] != spec.route),
+        tuple(name for name in spec.response if name in declared),
+        rest[0] if len(rest) == 1 else None,
+        any(kind == "pairs" for _, kind in spec.fields))
+
+
+#: Read op name -> its layout, for every op whose spec declares ``stored``.
+_LAYOUTS: Dict[str, _Layout] = {name: _layout(spec)
+                                for name, spec in OPS.items() if spec.stored}
+
+
+@dataclass(frozen=True)
 class StoredRead:
     """How one read request is addressed in the store and answered from it.
 
     ``parts`` holds the key parts of each stored value the answer is built
-    from: one per alias pair for ``query``/``query_many``, one for every
-    other read.  :meth:`respond` builds the op's response around the
-    values: ``head`` echoes the request, and the values go into ``field``
-    (the list of all of them when ``batch``), or, when ``field`` is
-    ``None``, the single stored dict is merged in.
+    from: the request's keyed fields, sizes in their wire spelling, and one
+    part per pair for a ``pairs`` field.  :meth:`respond` builds the op's
+    response around the values: ``head`` echoes the request, and the values
+    go into the layout's ``field`` (the list of all of them for a batch),
+    or, when it has none, the single stored dict is merged in.
     """
 
-    kind: str
-    parts: Tuple[Any, ...]
-    expected: type
+    layout: _Layout
+    parts: Tuple[List[Any], ...]
     head: Dict[str, Any]
-    field: Optional[str] = None
-    batch: bool = False
+
+    @classmethod
+    def of(cls, spec: OpSpec, args: Dict[str, Any]) -> "StoredRead":
+        """The stored read of a request for ``spec`` with normalised
+        fields ``args`` (``Request.args``)."""
+        layout = _LAYOUTS[spec.name]
+        parts: List[List[Any]] = [[]]
+        for name, kind in layout.keyed:
+            value = args[name]
+            if kind == "pairs":
+                parts = [part + [a, b, encode_size(size_a), encode_size(size_b)]
+                         for part in parts for a, b, size_a, size_b in value]
+                continue
+            if kind == "size":
+                value = encode_size(value)
+            for part in parts:
+                part.append(value)
+        return cls(layout, tuple(parts),
+                   {name: args[name] for name in layout.head})
 
     def keys(self, store: ResultStore, digest: str) -> List[str]:
         """The content address of each value, for one module source."""
-        return [store.key(digest, self.kind, parts) for parts in self.parts]
+        kind = self.layout.kind
+        return [store.key(digest, kind, parts) for parts in self.parts]
 
     def lookup(self, store: ResultStore,
                keys: List[str]) -> List[Optional[Any]]:
         """Each stored value, ``None`` where the store holds none of the
         expected type."""
+        expected = self.layout.expected
         values = [store.get(key) for key in keys]
-        return [value if isinstance(value, self.expected) else None
+        return [value if isinstance(value, expected) else None
                 for value in values]
 
     def respond(self, values: List[Any]) -> Dict[str, Any]:
-        if self.field is None:
+        layout = self.layout
+        if layout.field is None:
             return {**self.head, **values[0]}
         return {**self.head,
-                self.field: list(values) if self.batch else values[0]}
-
-
-def _pair_parts(analysis: str, function: str, a: str, b: str,
-                size_a: Any, size_b: Any) -> List[Any]:
-    return [analysis, function, a, b, encode_size(size_a), encode_size(size_b)]
-
-
-def _query(module: str, analysis: str, function: str, a: str, b: str,
-           size_a: Any = DEFAULT_SIZE, size_b: Any = DEFAULT_SIZE,
-           ) -> StoredRead:
-    return StoredRead(
-        "pair", (_pair_parts(analysis, function, a, b, size_a, size_b),),
-        str, {"module": module, "analysis": analysis, "function": function,
-              "a": a, "b": b}, "result")
-
-
-def _query_many(module: str, analysis: str, function: str,
-                pairs: List[Tuple[str, str, Any, Any]]) -> StoredRead:
-    return StoredRead(
-        "pair", tuple(_pair_parts(analysis, function, *pair)
-                      for pair in pairs),
-        str, {"module": module, "analysis": analysis, "function": function},
-        "results", batch=True)
-
-
-def _query_function(module: str, analysis: str,
-                    function: Optional[str] = None,
-                    max_pairs: Optional[int] = None) -> StoredRead:
-    return StoredRead(
-        "query_function", ([analysis, function, max_pairs],), dict,
-        {"module": module, "analysis": analysis, "function": function})
-
-
-def _client_report(kind: str) -> Callable[..., StoredRead]:
-    def address(module: str, function: Optional[str] = None) -> StoredRead:
-        return StoredRead(kind, ([function],), dict,
-                          {"module": module, "function": function})
-    return address
-
-
-def _values(module: str, function: str) -> StoredRead:
-    return StoredRead("values", ([function],), list,
-                      {"module": module, "function": function}, "values")
-
-
-def _range(module: str, function: str, value: str) -> StoredRead:
-    return StoredRead("range", ([function, value],), str,
-                      {"module": module, "function": function,
-                       "value": value}, "range")
-
-
-#: Read op name -> the :class:`StoredRead` of a request, called with the
-#: op's normalised fields (``Request.args``) as keyword arguments.
-READS: Dict[str, Callable[..., StoredRead]] = {
-    "query": _query,
-    "query_many": _query_many,
-    "query_function": _query_function,
-    "check_bounds": _client_report("check_bounds"),
-    "parallel_loops": _client_report("parallel_loops"),
-    "values": _values,
-    "range": _range,
-}
+                layout.field: list(values) if layout.batch else values[0]}

@@ -7,10 +7,9 @@ import json
 import time
 
 from repro.service.pool import WorkerPool
-from repro.service.protocol import handle_payload, make_request
+from repro.service.protocol import OPS, handle_payload, make_request
 from repro.service.server import ServiceServer
 from repro.service.session import AnalysisSession
-from repro.service.store import READS
 
 SRC = """
 void fill(float* p, int n) {
@@ -96,7 +95,8 @@ class TestFrontEndHits:
     def test_every_stored_read_op_answers_like_the_worker_and_serially(
             self, tmp_path):
         payloads = _read_payloads()
-        assert {payload["op"] for payload in payloads} == set(READS)
+        assert {payload["op"] for payload in payloads} == \
+            {name for name, spec in OPS.items() if spec.stored}
 
         async def scenario():
             pool, server, reader, writer = await _start(tmp_path)

@@ -101,6 +101,16 @@ class TestPointerAbstractValue:
         widened = old.widen(new)
         assert widened.range_for(loc).upper.is_infinite()
 
+    def test_widen_keeps_old_locations_first_then_new_ones(self):
+        # Key order must not follow the hash order of location names.
+        locs = [make_location(index) for index in range(6)]
+        old = PointerAbstractValue({loc: SymbolicInterval(0, 1)
+                                    for loc in locs[4::-2]})
+        new = PointerAbstractValue({loc: SymbolicInterval(0, 1)
+                                    for loc in locs[::-1]})
+        assert list(old.widen(new)._ranges) == \
+            [locs[4], locs[2], locs[0], locs[5], locs[3], locs[1]]
+
     def test_narrow_recovers_finite_bounds(self):
         loc = make_location(0)
         from repro.symbolic import POS_INF

@@ -19,8 +19,9 @@ from repro.benchgen import edit_scenario
 from repro.benchgen.suites import SUITE_PROGRAMS
 from repro.engine import keys
 from repro.frontend import (
+    compile_bodies,
     compile_source,
-    lower_translation_unit,
+    lower_bodies,
     module_digest,
     parse_unit,
 )
@@ -252,6 +253,29 @@ def test_string_literals_before_and_after_the_edited_function(old, new):
     _edit_and_check(_session(), BASE, _edited(old, new))
 
 
+def test_literal_length_change_in_one_body_reloads(work):
+    # Only lowering "middle" shows that its literal's global changes type:
+    # the candidate is lowered, then the whole unit is compiled.
+    session = _session()
+    after = _edited('puts("mid")', 'puts("middle")')
+    answer = _edit_and_check(session, BASE, after, work)
+    assert (answer["changed"], answer["reloaded"]) == ([], True)
+    bodies = ["fact", "first", "middle", "last", "main"]
+    assert work == {"lowered": ["middle"] + bodies, "prepared": bodies}
+    assert session._modules["m"].scan.literals == \
+        compile_bodies(after).scan.literals
+
+
+def test_literal_text_change_of_the_same_length_stays_incremental(work):
+    session = _session()
+    after = _edited('puts("mid")', 'puts("MID")')
+    answer = _edit_and_check(session, BASE, after, work)
+    assert (answer["changed"], answer["reloaded"]) == ([], False)
+    assert work == {"lowered": ["middle"], "prepared": ["middle"]}
+    assert session._modules["m"].scan.literals == \
+        compile_bodies(after).scan.literals
+
+
 def test_prototype_change_is_structural():
     for after in (_edited("int ext(int v);", "int ext(int w);"),
                   _edited("int ext(int v);", "int ext(int v);\nint last(int *p, int n);"),
@@ -321,13 +345,15 @@ int f(char *p, int n) {
   return sizeof("sized") + g("last");
 }
 """
-    unit, info, scan = parse_unit(source)
-    literals = scan.digests.literals
-    whole = lower_translation_unit(unit, "m", info)
+    unit, info, _ = parse_unit(source)
+    whole, literals = lower_bodies(unit, info, "m")
+    # "abc" is interned twice: a compound assignment lowers its target twice.
+    assert literals == {"g": [], "v": [], "f": [4, 4, 3, 3, 2, 5, 4]}
     for bodies in ((), ("f",), ("v",)):
-        skipped = {name: texts for name, texts in literals.items()
+        skipped = {name: lengths for name, lengths in literals.items()
                    if name not in bodies}
-        skeleton = lower_translation_unit(unit, "m", info, skipped)
+        skeleton, recorded = lower_bodies(unit, info, "m", skipped)
+        assert recorded == literals
         assert [(g.name, g.value_type) for g in skeleton.globals] == \
             [(g.name, g.value_type) for g in whole.globals]
         for name in bodies:

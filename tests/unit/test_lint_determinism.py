@@ -105,3 +105,10 @@ class TestRepositoryIsClean:
         result = run_linter()
         assert result.returncode == 0, result.stdout
         assert "0 determinism finding(s)" in result.stdout
+
+    def test_default_paths_cover_every_package_but_symbolic(self):
+        packages = sorted(path.name for path in (REPO_ROOT / "src" / "repro").iterdir()
+                          if (path / "__init__.py").exists())
+        stdout = run_linter().stdout
+        covered = [name for name in packages if f"src/repro/{name}" in stdout]
+        assert covered == [name for name in packages if name != "symbolic"]

@@ -406,39 +406,30 @@ class TestTypedResponses:
             check_response(envelope, op)
 
 
-class TestDocumentedOpTable:
-    """The daemon docstring's op table lists exactly the ``OPS`` table."""
+class TestHelpOpTable:
+    """``python -m repro.service --help`` lists every op of ``OPS`` with its
+    fields and doc."""
 
     @staticmethod
-    def _rows():
-        lines = daemon.__doc__.split("Operations (")[1].splitlines()
-        borders = [i for i, line in enumerate(lines) if line.startswith("===")]
-        rows = {}
-        for line in lines[borders[0] + 1:borders[1]]:
-            if line.startswith("``"):
-                op, _, text = line.partition(" ")
-                current = rows.setdefault(op.strip("`"), [])
-                current.append(text.strip())
-            else:
-                current.append(line.strip())
-        return {op: " ".join(parts) for op, parts in rows.items()}
+    def _rows(capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            daemon.main(["--help"])
+        assert exit_info.value.code == 0
+        lines = capsys.readouterr().out.split("\nops:\n")[1].splitlines()
+        return dict(line.split(maxsplit=1) for line in lines if line.strip())
 
-    def test_table_lists_exactly_the_ops_with_their_fields_and_docs(self):
-        rows = self._rows()
+    def test_help_lists_every_op_with_its_fields_and_doc(self, capsys):
+        rows = self._rows(capsys)
         assert list(rows) == list(OPS)
         for op, text in rows.items():
             spec = OPS[op]
-            match = re.fullmatch(r"``\{([^}]*)\}`` — (.*)", text)
+            match = re.fullmatch(r"\{([^}]*)\} — (.*)", text)
             if spec.fields:
                 assert match, text
-                required, _, optional = match.group(1).partition("[")
-                names = [n.strip() for n in required.split(",") if n.strip()]
-                extras = [n.strip() for n in optional.rstrip("]").split(",")
-                          if n.strip()]
-                assert names == [name for name, kind in spec.fields
-                                 if kind in ("str", "pairs")], op
-                assert extras == [name for name, kind in spec.fields
-                                  if kind not in ("str", "pairs")], op
+                listed = match.group(1).split(", ")
+                assert listed == [name if kind in ("str", "pairs")
+                                  else f"[{name}]"
+                                  for name, kind in spec.fields], op
                 doc = match.group(2)
             else:
                 assert match is None, text

@@ -96,6 +96,18 @@ class TestSymbolicRangeAnalysis:
         assert isinstance(symbolic.range_of(load_a).lower, Symbol)
         assert conservative.range_of(load_b).is_top
 
+    def test_unnamed_load_symbol_is_named_by_its_position(self):
+        module = compile_source("int f(int* p) { return p[0] + p[1]; }")
+        loads = [i for i in module.get_function("f").instructions()
+                 if isinstance(i, LoadInst)]
+        for load in loads:
+            load.name = ""
+        analysis = SymbolicRangeAnalysis(module)
+        names = [analysis.range_of(load).lower.name for load in loads]
+        block = loads[0].parent
+        assert names == [f"f.load.{block.name}#{block.instructions.index(load)}"
+                         for load in loads]
+
     def test_icmp_is_boolean_range(self):
         module = compile_source("int f(int a, int b) { return a < b; }")
         analysis = SymbolicRangeAnalysis(module)

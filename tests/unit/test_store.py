@@ -5,9 +5,10 @@ import os
 
 from repro.benchgen import manifest, source_digest
 from repro.service import AnalysisSession, ResultStore
-from repro.service.protocol import DEFAULT_SIZE
+from repro.service.protocol import (DEFAULT_SIZE, OPS, make_request,
+                                    parse_request)
 from repro.service import store as store_module
-from repro.service.store import RESULT_SCHEMA_VERSION
+from repro.service.store import RESULT_SCHEMA_VERSION, StoredRead
 
 SRC = """
 int main(int argc, char** argv) {
@@ -126,6 +127,52 @@ class TestResultStore:
         with open(path, encoding="utf-8") as handle:
             assert json.load(handle)["value"] == {"functions": ["main"]}
         assert store.get(key) == {"functions": ["main"]}
+
+
+#: One request per read op and the store keys it had when each op's layout
+#: was written out by hand, for a source digest of zeros under the
+#: namespace ``[1, 1, 4]``.  A warm store stays addressable only while
+#: these keys stay the same.
+PINNED_KEYS = {
+    "query": (
+        {"analysis": "rbaa", "function": "f", "a": "p", "b": "q",
+         "size_a": 4, "size_b": None},
+        ["c2b21f62a5cbd27d341094cca88fbbb22dac9c01d201dcb9e76eb016545abdb8"]),
+    "query_many": (
+        {"analysis": "basic", "function": "f",
+         "pairs": [["p", "q"], ["p", "r", 8, "unknown"]]},
+        ["7ed3cbfbb1a7a85ea14dfbdc2dbce5903c25fd3b8abe6855480a935133dc7c26",
+         "8b4b6e338f303184c126f9c8f60423eff6f07911d1319d5e8354549acb9231c1"]),
+    "query_function": (
+        {"analysis": "andersen", "function": "f", "max_pairs": 120},
+        ["3205e0af3bb3f72c1b347c45edf06114a97404f1f4e938217fe57aaf41332ea4"]),
+    "check_bounds": (
+        {"function": "f"},
+        ["bf224a38e3c1d00122ab5ce2ee0b49f764557c5fe02c4353d6993c1763ee0bea"]),
+    "parallel_loops": (
+        {},
+        ["35753bab109f630c3364fb27122a44bd1ddf172efef7cfbdbddf3f7d7590693d"]),
+    "values": (
+        {"function": "f"},
+        ["4eb068a064aa576a712b2932cf1770cd0584136784545fdaeba5c2d3c0c43c71"]),
+    "range": (
+        {"function": "f", "value": "i"},
+        ["4f1228ec23c9b54309dde04aefbcaefd36dfdab516bc4b1726340b44fe09ba9f"]),
+}
+
+
+class TestStoredReads:
+    def test_every_read_op_keeps_its_store_keys(self, tmp_path, monkeypatch):
+        store = ResultStore(str(tmp_path))
+        # A version bump re-keys every entry on purpose; only the parts of
+        # each op are pinned here.
+        monkeypatch.setattr(store, "namespace", lambda: [1, 1, 4])
+        assert set(PINNED_KEYS) == {name for name, spec in OPS.items()
+                                    if spec.stored}
+        for op, (fields, keys) in PINNED_KEYS.items():
+            request = parse_request(make_request(op, module="m", **fields))
+            read = StoredRead.of(request.spec, request.args)
+            assert read.keys(store, "0" * 64) == keys, op
 
 
 class TestReadMemo:
