@@ -58,17 +58,19 @@ def test_fig15_solver_steps_are_reported(scalability_report):
 
 def test_fig15_single_program_analysis_time(benchmark):
     """Micro-benchmark: GR+LR fixed point on one mid-sized program."""
+    from repro import AnalysisManager, keys
     from repro.benchgen import GeneratorConfig, generate_module
-    from repro.core import GlobalRangeAnalysis, LocalRangeAnalysis, LocationTable
-    from repro.rangeanalysis import SymbolicRangeAnalysis
 
     program = generate_module(GeneratorConfig(name="fig15_micro", instances=20, seed=3))
     module = program.module
-    ranges = SymbolicRangeAnalysis(module)
 
-    def analyse():
-        locations = LocationTable(module)
-        GlobalRangeAnalysis(module, ranges=ranges, locations=locations)
-        LocalRangeAnalysis(module, ranges=ranges, locations=locations)
+    def bootstrapped():
+        manager = AnalysisManager(module)
+        manager.get(keys.RANGES)
+        return (manager,), {}
 
-    benchmark(analyse)
+    def analyse(manager):
+        manager.get(keys.GLOBAL_RANGES)
+        manager.get(keys.LOCAL_RANGES)
+
+    benchmark.pedantic(analyse, setup=bootstrapped, rounds=5)

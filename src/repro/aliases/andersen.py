@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from ..analysis.callgraph import CallGraph
+from ..engine import keys
+from ..engine.manager import AnalysisManager
 from ..engine.solver import SolverStatistics, SparseProblem, SparseSolver
 from ..ir.function import Function
 from ..ir.instructions import (
@@ -169,9 +170,9 @@ class AndersenAliasAnalysis(AliasAnalysis):
 
     name = "andersen"
 
-    def __init__(self, module: Module, callgraph: Optional[CallGraph] = None):
+    def __init__(self, module: Module, manager: Optional[AnalysisManager] = None):
         super().__init__(module)
-        self.callgraph = callgraph if callgraph is not None else CallGraph(module)
+        self.callgraph = AnalysisManager.ensure(module, manager).get(keys.CALLGRAPH)
         self.solver_statistics = self._solve()
 
     # -- constraint helpers -----------------------------------------------------

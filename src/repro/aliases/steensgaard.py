@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..analysis.callgraph import CallGraph, CallSite
+from ..analysis.callgraph import CallSite
+from ..engine import keys
+from ..engine.manager import AnalysisManager
 from ..engine.solver import SolverStatistics, SparseProblem, SparseSolver
 from ..ir.instructions import (
     AllocaInst,
@@ -107,9 +109,9 @@ class SteensgaardAliasAnalysis(AliasAnalysis):
 
     name = "steensgaard"
 
-    def __init__(self, module: Module, callgraph: Optional[CallGraph] = None):
+    def __init__(self, module: Module, manager: Optional[AnalysisManager] = None):
         super().__init__(module)
-        self.callgraph = callgraph if callgraph is not None else CallGraph(module)
+        self.callgraph = AnalysisManager.ensure(module, manager).get(keys.CALLGRAPH)
         self.solver_statistics = self._build()
 
     # -- class helpers --------------------------------------------------------

@@ -15,8 +15,10 @@ This package holds those two whole-program client passes:
 
 Both passes register behind typed analysis keys
 (:data:`repro.engine.keys.BOUNDS`, :data:`repro.engine.keys.PARALLEL`),
-participate in function-granular incremental invalidation, and surface
-as the ``check_bounds`` / ``parallel_loops`` service ops.
+take their inputs from the module's analysis manager (a function edit
+evicts them, and the next request rebuilds them from the refreshed
+inputs), and surface as the ``check_bounds`` / ``parallel_loops``
+service ops.
 """
 
 from .bounds import BoundsCheckAnalysis, SAFE, MAYBE_OOB, DEFINITELY_OOB

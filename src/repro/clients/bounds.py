@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.locations import MemoryLocation
 from ..core.queries import extend_for_access
 from ..engine import keys
+from ..engine.manager import AnalysisManager
 from ..interp.trace import access_width, memory_access_table
 from ..ir.function import Function
 from ..ir.instructions import AllocaInst, Instruction, MallocInst, StoreInst
@@ -47,29 +48,14 @@ class BoundsCheckAnalysis:
 
     name = "check-bounds"
 
-    def __init__(self, module: Module, manager=None):
+    def __init__(self, module: Module, manager: Optional[AnalysisManager] = None):
         self.module = module
-        if manager is not None:
-            self.rbaa = manager.get(keys.RBAA)
-            self.basic = manager.get(keys.BASIC)
-            self.ranges = manager.get(keys.RANGES)
-        else:
-            from ..aliases.basic import BasicAliasAnalysis
-            from ..core.rbaa import RBAAAliasAnalysis
-            self.rbaa = RBAAAliasAnalysis(module)
-            self.basic = BasicAliasAnalysis(module)
-            self.ranges = self.rbaa.ranges
+        manager = AnalysisManager.ensure(module, manager)
+        self.rbaa = manager.get(keys.RBAA)
+        self.basic = manager.get(keys.BASIC)
+        self.ranges = manager.get(keys.RANGES)
         self._reports: Dict[Function, Dict] = {}
         self._extents: Dict[Value, Optional[SymbolicInterval]] = {}
-
-    # -- incremental invalidation (manager edit hook) -----------------------
-    def refresh_function(self, old_function: Function,
-                         new_function: Function, edit) -> None:
-        """Drop the edited function's report and the extents; the manager
-        refreshed the inputs this analysis holds in place first
-        (dependencies-first ordering)."""
-        self._reports.pop(old_function, None)
-        self._extents.clear()
 
     # -- extents ------------------------------------------------------------
     def extent_interval(self, site: Value,

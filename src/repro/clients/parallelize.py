@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Tuple
 from ..aliases.results import AliasResult, MemoryAccess, NoAliasClaim
 from ..analysis.loops import Loop
 from ..engine import keys
+from ..engine.manager import AnalysisManager
 from ..interp.trace import access_width, memory_access_table
 from ..ir.function import Function
 from ..ir.instructions import (
@@ -76,28 +77,13 @@ class LoopParallelismAnalysis:
 
     name = "parallel-loops"
 
-    def __init__(self, module: Module, manager=None):
+    def __init__(self, module: Module, manager: Optional[AnalysisManager] = None):
         self.module = module
-        if manager is not None:
-            self.rbaa = manager.get(keys.RBAA)
-            self.basic = manager.get(keys.BASIC)
-            self.scev = manager.get(keys.SCEV)
-        else:
-            from ..aliases.basic import BasicAliasAnalysis
-            from ..aliases.scev_aa import SCEVAliasAnalysis
-            from ..core.rbaa import RBAAAliasAnalysis
-            self.rbaa = RBAAAliasAnalysis(module)
-            self.basic = BasicAliasAnalysis(module)
-            self.scev = SCEVAliasAnalysis(module)
+        manager = AnalysisManager.ensure(module, manager)
+        self.rbaa = manager.get(keys.RBAA)
+        self.basic = manager.get(keys.BASIC)
+        self.scev = manager.get(keys.SCEV)
         self._reports: Dict[Function, Dict] = {}
-
-    # -- incremental invalidation (manager edit hook) -----------------------
-    def refresh_function(self, old_function: Function,
-                         new_function: Function, edit) -> None:
-        """Drop the edited function's report; the manager refreshed the
-        inputs this analysis holds in place first (dependencies-first
-        ordering)."""
-        self._reports.pop(old_function, None)
 
     # -- pair independence ----------------------------------------------------
     def _defined_outside(self, value: Value, loop: Loop) -> bool:

@@ -23,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.callgraph import RETURNS_FIRST_ARGUMENT, CallGraph
+from ..analysis.callgraph import RETURNS_FIRST_ARGUMENT
+from ..engine import keys
+from ..engine.manager import AnalysisManager
 from ..engine.solver import RuleProblem, SparseSolver, TransferRule, no_operands
 from ..ir.function import Function
 from ..ir.instructions import (
@@ -43,10 +45,9 @@ from ..ir.instructions import (
 )
 from ..ir.module import Module
 from ..ir.values import Argument, GlobalVariable, Value
-from ..rangeanalysis.symbolic_ra import SymbolicRangeAnalysis
+from ..rangeanalysis.symbolic_ra import RangeAnalysisOptions
 from ..symbolic import SymbolicInterval
 from .domain import BOTTOM, TOP, PointerAbstractValue
-from .locations import LocationTable
 
 __all__ = ["GlobalAnalysisOptions", "GlobalRangeAnalysis"]
 
@@ -72,15 +73,15 @@ class GlobalRangeAnalysis:
     """Whole-module GR analysis."""
 
     def __init__(self, module: Module,
-                 ranges: Optional[SymbolicRangeAnalysis] = None,
-                 locations: Optional[LocationTable] = None,
+                 manager: Optional[AnalysisManager] = None,
                  options: Optional[GlobalAnalysisOptions] = None,
-                 callgraph: Optional[CallGraph] = None):
+                 range_options: Optional[RangeAnalysisOptions] = None):
         self.module = module
         self.options = options or GlobalAnalysisOptions()
-        self.ranges = ranges if ranges is not None else SymbolicRangeAnalysis(module)
-        self.locations = locations if locations is not None else LocationTable(module)
-        self.callgraph = callgraph if callgraph is not None else CallGraph(module)
+        manager = AnalysisManager.ensure(module, manager)
+        self.ranges = manager.get(keys.RANGES, options=range_options)
+        self.locations = manager.get(keys.LOCATIONS)
+        self.callgraph = manager.get(keys.CALLGRAPH)
         self.solver_statistics = None
         self._gr: Dict[Value, PointerAbstractValue] = {}
         #: function -> external-visibility verdict; the check walks callgraph

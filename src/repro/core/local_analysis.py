@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..analysis.callgraph import RETURNS_FIRST_ARGUMENT
+from ..engine import keys
+from ..engine.manager import AnalysisManager
 from ..engine.solver import RuleProblem, SparseSolver, TransferRule, no_operands
 from ..ir.instructions import (
     AllocaInst,
@@ -43,9 +45,9 @@ from ..ir.instructions import (
 )
 from ..ir.module import Module
 from ..ir.values import Argument, ConstantInt, GlobalVariable, NullPointer, UndefValue, Value
-from ..rangeanalysis.symbolic_ra import SymbolicRangeAnalysis
+from ..rangeanalysis.symbolic_ra import RangeAnalysisOptions
 from ..symbolic import SymbolicInterval
-from .locations import LocationKind, LocationTable, MemoryLocation
+from .locations import LocationKind, MemoryLocation
 
 __all__ = ["LocalAbstractValue", "LocalRangeAnalysis"]
 
@@ -68,11 +70,12 @@ class LocalRangeAnalysis:
     """Whole-module LR analysis (one dominance-order sweep)."""
 
     def __init__(self, module: Module,
-                 ranges: Optional[SymbolicRangeAnalysis] = None,
-                 locations: Optional[LocationTable] = None):
+                 manager: Optional[AnalysisManager] = None,
+                 range_options: Optional[RangeAnalysisOptions] = None):
         self.module = module
-        self.ranges = ranges if ranges is not None else SymbolicRangeAnalysis(module)
-        self.locations = locations if locations is not None else LocationTable(module)
+        manager = AnalysisManager.ensure(module, manager)
+        self.ranges = manager.get(keys.RANGES, options=range_options)
+        self.locations = manager.get(keys.LOCATIONS)
         self._lr: Dict[Value, LocalAbstractValue] = {}
         # Shared fresh bases for pointer arithmetic with a varying index
         # (the renaming of Figure 4): keyed by (base, index, scale).

@@ -81,11 +81,15 @@ class RBAAAliasAnalysis(AliasAnalysis):
 
     name = "rbaa"
 
-    def __init__(self, module: Module, options: Optional[RBAAOptions] = None,
-                 manager: Optional[AnalysisManager] = None):
+    def __init__(self, module: Module, manager: Optional[AnalysisManager] = None,
+                 options: Optional[RBAAOptions] = None):
         super().__init__(module)
         self.options = options or RBAAOptions()
-        manager = manager if manager is not None else AnalysisManager(module)
+        # The inputs are requested with explicit option objects even at
+        # their defaults, so they are cache entries apart from a plain
+        # ``get(keys.RANGES)``'s: a second copy of ranges, GR and LR that
+        # keying the cache on option values would fold into one.
+        manager = AnalysisManager.ensure(module, manager)
         self.ranges = manager.get(keys.RANGES, options=self.options.range_options)
         self.locations = manager.get(keys.LOCATIONS)
         self.global_analysis = manager.get(

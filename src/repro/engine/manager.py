@@ -9,10 +9,13 @@ manager memoizes analyses behind typed :class:`AnalysisKey`\\ s:
     ranges = manager.get(keys.RANGES)          # built once
     ranges = manager.get(keys.RANGES)          # cache hit
 
-Factories receive the manager itself, so an analysis declares its inputs by
-calling :meth:`AnalysisManager.get` recursively; the manager records those
-nested requests as dependency edges and refreshes cached analyses
-dependencies-first when a function is edited
+Requesting them from a manager is the only way an analysis gets its
+inputs: a composite analysis takes ``(module, manager=None, <its own
+options>)`` and calls :meth:`AnalysisManager.get` for each input, and
+``None`` means a private manager (:meth:`AnalysisManager.ensure`).  A key's
+factory hands the analysis the manager that is building it, so the manager
+records those nested requests as dependency edges and refreshes cached
+analyses dependencies-first when a function is edited
 (:meth:`AnalysisManager.apply_function_edit`).
 """
 
@@ -122,6 +125,13 @@ class AnalysisManager:
         self._dependencies: Dict[_CacheKey, Set[_CacheKey]] = {}
         self._build_stack: List[_CacheKey] = []
 
+    @classmethod
+    def ensure(cls, module, manager: Optional["AnalysisManager"]
+               ) -> "AnalysisManager":
+        """``manager``, or a private manager for ``module`` when it is
+        ``None`` (an empty manager is falsy, so ``or`` would not do)."""
+        return manager if manager is not None else cls(module)
+
     # -- cache keys -----------------------------------------------------------
     @staticmethod
     def _cache_key(key: AnalysisKey, params: Dict[str, Any]) -> _CacheKey:
@@ -206,8 +216,10 @@ class AnalysisManager:
         the refreshed call graph.
 
         Refreshes run dependencies-first (the recorded edge order), so a
-        hook that holds its inputs (RBAA holds GR, the clients hold RBAA)
-        finds them already refreshed and only clears its own memos.
+        hook that holds its inputs (RBAA holds GR) finds them already
+        refreshed and only clears its own memos.  The clients have no hook:
+        their reports may depend on any function, so they are evicted and
+        rebuilt from the refreshed inputs on the next request.
         """
         refresh: List[_CacheKey] = []
         doomed: Set[_CacheKey] = set()

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..benchgen import build_program, select_programs
 from ..core import GlobalAnalysisOptions, RBAAAliasAnalysis, RBAAOptions
+from ..engine import keys
 from ..engine.manager import AnalysisManager
 from ..frontend import compile_source
 from ..ir.module import Module
@@ -35,52 +36,35 @@ from .reporting import format_table
 __all__ = ["AblationVariant", "ABLATION_VARIANTS", "run_ablation", "format_ablation"]
 
 
-def _default_rbaa(module: Module, manager: AnalysisManager) -> RBAAAliasAnalysis:
-    return RBAAAliasAnalysis(module, manager=manager)
-
-
-def _global_only(module: Module, manager: AnalysisManager) -> RBAAAliasAnalysis:
-    return RBAAAliasAnalysis(module, RBAAOptions(enable_local_test=False),
-                             manager=manager)
-
-
-def _local_only(module: Module, manager: AnalysisManager) -> RBAAAliasAnalysis:
-    return RBAAAliasAnalysis(module, RBAAOptions(enable_global_test=False),
-                             manager=manager)
-
-
-def _no_descending(module: Module, manager: AnalysisManager) -> RBAAAliasAnalysis:
-    return RBAAAliasAnalysis(
-        module, RBAAOptions(global_options=GlobalAnalysisOptions(descending_passes=0)),
-        manager=manager)
-
-
-def _intraprocedural(module: Module, manager: AnalysisManager) -> RBAAAliasAnalysis:
-    return RBAAAliasAnalysis(
-        module, RBAAOptions(global_options=GlobalAnalysisOptions(interprocedural=False)),
-        manager=manager)
-
-
 @dataclass(frozen=True)
 class AblationVariant:
     """One configuration compared by the ablation study."""
 
     name: str
     description: str
-    factory: Callable[[Module, AnalysisManager], RBAAAliasAnalysis]
+    #: The RBAA configuration; ``None`` is the default one.
+    options: Optional[RBAAOptions] = None
     #: When set, the suite programs are recompiled with these pipeline
     #: options before the analysis runs (used for the "no e-SSA" variant).
     pipeline: Optional[PipelineOptions] = None
 
+    def factory(self, module: Module, manager: AnalysisManager) -> RBAAAliasAnalysis:
+        """This variant's RBAA, from the manager the variants share."""
+        return manager.get(keys.RBAA, options=self.options)
+
 
 ABLATION_VARIANTS: List[AblationVariant] = [
-    AblationVariant("full", "global + local tests, widening + narrowing", _default_rbaa),
-    AblationVariant("global-only", "disable the local test", _global_only),
-    AblationVariant("local-only", "disable the global test", _local_only),
-    AblationVariant("no-narrowing", "skip the descending sequence", _no_descending),
-    AblationVariant("intraproc", "no actual-to-formal binding", _intraprocedural),
-    AblationVariant("no-essa", "skip σ insertion (no live-range splitting)", _default_rbaa,
-                    PipelineOptions(build_essa=False)),
+    AblationVariant("full", "global + local tests, widening + narrowing"),
+    AblationVariant("global-only", "disable the local test",
+                    RBAAOptions(enable_local_test=False)),
+    AblationVariant("local-only", "disable the global test",
+                    RBAAOptions(enable_global_test=False)),
+    AblationVariant("no-narrowing", "skip the descending sequence",
+                    RBAAOptions(global_options=GlobalAnalysisOptions(descending_passes=0))),
+    AblationVariant("intraproc", "no actual-to-formal binding",
+                    RBAAOptions(global_options=GlobalAnalysisOptions(interprocedural=False))),
+    AblationVariant("no-essa", "skip σ insertion (no live-range splitting)",
+                    pipeline=PipelineOptions(build_essa=False)),
 ]
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..benchgen import build_program, select_programs
-from ..core import GlobalRangeAnalysis
+from ..engine import keys
+from ..engine.manager import AnalysisManager
 from ..ir.module import Module
 from .parallel import run_sharded
 from .reporting import format_table
@@ -51,10 +52,9 @@ class CensusResult:
         )
 
 
-def census_for_module(program: str, module: Module,
-                      analysis: Optional[GlobalRangeAnalysis] = None) -> CensusResult:
+def census_for_module(program: str, module: Module) -> CensusResult:
     """Classify every pointer of ``module`` by the nature of its GR ranges."""
-    analysis = analysis or GlobalRangeAnalysis(module)
+    analysis = AnalysisManager(module).get(keys.GLOBAL_RANGES)
     result = CensusResult(program=program)
     for function in module.defined_functions():
         for pointer in function.pointer_values():

@@ -40,6 +40,7 @@ from ..engine import keys
 from ..engine.manager import AnalysisManager
 from ..interp import InterpreterLimits
 from .differential import DifferentialReport, ExecutedCheck, execute
+from .harness import shipped
 from .parallel import run_sharded
 
 __all__ = [
@@ -140,8 +141,8 @@ class ClientsReport(DifferentialReport):
 # -- per-program driver --------------------------------------------------------
 
 
-def check_clients_program(program, *, detector_factory=None,
-                          checker_factory=None,
+def check_clients_program(program, *, detector_factory=shipped(keys.BOUNDS),
+                          checker_factory=shipped(keys.PARALLEL),
                           limits: Optional[InterpreterLimits] = None
                           ) -> ClientCheck:
     """Run the full differential check of both clients for one program.
@@ -154,10 +155,8 @@ def check_clients_program(program, *, detector_factory=None,
     module = program.module
     check = ClientCheck(program=config.name, seed=config.seed)
     manager = AnalysisManager(module)
-    detector = detector_factory(module, manager) if detector_factory \
-        else manager.get(keys.BOUNDS)
-    checker = checker_factory(module, manager) if checker_factory \
-        else manager.get(keys.PARALLEL)
+    detector = detector_factory(module, manager)
+    checker = checker_factory(module, manager)
     bounds_report = detector.module_report()
     loops_report = checker.module_report()
     check.bounds_summary = dict(bounds_report["summary"])

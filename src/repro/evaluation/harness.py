@@ -13,24 +13,31 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..aliases.base import AliasAnalysis
 from ..aliases.results import AliasResult, MemoryAccess
-from ..engine.manager import AnalysisManager
+from ..engine.manager import AnalysisKey, AnalysisManager
 from ..frontend import frontend_fingerprint
 from ..ir.function import Function
 from ..ir.module import Module
 
 __all__ = ["QueryPair", "ProgramResult", "enumerate_query_pairs", "run_queries",
-           "AnalysisFactory", "solver_breakdown",
+           "AnalysisFactory", "shipped", "solver_breakdown",
            "frontend_fingerprint"]
 
-#: A callable building an analysis for a module from the run's shared
-#: :class:`AnalysisManager` — ``factory(module, manager)``.  Factories that
-#: build on cached sub-analyses (RBAA) take them from the manager; the others
-#: ignore it.
+#: A callable giving an analysis for a module from the run's shared
+#: :class:`AnalysisManager` — ``factory(module, manager)``.  A shipped
+#: analysis is the manager's cached one (:func:`shipped`); the tests inject
+#: deliberately broken analyses through the same seam.
 AnalysisFactory = Callable[[Module, AnalysisManager], AliasAnalysis]
+
+
+def shipped(key: AnalysisKey) -> Callable[[Module, AnalysisManager], Any]:
+    """The factory answering ``key``'s analysis from the run's manager."""
+    def factory(module: Module, manager: AnalysisManager) -> Any:
+        return manager.get(key)
+    return factory
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,13 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
-from ..aliases import BasicAliasAnalysis, CombinedAliasAnalysis, SCEVAliasAnalysis
+from ..aliases import CombinedAliasAnalysis
 from ..benchgen import build_program, select_programs
-from ..core import RBAAAliasAnalysis
+from ..engine import keys
 from ..engine.manager import AnalysisManager
 from ..ir.module import Module
-from .harness import AnalysisFactory, ProgramResult, frontend_fingerprint, run_queries
+from .harness import (AnalysisFactory, ProgramResult, frontend_fingerprint,
+                      run_queries, shipped)
 from .parallel import run_sharded
 from .reporting import format_table
 
@@ -33,32 +34,21 @@ __all__ = ["PrecisionReport", "standard_factories", "run_precision_experiment",
 ANALYSIS_COLUMNS = ("scev", "basic", "rbaa", "r+b")
 
 
-def _scev(module: Module, manager: AnalysisManager) -> SCEVAliasAnalysis:
-    return SCEVAliasAnalysis(module)
-
-
-def _basic(module: Module, manager: AnalysisManager) -> BasicAliasAnalysis:
-    return BasicAliasAnalysis(module)
-
-
-def _rbaa(module: Module, manager: AnalysisManager) -> RBAAAliasAnalysis:
-    return RBAAAliasAnalysis(module, manager=manager)
-
-
 def _combined(module: Module, manager: AnalysisManager) -> CombinedAliasAnalysis:
     return CombinedAliasAnalysis(
-        module, [_rbaa(module, manager), BasicAliasAnalysis(module)], name="r+b")
+        module, [manager.get(keys.RBAA), manager.get(keys.BASIC)], name="r+b")
 
 
 def standard_factories() -> List[Tuple[str, AnalysisFactory]]:
     """The four analysis configurations of Figure 13.
 
-    The standalone ``rbaa`` and the ``rbaa`` inside the chained combination
-    take their sub-analyses from the harness' shared
-    :class:`AnalysisManager`, so they share one range bootstrap and one GR/LR
-    fixed point per module.
+    Every analysis comes from the harness' shared :class:`AnalysisManager`,
+    so the standalone ``rbaa`` and ``basic`` are the ones inside the chained
+    combination, and the module pays for one range bootstrap and one GR/LR
+    fixed point.
     """
-    return [("scev", _scev), ("basic", _basic), ("rbaa", _rbaa), ("r+b", _combined)]
+    return [("scev", shipped(keys.SCEV)), ("basic", shipped(keys.BASIC)),
+            ("rbaa", shipped(keys.RBAA)), ("r+b", _combined)]
 
 
 @dataclass

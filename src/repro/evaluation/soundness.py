@@ -30,11 +30,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..aliases import (
-    AndersenAliasAnalysis,
-    BasicAliasAnalysis,
-    SteensgaardAliasAnalysis,
-)
 from ..aliases.results import MemoryAccess, NoAliasClaim
 from ..benchgen import GeneratorConfig, generate_module, stable_seed, suite_configs
 from ..core import RBAAAliasAnalysis
@@ -45,9 +40,8 @@ from ..interp.trace import FrameTrace
 from ..ir.function import Function
 from ..ir.values import Value
 from ..symbolic import evaluate
-from ..ir.module import Module
 from .differential import DifferentialReport, ExecutedCheck, execute
-from .harness import AnalysisFactory, QueryPair, enumerate_query_pairs
+from .harness import AnalysisFactory, QueryPair, enumerate_query_pairs, shipped
 from .parallel import run_sharded
 
 __all__ = [
@@ -78,26 +72,11 @@ _MAX_WINDOW_PRODUCT = 250_000
 UNKNOWN_SIZE_PAIRS_PER_FUNCTION = 8
 
 
-def _rbaa(module: Module, manager: AnalysisManager) -> RBAAAliasAnalysis:
-    return RBAAAliasAnalysis(module, manager=manager)
-
-
-def _basic(module: Module, manager: AnalysisManager) -> BasicAliasAnalysis:
-    return BasicAliasAnalysis(module)
-
-
-def _andersen(module: Module, manager: AnalysisManager) -> AndersenAliasAnalysis:
-    return AndersenAliasAnalysis(module)
-
-
-def _steensgaard(module: Module, manager: AnalysisManager) -> SteensgaardAliasAnalysis:
-    return SteensgaardAliasAnalysis(module)
-
-
 def soundness_factories() -> List[Tuple[str, AnalysisFactory]]:
     """The four analyses whose no-alias verdicts the oracle validates."""
-    return [("rbaa", _rbaa), ("basic", _basic), ("andersen", _andersen),
-            ("steensgaard", _steensgaard)]
+    return [("rbaa", shipped(keys.RBAA)), ("basic", shipped(keys.BASIC)),
+            ("andersen", shipped(keys.ANDERSEN)),
+            ("steensgaard", shipped(keys.STEENSGAARD))]
 
 
 def soundness_corpus(extra: int = QUICK_EXTRA_PROGRAMS,

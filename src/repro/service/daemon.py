@@ -2,72 +2,16 @@
 
 Each request is one JSON object per line; each response is one JSON object
 per line, in request order.  The wire contract — versioning (``"v"``),
-request-``id`` echo, structured ``error_code`` envelopes, the access-size
-schema — is defined once in :mod:`repro.service.protocol`; this module is
-only the stdio transport around :func:`repro.service.protocol.handle_payload`
-(the daemon never dies on a bad request — only on EOF or ``shutdown``).
+request-``id`` echo, structured ``error_code`` envelopes (each code is
+documented beside ``protocol.ERROR_CODES``; the retryable ones are
+``protocol.RETRYABLE_ERROR_CODES``), the ``timeout_ms`` budget and the
+access-size schema (beside ``protocol.coerce_size``) — is defined once in
+:mod:`repro.service.protocol`; this module is only the stdio transport
+around :func:`repro.service.protocol.handle_payload` (the daemon never
+dies on a bad request — only on EOF or ``shutdown``).
 
 The ops and their fields are those of ``protocol.OPS``;
 ``python -m repro.service --help`` lists them.
-
-Requests must carry ``"v"`` (protocol version; omissions and mismatches
-are rejected with ``error_code: "protocol_mismatch"``) and may carry
-``"id"`` (an arbitrary correlation token echoed verbatim on the
-response).  Failures are structured::
-
-    {"ok": false, "v": 1, "id": .., "error_code": "unknown_op",
-     "message": "..."}
-
-where ``error_code`` is one of ``protocol.ERROR_CODES`` (the deprecated
-pre-v1 free-form ``"error"`` string has completed its removal cycle):
-
-======================  =====================================================
-``protocol_mismatch``   ``"v"`` missing or unsupported — fix, don't retry
-``bad_request``         malformed payload (missing/ill-typed field, bad size
-                        word, bad ``timeout_ms``) or a request the service
-                        rejects (bad source, unknown suite program) — fix,
-                        don't retry
-``unknown_op``          ``op`` not in ``protocol.OPS`` — fix, don't retry
-``unknown_module``      module not resident — load it, don't retry
-``unknown_function``    no such function in the module
-``unknown_value``       no such SSA value name in the function
-``unknown_analysis``    analysis key not registered
-``edit_rejected``       edited source failed the frontend; resident module
-                        untouched
-``internal_error``      unexpected exception while serving a valid request
-                        (a bug, never the client's); type and text in
-                        ``message``
-``worker_unavailable``  pool front end only: the owning worker died with
-                        this request in flight.  **Retryable.**  Read-only
-                        requests are already retried transparently by the
-                        supervisor; a mutating request (``load`` / ``edit``
-                        / ``unload``) is *never* half-applied — an
-                        unacknowledged mutation is excluded from the replay
-                        journal, so resending applies it exactly once.
-``deadline_exceeded``   the request's ``timeout_ms`` budget expired — either
-                        the worker abandoned the solve cooperatively or the
-                        front end's wall-clock backstop fired.  **Not
-                        retryable blindly**: a backstopped mutating request
-                        may still have applied.
-``overloaded``          pool front end only: the shard is at its in-flight
-                        bound and shed the request unstarted.  **Retryable**
-                        after backoff.
-======================  =====================================================
-
-The retry contract is machine-readable: ``protocol.RETRYABLE_ERROR_CODES``
-(= ``{worker_unavailable, overloaded}``) is exactly the set a client may
-resend without idempotency reasoning; ``ServiceClient.send`` does so with
-seeded-jitter exponential backoff (``repro.service.client.RetryPolicy``).
-Requests may carry an additive ``timeout_ms`` field (non-negative integer;
-``0`` expires immediately); it bounds only non-mutating evaluation —
-mutating requests ignore the budget rather than risk a torn edit.
-
-Sizes (``size_a``/``size_b`` and 4-element ``query_many`` pairs): omit or
-``"default"`` for the pointee-size default; ``null`` or ``"unknown"`` for
-an unknown (unbounded) access extent; a non-negative integer for a byte
-count.  :func:`repro.service.protocol.coerce_size` is the single source of
-truth, so the schema round-trips identically through the in-process
-session, this daemon, and the socket server.
 
 Usage::
 

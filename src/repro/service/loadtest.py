@@ -21,7 +21,8 @@ end to end.  What is gated is correctness:
   taken) — each corpus program's seeded edit scenario
   (:func:`repro.benchgen.editscript.edit_scenario`, three single-function
   edits) goes through the socket with a ``query_function`` sweep of every
-  alias analysis after each step.  Every sweep must equal a cold
+  alias analysis, and a whole-module ``check_bounds`` and ``parallel_loops``,
+  after each step.  Every sweep and both client reports must equal a cold
   :class:`~repro.service.session.AnalysisSession` built from that step's
   source (``edit_warm_equals_cold``), and every edit must re-run strictly
   fewer solver steps than the cold rebuild — overall
@@ -77,6 +78,7 @@ from .client import InProcessClient, RetryPolicy, ServiceClient, SocketClient
 from .pool import WorkerPool
 from .protocol import (
     DEADLINE_EXCEEDED,
+    OPS,
     PROTOCOL_VERSION,
     RETRYABLE_ERROR_CODES,
     handle_payload,
@@ -302,6 +304,8 @@ def stats_gate_view(record: Dict[str, Any]) -> Dict[str, Any]:
 EDITS = 3
 EDIT_ANALYSES = ("rbaa", "basic", "andersen", "steensgaard")
 EDIT_MAX_PAIRS = 120
+#: The client ops whose whole-module reports are compared after every step.
+EDIT_CLIENTS = ("check_bounds", "parallel_loops")
 
 _SWEEP_FIELDS = ("queries", "no_alias", "no_alias_indices")
 
@@ -309,6 +313,14 @@ _SWEEP_FIELDS = ("queries", "no_alias", "no_alias_indices")
 def _callgraph_steps(stats: Dict[str, Any]) -> int:
     """GR's solver steps: the interprocedural fixed point an edit re-seeds."""
     return stats["solver_steps_by_analysis"].get("global-ranges", 0)
+
+
+def _client_reports(request: Any, module: str) -> Dict[str, Any]:
+    """Both clients' whole-module reports of ``module``; ``request(op,
+    **fields)`` answers one op."""
+    return {op: {key: request(op, module=module)[key]
+                 for key in OPS[op].response}
+            for op in EDIT_CLIENTS}
 
 
 def _sweep(query_function: Any, module: str) -> Dict[str, Any]:
@@ -324,10 +336,10 @@ def _sweep(query_function: Any, module: str) -> Dict[str, Any]:
 def replay_edits(client: ServiceClient, programs: Sequence[str]) -> Dict[str, Any]:
     """Replay each program's edit scenario through ``client``, warm.
 
-    After every step the warm sweep is compared with a cold
-    :class:`AnalysisSession` loaded from that step's source, and the solver
-    steps the warm service spent on the step (from ``stats``) are recorded
-    next to the cold session's total.
+    After every step the warm sweep and both clients' whole-module reports
+    are compared with a cold :class:`AnalysisSession` loaded from that
+    step's source, and the solver steps the warm service spent on the step
+    (from ``stats``) are recorded next to the cold session's total.
     """
     steps: List[Dict[str, Any]] = []
     for name in programs:
@@ -344,17 +356,21 @@ def replay_edits(client: ServiceClient, programs: Sequence[str]) -> Dict[str, An
                         f"the incremental path: {edited}")
                 impacts = edited["impacts"]
             warm = _sweep(partial(client.request, "query_function"), name)
+            warm_clients = _client_reports(client.request, name)
             after = client.request("stats", module=name)
             cold_session = AnalysisSession()
             cold_session.load_source(name, step.source)
             cold = _sweep(cold_session.query_function, name)
+            cold_clients = _client_reports(
+                lambda op, **fields: getattr(cold_session, OPS[op].method)(**fields),
+                name)
             cold_stats = cold_session.stats(name)
             steps.append({
                 "program": name,
                 "index": step.index,
                 "function": step.function,
                 "no_alias": {analysis: sweep["no_alias"] for analysis, sweep in warm.items()},
-                "identical": warm == cold,
+                "identical": warm == cold and warm_clients == cold_clients,
                 "warm_solver_steps": after["solver_steps"] - before["solver_steps"],
                 "cold_solver_steps": cold_stats["solver_steps"],
                 "warm_callgraph_steps": _callgraph_steps(after) - _callgraph_steps(before),

@@ -103,14 +103,26 @@ PROTOCOL_VERSION = 1
 
 # -- stable machine-readable error codes --------------------------------------
 
+#: ``"v"`` missing or unsupported — fix, don't retry.
 PROTOCOL_MISMATCH = "protocol_mismatch"
+#: A malformed payload (missing or ill-typed field, bad size word, bad
+#: ``timeout_ms``) or a request the service rejects (bad source, unknown
+#: suite program) — fix, don't retry.
 BAD_REQUEST = "bad_request"
+#: ``op`` is not in :data:`OPS` — fix, don't retry.
 UNKNOWN_OP = "unknown_op"
+#: The module is not resident — load it, don't retry.
 UNKNOWN_MODULE = "unknown_module"
+#: No such function in the module.
 UNKNOWN_FUNCTION = "unknown_function"
+#: No such SSA value name in the function.
 UNKNOWN_VALUE = "unknown_value"
+#: The analysis name is not registered.
 UNKNOWN_ANALYSIS = "unknown_analysis"
+#: The edited source failed the frontend; the resident module is untouched.
 EDIT_REJECTED = "edit_rejected"
+#: An unexpected exception while serving a valid request (a bug, never the
+#: client's); its type and text are in ``message``.
 INTERNAL_ERROR = "internal_error"
 #: The addressed worker process died before answering (PR 10).  The
 #: supervisor respawns the shard and replays its journal, so the request

@@ -15,6 +15,9 @@ analyses whose dependency cone the edit touches:
   survives and only the edit's dependent cone is re-solved;
 * the points-to baselines (Andersen, Steensgaard) rebuild in place with a
   cold solve of the edited module;
+* the two clients (bounds, parallel loops) are evicted, since a report may
+  depend on any function, and the next request rebuilds them from the
+  refreshed inputs;
 * only structural edits (a changed struct, global, function list or
   order, signature or prototype) fall back to a full reload.
 
@@ -154,7 +157,7 @@ class ResidentModule:
         """Total solver steps this module has cost the session so far: the
         sum over every cached analysis, whose statistics accumulate across
         incremental refreshes.  An edit evicts only analyses that run no
-        solver (the call graph), so no step is ever dropped with an entry.
+        solver (the two clients), so no step is ever dropped with an entry.
         A lazy resident has cost nothing — that zero is the warm-store
         acceptance signal."""
         if self.manager is None:
@@ -165,10 +168,10 @@ class ResidentModule:
     def solver_steps_by_analysis(self) -> Dict[str, int]:
         """Per-analysis solver-step totals of the cached analyses, name-sorted.
 
-        The loadtest edit replay sums the interprocedural names out of this to
-        gate the incremental-interprocedural path: after an edit, the GR
-        re-seed plus the Andersen / Steensgaard cold rebuilds must have cost
-        strictly fewer steps than the cold fixed points they replaced."""
+        The loadtest edit replay reads GR's total out of this to gate the
+        incremental-interprocedural path: after an edit, the GR re-seed must
+        have cost strictly fewer steps than the cold fixed point it
+        replaced."""
         totals: Dict[str, int] = {}
         if self.manager is not None:
             for name, value in self.manager.cached_items():

@@ -121,3 +121,23 @@ def test_forced_warm_cold_mismatch_fails_the_edit_gate():
     assert gates == {"edit_warm_equals_cold": False,
                      "edit_fewer_solver_steps": True,
                      "edit_fewer_callgraph_steps": True}
+
+
+class _SkewedBounds(InProcessClient):
+    """Counts one access fewer in every warm whole-module bounds report."""
+
+    def call(self, payload):
+        envelope = super().call(payload)
+        if payload["op"] == "check_bounds" and envelope.get("ok"):
+            summary = dict(envelope["summary"])
+            summary["accesses"] -= 1
+            envelope["summary"] = summary
+        return envelope
+
+
+def test_forced_client_report_mismatch_fails_the_edit_gate():
+    """The client reports are part of ``edit_warm_equals_cold``: a warm
+    bounds report that differs from the cold session's fails it."""
+    gates = edit_gates(replay_edits(_SkewedBounds(), [PROGRAM]))
+    assert gates["edit_warm_equals_cold"] is False
+    assert gates["edit_fewer_solver_steps"] is True

@@ -308,14 +308,14 @@ class TestServiceOps:
         assert edited.parallel_loops("m") == cold.parallel_loops("m")
 
 
-class TestRefreshHooks:
+class TestReportCache:
     def test_reports_are_function_cached(self):
         detector = detector_for(SRC_TWO_FUNCTIONS)
         function = detector.module.get_function("fill")
         first = detector.function_report(function)
         assert detector.function_report(function) is first
 
-    def test_bounds_and_parallel_keys_are_function_scoped(self):
+    def test_an_edit_evicts_both_clients(self):
         module = compile_source(SRC_TWO_FUNCTIONS, "m")
         manager = AnalysisManager(module)
         manager.get(keys.BOUNDS)
@@ -323,5 +323,74 @@ class TestRefreshHooks:
         donor = compile_source(SRC_TWO_FUNCTIONS_EDITED, "m")
         old = module.replace_function(donor.get_function("fill"))
         impact = manager.apply_function_edit(old, module.get_function("fill"))
-        assert {"check-bounds", "parallel-loops"} <= set(impact.refreshed)
-        assert not {"check-bounds", "parallel-loops"} & set(impact.evicted)
+        assert {"check-bounds", "parallel-loops"} <= set(impact.evicted)
+        assert not {"check-bounds", "parallel-loops"} & set(impact.refreshed)
+
+
+#: ``main`` writes four ints through a pointer a callee allocates.
+CALLEE_ALLOCATES = """
+int* mk(int n) {
+  int* q = (int*)malloc(16);
+  return q;
+}
+int main(int argc, char** argv) {
+  int* p = mk(4);
+  p[0] = 1;
+  p[1] = 2;
+  p[2] = 3;
+  p[3] = 4;
+  return 0;
+}
+"""
+
+#: A loop writing ``p[i + 1]`` while reading ``y[i]``, with ``p`` one of
+#: the two buffers as a callee picks it.
+CALLEE_PICKS = """
+int* pick(int* a, int* b) {
+  return a;
+}
+int main(int argc, char** argv) {
+  int n = atoi(argv[1]);
+  int* x = (int*)malloc(n * 4 + 4);
+  int* y = (int*)malloc(n * 4 + 4);
+  int* p = pick(x, y);
+  int i;
+  for (i = 0; i < n; i++) {
+    p[i + 1] = y[i];
+  }
+  return 0;
+}
+"""
+
+
+class TestEditOfAnotherFunction:
+    """An edit to a callee changes a caller's report: the warm session must
+    answer what a cold one built from the edited source answers."""
+
+    def _warm_and_cold(self, op, source, edited):
+        warm = AnalysisSession()
+        warm.load_source("m", source)
+        before = getattr(warm, op)("m", "main")
+        changed = warm.edit_source("m", edited)["changed"]
+        cold = AnalysisSession()
+        cold.load_source("m", edited)
+        return before, changed, getattr(warm, op)("m", "main"), \
+            getattr(cold, op)("m", "main")
+
+    def test_bounds_after_the_callee_shrinks_its_allocation(self):
+        before, changed, warm, cold = self._warm_and_cold(
+            "check_bounds", CALLEE_ALLOCATES,
+            CALLEE_ALLOCATES.replace("malloc(16)", "malloc(8)"))
+        assert changed == ["mk"]
+        assert before["summary"]["safe"] == 4
+        assert cold["summary"]["definitely_oob"] == 2
+        assert warm == cold
+
+    def test_parallel_loops_after_the_callee_returns_the_read_buffer(self):
+        before, changed, warm, cold = self._warm_and_cold(
+            "parallel_loops", CALLEE_PICKS,
+            CALLEE_PICKS.replace("return a;", "return b;"))
+        assert changed == ["pick"]
+        assert before["summary"]["parallel"] == 1
+        assert cold["summary"]["parallel"] == 0
+        assert warm == cold

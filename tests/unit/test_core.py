@@ -405,7 +405,7 @@ class TestRBAA:
         module_full = compile_source(source)
         module_global = compile_source(source)
         full = RBAAAliasAnalysis(module_full)
-        global_only = RBAAAliasAnalysis(module_global, RBAAOptions(enable_local_test=False))
+        global_only = RBAAAliasAnalysis(module_global, options=RBAAOptions(enable_local_test=False))
 
         def count(analysis, module):
             fn = module.get_function("accelerate")

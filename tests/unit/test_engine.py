@@ -2,9 +2,16 @@
 
 import pytest
 
+from repro.aliases import AndersenAliasAnalysis, SteensgaardAliasAnalysis
 from repro.aliases.combined import CombinedAliasAnalysis
-from repro.benchgen import build_program
-from repro.core import RBAAAliasAnalysis
+from repro.benchgen import SUITE_PROGRAMS, build_program
+from repro.clients import BoundsCheckAnalysis, LoopParallelismAnalysis
+from repro.core import (
+    GlobalAnalysisOptions,
+    GlobalRangeAnalysis,
+    LocalRangeAnalysis,
+    RBAAAliasAnalysis,
+)
 from repro.engine import (
     AnalysisKey,
     AnalysisManager,
@@ -16,6 +23,7 @@ from repro.engine import (
 from repro.evaluation import standard_factories
 from repro.evaluation.harness import enumerate_query_pairs, run_queries
 from repro.frontend import compile_source
+from repro.rangeanalysis.symbolic_ra import RangeAnalysisOptions
 
 
 class TestSCCCondensation:
@@ -216,6 +224,66 @@ class TestAnalysisManager:
         assert first.ranges is second.ranges
         assert first.global_analysis is second.global_analysis
         assert first.local_analysis is second.local_analysis
+
+
+#: RBAA requests its inputs with explicit default option objects, which key
+#: cache entries of their own beside the plain requests': these three are
+#: built twice per module until equal options share one entry.
+RBAA_DUPLICATES = ["global-ranges", "local-ranges", "symbolic-ranges"]
+
+
+def _with_every_key(module):
+    manager = AnalysisManager(module)
+    for name in keys.__all__:
+        manager.get(getattr(keys, name))
+    return manager
+
+
+#: Each composite analysis: (attribute, key, params) of every input it
+#: requests from its manager.
+COMPOSITE_INPUTS = [
+    (GlobalRangeAnalysis, [("ranges", keys.RANGES, {}),
+                           ("locations", keys.LOCATIONS, {}),
+                           ("callgraph", keys.CALLGRAPH, {})]),
+    (LocalRangeAnalysis, [("ranges", keys.RANGES, {}),
+                          ("locations", keys.LOCATIONS, {})]),
+    (AndersenAliasAnalysis, [("callgraph", keys.CALLGRAPH, {})]),
+    (SteensgaardAliasAnalysis, [("callgraph", keys.CALLGRAPH, {})]),
+    (RBAAAliasAnalysis, [
+        ("ranges", keys.RANGES, {"options": RangeAnalysisOptions()}),
+        ("locations", keys.LOCATIONS, {}),
+        ("global_analysis", keys.GLOBAL_RANGES,
+         {"options": GlobalAnalysisOptions(),
+          "range_options": RangeAnalysisOptions()}),
+        ("local_analysis", keys.LOCAL_RANGES,
+         {"range_options": RangeAnalysisOptions()})]),
+    (BoundsCheckAnalysis, [("rbaa", keys.RBAA, {}), ("basic", keys.BASIC, {}),
+                           ("ranges", keys.RANGES, {})]),
+    (LoopParallelismAnalysis, [("rbaa", keys.RBAA, {}), ("basic", keys.BASIC, {}),
+                               ("scev", keys.SCEV, {})]),
+]
+
+
+class TestWiring:
+    @pytest.mark.parametrize("program", [p.name for p in SUITE_PROGRAMS])
+    def test_every_shipped_key_builds_once_but_rbaas_inputs(self, program):
+        manager = _with_every_key(build_program(program).module)
+        names = [name for name, _ in manager.cached_items()]
+        assert len(keys.__all__) == len(set(names)) == 12
+        assert manager.statistics.builds == len(names) == 15
+        assert sorted(name for name in set(names)
+                      if names.count(name) == 2) == RBAA_DUPLICATES
+
+    @pytest.mark.parametrize("cls, inputs", COMPOSITE_INPUTS,
+                             ids=[cls.__name__ for cls, _ in COMPOSITE_INPUTS])
+    def test_a_composite_holds_its_managers_inputs(self, cls, inputs):
+        module = build_program("anagram").module
+        manager = _with_every_key(module)
+        builds = manager.statistics.builds
+        analysis = cls(module, manager)
+        assert manager.statistics.builds == builds
+        for attribute, key, params in inputs:
+            assert getattr(analysis, attribute) is manager.cached(key, **params)
 
 
 class TestBatchedQueries:

@@ -180,19 +180,22 @@ class TestApplyFunctionEdit:
         assert "hookless" in impact.evicted
         assert manager.statistics.refreshes > 0
 
-    def test_edit_evicts_no_cached_analysis(self):
+    def test_edit_evicts_only_the_clients(self):
         # The service's solver-step totals sum the cached analyses only, so
         # an edit must never evict an analysis that ran the solver; every
-        # shipped key refreshes in place.
+        # shipped key but the two clients refreshes in place.  The clients
+        # run no solver, and their reports may depend on any function, so
+        # an edit evicts them and the next request rebuilds them.
         module, donor = _compile_pair()
         manager = AnalysisManager(module)
         for name in keys.__all__:
             manager.get(getattr(keys, name))
         old = module.replace_function(donor.get_function("fill"))
         impact = manager.apply_function_edit(old, module.get_function("fill"))
-        assert impact.evicted == []
+        clients = {keys.BOUNDS.name, keys.PARALLEL.name}
+        assert impact.evicted == sorted(clients)
         assert set(impact.refreshed) == {getattr(keys, name).name
-                                         for name in keys.__all__}
+                                         for name in keys.__all__} - clients
 
     def test_reseed_is_cheaper_than_cold_rebuild(self):
         module, donor = _compile_pair()

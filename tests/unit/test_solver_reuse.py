@@ -155,8 +155,7 @@ class TestAnalysesWithAndWithoutReuse:
         with monkeypatch.context() as patch:
             _every_step_transfers(patch)
             plain_ranges = SymbolicRangeAnalysis(module)
-            plain_gr = GlobalRangeAnalysis(module, ranges, manager.get(keys.LOCATIONS),
-                                           callgraph=manager.get(keys.CALLGRAPH))
+            plain_gr = GlobalRangeAnalysis(module, manager)
         assert plain_ranges._ranges == ranges._ranges
         assert plain_gr._gr == gr._gr
         assert plain_ranges.solver_statistics.reused == 0
@@ -275,9 +274,7 @@ class TestGlobalRangeEditSeeds:
             donor = compile_source(step.source, program)
             old = module.replace_function(donor.get_function(step.function))
             manager.apply_function_edit(old, module.get_function(step.function))
-            cold = GlobalRangeAnalysis(module, manager.get(keys.RANGES),
-                                       manager.get(keys.LOCATIONS),
-                                       callgraph=manager.get(keys.CALLGRAPH))
+            cold = GlobalRangeAnalysis(module, manager)
             assert gr._gr == cold._gr
         assert [seeds for seeds, _ in seeded] == \
             [reference for _, reference in seeded]

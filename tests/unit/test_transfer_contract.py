@@ -14,12 +14,13 @@ import pytest
 
 from repro.benchgen import SUITE_PROGRAMS, build_suite
 from repro.core import global_analysis, local_analysis
-from repro.core.global_analysis import GlobalRangeAnalysis, _GlobalRangeProblem
-from repro.core.local_analysis import LocalRangeAnalysis, _LocalRangeProblem
+from repro.core.global_analysis import _GlobalRangeProblem
+from repro.core.local_analysis import _LocalRangeProblem
+from repro.engine import AnalysisManager, keys
 from repro.ir import instructions
 from repro.ir.values import Argument
 from repro.rangeanalysis import symbolic_ra
-from repro.rangeanalysis.symbolic_ra import SymbolicRangeAnalysis, _IntegerRangeProblem
+from repro.rangeanalysis.symbolic_ra import _IntegerRangeProblem
 
 #: Instruction classes that produce no value and so are never nodes.
 VOID_KINDS = {instructions.StoreInst, instructions.BranchInst,
@@ -92,19 +93,16 @@ def suite():
     return programs
 
 
-@pytest.mark.parametrize("problem_class, state_attribute, build", [
-    (_IntegerRangeProblem, "_ranges",
-     lambda module, ranges: ranges),
-    (_GlobalRangeProblem, "_gr",
-     lambda module, ranges: GlobalRangeAnalysis(module, ranges=ranges)),
-    (_LocalRangeProblem, "_lr",
-     lambda module, ranges: LocalRangeAnalysis(module, ranges=ranges)),
+@pytest.mark.parametrize("problem_class, state_attribute, key", [
+    (_IntegerRangeProblem, "_ranges", keys.RANGES),
+    (_GlobalRangeProblem, "_gr", keys.GLOBAL_RANGES),
+    (_LocalRangeProblem, "_lr", keys.LOCAL_RANGES),
 ], ids=["symbolic-ranges", "global-ranges", "local-ranges"])
 def test_transfers_read_only_declared_operands(monkeypatch, suite, problem_class,
-                                               state_attribute, build):
+                                               state_attribute, key):
     log = _record_transfers(monkeypatch, problem_class, state_attribute)
     for program in suite.values():
-        build(program.module, SymbolicRangeAnalysis(program.module))
+        AnalysisManager(program.module).get(key)
     assert len({id(problem) for problem, _, _ in log}) == len(suite)
     # The recorder sees the operand reads, so a pass is not vacuous.
     in_problem = sum(1 for problem, node, reads in log
